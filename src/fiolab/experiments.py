@@ -20,8 +20,8 @@ concentrated profile, while the warped witness carries the growth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .grid import (
     fourier_transform,
     inverse_fourier,
     lp_norm,
-    modulate,
 )
 from .norms import mod_norm
 from .operators import apply_fio1
@@ -42,7 +41,6 @@ from .symbols import (
     Diffeo,
     SymbolSpec,
     make_diffeo,
-    plateau,
     symbol_from_name,
     phase_from_name,
 )
@@ -238,18 +236,13 @@ def lp_threshold_experiment(
     chi = chi or default_chi()
     grid = grid or lp_witness_grid()
     dif = make_diffeo(c)
-    x = grid.space_axis()
-    xw = bracket(x[:, None]) ** m
-    eta = grid.freq_axis()
-    gcut = plateau(eta, 1.0, 2.0)
+    phase = phase_from_name(f"phase_phix({c})")
+    sym = symbol_from_name(f"x_power_freq_cutoff({m})")
 
     def ratios_for(n: int):
         out = []
         for name, w in _lp_witnesses(n, chi, dif, grid):
-            what = fourier_transform(w).samples * gcut
-            act = np.nonzero(np.abs(what) > 1e-15 * np.abs(what).max())[0]
-            kern = np.exp(2j * np.pi * np.multiply.outer(x, dif.phi(eta[act])))
-            Aw = Signal(grid, xw * (kern @ (what[act] * grid.freq_step)))
+            Aw = apply_fio1(phase, sym, w, guard=False)
             nin = lp_norm(w, p)
             nout = lp_norm(Aw, p)
             out.append((name, nin, nout, nout / nin))
@@ -277,11 +270,6 @@ def theorem_lp_frequency_experiment(m_tilde: float, p: float, **kw) -> Threshold
     if not 2.0 < p < np.inf:
         raise ValueError("this experiment targets 2 < p < infinity")
     return lp_threshold_experiment(m_tilde, p, **kw)
-
-
-# backwards-friendly aliases used by the CLI registry
-theorem_mo_experiment = theorem_lp_frequency_experiment
-casolp_experiment = lp_threshold_experiment
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +359,7 @@ def m2_conjugation_consistency(
     self-dual band).
     """
     from .grid import gaussian_generator
-    from .operators import _negated_phase, _starred_symbol, _transposed_phase, \
-        _transposed_symbol, apply_fio2
+    from .operators import _negated_phase, _starred_symbol, _transposed_phase, apply_fio2
 
     grid = self_dual_grid()
     window = Window.gaussian(grid, width=1.0)

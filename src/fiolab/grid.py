@@ -332,21 +332,27 @@ def dual_grid(g: GridSpec) -> GridSpec:
     return got
 
 
+def _dft(vals: Array, g: GridSpec, inverse: bool = False) -> Array:
+    """The transform pair over the leading d axes of vals; trailing axes are a
+    batch.  g is the grid vals live on: the space grid for the forward
+    transform, the frequency-side grid for the inverse."""
+    axes = tuple(range(g.dim))
+    n = g.samples_per_axis
+    ph = _alternating_phase(n, g.dim).reshape(g.shape + (1,) * (vals.ndim - g.dim))
+    if inverse:
+        return np.fft.ifftn(np.fft.ifftshift(vals * ph, axes=axes), axes=axes) \
+            * (n * g.space_step) ** g.dim
+    return np.fft.fftshift(np.fft.fftn(vals, axes=axes), axes=axes) * ph * g.space_step ** g.dim
+
+
 def fourier_transform(f: Signal) -> Signal:
     """fhat on the centred frequency grid; exact quadrature of the node sum."""
-    g = f.grid
-    ph = _alternating_phase(g.samples_per_axis, g.dim)
-    vals = np.fft.fftshift(np.fft.fftn(f.samples)) * ph * g.space_step ** g.dim
-    return Signal(dual_grid(g), vals)
+    return Signal(dual_grid(f.grid), _dft(f.samples, f.grid))
 
 
 def inverse_fourier(F: Signal) -> Signal:
     """Inverse of fourier_transform; input lives on the frequency-side grid."""
-    g = F.grid
-    n = g.samples_per_axis
-    ph = _alternating_phase(n, g.dim)
-    vals = np.fft.ifftn(np.fft.ifftshift(F.samples * ph)) * (n * g.space_step) ** g.dim
-    return Signal(dual_grid(g), vals)
+    return Signal(dual_grid(F.grid), _dft(F.samples, F.grid, inverse=True))
 
 
 # ---------------------------------------------------------------------------

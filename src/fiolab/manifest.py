@@ -1,6 +1,7 @@
 """Run manifests: every experiment writes one before computing and
-finalises it afterwards, so interrupted runs leave a visible marker and a
-finished manifest can reproduce its outputs byte for byte."""
+finalises it afterwards, so interrupted runs leave a visible marker, failed
+runs record their error and a finished manifest can reproduce its outputs
+byte for byte."""
 from __future__ import annotations
 
 import hashlib
@@ -34,6 +35,7 @@ class RunManifest:
     platform: str = field(default_factory=platform.platform)
     registry_entries: list[str] = field(default_factory=list)
     outputs: list[dict] = field(default_factory=list)
+    error: str = ""
 
     @classmethod
     def start(cls, command: str, experiment: str, config_text: str,
@@ -56,6 +58,12 @@ class RunManifest:
         ]
         self.finished_at = datetime.now(timezone.utc).isoformat()
         self.status = "done"
+        return self.write(path)
+
+    def fail(self, path, exc: Exception) -> Path:
+        self.error = f"{type(exc).__name__}: {exc}"
+        self.finished_at = datetime.now(timezone.utc).isoformat()
+        self.status = "failed"
         return self.write(path)
 
 

@@ -1,21 +1,35 @@
 """Operator quantizations and the Gabor-matrix toolbox.
 
-Quantizations are dense oscillatory Riemann sums (the reference paths), with
-FFT fast paths where exactness is checkable:
+Every quantization is the oscillatory Riemann sum of one kernel
+K[x, eta] = exp(2 pi i Phi(x, eta)) sigma(x, eta):
 
 * Kohn-Nirenberg  p(x,D)f(x) = sum_eta exp(2 pi i x.eta) p(x,eta) fhat(eta) deta^d
 * type I FIO      A f(x)     = sum_eta exp(2 pi i Phi(x,eta)) sigma fhat deta^d
 * type II FIO     (Bf)^(eta) = sum_x exp(-2 pi i Phi(x,eta)) conj(sigma) f dx^d
 
-With the grid's unitary transform pair, apply_fio2(Phi, sigma) is the exact
-discrete adjoint of apply_fio1(Phi, sigma), so adjoint identities hold to
-rounding rather than to quadrature accuracy.
+The type II sum is the conjugate transpose of the type I kernel, so with the
+grid's unitary transform pair apply_fio2(Phi, sigma) is the exact discrete
+adjoint of apply_fio1(Phi, sigma), and adjoint identities hold to rounding
+rather than to quadrature accuracy.
+
+_kernel_apply is the single place that evaluates exp(2 pi i Phi) and decides
+how an operator is applied; every consumer (apply_pseudo_kn, apply_fio1,
+apply_fio2, OperatorHandle, gabor_matrix, the normal operator of
+op_norm_estimate) goes through it.  It takes one of three paths:
+
+* two FFTs, a F^{-1} b F, for the phase x.eta when sigma declares
+  separable = (a(x), b(eta));
+* the phase-only kernel with a(x) and b(eta) applied as vectors, for any
+  other phase with a separable symbol;
+* the kernel times sigma(x, eta), the dense reference, otherwise.
+
+A symbol rebuilt without `separable` (SymbolSpec(name, order, fn)) always
+takes the dense reference path; the tests compare the fast paths with it.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,105 +40,125 @@ from .grid import (
     GridSpec,
     Signal,
     TruncationAliasingWarning,
-    _alternating_phase,
+    _dft,
     bracket,
+    dual_grid,
     fourier_transform,
     inner_product,
     inverse_fourier,
     lp_norm,
 )
-from .symbols import Box, LPFamily, PhaseSpec, SymbolSpec
-from .util import pmap
+from .symbols import LPFamily, PhaseSpec, SymbolSpec, dot
 
 DEFAULT_CHUNK = 512
 ACTIVE_TOL = 1e-15
 ZERO_FLOOR = 1e-14
 
 
-class AliasingError(RuntimeError):
-    """Phase oscillation exceeds the resolvable band on the active set."""
+def _active_columns(c: Array, tol: float = ACTIVE_TOL) -> Array:
+    """Rows of c (one or many columns) above tol times their column's peak."""
+    a = np.abs(c.reshape(len(c), -1))
+    return np.nonzero(np.any(a > tol * a.max(axis=0), axis=1))[0]
 
 
-def _active_columns(fhat: Array, tol: float = ACTIVE_TOL) -> Array:
-    a = np.abs(fhat)
-    m = a > tol * a.max() if a.max() > 0 else np.zeros_like(a, dtype=bool)
-    return np.nonzero(m)[0]
-
-
-def _osc_apply(
-    kernel_phase: Callable[[Array, Array], Array],
-    amplitude: Optional[Callable[[Array, Array], Array]],
+def _kernel_apply(
+    phase: Optional[PhaseSpec],
+    sym: SymbolSpec,
     grid: GridSpec,
-    coeffs: Array,
-    act: Array,
+    vals: Array,
+    adjoint: bool = False,
     chunk: int = DEFAULT_CHUNK,
+    cache: Optional[list] = None,
 ) -> Array:
-    """sum_eta exp(2 pi i kernel_phase(x,eta)) amp(x,eta) coeffs(eta), chunked in x."""
-    xs = grid.space_points()
-    es = grid.freq_points()[act]
-    c = coeffs[act]
-    out = np.empty(grid.size, dtype=complex)
-    for lo in range(0, grid.size, chunk):
-        hi = min(lo + chunk, grid.size)
-        X = xs[lo:hi, None, :]
-        E = es[None, :, :]
-        K = np.exp(2j * np.pi * kernel_phase(X, E))
-        if amplitude is not None:
-            K = K * amplitude(X, E)
-        out[lo:hi] = K @ c
-    return out
+    """A f, or A* f with adjoint=True, where A f(x) = sum_eta K[x, eta] fhat(eta)
+    deta^d and K = exp(2 pi i Phi) sigma; phase None stands for x.eta.
 
+    vals holds the samples of one signal, flat (size,), or of many as the
+    columns of (size, m); the result has the same shape.  A* f is
+    F^{-1}(sum_x conj(K[x, eta]) f(x) dx^d).  The kernel is built in blocks
+    of `chunk` rows x over the active input coefficients: fhat(eta) for A,
+    f(x) for A*, each above ACTIVE_TOL of its column's peak.  A `cache` list
+    keeps the blocks, over all rows and columns, for the next call.
+    """
+    n = grid.size
+    cols = vals.reshape(n, -1)
+    m = cols.shape[1]
+    gd = dual_grid(grid)
 
-def _dot(x: Array, eta: Array) -> Array:
-    return np.sum(np.asarray(x) * np.asarray(eta), axis=-1)
+    def dft(c, g, inverse=False):
+        return _dft(c.reshape(grid.shape + (m,)), g, inverse).reshape(n, m)
+
+    xs, es = grid.space_points(), grid.freq_points()
+    sep = sym.separable
+    a, b = (sep[0](xs)[:, None], sep[1](es)[:, None]) if sep is not None else (1.0, 1.0)
+    if phase is None and sep is not None:
+        if adjoint:
+            out = dft(np.conj(b) * dft(np.conj(a) * cols, grid), gd, inverse=True)
+        else:
+            out = a * dft(b * dft(cols, grid), gd, inverse=True)
+        return out.reshape(vals.shape)
+    c = np.conj(a) * cols if adjoint else dft(cols, grid) * b
+    act = np.arange(n) if cache is not None else _active_columns(c)
+    c = c[act] * (grid.space_step if adjoint else grid.freq_step) ** grid.dim
+    rows, E = (act, es[None]) if adjoint else (np.arange(n), es[None, act])
+    out = np.zeros((n, m), dtype=complex)
+    for i, lo in enumerate(range(0, len(rows), chunk)):
+        r = rows[lo:lo + chunk]
+        if cache is not None and i < len(cache):
+            K = cache[i]
+        else:
+            X = xs[r, None]
+            K = np.exp(2j * np.pi * (dot(X, E) if phase is None else phase.fn(X, E)))
+            if sep is None:
+                K = K * sym(X, E)
+            if cache is not None:
+                cache.append(K)
+        if adjoint:
+            out += np.conj(K.T @ np.conj(c[lo:lo + chunk]))
+        else:
+            out[r] = K @ c
+    out = dft(np.conj(b) * out, gd, inverse=True) if adjoint else a * out
+    return out.reshape(vals.shape)
 
 
 def apply_pseudo_kn(p: SymbolSpec, f: Signal, chunk: int = DEFAULT_CHUNK) -> Signal:
     """Kohn-Nirenberg quantization; separable symbols take the two-FFT path."""
-    gr = f.grid
-    fhat = fourier_transform(f)
-    if p.separable is not None:
-        a, b = p.separable
-        bvals = b(gr.freq_points()).reshape(gr.shape)
-        g = inverse_fourier(Signal(fhat.grid, fhat.samples * bvals))
-        avals = a(gr.space_points()).reshape(gr.shape)
-        return Signal(gr, avals * g.samples)
-    flat = fhat.samples.ravel()
-    act = _active_columns(flat)
-    out = _osc_apply(_dot, lambda X, E: p(X, E), gr, flat * gr.freq_step ** gr.dim, act, chunk)
-    return Signal(gr, out.reshape(gr.shape))
+    return Signal(f.grid, _kernel_apply(None, p, f.grid, f.samples.ravel(), chunk=chunk))
+
+
+def _weyl_sum(p: SymbolSpec, grid: GridSpec, vals: Array) -> Array:
+    """Weyl quantization by the dense midpoint double sum (small grids only),
+    on flat sample columns (size,) or (size, m): one kernel row per x."""
+    if grid.size > 512:
+        raise ValueError("dense Weyl quantization is limited to N^d <= 512")
+    xs = grid.space_points()
+    E = grid.freq_points()[:, None, :]                    # (Ne, 1, d)
+    cols = vals.reshape(grid.size, -1)
+    out = np.empty(cols.shape, dtype=complex)
+    for i, x in enumerate(xs):
+        mid = (x[None, None, :] + xs[None, :, :]) / 2.0  # (1, Ny, d)
+        ker = np.exp(2j * np.pi * np.sum((x[None, None, :] - xs[None, :, :]) * E, axis=-1))
+        out[i] = np.sum(ker * p(mid, E), axis=0) @ cols
+    return (out * (grid.space_step * grid.freq_step) ** grid.dim).reshape(vals.shape)
 
 
 def apply_weyl(p: SymbolSpec, f: Signal) -> Signal:
     """Weyl quantization by the dense midpoint double sum (small grids only)."""
-    gr = f.grid
-    if gr.size > 512:
-        raise ValueError("dense Weyl quantization is limited to N^d <= 512")
-    xs = gr.space_points()
-    es = gr.freq_points()
-    dx = gr.space_step ** gr.dim
-    deta = gr.freq_step ** gr.dim
-    fv = f.samples.ravel()
-    out = np.empty(gr.size, dtype=complex)
-    for i, x in enumerate(xs):
-        mid = (x[None, None, :] + xs[None, :, :]) / 2.0  # (1, Ny, d)
-        E = es[:, None, :]                                # (Ne, 1, d)
-        ker = np.exp(2j * np.pi * np.sum((x[None, None, :] - xs[None, :, :]) * E, axis=-1))
-        out[i] = np.sum(ker * p(mid, E) * fv[None, :]) * dx * deta
-    return Signal(gr, out.reshape(gr.shape))
+    return Signal(f.grid, _weyl_sum(p, f.grid, f.samples.ravel()))
 
 
 def _aliasing_guard(
     phase: PhaseSpec,
     sym: Optional[SymbolSpec],
-    grid: GridSpec,
-    act: Array,
-    coeffs: Array,
+    f: Signal,
     amp_tol: float = 1e-10,
     frac: float = 0.95,
 ) -> None:
     """Warn when the stationary output frequency grad_x Phi exceeds the band
     on the amplitude-active part of (supp sigma) x (active input columns)."""
+    grid = f.grid
+    fhat = fourier_transform(f).samples.ravel()
+    act = _active_columns(fhat)
     es = grid.freq_points()[act]
     if len(es) == 0:
         return
@@ -133,7 +167,7 @@ def _aliasing_guard(
     xs = grid.space_points()[::step]
     X = xs[:, None, :]
     E = es[None, :, :]
-    w = np.abs(coeffs[act])[None, :] * np.ones((len(xs), 1))
+    w = np.abs(fhat[act])[None, :] * np.ones((len(xs), 1))
     if sym is not None:
         w = w * np.abs(sym(X, E))
     mask = w > amp_tol * (w.max() if w.max() > 0 else 1.0)
@@ -156,15 +190,10 @@ def apply_fio1(
     chunk: int = DEFAULT_CHUNK,
     guard: bool = True,
 ) -> Signal:
-    """Type I FIO: dense oscillatory sum over the active frequency columns."""
-    gr = f.grid
-    fhat = fourier_transform(f).samples.ravel()
-    act = _active_columns(fhat)
+    """Type I FIO: the oscillatory sum over the active frequency columns."""
     if guard:
-        _aliasing_guard(phase, sym, gr, act, fhat)
-    out = _osc_apply(lambda X, E: phase.fn(X, E), lambda X, E: sym(X, E),
-                     gr, fhat * gr.freq_step ** gr.dim, act, chunk)
-    return Signal(gr, out.reshape(gr.shape))
+        _aliasing_guard(phase, sym, f)
+    return Signal(f.grid, _kernel_apply(phase, sym, f.grid, f.samples.ravel(), chunk=chunk))
 
 
 def apply_fio2(
@@ -174,21 +203,8 @@ def apply_fio2(
     chunk: int = DEFAULT_CHUNK,
 ) -> Signal:
     """Type II FIO, the exact discrete adjoint of apply_fio1(phase, sym)."""
-    gr = f.grid
-    fv = f.samples.ravel()
-    act_x = _active_columns(fv)
-    xs = gr.space_points()[act_x]
-    es = gr.freq_points()
-    dx = gr.space_step ** gr.dim
-    ghat = np.empty(gr.size, dtype=complex)
-    for lo in range(0, gr.size, chunk):
-        hi = min(lo + chunk, gr.size)
-        E = es[lo:hi, None, :]
-        X = xs[None, :, :]
-        K = np.exp(-2j * np.pi * phase.fn(X, E)) * np.conj(sym(X, E))
-        ghat[lo:hi] = K @ (fv[act_x] * dx)
-    from .grid import dual_grid
-    return inverse_fourier(Signal(dual_grid(gr), ghat.reshape(gr.shape)))
+    return Signal(f.grid, _kernel_apply(phase, sym, f.grid, f.samples.ravel(),
+                                        adjoint=True, chunk=chunk))
 
 
 @dataclass
@@ -228,50 +244,30 @@ class OperatorHandle:
             f"{self.phase.name}{tuple(sorted(self.phase.params.items()))}")
         return f"{self.kind}:{self.symbol.name}{tuple(sorted(self.symbol.params.items()))}:{ph}"
 
-    def apply(self, f: Signal, guard: bool = True) -> Signal:
-        if self.kind == "pseudo_kn":
-            return apply_pseudo_kn(self.symbol, f)
+    def _apply_flat(self, grid: GridSpec, vals: Array, adjoint: bool = False) -> Array:
+        """The operator, or its adjoint, on flat sample columns (size,) or (size, m).
+
+        Weyl keeps its midpoint sum; the adjoint of a Weyl operator is the
+        Weyl operator of the conjugate symbol.
+        """
         if self.kind == "pseudo_weyl":
-            return apply_weyl(self.symbol, f)
-        if self.kind == "fio_type1":
-            return apply_fio1(self.phase, self.symbol, f, guard=guard)
-        if self.kind == "fio_type2":
-            return apply_fio2(self.phase, self.symbol, f)
-        raise ValueError(f"unknown kind {self.kind}")
+            sym = self.symbol if not adjoint else SymbolSpec(
+                name=f"conj({self.symbol.name})", order=self.symbol.order,
+                fn=lambda x, eta: np.conj(self.symbol(x, eta)))
+            return _weyl_sum(sym, grid, vals)
+        if self.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
+            raise ValueError(f"unknown kind {self.kind}")
+        phase = None if self.kind == "pseudo_kn" else self.phase
+        return _kernel_apply(phase, self.symbol, grid, vals,
+                             adjoint=adjoint != (self.kind == "fio_type2"))
+
+    def apply(self, f: Signal, guard: bool = True) -> Signal:
+        if guard and self.kind == "fio_type1":
+            _aliasing_guard(self.phase, self.symbol, f)
+        return Signal(f.grid, self._apply_flat(f.grid, f.samples.ravel()))
 
     def adjoint_apply(self, f: Signal) -> Signal:
-        if self.kind == "fio_type1":
-            return apply_fio2(self.phase, self.symbol, f)
-        if self.kind == "fio_type2":
-            return apply_fio1(self.phase, self.symbol, f, guard=False)
-        if self.kind == "pseudo_kn":
-            linear = _linear_phase(self.grid.dim)
-            return apply_fio2(linear, self.symbol, f)
-        if self.kind == "pseudo_weyl":
-            conj_sym = SymbolSpec(
-                name=f"conj({self.symbol.name})", order=self.symbol.order,
-                fn=lambda x, eta: np.conj(self.symbol(x, eta)),
-            )
-            return apply_weyl(conj_sym, f)
-        raise ValueError(f"unknown kind {self.kind}")
-
-
-def _linear_phase(dim: int) -> PhaseSpec:
-    def hess(x, eta):
-        shp = np.broadcast(np.asarray(x)[..., 0], np.asarray(eta)[..., 0]).shape
-        out = np.zeros(shp + (dim, dim))
-        for i in range(dim):
-            out[..., i, i] = 1.0
-        return out
-
-    return PhaseSpec(
-        name="dot", fn=_dot,
-        grad_x=lambda x, eta: np.broadcast_to(np.asarray(eta, dtype=float),
-                                              np.broadcast(np.asarray(x), np.asarray(eta)).shape).copy(),
-        grad_eta=lambda x, eta: np.broadcast_to(np.asarray(x, dtype=float),
-                                                np.broadcast(np.asarray(x), np.asarray(eta)).shape).copy(),
-        mixed_hessian=hess,
-    )
+        return Signal(f.grid, self._apply_flat(f.grid, f.samples.ravel(), adjoint=True))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +426,6 @@ def compose_leading(
     f_j carries the unit band profile psi_j centred at x_center, so every
     dyadic band is probed with full strength.
     """
-    from .grid import dual_grid
-
     fam = fam or LPFamily(j_max=max(js))
     s0 = leading_symbol(p, phase, sigma)
     eta = grid.freq_points()
@@ -507,41 +501,13 @@ def gabor_matrix(
     g: Window,
     lat: GaborLattice,
     zero_floor: float = ZERO_FLOOR,
-    jobs: int | None = None,
 ) -> GaborMatrix:
-    """Assemble <Op g_{k,n}, g_{k',n'}> column by column.
-
-    d = 1 uses a batched kernel path (one dense kernel, two matmuls); other
-    dimensions fall back to per-atom application.
-    """
+    """Assemble <Op g_{k,n}, g_{k',n'}>: all atoms go through the operator as
+    the columns of one application, followed by one Gram product."""
     gr = g.grid
     atoms, kp, npos = _atom_table(g, lat)
-    m = atoms.shape[0]
-    dx = gr.space_step ** gr.dim
-    if gr.dim == 1 and op.kind in ("pseudo_kn", "fio_type1"):
-        n = gr.samples_per_axis
-        ph = _alternating_phase(n, 1)
-        fhat = np.fft.fftshift(np.fft.fft(atoms, axis=1), axes=1) * ph * gr.space_step
-        xs = gr.space_points()
-        es = gr.freq_points()
-        phase = op.phase if op.phase is not None else _linear_phase(1)
-        outs = np.empty((n, m), dtype=complex)
-        for lo in range(0, n, DEFAULT_CHUNK):
-            hi = min(lo + DEFAULT_CHUNK, n)
-            X = xs[lo:hi, None, :]
-            E = es[None, :, :]
-            K = np.exp(2j * np.pi * phase.fn(X, E)) * op.symbol(X, E)
-            outs[lo:hi] = K @ (fhat.T * gr.freq_step)
-        entries = (atoms.conj() @ outs) * dx
-    else:
-        cols = pmap(
-            lambda row: op.apply(Signal(gr, row.reshape(gr.shape)), guard=False).samples.ravel()
-            if op.kind != "fio_type2" else op.apply(Signal(gr, row.reshape(gr.shape))).samples.ravel(),
-            list(atoms),
-            jobs,
-        )
-        outs = np.asarray(cols).T
-        entries = (atoms.conj() @ outs) * dx
+    outs = op._apply_flat(gr, atoms.T)
+    entries = (atoms.conj() @ outs) * gr.space_step ** gr.dim
     peak = np.abs(entries).max()
     if peak > 0:
         entries[np.abs(entries) < zero_floor * peak] = 0.0
@@ -686,25 +652,18 @@ class OpNormReport:
 def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
     """A*A as a fast closure.
 
-    For dense-friendly sizes the type I kernel is assembled once so each
-    power-iteration step costs two FFTs and two matrix-vector products
-    instead of a full kernel re-evaluation.
+    For dense-friendly sizes a type I operator keeps its kernel blocks
+    across calls, so each power-iteration step costs two FFTs and two
+    matrix-vector products instead of a full kernel re-evaluation.
     """
     gr = op.grid
     if op.kind == "fio_type1" and gr.size <= 4096:
-        xs = gr.space_points()[:, None, :]
-        es = gr.freq_points()[None, :, :]
-        K = np.exp(2j * np.pi * op.phase.fn(xs, es)) * op.symbol(xs, es)
-        deta = gr.freq_step ** gr.dim
-        dx = gr.space_step ** gr.dim
-        from .grid import dual_grid
-        gd = dual_grid(gr)
+        cache: list = []
 
         def apply(v: Signal) -> Signal:
-            vh = fourier_transform(v).samples.ravel()
-            w = K @ (vh * deta)
-            gh = (K.conj().T @ (w * dx)).reshape(gr.shape)
-            return inverse_fourier(Signal(gd, gh))
+            w = _kernel_apply(op.phase, op.symbol, gr, v.samples.ravel(), cache=cache)
+            return Signal(gr, _kernel_apply(op.phase, op.symbol, gr, w, adjoint=True,
+                                            cache=cache))
 
         return apply
     return lambda v: op.adjoint_apply(op.apply(v, guard=False))

@@ -89,16 +89,6 @@ def coeffs_to_csv(path, c: GaborCoeffs) -> Path:
     return write_csv(path, ["k", "n", "re", "im"], rows)
 
 
-def norm_reports_to_csv(path, rows) -> Path:
-    """rows: iterable of (signal_id, NormReport)."""
-    out = []
-    for sid, rep in rows:
-        out.append([sid, rep.p, rep.q, rep.weight.s1, rep.weight.s2,
-                    rep.method, rep.value])
-    return write_csv(path, ["signal_id", "p", "q", "s1", "s2", "method", "value"],
-                     out)
-
-
 def matrix_to_csv(path, m: GaborMatrix, min_abs: float = 0.0) -> Path:
     """Rows (k', n', k, n, abs, phase), d=1 lattices; zeros can be dropped."""
     if m.lattice.grid.dim != 1:

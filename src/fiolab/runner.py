@@ -1,7 +1,9 @@
 """Experiment orchestration: named experiments, CSV outputs, manifests.
 
 Each experiment writes its manifest (status running) before any computation,
-emits deterministic CSVs, then finalises the manifest with output hashes.
+emits deterministic CSVs, then finalises the manifest with output hashes; an
+experiment that raises leaves status failed and its error, and the exception
+propagates.
 Exit codes: 0 pass, 2 numerical failure, 3 inconclusive verdict.
 """
 from __future__ import annotations
@@ -326,7 +328,11 @@ def run_experiment(
     )
     man_path = out / f"{name}.manifest.json"
     man.write(man_path)
-    res = EXPERIMENTS[name](cfg, out, plot, jobs, seed)
+    try:
+        res = EXPERIMENTS[name](cfg, out, plot, jobs, seed)
+    except Exception as exc:
+        man.fail(man_path, exc)
+        raise
     man.finalize(man_path, [p for p in res.files if p.suffix == ".csv"])
     res.files.append(man_path)
     return res

@@ -628,6 +628,12 @@ def _sym_x_cutoff_eta_power(m: float, center: float = 0.5,
     )
 
 
+def dot(u: Array, v: Array) -> Array:
+    """sum_i u_i v_i over the last axis, broadcasting the others, without
+    forming the product array (kernel phases are evaluated on large blocks)."""
+    return np.einsum("...i,...i->...", np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+
+
 def _phase_xphi(c: float = 0.3) -> PhaseSpec:
     """Phi(x, eta) = sum_i phi(x_i) eta_i (linear in eta, warped in x)."""
     dif = make_diffeo(c)
@@ -644,7 +650,7 @@ def _phase_xphi(c: float = 0.3) -> PhaseSpec:
 
     return PhaseSpec(
         name="phase_xphi",
-        fn=lambda x, eta: np.sum(dif.phi(x) * np.asarray(eta), axis=-1),
+        fn=lambda x, eta: dot(dif.phi(x), eta),
         grad_x=lambda x, eta: dif.dphi(x) * np.asarray(eta, dtype=float),
         grad_eta=lambda x, eta: dif.phi(x) * np.ones_like(np.asarray(eta, dtype=float)),
         mixed_hessian=hess,
@@ -668,7 +674,7 @@ def _phase_phix(c: float = 0.3) -> PhaseSpec:
 
     return PhaseSpec(
         name="phase_phix",
-        fn=lambda x, eta: np.sum(np.asarray(x) * dif.phi(eta), axis=-1),
+        fn=lambda x, eta: dot(x, dif.phi(eta)),
         grad_x=lambda x, eta: dif.phi(eta) * np.ones_like(np.asarray(x, dtype=float)),
         grad_eta=lambda x, eta: dif.dphi(eta) * np.asarray(x, dtype=float),
         mixed_hessian=hess,

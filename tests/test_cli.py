@@ -100,6 +100,27 @@ class TestRunner:
         man = load_manifest(tmp_path / "run" / "fl_growth.manifest.json")
         assert man.status == "done"
         assert man.outputs and all("sha256" in o for o in man.outputs)
+        assert man.error == ""
+
+    def test_failed_run_marks_manifest(self, tmp_path, monkeypatch):
+        from fiolab import runner
+
+        def boom(cfg, out, plot, jobs, seed):
+            raise RuntimeError("diverged at n=64")
+
+        monkeypatch.setitem(runner.EXPERIMENTS, "fl_growth", boom)
+        with pytest.raises(RuntimeError, match="diverged"):
+            run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "f", seed=1)
+        path = tmp_path / "f" / "fl_growth.manifest.json"
+        man = load_manifest(path)
+        assert man.status == "failed"
+        assert man.error == "RuntimeError: diverged at n=64"
+        assert man.finished_at and not man.outputs
+        # manifests written before the error field existed still load
+        data = json.loads(path.read_text())
+        del data["error"]
+        path.write_text(json.dumps(data))
+        assert load_manifest(path).error == ""
 
     def test_determinism_and_rerun(self, tmp_path):
         cfg = parse_config(TINY_FL)

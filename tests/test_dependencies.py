@@ -1,0 +1,45 @@
+"""numpy is the only runtime dependency: every import in src/fiolab is the
+standard library, numpy or fiolab itself, except matplotlib, which only
+runner._maybe_plot imports (and which degrades when it is missing)."""
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fiolab"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fiolab"}
+OPTIONAL = {("runner.py", "_maybe_plot", "matplotlib")}
+
+
+def _imports(tree):
+    """(top-level module, enclosing function name or None) per import."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.extend((a.name.split(".")[0], func) for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                out.append((child.module.split(".")[0], func))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(tree, None)
+    return out
+
+
+def test_runtime_imports_are_numpy_only():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    bad = []
+    for path in files:
+        for mod, func in _imports(ast.parse(path.read_text(), str(path))):
+            if mod not in ALLOWED and (path.name, func, mod) not in OPTIONAL:
+                bad.append(f"{path.name}: {mod} (in {func or 'module scope'})")
+    assert not bad, "non-numpy runtime imports: " + ", ".join(bad)
+
+
+def test_guard_sees_nested_imports():
+    tree = ast.parse("def f():\n    def g():\n        import scipy.linalg\n"
+                     "from hypothesis import given\n")
+    assert _imports(tree) == [("scipy", "g"), ("hypothesis", None)]

@@ -4,7 +4,9 @@ import pytest
 from fiolab.experiments import (
     DEFAULT_N_SWEEP,
     SharpnessResult,
+    _lp_witnesses,
     classify_slope,
+    default_chi,
     fl_growth_experiment,
     lp_threshold_experiment,
     m2_conjugation_consistency,
@@ -17,8 +19,15 @@ from fiolab.experiments import (
     theorem_lp_frequency_experiment,
     threshold,
 )
-from fiolab.grid import GridSpec, Signal, bump_generator, fourier_transform, lp_norm
-from fiolab.symbols import make_diffeo
+from fiolab.grid import (
+    GridSpec,
+    Signal,
+    bracket,
+    bump_generator,
+    fourier_transform,
+    lp_norm,
+)
+from fiolab.symbols import make_diffeo, plateau
 
 
 class TestBasics:
@@ -121,6 +130,26 @@ class TestLpThreshold:
         assert len(v.rows) == 6  # 2 sweep points x 3 witnesses
         n, name, nin, nout, r = v.rows[0]
         assert isinstance(name, str) and r == pytest.approx(nout / nin)
+
+    @pytest.mark.parametrize("m,p", [(0.0, 4.0), (-0.5, 1.0)])
+    def test_ratios_match_literal_kernel(self, m, p):
+        """The experiment's operator, <x>^m sum_eta exp(2 pi i x phi(eta))
+        G(eta) what(eta) deta, written out as one dense kernel."""
+        g = GridSpec(1, 40.0, 512)
+        chi, dif = default_chi(), make_diffeo(0.3)
+        x, eta = g.space_axis(), g.freq_axis()
+        xw = bracket(x[:, None]) ** m
+        gcut = plateau(eta, 1.0, 2.0)
+        v = lp_threshold_experiment(m, p, (2, 4, 8), grid=g, jobs=1)
+        assert len(v.rows) == 9
+        for n, name, nin, nout, r in v.rows:
+            w = dict(_lp_witnesses(n, chi, dif, g))[name]
+            what = fourier_transform(w).samples * gcut
+            act = np.nonzero(np.abs(what) > 1e-15 * np.abs(what).max())[0]
+            kern = np.exp(2j * np.pi * np.multiply.outer(x, dif.phi(eta[act])))
+            Aw = Signal(g, xw * (kern @ (what[act] * g.freq_step)))
+            assert nin == lp_norm(w, p)
+            assert nout == pytest.approx(lp_norm(Aw, p), rel=1e-12, abs=0)
 
 
 class TestSharpness:

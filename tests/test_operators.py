@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fiolab.gabor import GaborLattice, Window, gabor_atom
 from fiolab.grid import (
     GridSpec,
     Signal,
+    bracket,
     bracket1,
     bump_generator,
     fourier_transform,
@@ -34,8 +37,12 @@ from fiolab.operators import (
     schur_certify,
     transpose_identity_check,
     weyl_decay_certify,
+    _atom_table,
+    _normal_operator,
 )
 from fiolab.symbols import (
+    PHASE_BUILDERS,
+    SYMBOL_BUILDERS,
     Box,
     LPFamily,
     SymbolSpec,
@@ -465,3 +472,105 @@ def test_every_application_is_linear(kind, phase_name):
     hb = op.apply(h, guard=False).samples if kind != "fio_type2" else op.apply(h).samples
     rhs = a * fa + b * hb
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Every application path against the dense reference
+# ---------------------------------------------------------------------------
+
+PATH_SYMBOLS = ("one", "model_sg(-0.5,-0.5)", "eta_power(-1.0)", "x_power(0.5)",
+                "x_power_freq_cutoff(-0.25)", "x_cutoff_eta_power(-0.5)", "complex")
+PATH_PHASES = ("phase_linear", "phase_xphi(0.3)", "phase_phix(0.3)")
+PATH_KINDS = [("pseudo_kn", None)] + [
+    (kind, phase) for kind in ("fio_type1", "fio_type2") for phase in PATH_PHASES]
+PATH_GRIDS = {"d1": GridSpec(1, 8.0, 256), "d2": GridSpec(2, 2.0, 16)}
+
+
+def _rel(a, ref):
+    return np.linalg.norm(a - ref) / np.linalg.norm(ref)
+
+
+def _path_symbol(sname):
+    """Registry symbols are real; "complex" makes the adjoints conjugate a and b."""
+    if sname != "complex":
+        return symbol_from_name(sname)
+    a = lambda x: np.exp(1j * np.sum(np.asarray(x), axis=-1))
+    b = lambda eta: np.exp(-0.5j * np.sum(np.asarray(eta), axis=-1)) * bracket(eta) ** -0.5
+    return SymbolSpec(name="complex", order=(-0.5, 0.0),
+                      fn=lambda x, eta: a(x) * b(eta), separable=(a, b))
+
+
+def test_path_cases_cover_registries():
+    assert {s.split("(")[0] for s in PATH_SYMBOLS} - {"complex"} == set(SYMBOL_BUILDERS)
+    assert {p.split("(")[0] for p in PATH_PHASES} == set(PHASE_BUILDERS)
+
+
+@pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
+@pytest.mark.parametrize("sname", PATH_SYMBOLS)
+@pytest.mark.parametrize("kind,pname", PATH_KINDS)
+def test_paths_match_dense_reference(gname, sname, kind, pname):
+    """Separable paths (two FFTs, phase-only kernel), batched Gabor assembly
+    and the cached normal operator agree with the dense kernel times sigma,
+    reached by rebuilding the symbol without `separable`."""
+    g = PATH_GRIDS[gname]
+    sym = _path_symbol(sname)
+    phase = phase_from_name(pname) if pname else None
+    op = OperatorHandle(kind, sym, phase, g)
+    dense = OperatorHandle(kind, replace(sym, separable=None), phase, g)
+    f = random_schwartz_signal(g, np.random.default_rng(70))
+    assert _rel(op.apply(f, guard=False).samples,
+                dense.apply(f, guard=False).samples) <= 1e-12
+    assert _rel(op.adjoint_apply(f).samples, dense.adjoint_apply(f).samples) <= 1e-12
+
+    w = Window.gaussian(g)
+    radius = 3 if g.dim == 1 else 1
+    lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=radius, n_radius=radius)
+    M = gabor_matrix(op, w, lat)
+    atoms, _, _ = _atom_table(w, lat)
+    outs = np.stack([op.apply(Signal(g, a), guard=False).samples.ravel()
+                     for a in atoms], axis=1)
+    ref = (atoms.conj() @ outs) * g.space_step ** g.dim
+    assert np.max(np.abs(M.entries - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    normal = _normal_operator(op)
+    ref = op.adjoint_apply(op.apply(f, guard=False)).samples
+    for _ in range(2):  # the second call reuses cached kernel blocks
+        assert _rel(normal(f).samples, ref) <= 1e-12
+
+
+def test_paths_across_kernel_blocks():
+    """Three row blocks of the default chunk, in both directions and in the
+    normal operator, whose second call runs on the cached blocks."""
+    g = GridSpec(1, 16.0, 1280)
+    sym = _path_symbol("complex")
+    phase = phase_from_name("phase_xphi(0.3)")
+    op = OperatorHandle("fio_type1", sym, phase, g)
+    dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
+    f = random_schwartz_signal(g, np.random.default_rng(71))
+    ref = dense.apply(f, guard=False)
+    assert _rel(op.apply(f, guard=False).samples, ref.samples) <= 1e-12
+    assert _rel(op.adjoint_apply(f).samples, dense.adjoint_apply(f).samples) <= 1e-12
+    normal = _normal_operator(op)
+    ref = dense.adjoint_apply(ref).samples
+    for _ in range(2):
+        assert _rel(normal(f).samples, ref) <= 1e-12
+
+
+def test_weyl_columns_match_per_atom():
+    """Weyl stays on its midpoint sum; batched columns equal per-atom calls,
+    and the conjugate-symbol adjoint is exact."""
+    g = GridSpec(1, 4.0, 64)
+    sym = _path_symbol("complex")
+    op = OperatorHandle("pseudo_weyl", sym, None, g)
+    w = Window.gaussian(g)
+    lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=2, n_radius=2)
+    M = gabor_matrix(op, w, lat)
+    atoms, _, _ = _atom_table(w, lat)
+    outs = np.stack([apply_weyl(sym, Signal(g, a)).samples.ravel() for a in atoms], axis=1)
+    ref = (atoms.conj() @ outs) * g.space_step
+    assert np.max(np.abs(M.entries - ref)) <= 1e-12 * np.max(np.abs(ref))
+    rng = np.random.default_rng(72)
+    f, h = random_schwartz_signal(g, rng), random_schwartz_signal(g, rng)
+    lhs = inner_product(op.apply(f), h)
+    rhs = inner_product(f, op.adjoint_apply(h))
+    assert abs(lhs - rhs) <= 1e-12 * lp_norm(f, 2) * lp_norm(h, 2)
