@@ -11,8 +11,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, default_config, load_config
 from .gabor import (
     GaborLattice,
@@ -32,7 +30,6 @@ from .grid import (
     bump_generator,
     default_grid,
     gaussian_generator,
-    lp_norm,
 )
 from .norms import WeightSpec, mod_norm
 from .operators import OperatorHandle, gabor_matrix
@@ -43,7 +40,6 @@ from .persist import (
     signal_from_csv,
     signal_to_csv,
     stft_to_csv,
-    write_csv,
 )
 from .runner import EXPERIMENTS, rerun_from_manifest, run_experiment
 from .symbols import Box, growth_validate, nondeg_validate, phase_from_name, \

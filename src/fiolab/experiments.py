@@ -27,6 +27,7 @@ import numpy as np
 
 from .gabor import Window
 from .grid import (
+    Array,
     GridSpec,
     Signal,
     Generator,
@@ -39,7 +40,6 @@ from .norms import mod_norm
 from .operators import apply_fio1
 from .symbols import (
     Diffeo,
-    SymbolSpec,
     make_diffeo,
     symbol_from_name,
     phase_from_name,
@@ -117,16 +117,31 @@ def make_fn(n: int, chi: Generator, grid: GridSpec, dim: int = 1) -> Signal:
             f"modulation n={n} leaves the safe band (Nyquist {grid.nyquist})")
     if dim != grid.dim:
         raise ValueError("dimension mismatch")
-    base = chi
-    if dim > 1:
-        ch = chi
-        base = Generator(
-            name="bump_tensor", params=dict(ch.params),
-            fn=lambda *cs: np.prod([np.asarray(ch(c)) for c in cs], axis=0),
-            support=tuple(ch.support[0] for _ in range(dim)) if ch.support else None,
-        )
-    gen = base.modulated([float(n)] * dim)
+    gen = _tensor_power(chi, dim).modulated([float(n)] * dim)
     return Signal.from_generator(grid, gen)
+
+
+def _tensor_power(chi: Generator, dim: int) -> Generator:
+    """chi(t_1) ... chi(t_dim); chi itself for dim = 1."""
+    if dim == 1:
+        return chi
+    return Generator(
+        name="bump_tensor", params=dict(chi.params),
+        fn=lambda *cs: np.prod([np.asarray(chi(c)) for c in cs], axis=0),
+        support=tuple(chi.support[0] for _ in range(dim)) if chi.support else None,
+    )
+
+
+def _freq_multiply(f: Signal, mult: Array) -> Signal:
+    """F^{-1}(mult * F f), for a multiplier sampled on the frequency grid."""
+    fh = fourier_transform(f)
+    return inverse_fourier(Signal(fh.grid, fh.samples * mult))
+
+
+def _mod_ratio(out: Signal, inp: Signal, p: float, window: Window, x_stride: int) -> float:
+    """||out||_{M^p} / ||inp||_{M^p}."""
+    return mod_norm(out, p, window=window, x_stride=x_stride).value / \
+        mod_norm(inp, p, window=window, x_stride=x_stride).value
 
 
 def _fit_sweep(ns: Sequence[int], vals: Sequence[float]) -> GrowthFit:
@@ -156,14 +171,7 @@ def fl_growth_experiment(
     dif = dif or make_diffeo()
     chi = chi or default_chi()
     grid = grid or sharpness_grid()
-    base = chi
-    if dim > 1:
-        ch = chi
-        base = Generator(
-            name="bump_tensor", params=dict(ch.params),
-            fn=lambda *cs: np.prod([np.asarray(ch(c)) for c in cs], axis=0),
-            support=tuple(ch.support[0] for _ in range(dim)) if ch.support else None,
-        )
+    base = _tensor_power(chi, dim)
 
     def one(n: int) -> float:
         comp = base.modulated([float(n)] * dim).composed(
@@ -192,9 +200,7 @@ def multiplier_growth_check(
     mult = bracket(grid.freq_points()).reshape(grid.shape) ** m
 
     def one(n: int) -> float:
-        fn = make_fn(n, chi, grid)
-        fh = fourier_transform(fn)
-        h = inverse_fourier(Signal(fh.grid, fh.samples * mult))
+        h = _freq_multiply(make_fn(n, chi, grid), mult)
         return mod_norm(h, p, window=window, x_stride=x_stride).value
 
     vals = pmap(one, list(n_sweep), jobs)
@@ -282,7 +288,7 @@ class SharpnessResult:
     ratios: tuple[float, ...]
 
 
-def _m1_operator_parts(m1: float, c: float, grid: GridSpec):
+def _m1_operator_parts(m1: float, c: float):
     phase = phase_from_name(f"phase_xphi({c})")
     sym = symbol_from_name(f"x_cutoff_eta_power({m1})")
     return phase, sym
@@ -311,16 +317,12 @@ def sharpness_m1_experiment(
     chi = chi or default_chi()
     grid = grid or sharpness_grid()
     window = window or sharpness_window(grid)
-    phase, sym = _m1_operator_parts(m1, c, grid)
+    phase, sym = _m1_operator_parts(m1, c)
     mult_up = bracket(grid.freq_points()).reshape(grid.shape) ** (-m1)
 
     def one(n: int) -> float:
-        fn = make_fn(n, chi, grid)
-        fh = fourier_transform(fn)
-        w = inverse_fourier(Signal(fh.grid, fh.samples * mult_up))
-        Aw = apply_fio1(phase, sym, w, guard=False)
-        return mod_norm(Aw, p, window=window, x_stride=x_stride).value / \
-            mod_norm(w, p, window=window, x_stride=x_stride).value
+        w = _freq_multiply(make_fn(n, chi, grid), mult_up)
+        return _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, p, window, x_stride)
 
     ratios = pmap(one, list(n_sweep), jobs)
     fit = _fit_sweep(n_sweep, ratios)
@@ -364,22 +366,16 @@ def m2_conjugation_consistency(
     grid = self_dual_grid()
     window = Window.gaussian(grid, width=1.0)
     env = gaussian_generator(width=0.2).translated([0.5])
-    phase, sym = _m1_operator_parts(m2, c, grid)
+    phase, sym = _m1_operator_parts(m2, c)
     bphase = _negated_phase(_transposed_phase(phase))
     bsym = _starred_symbol(sym)
     mult_up = bracket(grid.freq_points()).reshape(grid.shape) ** (-m2)
 
     def one(n: int) -> float:
-        fn = Signal.from_generator(grid, env.modulated([float(n)]))
-        fh = fourier_transform(fn)
-        w = inverse_fourier(Signal(fh.grid, fh.samples * mult_up))
-        Aw = apply_fio1(phase, sym, w, guard=False)
-        r_direct = mod_norm(Aw, p, window=window, x_stride=x_stride).value / \
-            mod_norm(w, p, window=window, x_stride=x_stride).value
+        w = _freq_multiply(Signal.from_generator(grid, env.modulated([float(n)])), mult_up)
+        r_direct = _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, p, window, x_stride)
         wf = fourier_transform(w)
-        Bwf = apply_fio2(bphase, bsym, wf)
-        r_conj = mod_norm(Bwf, p, window=window, x_stride=x_stride).value / \
-            mod_norm(wf, p, window=window, x_stride=x_stride).value
+        r_conj = _mod_ratio(apply_fio2(bphase, bsym, wf), wf, p, window, x_stride)
         return abs(r_conj - r_direct) / r_direct
 
     devs = pmap(one, list(n_sweep), jobs)
@@ -462,21 +458,15 @@ def main_theorem_boundedness_suite(
         for pname in phases:
             cc = c if pname == "warped" else 0.0
             phase = phase_from_name(f"phase_xphi({cc})")
-            sym = SymbolSpec(
-                name="model_order", order=(m1, m2),
-                fn=lambda x, eta, m1=m1, m2=m2: bracket(eta) ** m1 * bracket(x) ** m2,
-            )
+            sym = symbol_from_name(f"model_sg({m1},{m2})")
             mult_up = bracket(grid.freq_points()).reshape(grid.shape) ** (-m1)
 
             def one(n: int) -> float:
                 fn = make_fn(n, chi, grid)
                 best = 0.0
-                fh = fourier_transform(fn)
-                comp = inverse_fourier(Signal(fh.grid, fh.samples * mult_up))
-                for w in (fn, comp):
-                    Aw = apply_fio1(phase, sym, w, guard=False)
-                    r = mod_norm(Aw, p, window=window, x_stride=x_stride).value / \
-                        mod_norm(w, p, window=window, x_stride=x_stride).value
+                for w in (fn, _freq_multiply(fn, mult_up)):
+                    r = _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, p, window,
+                                   x_stride)
                     best = max(best, r)
                 return best
 

@@ -24,15 +24,14 @@ from .grid import (
     GridAlignmentError,
     GridSpec,
     Signal,
-    Generator,
     gaussian_generator,
-    fourier_transform,
     inner_product,
-    inverse_fourier,
     lp_norm,
     modulate,
     translate,
     _alternating_phase,
+    _edge_mass_ratio,
+    _zero_fill_shift,
 )
 
 
@@ -97,29 +96,6 @@ class StftData:
         return np.arange(0, self.grid.samples_per_axis, self.x_stride)
 
 
-def _shifted_window_1d(g: Array, s: int) -> Array:
-    out = np.zeros_like(g)
-    n = len(g)
-    if s >= 0:
-        out[s:] = g[: n - s] if s > 0 else g
-    else:
-        out[: n + s] = g[-s:]
-    return out
-
-
-def _translated_samples(w: Signal, offsets: tuple[int, ...]) -> Array:
-    out = w.samples
-    for ax, s in enumerate(offsets):
-        if s == 0:
-            continue
-        out = np.roll(out, s, axis=ax)
-        sl = [slice(None)] * out.ndim
-        sl[ax] = slice(0, s) if s > 0 else slice(s, None)
-        out = out.copy()
-        out[tuple(sl)] = 0.0
-    return out
-
-
 def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
     """Dense STFT, one FFT per (strided) x node."""
     if f.grid != g.grid:
@@ -134,7 +110,7 @@ def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
         ms = np.arange(0, n, x_stride)
         rows = np.empty((len(ms), n), dtype=complex)
         for i, m in enumerate(ms):
-            tg = _shifted_window_1d(gs, m - n // 2)
+            tg = _zero_fill_shift(gs, (m - n // 2,))
             rows[i] = f.samples * np.conj(tg)
         vals = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1) * ph * scale
         return StftData(gr, g.window_id, vals, x_stride)
@@ -143,7 +119,7 @@ def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
     vals = np.empty(out_shape, dtype=complex)
     for idx in product(range(len(ms)), repeat=d):
         offs = tuple(int(ms[i]) - n // 2 for i in idx)
-        tg = _translated_samples(g.signal, offs)
+        tg = _zero_fill_shift(gs, offs)
         h = f.samples * np.conj(tg)
         vals[idx] = np.fft.fftshift(np.fft.fftn(h)) * ph * scale
     return StftData(gr, g.window_id, vals, x_stride)
@@ -163,7 +139,7 @@ def stft_direct(f: Signal, g: Window, x_stride: int = 1) -> StftData:
     fs = f.samples.ravel()
     for idx in product(range(len(ms)), repeat=d):
         offs = tuple(int(ms[i]) - n // 2 for i in idx)
-        tg = _translated_samples(g.signal, offs).ravel()
+        tg = _zero_fill_shift(g.signal.samples, offs).ravel()
         h = fs * np.conj(tg)
         col = (np.exp(-2j * np.pi * (fre @ pts.T)) @ h) * dx
         vals[idx] = col.reshape(gr.shape)
@@ -181,14 +157,7 @@ def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:
     gr = g.grid
     n = gr.samples_per_axis
     d = gr.dim
-    edge = np.abs(gr.space_axis()) > 0.9 * gr.half_width
-    mask = np.zeros(gr.shape, dtype=bool)
-    for ax in range(d):
-        shape = [1] * d
-        shape[ax] = n
-        mask |= edge.reshape(shape)
-    gmass = np.abs(g.signal.samples) ** 2
-    bmass = float(np.sum(gmass[mask])) / float(np.sum(gmass))
+    bmass = _edge_mass_ratio(g.signal.samples, gr.space_axis(), 0.9 * gr.half_width)
     if bmass > boundary_tol:
         warnings.warn(f"window boundary mass {bmass:.2e} exceeds {boundary_tol:.0e}")
     ph = _alternating_phase(n, d)
@@ -199,14 +168,14 @@ def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:
         syn = np.fft.ifft(np.fft.ifftshift(F.values * ph, axes=1), axis=1) / gr.space_step
         acc = np.zeros(n, dtype=complex)
         for i, m in enumerate(ms):
-            tg = _shifted_window_1d(gs, m - n // 2)
+            tg = _zero_fill_shift(gs, (m - n // 2,))
             acc += syn[i] * tg
         return Signal(gr, acc * scale * F.x_stride)
     ms = np.arange(0, n, F.x_stride)
     acc = np.zeros(gr.shape, dtype=complex)
     for idx in product(range(len(ms)), repeat=d):
         offs = tuple(int(ms[i]) - n // 2 for i in idx)
-        tg = _translated_samples(g.signal, offs)
+        tg = _zero_fill_shift(gs, offs)
         piece = np.fft.ifftn(np.fft.ifftshift(F.values[idx] * ph)) / gr.space_step ** d
         acc += piece * tg
     return Signal(gr, acc * scale * F.x_stride ** d)
@@ -329,7 +298,7 @@ def _freq_pick(lat: GaborLattice) -> Array:
 def _window_table(g: Window, lat: GaborLattice) -> Array:
     """All space-translates of the window as rows (d = 1)."""
     return np.stack([
-        _shifted_window_1d(g.signal.samples, k * lat.k_step) for k in lat.k_index
+        _zero_fill_shift(g.signal.samples, (k * lat.k_step,)) for k in lat.k_index
     ])
 
 
@@ -351,7 +320,7 @@ def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
     out = np.empty(shape, dtype=complex)
     for kidx in product(range(len(kvals)), repeat=d):
         offs = tuple(int(kvals[i]) * lat.k_step for i in kidx)
-        tg = _translated_samples(g.signal, offs)
+        tg = _zero_fill_shift(g.signal.samples, offs)
         H = np.fft.fftshift(np.fft.fftn(f.samples * np.conj(tg))) * ph * scale
         sub = H
         for ax in range(d):
@@ -380,7 +349,7 @@ def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     vals = c.values
     for kidx in product(range(len(kvals)), repeat=d):
         offs = tuple(int(kvals[i]) * lat.k_step for i in kidx)
-        tg = _translated_samples(g.signal, offs)
+        tg = _zero_fill_shift(g.signal.samples, offs)
         block = vals[kidx]  # shape (num_n,)*d
         wave = block
         for ax in range(d):
@@ -437,7 +406,7 @@ def frame_matrix_dense(g: Window, lat: GaborLattice) -> Array:
     x = gr.space_axis()
     rows = []
     for k in lat.k_index:
-        tg = _shifted_window_1d(g.signal.samples, k * lat.k_step)
+        tg = _zero_fill_shift(g.signal.samples, (k * lat.k_step,))
         for nn in lat.n_index:
             rows.append(np.exp(2j * np.pi * lat.beta * nn * x) * tg)
     G = np.asarray(rows)
@@ -454,6 +423,9 @@ class FrameBounds:
 
 
 def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
+    """Top eigenvalue of a Hermitian positive semi-definite operator, as
+    (value, iterations, converged); converged once the Rayleigh quotient
+    moves by at most tol relative, after at least five steps."""
     v = v0 / np.linalg.norm(v0.ravel())
     lam = 0.0
     for it in range(1, maxiter + 1):
@@ -461,12 +433,12 @@ def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
         new = float(np.real(np.vdot(v.ravel(), w.ravel())))
         nrm = np.linalg.norm(w.ravel())
         if nrm == 0:
-            return 0.0, it
+            return 0.0, it, True
         v = w / nrm
         if it > 4 and abs(new - lam) <= tol * max(abs(new), 1e-300):
-            return new, it
+            return new, it, True
         lam = new
-    return lam, maxiter
+    return lam, maxiter, False
 
 
 def frame_bounds(
@@ -484,13 +456,13 @@ def frame_bounds(
     rng = np.random.default_rng(seed)
     v0 = rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape)
     s_apply = _fast_frame_apply(g, lat)
-    upper, it1 = _power_iteration(s_apply, v0, tol, maxiter)
+    upper, it1, _ = _power_iteration(s_apply, v0, tol, maxiter)
     mu = 1.05 * upper
 
     def shifted(v: Array) -> Array:
         return mu * v - s_apply(v)
 
-    top, it2 = _power_iteration(shifted, v0, tol, maxiter)
+    top, it2, _ = _power_iteration(shifted, v0, tol, maxiter)
     lower = mu - top
     is_frame = lower > 0 and upper / max(lower, 1e-300) <= ratio_cap
     return FrameBounds(lower=float(lower), upper=float(upper), iterations=it1 + it2, is_frame=is_frame)

@@ -14,9 +14,9 @@ dx-weighted and deta-weighted inner products, so Parseval holds to rounding.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,39 @@ def _alternating_phase(n: int, dim: int) -> Array:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Smooth cutoff building blocks (exact plateaus via the exp(-1/u) glue)
+# ---------------------------------------------------------------------------
+
+def smooth_step(u: Array) -> Array:
+    """C^inf step: exactly 0 for u <= 0, exactly 1 for u >= 1."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    hi = u >= 1.0
+    mid = (u > 0.0) & ~hi
+    out[hi] = 1.0
+    um = u[mid]
+    a = np.exp(-1.0 / um)
+    b = np.exp(-1.0 / (1.0 - um))
+    out[mid] = a / (a + b)
+    return out
+
+
+def plateau(r: Array, inner: float = 1.0, outer: float = 2.0) -> Array:
+    """Radial cutoff: 1 for |r| <= inner, 0 for |r| >= outer, smooth glue."""
+    return smooth_step((outer - np.abs(r)) / (outer - inner))
+
+
+def bump(u: Array) -> Array:
+    """exp(-1/(1-u^2)) on |u| < 1, exactly zero outside."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    m = np.abs(u) < 1.0
+    um = u[m]
+    out[m] = np.exp(-1.0 / (1.0 - um * um))
+    return out
+
+
 @dataclass(frozen=True)
 class Generator:
     """Analytic evaluation rule behind a Signal.
@@ -198,14 +231,6 @@ def gaussian_generator(width: float = 1.0, dim: int = 1) -> Generator:
     )
 
 
-def _bump_profile(u: Array) -> Array:
-    out = np.zeros_like(u, dtype=float)
-    m = np.abs(u) < 1.0
-    um = u[m]
-    out[m] = np.exp(-1.0 / (1.0 - um * um))
-    return out
-
-
 def bump_generator(center: float = 0.5, half_width: float = 0.42, dim: int = 1) -> Generator:
     """Smooth compactly supported bump, exactly zero outside the declared box."""
     c, hw = float(center), float(half_width)
@@ -213,7 +238,7 @@ def bump_generator(center: float = 0.5, half_width: float = 0.42, dim: int = 1) 
         name="bump",
         params={"center": c, "half_width": hw, "dim": dim},
         fn=lambda *cs: np.prod(
-            [_bump_profile((np.asarray(t) - c) / hw) for t in cs], axis=0
+            [bump((np.asarray(t) - c) / hw) for t in cs], axis=0
         ) + 0j,
         support=tuple(((c - hw, c + hw),) * dim),
     )
@@ -227,15 +252,7 @@ def bandlimited_generator(grid: "GridSpec", band_edge: float | None = None) -> G
     """
     edge = float(band_edge) if band_edge is not None else grid.nyquist / 4.0
     eta = grid.freq_axis()
-    inner, outer = edge / 2.0, edge
-    r = np.abs(eta)
-    prof = np.zeros_like(r)
-    prof[r <= inner] = 1.0
-    mid = (r > inner) & (r < outer)
-    u = (outer - r[mid]) / (outer - inner)
-    a = np.exp(-1.0 / u)
-    b = np.exp(-1.0 / (1.0 - u))
-    prof[mid] = a / (a + b)
+    prof = plateau(eta, edge / 2.0, edge)
     deta = grid.freq_step
     if grid.dim != 1:
         raise NotImplementedError("bandlimited generator provided for d=1 only")
@@ -248,7 +265,7 @@ def bandlimited_generator(grid: "GridSpec", band_edge: float | None = None) -> G
         name="bandlimited",
         params={"band_edge": edge},
         fn=fn,
-        band=((-outer, outer),),
+        band=((-edge, edge),),
     )
 
 
@@ -359,18 +376,22 @@ def inverse_fourier(F: Signal) -> Signal:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
+def _zero_fill_shift(vals: Array, offsets: Sequence[int]) -> Array:
+    """vals moved by offsets[i] samples along axis i, out[t] = vals[t - s],
+    with zeros where t - s leaves the array; later axes are left alone."""
+    out = np.zeros_like(vals)
+    dst, src = [], []
+    for s, n in zip(offsets, vals.shape):
+        s = max(-n, min(n, int(s)))
+        dst.append(slice(max(s, 0), n + min(s, 0)))
+        src.append(slice(max(-s, 0), n - max(s, 0)))
+    out[tuple(dst)] = vals[tuple(src)]
+    return out
+
+
 def translate(f: Signal, x0) -> Signal:
     """T_{x0} f(t) = f(t - x0), zero fill at the boundary; x0 grid-aligned."""
-    offs = f.grid.offsets_for(x0)
-    out = f.samples
-    for ax, s in enumerate(offs):
-        if s == 0:
-            continue
-        out = np.roll(out, s, axis=ax)
-        sl = [slice(None)] * out.ndim
-        sl[ax] = slice(0, s) if s > 0 else slice(s, None)
-        out = out.copy()
-        out[tuple(sl)] = 0.0
+    out = _zero_fill_shift(f.samples, f.grid.offsets_for(x0))
     gen = f.generator.translated(x0) if f.generator is not None else None
     return Signal(f.grid, out, gen)
 
@@ -386,32 +407,19 @@ def modulate(f: Signal, eta0) -> Signal:
     return Signal(f.grid, f.samples * phase, gen)
 
 
-def _boundary_mass_ratio(samples: Array, grid: GridSpec, frac: float = 0.9) -> float:
-    ax = np.abs(grid.space_axis())
-    edge = ax > frac * grid.half_width
-    mask = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        sl = [None] * grid.dim
+def _edge_mass_ratio(vals: Array, axis: Array, cutoff: float) -> float:
+    """Share of sum |vals|^2 on the nodes with some coordinate |axis| > cutoff;
+    vals has one dimension per grid axis, each sampled at `axis`."""
+    edge = np.abs(axis) > cutoff
+    mask = np.zeros(vals.shape, dtype=bool)
+    for d in range(vals.ndim):
+        sl = [None] * vals.ndim
         sl[d] = slice(None)
         mask |= edge[tuple(sl)]
-    tot = float(np.sum(np.abs(samples) ** 2))
+    tot = float(np.sum(np.abs(vals) ** 2))
     if tot == 0.0:
         return 0.0
-    return float(np.sum(np.abs(samples[mask]) ** 2)) / tot
-
-
-def _freq_edge_ratio(fhat: Array, grid: GridSpec, frac: float) -> float:
-    ax = np.abs(grid.freq_axis())
-    edge = ax > frac * grid.nyquist
-    mask = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        sl = [None] * grid.dim
-        sl[d] = slice(None)
-        mask |= edge[tuple(sl)]
-    tot = float(np.sum(np.abs(fhat) ** 2))
-    if tot == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(fhat[mask]) ** 2)) / tot
+    return float(np.sum(np.abs(vals[mask]) ** 2)) / tot
 
 
 def dilate(f: Signal, lam: float, warn_tol: float = 1e-8) -> Signal:
@@ -456,13 +464,13 @@ def dilate(f: Signal, lam: float, warn_tol: float = 1e-8) -> Signal:
         raise NotImplementedError(
             "non-integer dilation of sample-only signals is implemented for d=1"
         )
-    br = _boundary_mass_ratio(out.samples, g)
+    br = _edge_mass_ratio(out.samples, g.space_axis(), 0.9 * g.half_width)
     if br > warn_tol:
         warnings.warn(
             f"dilate(lam={lam}): boundary mass ratio {br:.2e} exceeds {warn_tol:.0e}",
             TruncationAliasingWarning,
         )
-    fr = _freq_edge_ratio(fourier_transform(out).samples, g, 0.95)
+    fr = _edge_mass_ratio(fourier_transform(out).samples, g.freq_axis(), 0.95 * g.nyquist)
     if fr > warn_tol:
         warnings.warn(
             f"dilate(lam={lam}): Nyquist-edge mass ratio {fr:.2e} exceeds {warn_tol:.0e}",

@@ -11,6 +11,8 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__ as _version
 
 
@@ -36,6 +38,8 @@ class RunManifest:
     registry_entries: list[str] = field(default_factory=list)
     outputs: list[dict] = field(default_factory=list)
     error: str = ""
+    # FFT rounding, and so the CSV bytes, depend on the numpy build
+    numpy_version: str = ""
 
     @classmethod
     def start(cls, command: str, experiment: str, config_text: str,
@@ -44,6 +48,7 @@ class RunManifest:
             command=command, experiment=experiment, config_text=config_text,
             config_digest=config_digest, seed=seed, jobs=jobs,
             started_at=datetime.now(timezone.utc).isoformat(),
+            numpy_version=np.__version__,
         )
 
     def write(self, path) -> Path:

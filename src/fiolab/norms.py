@@ -56,6 +56,21 @@ def _mixed_norm(vals: Array, w: Array, p: float, q: float, d: int,
     return float((np.sum(inner ** q) * deta ** d) ** (1.0 / q))
 
 
+def _weight_array(xs: Array, etas: Array, weight: WeightSpec, d: int) -> Array:
+    """<x>^{s2} <eta>^{s1} over axes (x..., eta...), from the per-axis nodes."""
+    wx = bracket(xs[:, None]) ** weight.s2
+    weta = bracket(etas[:, None]) ** weight.s1
+    w_arr = np.ones((1,) * 2 * d)
+    for ax in range(d):
+        sh = [1] * (2 * d)
+        sh[ax] = len(xs)
+        w_arr = w_arr * wx.reshape(sh)
+        sh = [1] * (2 * d)
+        sh[d + ax] = len(etas)
+        w_arr = w_arr * weta.reshape(sh)
+    return w_arr
+
+
 def mod_norm(
     f: Signal,
     p: float,
@@ -73,19 +88,7 @@ def mod_norm(
     data = stft(f, g, x_stride=x_stride)
     gr = f.grid
     d = gr.dim
-    x_sub = gr.space_axis()[data.x_axis_indices]
-    wx = bracket(x_sub[:, None]) ** weight.s2
-    weta = bracket(gr.freq_axis()[:, None]) ** weight.s1
-    shape_x = [1] * (2 * d)
-    shape_e = [1] * (2 * d)
-    w_arr = np.ones((1,) * 2 * d)
-    for ax in range(d):
-        shape_x = [1] * (2 * d)
-        shape_x[ax] = len(x_sub)
-        w_arr = w_arr * wx.reshape(shape_x)
-        shape_e = [1] * (2 * d)
-        shape_e[d + ax] = gr.samples_per_axis
-        w_arr = w_arr * weta.reshape(shape_e)
+    w_arr = _weight_array(gr.space_axis()[data.x_axis_indices], gr.freq_axis(), weight, d)
     value = _mixed_norm(
         data.values, w_arr, p, q, d,
         gr.space_step * data.x_stride, gr.freq_step,
@@ -110,27 +113,9 @@ def seq_norm(
         q = p
     lat = c.lattice
     d = lat.grid.dim
-    kpos = lat.alpha * lat.k_values.astype(float)
-    npos = lat.beta * lat.n_values.astype(float)
-    wk = bracket(kpos[:, None]) ** weight.s2
-    wn = bracket(npos[:, None]) ** weight.s1
-    w_arr = np.ones((1,) * 2 * d)
-    for ax in range(d):
-        sh = [1] * (2 * d)
-        sh[ax] = len(kpos)
-        w_arr = w_arr * wk.reshape(sh)
-        sh = [1] * (2 * d)
-        sh[d + ax] = len(npos)
-        w_arr = w_arr * wn.reshape(sh)
-    a = np.abs(c.values) * w_arr
-    k_axes = tuple(range(d))
-    if np.isinf(p):
-        inner = a.max(axis=k_axes)
-    else:
-        inner = np.sum(a ** p, axis=k_axes) ** (1.0 / p)
-    if np.isinf(q):
-        return float(inner.max())
-    return float(np.sum(inner ** q) ** (1.0 / q))
+    w_arr = _weight_array(lat.alpha * lat.k_values.astype(float),
+                          lat.beta * lat.n_values.astype(float), weight, d)
+    return _mixed_norm(c.values, w_arr, p, q, d, 1.0, 1.0)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gabor import GaborLattice, Window, gabor_atom, _shifted_window_1d
+from .gabor import GaborLattice, Window, gabor_atom, _power_iteration, _tone_table, _window_table
 from .grid import (
     Array,
     GridSpec,
@@ -472,28 +472,18 @@ class GaborMatrix:
 
 
 def _atom_table(g: Window, lat: GaborLattice) -> tuple[Array, Array, Array]:
-    """All lattice atoms as rows, plus their physical positions."""
-    gr = g.grid
-    d = gr.dim
-    x = gr.space_axis()
-    rows = []
-    kp = []
-    npos = []
+    """All lattice atoms as rows, k-major, plus their physical positions."""
+    d = g.grid.dim
+    kt = np.asarray(lat.k_tuples(), dtype=float).reshape(-1, d)
+    nt = np.asarray(lat.n_tuples(), dtype=float).reshape(-1, d)
+    kp = np.repeat(lat.alpha * kt, len(nt), axis=0)
+    npos = np.tile(lat.beta * nt, (len(kt), 1))
     if d == 1:
-        tones = np.exp(2j * np.pi * lat.beta * np.multiply.outer(lat.n_values.astype(float), x))
-        for k in lat.k_index:
-            tg = _shifted_window_1d(g.signal.samples, k * lat.k_step)
-            for i, n in enumerate(lat.n_index):
-                rows.append(tones[i] * tg)
-                kp.append([lat.alpha * k])
-                npos.append([lat.beta * n])
-    else:
-        for kt in lat.k_tuples():
-            for nt in lat.n_tuples():
-                rows.append(gabor_atom(g, lat, kt, nt).samples.ravel())
-                kp.append([lat.alpha * v for v in kt])
-                npos.append([lat.beta * v for v in nt])
-    return np.asarray(rows), np.asarray(kp, dtype=float), np.asarray(npos, dtype=float)
+        rows = _window_table(g, lat)[:, None, :] * _tone_table(lat)[None, :, :]
+        return rows.reshape(len(kp), -1), kp, npos
+    rows = [gabor_atom(g, lat, k, n).samples.ravel()
+            for k in lat.k_tuples() for n in lat.n_tuples()]
+    return np.asarray(rows), kp, npos
 
 
 def gabor_matrix(
@@ -688,27 +678,15 @@ def op_norm_estimate(
         if p != 2.0:
             raise ValueError("power iteration certifies the L^2 norm only")
         gr = op.grid
-        normal_apply = _normal_operator(op)
+        normal = _normal_operator(op)
         rng = np.random.default_rng(seed)
-        v = Signal(gr, rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape))
-        lam = 0.0
-        its = 0
-        converged = False
-        for it in range(1, maxiter + 1):
-            its = it
-            w = normal_apply(v)
-            new = float(np.sqrt(abs(inner_product(w, v)) / inner_product(v, v).real))
-            nrm = lp_norm(w, 2)
-            if nrm == 0:
-                return OpNormReport(0.0, method, it, True)
-            v = Signal(gr, w.samples / nrm)
-            if it > 3 and abs(new - lam) <= tol * max(new, 1e-300):
-                converged = True
-                lam = new
-                break
-            lam = new
-        return OpNormReport(value=float(lam), method=method, iterations=its,
-                           converged=converged)
+        v0 = rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape)
+        # the norm is the square root of the top eigenvalue of A*A, so a
+        # relative change tol in the norm is about 2 tol in the eigenvalue
+        lam, its, converged = _power_iteration(
+            lambda v: normal(Signal(gr, v)).samples, v0, 2.0 * tol, maxiter)
+        return OpNormReport(value=float(np.sqrt(max(lam, 0.0))), method=method,
+                            iterations=its, converged=converged)
     if method == "corpus_max_ratio":
         if corpus is None:
             raise ValueError("corpus_max_ratio needs a corpus")

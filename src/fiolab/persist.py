@@ -6,7 +6,6 @@ inputs give byte-identical files.
 """
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,6 +16,8 @@ from .grid import GridSpec, Signal
 from .operators import GaborMatrix
 
 SCHEMA_LINE = "# schema=1"
+MATRIX_RECORD = np.dtype([("kp", "<i4"), ("np", "<i4"), ("k", "<i4"), ("n", "<i4"),
+                          ("abs", "<f8"), ("phase", "<f8")])
 
 
 def _fmt(v) -> str:
@@ -115,18 +116,14 @@ def matrix_to_binary(path, m: GaborMatrix, min_abs: float = 0.0) -> Path:
         raise NotImplementedError("binary export covers d=1")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rec = struct.Struct("<4i2d")
-    alpha, beta = m.lattice.alpha, m.lattice.beta
-    with open(path, "wb") as fh:
-        for i in range(m.num_atoms):
-            ki = int(round(m.k_phys[i, 0] / alpha))
-            ni = int(round(m.n_phys[i, 0] / beta))
-            for j in range(m.num_atoms):
-                v = m.entries[i, j]
-                a = abs(v)
-                if a <= min_abs:
-                    continue
-                kj = int(round(m.k_phys[j, 0] / alpha))
-                nj = int(round(m.n_phys[j, 0] / beta))
-                fh.write(rec.pack(ki, ni, kj, nj, a, float(np.angle(v))))
+    e = m.entries
+    # hypot is Python's abs(complex) bit for bit; np.abs may differ in the last ulp
+    mag = np.hypot(e.real, e.imag)
+    i, j = np.nonzero(mag > min_abs)
+    ki = np.rint(m.k_phys[:, 0] / m.lattice.alpha).astype("<i4")
+    ni = np.rint(m.n_phys[:, 0] / m.lattice.beta).astype("<i4")
+    rec = np.empty(len(i), dtype=MATRIX_RECORD)
+    rec["kp"], rec["np"], rec["k"], rec["n"] = ki[i], ni[i], ki[j], ni[j]
+    rec["abs"], rec["phase"] = mag[i, j], np.angle(e[i, j])
+    rec.tofile(path)
     return path

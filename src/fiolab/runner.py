@@ -4,12 +4,13 @@ Each experiment writes its manifest (status running) before any computation,
 emits deterministic CSVs, then finalises the manifest with output hashes; an
 experiment that raises leaves status failed and its error, and the exception
 propagates.
-Exit codes: 0 pass, 2 numerical failure, 3 inconclusive verdict.
+Exit codes: 0 pass, 2 numerical failure (or, for a rerun from a manifest,
+outputs whose hashes differ from the stored ones), 3 inconclusive verdict.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -18,8 +19,8 @@ import numpy as np
 from . import experiments as xp
 from .config import ExperimentConfig, default_config
 from .gabor import GaborLattice, Window
-from .grid import GridSpec, Signal, default_grid, random_schwartz_signal
-from .manifest import RunManifest, load_manifest
+from .grid import GridSpec, default_grid, random_schwartz_signal
+from .manifest import RunManifest, file_sha256, load_manifest
 from .norms import WeightSpec, dilation_indices, dilation_exponent_check, \
     gabor_norm_equivalence_check
 from .operators import OperatorHandle, compose_leading, diag_decay_certify, \
@@ -339,11 +340,21 @@ def run_experiment(
 
 
 def rerun_from_manifest(manifest_path, out_dir, plot: bool = False) -> RunResult:
+    """Run a manifest's experiment again and compare each output with the
+    sha256 the manifest stores; any difference sets exit code 2 and lists
+    the files under summary["hash_mismatch"]."""
     man = load_manifest(manifest_path)
     from .config import parse_config
 
     cfg = parse_config(man.config_text)
-    return run_experiment(
+    res = run_experiment(
         man.experiment, cfg, out_dir, plot=plot, jobs=man.jobs, seed=man.seed,
         command=f"rerun {man.experiment}",
     )
+    out = Path(out_dir)
+    differ = [o["path"] for o in man.outputs
+              if not (out / o["path"]).is_file() or file_sha256(out / o["path"]) != o["sha256"]]
+    if differ:
+        res.exit_code = 2
+        res.summary = {**res.summary, "hash_mismatch": differ}
+    return res

@@ -18,40 +18,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grid import Array, GridSpec, Signal, bracket, fourier_transform, inverse_fourier
+from .grid import (Array, GridSpec, Signal, bracket, bump, fourier_transform,
+                   inverse_fourier, plateau)
+from .grid import smooth_step  # noqa: F401  (the cutoffs stay importable from symbols)
 
 # ---------------------------------------------------------------------------
-# Smooth cutoff building blocks (exact plateaus via the exp(-1/u) glue)
+# Derivatives of the bump cutoff (the cutoffs themselves live in grid)
 # ---------------------------------------------------------------------------
-
-def smooth_step(u: Array) -> Array:
-    """C^inf step: exactly 0 for u <= 0, exactly 1 for u >= 1."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    hi = u >= 1.0
-    mid = (u > 0.0) & ~hi
-    out[hi] = 1.0
-    um = u[mid]
-    a = np.exp(-1.0 / um)
-    b = np.exp(-1.0 / (1.0 - um))
-    out[mid] = a / (a + b)
-    return out
-
-
-def plateau(r: Array, inner: float = 1.0, outer: float = 2.0) -> Array:
-    """Radial cutoff: 1 for |r| <= inner, 0 for |r| >= outer, smooth glue."""
-    return smooth_step((outer - np.abs(r)) / (outer - inner))
-
-
-def bump(u: Array) -> Array:
-    """exp(-1/(1-u^2)) on |u| < 1, exactly zero outside."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    um = u[m]
-    out[m] = np.exp(-1.0 / (1.0 - um * um))
-    return out
-
 
 def bump_d1(u: Array) -> Array:
     u = np.asarray(u, dtype=float)

@@ -19,7 +19,7 @@ from fiolab.persist import (
     write_csv,
 )
 from fiolab.runner import run_experiment, rerun_from_manifest
-from fiolab.symbols import symbol_from_name
+from fiolab.symbols import phase_from_name, symbol_from_name
 
 TINY_FL = """\
 [grid]
@@ -92,6 +92,42 @@ class TestPersist:
         assert a == abs(M.entries[0, 0])
 
 
+def _binary_reference(path, m, min_abs):
+    """The record-by-record struct writer matrix_to_binary replaced."""
+    rec = struct.Struct("<4i2d")
+    alpha, beta = m.lattice.alpha, m.lattice.beta
+    with open(path, "wb") as fh:
+        for i in range(m.num_atoms):
+            ki = int(round(m.k_phys[i, 0] / alpha))
+            ni = int(round(m.n_phys[i, 0] / beta))
+            for j in range(m.num_atoms):
+                v = m.entries[i, j]
+                a = abs(v)
+                if a <= min_abs:
+                    continue
+                kj = int(round(m.k_phys[j, 0] / alpha))
+                nj = int(round(m.n_phys[j, 0] / beta))
+                fh.write(rec.pack(ki, ni, kj, nj, a, float(np.angle(v))))
+    return path
+
+
+@pytest.mark.parametrize("min_abs", [0.0, 1e-3])
+def test_binary_matrix_matches_struct_writer(tmp_path, min_abs):
+    g = GridSpec(1, 8.0, 256)
+    w = Window.gaussian(g)
+    lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=6, n_radius=6)
+    op = OperatorHandle("fio_type1", symbol_from_name("model_sg(-0.5,-0.5)"),
+                        phase_from_name("phase_xphi(0.3)"), g)
+    M = gabor_matrix(op, w, lat)
+    got = matrix_to_binary(tmp_path / "m.bin", M, min_abs=min_abs).read_bytes()
+    ref = _binary_reference(tmp_path / "ref.bin", M, min_abs).read_bytes()
+    assert got == ref
+    # 32-byte records; the positive threshold drops some non-zero entries
+    nonzero = 32 * np.count_nonzero(M.entries)
+    assert 0 < len(got) <= nonzero
+    assert (len(got) < nonzero) == (min_abs > 0)
+
+
 class TestRunner:
     def test_fl_growth_run_and_manifest(self, tmp_path):
         cfg = parse_config(TINY_FL)
@@ -101,6 +137,7 @@ class TestRunner:
         assert man.status == "done"
         assert man.outputs and all("sha256" in o for o in man.outputs)
         assert man.error == ""
+        assert man.numpy_version == np.__version__
 
     def test_failed_run_marks_manifest(self, tmp_path, monkeypatch):
         from fiolab import runner
@@ -118,7 +155,7 @@ class TestRunner:
         assert man.finished_at and not man.outputs
         # manifests written before the error field existed still load
         data = json.loads(path.read_text())
-        del data["error"]
+        del data["error"], data["numpy_version"]
         path.write_text(json.dumps(data))
         assert load_manifest(path).error == ""
 
@@ -129,8 +166,22 @@ class TestRunner:
         csv_a = (tmp_path / "a" / "fl_growth.csv").read_bytes()
         csv_b = (tmp_path / "b" / "fl_growth.csv").read_bytes()
         assert csv_a == csv_b
-        rerun_from_manifest(tmp_path / "a" / "fl_growth.manifest.json", tmp_path / "c")
+        man_a = tmp_path / "a" / "fl_growth.manifest.json"
+        res = rerun_from_manifest(man_a, tmp_path / "c")
         assert (tmp_path / "c" / "fl_growth.csv").read_bytes() == csv_a
+        assert res.exit_code == 0 and "hash_mismatch" not in res.summary
+
+    def test_rerun_checks_stored_hashes(self, tmp_path, capsys):
+        run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
+        path = tmp_path / "a" / "fl_growth.manifest.json"
+        data = json.loads(path.read_text())
+        (entry,) = [o for o in data["outputs"] if o["path"] == "fl_growth.csv"]
+        entry["sha256"] = "0" * 64
+        path.write_text(json.dumps(data))
+        code = main(["experiment", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "hash_mismatch = ['fl_growth.csv']" in capsys.readouterr().out
 
     def test_fl_growth_bundled_default(self, tmp_path):
         res = run_experiment("fl_growth", None, tmp_path / "d", seed=0)

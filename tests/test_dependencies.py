@@ -1,6 +1,7 @@
 """numpy is the only runtime dependency: every import in src/fiolab is the
 standard library, numpy or fiolab itself, except matplotlib, which only
-runner._maybe_plot imports (and which degrades when it is missing)."""
+runner._maybe_plot imports (and which degrades when it is missing).  Every
+module other than __init__ also reads each name it imports at module scope."""
 import ast
 import sys
 from pathlib import Path
@@ -43,3 +44,36 @@ def test_guard_sees_nested_imports():
     tree = ast.parse("def f():\n    def g():\n        import scipy.linalg\n"
                      "from hypothesis import given\n")
     assert _imports(tree) == [("scipy", "g"), ("hypothesis", None)]
+
+
+def _unused_imports(tree, lines):
+    """Names bound by module-scope imports that the module never reads.  An
+    import whose line carries "# noqa: F401" is a deliberate re-export."""
+    bound = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "noqa: F401" in lines[node.lineno - 1]:
+            continue
+        bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_no_unused_imports():
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert files
+    bad = []
+    for path in files:
+        text = path.read_text()
+        for name in _unused_imports(ast.parse(text, str(path)), text.splitlines()):
+            bad.append(f"{path.name}: {name}")
+    assert not bad, "unused imports: " + ", ".join(bad)
+
+
+def test_unused_import_check_sees_names():
+    src = ("import numpy as np\nfrom .grid import a, b as c\n"
+           "from .grid import d  # noqa: F401\nx = np.pi + c\n")
+    assert _unused_imports(ast.parse(src), src.splitlines()) == ["a"]

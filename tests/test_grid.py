@@ -9,6 +9,7 @@ from fiolab.grid import (
     Signal,
     TruncationAliasingWarning,
     WeightSpec,
+    bandlimited_generator,
     bump_generator,
     dilate,
     fourier_transform,
@@ -20,6 +21,8 @@ from fiolab.grid import (
     random_schwartz_signal,
     translate,
     weighted_multiply,
+    _edge_mass_ratio,
+    _zero_fill_shift,
 )
 
 from conftest import make_corpus
@@ -130,6 +133,23 @@ class TestShifts:
         with pytest.raises(GridAlignmentError):
             translate(gauss256, [0.3 * gauss256.grid.space_step])
 
+    @pytest.mark.parametrize("offsets", [
+        (0,), (5,), (-7,), (16,), (-16,), (23,), (-40,),
+        (0, 0), (3, -2), (0, 5), (-16, 1), (20, -20), (-3, 17),
+    ])
+    def test_zero_fill_shift_matches_roll_reference(self, offsets):
+        rng = np.random.default_rng(11)
+        shape = (16,) * len(offsets)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ref = vals
+        for ax, s in enumerate(offsets):
+            ref = np.roll(ref, s, axis=ax)
+            src = np.arange(16) - s
+            keep = ((src >= 0) & (src < 16)).reshape([16 if a == ax else 1
+                                                      for a in range(len(offsets))])
+            ref = np.where(keep, ref, 0.0)
+        assert np.array_equal(_zero_fill_shift(vals, offsets), ref)
+
 
 class TestDilate:
     def test_identity(self, gauss256):
@@ -164,6 +184,13 @@ class TestDilate:
         f = Signal.from_generator(grid256, gaussian_generator())
         with pytest.warns(TruncationAliasingWarning):
             dilate(f, 1.0 / 8.0)
+
+    def test_edge_mass_ratio(self):
+        axis = np.array([-2.0, -1.0, 0.0, 1.0])
+        # nodes with a coordinate of modulus above 1.5: row 0 or column 0
+        assert _edge_mass_ratio(np.ones(4), axis, 1.5) == 1.0 / 4.0
+        assert _edge_mass_ratio(np.ones((4, 4)), axis, 1.5) == 7.0 / 16.0
+        assert _edge_mass_ratio(np.zeros((4, 4)), axis, 1.5) == 0.0
 
     def test_commutes_with_fourier(self, grid512):
         # (U_lam f)^ = lam^{-d} U_{1/lam} fhat
@@ -204,3 +231,25 @@ def test_corpus_is_concentrated(grid1024):
     for f in make_corpus(grid1024, 10):
         edge = np.abs(grid1024.space_axis()) > 0.9 * grid1024.half_width
         assert np.sum(np.abs(f.samples[edge]) ** 2) < 1e-16 * np.sum(np.abs(f.samples) ** 2)
+
+
+def test_bandlimited_generator_matches_inline_step():
+    """The plateau profile equals the smooth step the generator once built
+    inline, bit for bit, on the default grid."""
+    g = GridSpec(1, 16.0, 1024)
+    eta = g.freq_axis()
+    edge = g.nyquist / 4.0
+    inner, outer = edge / 2.0, edge
+    r = np.abs(eta)
+    prof = np.zeros_like(r)
+    prof[r <= inner] = 1.0
+    mid = (r > inner) & (r < outer)
+    u = (outer - r[mid]) / (outer - inner)
+    a = np.exp(-1.0 / u)
+    b = np.exp(-1.0 / (1.0 - u))
+    prof[mid] = a / (a + b)
+    t = g.space_axis()
+    ref = np.exp(2j * np.pi * np.multiply.outer(t, eta)) @ (prof * g.freq_step)
+    gen = bandlimited_generator(g)
+    assert np.array_equal(gen(t), ref)
+    assert gen.band == ((-outer, outer),)

@@ -138,6 +138,22 @@ class TestSeqNorm:
         direct = (np.sum((np.abs(vals) * np.outer(wk, wn)) ** 3)) ** (1 / 3)
         assert abs(seq_norm(c, 3, 3, WeightSpec(0.5, 1.5)) - direct) < 1e-12
 
+    @pytest.mark.parametrize("p,q", [(3.0, 2.0), (np.inf, 1.0), (1.5, np.inf)])
+    def test_matches_inline_reference(self, g256, p, q):
+        """Bit for bit the mixed sum seq_norm computed before it shared the
+        weight builder and the mixed sum with mod_norm."""
+        from fiolab.gabor import GaborCoeffs
+        lat = GaborLattice.for_grid(g256, 0.5, 0.5, k_radius=3, n_radius=5)
+        rng = np.random.default_rng(28)
+        vals = rng.normal(size=(7, 11)) + 1j * rng.normal(size=(7, 11))
+        weight = WeightSpec(0.7, -1.3)
+        wk = np.sqrt(1.0 + (lat.alpha * lat.k_values.astype(float)) ** 2) ** weight.s2
+        wn = np.sqrt(1.0 + (lat.beta * lat.n_values.astype(float)) ** 2) ** weight.s1
+        a = np.abs(vals) * (np.ones((1, 1)) * wk.reshape(7, 1) * wn.reshape(1, 11))
+        inner = a.max(axis=(0,)) if np.isinf(p) else np.sum(a ** p, axis=(0,)) ** (1.0 / p)
+        ref = float(inner.max()) if np.isinf(q) else float(np.sum(inner ** q) ** (1.0 / q))
+        assert seq_norm(GaborCoeffs(lat, vals), p, q, weight) == ref
+
     def test_l2_within_frame_bounds(self, g256, w256):
         from fiolab.gabor import frame_matrix_dense
         lat = GaborLattice.for_grid(g256, 0.5, 0.5, window=w256)

@@ -281,6 +281,21 @@ def small_matrix_setup():
 
 
 class TestGaborMatrix:
+    @pytest.mark.parametrize("g", [GridSpec(1, 4.0, 64), GridSpec(2, 2.0, 16)])
+    def test_atom_table_rows_are_atoms(self, g):
+        w = Window.gaussian(g, width=0.5)
+        lat = GaborLattice.for_grid(g, 0.5, 1.0, k_radius=2, n_radius=1)
+        atoms, kp, npos = _atom_table(w, lat)
+        assert atoms.shape == (lat.num_atoms, g.size)
+        i = 0
+        for k in lat.k_tuples():
+            for n in lat.n_tuples():
+                ref = gabor_atom(w, lat, k, n).samples.ravel()
+                assert np.max(np.abs(atoms[i] - ref)) <= 1e-13
+                assert np.array_equal(kp[i], lat.alpha * np.asarray(k, dtype=float))
+                assert np.array_equal(npos[i], lat.beta * np.asarray(n, dtype=float))
+                i += 1
+
     def test_identity_gram(self, small_matrix_setup):
         g, w, lat = small_matrix_setup
         op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g)
@@ -427,7 +442,48 @@ class TestConcentration:
         assert rep.passed(2.0)
 
 
+def _op_norm_reference(op, tol, maxiter, seed=3):
+    """The power loop op_norm_estimate ran on A*A before it shared
+    gabor._power_iteration: (value, iterations, converged)."""
+    gr = op.grid
+    normal_apply = _normal_operator(op)
+    rng = np.random.default_rng(seed)
+    v = Signal(gr, rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape))
+    lam = 0.0
+    its = 0
+    converged = False
+    for it in range(1, maxiter + 1):
+        its = it
+        w = normal_apply(v)
+        new = float(np.sqrt(abs(inner_product(w, v)) / inner_product(v, v).real))
+        nrm = lp_norm(w, 2)
+        if nrm == 0:
+            return 0.0, it, True
+        v = Signal(gr, w.samples / nrm)
+        if it > 3 and abs(new - lam) <= tol * max(new, 1e-300):
+            converged = True
+            lam = new
+            break
+        lam = new
+    return lam, its, converged
+
+
 class TestOpNorm:
+    @pytest.mark.parametrize("tol,maxiter", [(1e-4, 1000), (1e-8, 1000), (1e-4, 6)])
+    @pytest.mark.parametrize("kind,sym,phase", [
+        ("fio_type1", "one", "phase_xphi(0.3)"),
+        ("fio_type1", "model_sg(-0.5,-0.5)", "phase_phix(0.3)"),
+        ("pseudo_kn", "eta_power(-1.0)", None),
+    ])
+    def test_power_iteration_matches_reference(self, kind, sym, phase, tol, maxiter):
+        g = GridSpec(1, 16.0, 128)
+        op = OperatorHandle(kind, symbol_from_name(sym),
+                            phase_from_name(phase) if phase else None, g)
+        value, its, converged = _op_norm_reference(op, tol, maxiter)
+        rep = op_norm_estimate(op, 2.0, "power_iter_l2", tol=tol, maxiter=maxiter)
+        assert (rep.iterations, rep.converged) == (its, converged)
+        assert abs(rep.value - value) <= 1e-12 * value
+
     def test_identity_norm(self, g512):
         op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g512)
         rep = op_norm_estimate(op, 2.0, "power_iter_l2", tol=1e-6)
