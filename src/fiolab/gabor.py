@@ -335,6 +335,12 @@ def _tone_table(lat: GaborLattice) -> Array:
         lat.n_values.astype(float), x))
 
 
+def _atom_rows(g: Window, lat: GaborLattice) -> Array:
+    """All atoms M_{beta n} T_{alpha k} g as rows, k-major (d = 1)."""
+    rows = _window_table(g, lat)[:, None, :] * _tone_table(lat)[None, :, :]
+    return rows.reshape(-1, rows.shape[-1])
+
+
 def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g."""
     gr = g.grid
@@ -402,14 +408,7 @@ def frame_matrix_dense(g: Window, lat: GaborLattice) -> Array:
     gr = g.grid
     if gr.dim != 1:
         raise NotImplementedError
-    n = gr.samples_per_axis
-    x = gr.space_axis()
-    rows = []
-    for k in lat.k_index:
-        tg = _zero_fill_shift(g.signal.samples, (k * lat.k_step,))
-        for nn in lat.n_index:
-            rows.append(np.exp(2j * np.pi * lat.beta * nn * x) * tg)
-    G = np.asarray(rows)
+    G = _atom_rows(g, lat)
     # (S f)_t = sum_a G[a,t] * sum_{t'} conj(G[a,t']) f_{t'} dx
     return (G.T @ G.conj()) * gr.space_step
 

@@ -40,6 +40,8 @@ class RunManifest:
     error: str = ""
     # FFT rounding, and so the CSV bytes, depend on the numpy build
     numpy_version: str = ""
+    # a rerun lists the outputs whose sha256 differs from the manifest it reran
+    hash_mismatch: list[str] = field(default_factory=list)
 
     @classmethod
     def start(cls, command: str, experiment: str, config_text: str,

@@ -15,13 +15,19 @@ rather than to quadrature accuracy.
 _kernel_apply is the single place that evaluates exp(2 pi i Phi) and decides
 how an operator is applied; every consumer (apply_pseudo_kn, apply_fio1,
 apply_fio2, OperatorHandle, gabor_matrix, the normal operator of
-op_norm_estimate) goes through it.  It takes one of three paths:
+op_norm_estimate) goes through it.  kernel_path names the path it takes:
 
-* two FFTs, a F^{-1} b F, for the phase x.eta when sigma declares
-  separable = (a(x), b(eta));
-* the phase-only kernel with a(x) and b(eta) applied as vectors, for any
-  other phase with a separable symbol;
-* the kernel times sigma(x, eta), the dense reference, otherwise.
+* "fft": two FFTs, a F^{-1} b F, when sigma declares separable = (a(x), b(eta))
+  and every grid row is plain, i.e. the phase is x.eta there (phase None, or
+  a phase declaring warp_x that leaves every grid point fixed);
+* "warped_rows": separable sigma and a phase Phi = sum_i psi(x_i) eta_i that
+  declares warp_x = psi; the plain rows (psi(x) == x exactly) come from the
+  FFT, and kernel rows are built only for the warped ones.  For the type II
+  sum the plain x nodes go through the forward DFT and the warped ones
+  through the conjugate kernel;
+* "phase_kernel": the phase-only kernel on every row with a(x) and b(eta)
+  applied as vectors, for any other phase with a separable symbol;
+* "dense": the kernel times sigma(x, eta) on every row, the reference.
 
 A symbol rebuilt without `separable` (SymbolSpec(name, order, fn)) always
 takes the dense reference path; the tests compare the fast paths with it.
@@ -34,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gabor import GaborLattice, Window, gabor_atom, _power_iteration, _tone_table, _window_table
+from .gabor import GaborLattice, Window, gabor_atom, _atom_rows, _power_iteration
 from .grid import (
     Array,
     GridSpec,
@@ -50,7 +56,7 @@ from .grid import (
 )
 from .symbols import LPFamily, PhaseSpec, SymbolSpec, dot
 
-DEFAULT_CHUNK = 512
+DEFAULT_CHUNK = 256
 ACTIVE_TOL = 1e-15
 ZERO_FLOOR = 1e-14
 
@@ -59,6 +65,37 @@ def _active_columns(c: Array, tol: float = ACTIVE_TOL) -> Array:
     """Rows of c (one or many columns) above tol times their column's peak."""
     a = np.abs(c.reshape(len(c), -1))
     return np.nonzero(np.any(a > tol * a.max(axis=0), axis=1))[0]
+
+
+def _warped_rows(phase: Optional[PhaseSpec], grid: GridSpec) -> Optional[Array]:
+    """Grid rows x whose kernel row is not the plain Fourier row exp(2 pi i x.eta):
+    none for phase None (x.eta itself), those with psi(x) != x in some
+    coordinate for a phase declaring warp_x = psi, and None (unknown, so
+    every row) for any other phase."""
+    if phase is None:
+        return np.arange(0)
+    if phase.warp_x is None:
+        return None
+    xs = grid.space_points()
+    return np.nonzero(np.any(phase.warp_x(xs) != xs, axis=-1))[0]
+
+
+def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec, grid: GridSpec) -> str:
+    """The path _kernel_apply takes for (phase, sym) on grid:
+
+    * "fft": separable symbol and no warped row, a(x) F^{-1} b(eta) F;
+    * "warped_rows": separable symbol; plain rows from the FFT, kernel rows
+      only where the declared warp moves x;
+    * "phase_kernel": separable symbol, phase without warp_x; the phase-only
+      kernel on every row, a(x) and b(eta) applied as vectors;
+    * "dense": the kernel times sigma(x, eta) on every row, the reference.
+    """
+    if sym.separable is None:
+        return "dense"
+    rows = _warped_rows(phase, grid)
+    if rows is None:
+        return "phase_kernel"
+    return "warped_rows" if len(rows) else "fft"
 
 
 def _kernel_apply(
@@ -75,10 +112,13 @@ def _kernel_apply(
 
     vals holds the samples of one signal, flat (size,), or of many as the
     columns of (size, m); the result has the same shape.  A* f is
-    F^{-1}(sum_x conj(K[x, eta]) f(x) dx^d).  The kernel is built in blocks
-    of `chunk` rows x over the active input coefficients: fhat(eta) for A,
-    f(x) for A*, each above ACTIVE_TOL of its column's peak.  A `cache` list
-    keeps the blocks, over all rows and columns, for the next call.
+    F^{-1}(sum_x conj(K[x, eta]) f(x) dx^d).  On the "fft" and "warped_rows"
+    paths (kernel_path) the plain rows x go through the transform pair, the
+    inverse DFT for A and the forward DFT for A*, and only the warped rows
+    get kernel rows.  Kernel rows are built in blocks of `chunk` over the
+    active input coefficients: fhat(eta) b(eta) for A, conj(a(x)) f(x) for
+    A*, each above ACTIVE_TOL of its column's peak.  A `cache` list keeps
+    the blocks, over all kernel rows and all eta, for the next call.
     """
     n = grid.size
     cols = vals.reshape(n, -1)
@@ -88,35 +128,46 @@ def _kernel_apply(
     def dft(c, g, inverse=False):
         return _dft(c.reshape(grid.shape + (m,)), g, inverse).reshape(n, m)
 
+    fft_rows = kernel_path(phase, sym, grid) in ("fft", "warped_rows")
+    rows = _warped_rows(phase, grid) if fft_rows else np.arange(n)
     xs, es = grid.space_points(), grid.freq_points()
     sep = sym.separable
     a, b = (sep[0](xs)[:, None], sep[1](es)[:, None]) if sep is not None else (1.0, 1.0)
-    if phase is None and sep is not None:
+    if adjoint:
+        c = np.conj(a) * cols
+        if fft_rows:
+            cw = c[rows]
+            c[rows] = 0.0
+            out = dft(c, grid)
+        else:
+            cw, out = c, np.zeros((n, m), dtype=complex)
+    else:
+        c = dft(cols, grid) * b
+        out = dft(c, gd, inverse=True) if fft_rows else np.zeros((n, m), dtype=complex)
+    if len(rows):
         if adjoint:
-            out = dft(np.conj(b) * dft(np.conj(a) * cols, grid), gd, inverse=True)
+            act = np.arange(len(rows)) if cache is not None else _active_columns(cw)
+            R, E, coef = rows[act], es[None], cw[act] * grid.space_step ** grid.dim
         else:
-            out = a * dft(b * dft(cols, grid), gd, inverse=True)
-        return out.reshape(vals.shape)
-    c = np.conj(a) * cols if adjoint else dft(cols, grid) * b
-    act = np.arange(n) if cache is not None else _active_columns(c)
-    c = c[act] * (grid.space_step if adjoint else grid.freq_step) ** grid.dim
-    rows, E = (act, es[None]) if adjoint else (np.arange(n), es[None, act])
-    out = np.zeros((n, m), dtype=complex)
-    for i, lo in enumerate(range(0, len(rows), chunk)):
-        r = rows[lo:lo + chunk]
-        if cache is not None and i < len(cache):
-            K = cache[i]
-        else:
-            X = xs[r, None]
-            K = np.exp(2j * np.pi * (dot(X, E) if phase is None else phase.fn(X, E)))
-            if sep is None:
-                K = K * sym(X, E)
-            if cache is not None:
-                cache.append(K)
-        if adjoint:
-            out += np.conj(K.T @ np.conj(c[lo:lo + chunk]))
-        else:
-            out[r] = K @ c
+            act = np.arange(n) if cache is not None else _active_columns(c)
+            R, E, coef = rows, es[None, act], c[act] * grid.freq_step ** grid.dim
+        for i, lo in enumerate(range(0, len(R), chunk)):
+            r = R[lo:lo + chunk]
+            if cache is not None and i < len(cache):
+                K = cache[i]
+            else:
+                # built in place: one complex block alive at a time
+                X = xs[r, None]
+                K = np.multiply(dot(X, E) if phase is None else phase.fn(X, E), 2j * np.pi)
+                np.exp(K, out=K)
+                if sep is None:
+                    K *= sym(X, E)
+                if cache is not None:
+                    cache.append(K)
+            if adjoint:
+                out += np.conj(K.T @ np.conj(coef[lo:lo + chunk]))
+            else:
+                out[r] = K @ coef
     out = dft(np.conj(b) * out, gd, inverse=True) if adjoint else a * out
     return out.reshape(vals.shape)
 
@@ -479,8 +530,7 @@ def _atom_table(g: Window, lat: GaborLattice) -> tuple[Array, Array, Array]:
     kp = np.repeat(lat.alpha * kt, len(nt), axis=0)
     npos = np.tile(lat.beta * nt, (len(kt), 1))
     if d == 1:
-        rows = _window_table(g, lat)[:, None, :] * _tone_table(lat)[None, :, :]
-        return rows.reshape(len(kp), -1), kp, npos
+        return _atom_rows(g, lat), kp, npos
     rows = [gabor_atom(g, lat, k, n).samples.ravel()
             for k in lat.k_tuples() for n in lat.n_tuples()]
     return np.asarray(rows), kp, npos
@@ -643,8 +693,11 @@ def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
     """A*A as a fast closure.
 
     For dense-friendly sizes a type I operator keeps its kernel blocks
-    across calls, so each power-iteration step costs two FFTs and two
-    matrix-vector products instead of a full kernel re-evaluation.
+    across calls, so each power-iteration step costs the FFTs and two
+    matrix-vector products instead of a full kernel re-evaluation.  The
+    blocks cover the rows _kernel_apply builds kernel rows for: only the
+    warped rows on the "warped_rows" path (113 x 4096 for phase_xphi(0.3)
+    at N = 4096, L = 16), none on "fft", every row otherwise.
     """
     gr = op.grid
     if op.kind == "fio_type1" and gr.size <= 4096:

@@ -342,7 +342,8 @@ def run_experiment(
 def rerun_from_manifest(manifest_path, out_dir, plot: bool = False) -> RunResult:
     """Run a manifest's experiment again and compare each output with the
     sha256 the manifest stores; any difference sets exit code 2 and lists
-    the files under summary["hash_mismatch"]."""
+    the files under summary["hash_mismatch"] and in the new manifest's
+    hash_mismatch."""
     man = load_manifest(manifest_path)
     from .config import parse_config
 
@@ -357,4 +358,8 @@ def rerun_from_manifest(manifest_path, out_dir, plot: bool = False) -> RunResult
     if differ:
         res.exit_code = 2
         res.summary = {**res.summary, "hash_mismatch": differ}
+        new_path = out / f"{man.experiment}.manifest.json"
+        rerun = load_manifest(new_path)
+        rerun.hash_mismatch = differ
+        rerun.write(new_path)
     return res

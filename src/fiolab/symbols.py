@@ -95,7 +95,14 @@ class SymbolSpec:
 
 @dataclass
 class PhaseSpec:
-    """Real phase Phi(x, eta) of order (1,1) with analytic first derivatives."""
+    """Real phase Phi(x, eta) of order (1,1) with analytic first derivatives.
+
+    warp_x, when given, declares Phi(x, eta) = sum_i psi(x_i) eta_i with
+    psi = warp_x applied per coordinate.  Grid rows with psi(x) == x in every
+    coordinate are then rows of the plain Fourier kernel, and operators take
+    them from the FFT.  Phases that do not declare it (derived and hand-built
+    ones) are evaluated through fn on every row.
+    """
 
     name: str
     fn: Callable[[Array, Array], Array]
@@ -104,6 +111,7 @@ class PhaseSpec:
     mixed_hessian: Callable[[Array, Array], Array]
     params: dict = field(default_factory=dict)
     order: tuple[float, float] = (1.0, 1.0)
+    warp_x: Optional[Callable[[Array], Array]] = None
 
     def __call__(self, x: Array, eta: Array) -> Array:
         return np.asarray(self.fn(x, eta), dtype=float)
@@ -628,6 +636,7 @@ def _phase_xphi(c: float = 0.3) -> PhaseSpec:
         grad_eta=lambda x, eta: dif.phi(x) * np.ones_like(np.asarray(eta, dtype=float)),
         mixed_hessian=hess,
         params={"c": c},
+        warp_x=dif.phi,
     )
 
 

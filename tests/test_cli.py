@@ -155,7 +155,7 @@ class TestRunner:
         assert man.finished_at and not man.outputs
         # manifests written before the error field existed still load
         data = json.loads(path.read_text())
-        del data["error"], data["numpy_version"]
+        del data["error"], data["numpy_version"], data["hash_mismatch"]
         path.write_text(json.dumps(data))
         assert load_manifest(path).error == ""
 
@@ -170,6 +170,7 @@ class TestRunner:
         res = rerun_from_manifest(man_a, tmp_path / "c")
         assert (tmp_path / "c" / "fl_growth.csv").read_bytes() == csv_a
         assert res.exit_code == 0 and "hash_mismatch" not in res.summary
+        assert load_manifest(tmp_path / "c" / "fl_growth.manifest.json").hash_mismatch == []
 
     def test_rerun_checks_stored_hashes(self, tmp_path, capsys):
         run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
@@ -182,6 +183,9 @@ class TestRunner:
                      "--out", str(tmp_path / "c")])
         assert code == 2
         assert "hash_mismatch = ['fl_growth.csv']" in capsys.readouterr().out
+        rerun = load_manifest(tmp_path / "c" / "fl_growth.manifest.json")
+        assert rerun.status == "done"
+        assert rerun.hash_mismatch == ["fl_growth.csv"]
 
     def test_fl_growth_bundled_default(self, tmp_path):
         res = run_experiment("fl_growth", None, tmp_path / "d", seed=0)

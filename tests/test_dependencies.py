@@ -1,12 +1,15 @@
 """numpy is the only runtime dependency: every import in src/fiolab is the
 standard library, numpy or fiolab itself, except matplotlib, which only
 runner._maybe_plot imports (and which degrades when it is missing).  Every
-module other than __init__ also reads each name it imports at module scope."""
+module other than __init__ also reads each name it imports at module scope,
+and every entry point the benchmark's tracer wraps exists in fiolab."""
 import ast
+import importlib
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fiolab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fiolab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fiolab"}
 OPTIONAL = {("runner.py", "_maybe_plot", "matplotlib")}
 
@@ -77,3 +80,17 @@ def test_unused_import_check_sees_names():
     src = ("import numpy as np\nfrom .grid import a, b as c\n"
            "from .grid import d  # noqa: F401\nx = np.pi + c\n")
     assert _unused_imports(ast.parse(src), src.splitlines()) == ["a"]
+
+
+def test_traced_entry_points_exist():
+    """perfbench/spans.py wraps fiolab functions by (module, attribute); a
+    renamed one would fail only inside a traced benchmark run.  The file is
+    parsed, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.Assign)
+               and any(getattr(t, "id", None) == "ENTRY_POINTS" for t in n.targets)]
+    entries = ast.literal_eval(node.value)
+    assert entries
+    missing = [f"{mod}.{attr}" for mod, attr, _ in entries
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing, "entry points missing from fiolab: " + ", ".join(missing)

@@ -37,8 +37,11 @@ from fiolab.operators import (
     schur_certify,
     transpose_identity_check,
     weyl_decay_certify,
+    kernel_path,
     _atom_table,
+    _negated_phase,
     _normal_operator,
+    _transposed_phase,
 )
 from fiolab.symbols import (
     PHASE_BUILDERS,
@@ -46,6 +49,7 @@ from fiolab.symbols import (
     Box,
     LPFamily,
     SymbolSpec,
+    conjugated_piece,
     dyadic_piece,
     lp_apply_space,
     make_diffeo,
@@ -556,18 +560,41 @@ def _path_symbol(sname):
                       fn=lambda x, eta: a(x) * b(eta), separable=(a, b))
 
 
+PATH_LABELS = {"phase_linear": "fft", "phase_xphi(0.3)": "warped_rows",
+               "phase_phix(0.3)": "phase_kernel"}
+
+
 def test_path_cases_cover_registries():
     assert {s.split("(")[0] for s in PATH_SYMBOLS} - {"complex"} == set(SYMBOL_BUILDERS)
     assert {p.split("(")[0] for p in PATH_PHASES} == set(PHASE_BUILDERS)
+    for g in PATH_GRIDS.values():
+        for sname in PATH_SYMBOLS:
+            sym = _path_symbol(sname)
+            dense = replace(sym, separable=None)
+            assert (kernel_path(None, sym, g), kernel_path(None, dense, g)) == ("fft", "dense")
+            for pname in PATH_PHASES:
+                phase = phase_from_name(pname)
+                assert kernel_path(phase, sym, g) == PATH_LABELS[pname]
+                assert kernel_path(phase, dense, g) == "dense"
+    # derived phases declare no warp and keep the phase-only kernel
+    g, sym = PATH_GRIDS["d1"], symbol_from_name("one")
+    xphi = phase_from_name("phase_xphi(0.3)")
+    fam = LPFamily(j_max=3)
+    derived = [_transposed_phase(xphi), _negated_phase(xphi),
+               conjugated_piece(dyadic_piece(sym, 2, 0, fam), xphi, 2, 0)[1]]
+    assert [kernel_path(p, sym, g) for p in derived] == ["phase_kernel"] * 3
+    # the label follows the grid: no node of this one lies inside the warp
+    assert kernel_path(xphi, sym, GridSpec(1, 8.0, 8)) == "fft"
 
 
 @pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
 @pytest.mark.parametrize("sname", PATH_SYMBOLS)
 @pytest.mark.parametrize("kind,pname", PATH_KINDS)
 def test_paths_match_dense_reference(gname, sname, kind, pname):
-    """Separable paths (two FFTs, phase-only kernel), batched Gabor assembly
-    and the cached normal operator agree with the dense kernel times sigma,
-    reached by rebuilding the symbol without `separable`."""
+    """Separable paths (two FFTs, FFT plus warped kernel rows, phase-only
+    kernel), batched Gabor assembly and the cached normal operator agree
+    with the dense kernel times sigma, reached by rebuilding the symbol
+    without `separable`."""
     g = PATH_GRIDS[gname]
     sym = _path_symbol(sname)
     phase = phase_from_name(pname) if pname else None
@@ -594,10 +621,17 @@ def test_paths_match_dense_reference(gname, sname, kind, pname):
         assert _rel(normal(f).samples, ref) <= 1e-12
 
 
+def _cached_blocks(normal):
+    """The kernel blocks a _normal_operator closure keeps between calls."""
+    cells = dict(zip(normal.__code__.co_freevars, normal.__closure__))
+    return cells["cache"].cell_contents
+
+
 def test_paths_across_kernel_blocks():
-    """Three row blocks of the default chunk, in both directions and in the
-    normal operator, whose second call runs on the cached blocks."""
-    g = GridSpec(1, 16.0, 1280)
+    """909 warped rows fill four row blocks of the default chunk: both
+    directions and the normal operator, whose second call runs on the
+    cached blocks, against the dense reference."""
+    g = GridSpec(1, 1.0, 2048)
     sym = _path_symbol("complex")
     phase = phase_from_name("phase_xphi(0.3)")
     op = OperatorHandle("fio_type1", sym, phase, g)
@@ -610,6 +644,34 @@ def test_paths_across_kernel_blocks():
     ref = dense.adjoint_apply(ref).samples
     for _ in range(2):
         assert _rel(normal(f).samples, ref) <= 1e-12
+    assert [len(K) for K in _cached_blocks(normal)] == [256, 256, 256, 141]
+
+
+@pytest.mark.parametrize("n,warped", [(2048, 57), (4096, 113)])
+def test_normal_operator_caches_warped_rows(n, warped):
+    """Criterion c15's operator keeps kernel rows for the warped x only."""
+    g = GridSpec(1, 16.0, n)
+    op = OperatorHandle("fio_type1", symbol_from_name("one"),
+                        phase_from_name("phase_xphi(0.3)"), g)
+    normal = _normal_operator(op)
+    normal(random_schwartz_signal(g, np.random.default_rng(73)))
+    blocks = _cached_blocks(normal)
+    assert sum(len(K) for K in blocks) == warped
+    assert all(K.shape[1] == n for K in blocks)
+
+
+@pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
+@pytest.mark.parametrize("sname", PATH_SYMBOLS)
+def test_linear_phase_is_kohn_nirenberg(gname, sname):
+    """phase_linear leaves every node fixed, so fio_type1 runs the same two
+    FFTs as pseudo_kn, bit for bit, in both directions."""
+    g = PATH_GRIDS[gname]
+    sym = _path_symbol(sname)
+    fio = OperatorHandle("fio_type1", sym, phase_from_name("phase_linear"), g)
+    kn = OperatorHandle("pseudo_kn", sym, None, g)
+    f = random_schwartz_signal(g, np.random.default_rng(74))
+    assert np.array_equal(fio.apply(f, guard=False).samples, apply_pseudo_kn(sym, f).samples)
+    assert np.array_equal(fio.adjoint_apply(f).samples, kn.adjoint_apply(f).samples)
 
 
 def test_weyl_columns_match_per_atom():
