@@ -43,7 +43,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "phase": "str",
         "refine": "int",
     },
-    "output": {"plot": "bool", "seed": "int", "jobs": "int"},
 }
 
 
@@ -53,8 +52,6 @@ def _coerce(kind: str, raw: str) -> Any:
         return int(raw)
     if kind == "float":
         return float("inf") if raw in ("inf", "Infinity") else float(raw)
-    if kind == "bool":
-        return raw.lower() in ("1", "true", "yes", "on")
     if kind == "intlist":
         return tuple(int(v) for v in raw.split(",") if v.strip())
     if kind == "floatlist":
@@ -277,9 +274,6 @@ p = 1
 q = 1
 s1 = 0
 s2 = 0
-
-[output]
-seed = 11
 """,
 }
 

@@ -31,13 +31,25 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    return _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
+
+
+def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> Path:
+    """write_csv for equal-length columns of formatted fields."""
+    return _write_lines(path, header, map(",".join, zip(*columns)))
+
+
+def _write_lines(path, header: Sequence[str], lines: Iterable[str]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [SCHEMA_LINE, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    text = "\n".join([SCHEMA_LINE, ",".join(header), *lines]) + "\n"
+    path.write_text(text, encoding="ascii", newline="\n")
     return path
+
+
+def _reprs(a) -> np.ndarray:
+    """Each entry as write_csv formats it: repr of the Python int or float."""
+    return np.array(list(map(repr, np.ravel(a).tolist())), dtype=object)
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -48,82 +60,74 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[2:] if ln]
 
 
+def _indexed_csv(path, header: Sequence[str], values, axes: Sequence[Sequence[int]]) -> Path:
+    """One row per entry of values, row-major: its label on each axis, re, im."""
+    v = np.ravel(values)
+    labels = [_reprs(a) for a in np.meshgrid(*axes, indexing="ij")]
+    return _write_columns(path, header, [*labels, _reprs(v.real), _reprs(v.imag)])
+
+
 def signal_to_csv(path, f: Signal) -> Path:
-    d = f.grid.dim
-    header = [f"i{a}" for a in range(d)] + ["re", "im"]
-    idx = np.indices(f.grid.shape).reshape(d, -1).T
-    flat = f.samples.ravel()
-    rows = ([*map(int, ix), float(v.real), float(v.imag)] for ix, v in zip(idx, flat))
-    return write_csv(path, header, rows)
+    header = [f"i{a}" for a in range(f.grid.dim)] + ["re", "im"]
+    return _indexed_csv(path, header, f.samples, [range(n) for n in f.grid.shape])
 
 
 def signal_from_csv(path, grid: GridSpec) -> Signal:
     header, rows = read_csv(path)
     d = grid.dim
     vals = np.zeros(grid.shape, dtype=complex)
-    for row in rows:
-        ix = tuple(int(v) for v in row[:d])
-        vals[ix] = float(row[d]) + 1j * float(row[d + 1])
+    a = np.array(rows, dtype=float).reshape(-1, d + 2)
+    vals[tuple(a[:, :d].astype(int).T)] = a[:, d] + 1j * a[:, d + 1]
     return Signal(grid, vals)
 
 
 def stft_to_csv(path, data: StftData) -> Path:
     if data.grid.dim != 1:
         raise NotImplementedError("STFT CSV export covers d=1")
-    rows = []
-    for i in range(data.values.shape[0]):
-        for k in range(data.values.shape[1]):
-            v = data.values[i, k]
-            rows.append([int(i), int(k), float(v.real), float(v.imag)])
-    return write_csv(path, ["k", "n", "re", "im"], rows)
+    return _indexed_csv(path, ["k", "n", "re", "im"], data.values,
+                        [range(n) for n in data.values.shape])
 
 
 def coeffs_to_csv(path, c: GaborCoeffs) -> Path:
     lat = c.lattice
     if lat.grid.dim != 1:
         raise NotImplementedError("coefficient CSV export covers d=1")
-    rows = []
-    for i, k in enumerate(lat.k_index):
-        for j, n in enumerate(lat.n_index):
-            v = c.values[i, j]
-            rows.append([int(k), int(n), float(v.real), float(v.imag)])
-    return write_csv(path, ["k", "n", "re", "im"], rows)
+    return _indexed_csv(path, ["k", "n", "re", "im"], c.values, [lat.k_index, lat.n_index])
+
+
+def _matrix_records(m: GaborMatrix, min_abs: float):
+    """Row-major entries (i', i) of a d=1 matrix whose modulus is not <= min_abs
+    (NaN entries are kept), as (i', i, modulus, phase)."""
+    if m.lattice.grid.dim != 1:
+        raise NotImplementedError("matrix export covers d=1")
+    e = m.entries
+    # hypot is Python's abs(complex) bit for bit; np.abs may differ in the last ulp
+    mag = np.hypot(e.real, e.imag)
+    i, j = np.nonzero(~(mag <= min_abs))
+    return i, j, mag[i, j], np.angle(e[i, j])
 
 
 def matrix_to_csv(path, m: GaborMatrix, min_abs: float = 0.0) -> Path:
-    """Rows (k', n', k, n, abs, phase), d=1 lattices; zeros can be dropped."""
-    if m.lattice.grid.dim != 1:
-        raise NotImplementedError("matrix CSV export covers d=1")
-    rows = []
-    for i in range(m.num_atoms):
-        for j in range(m.num_atoms):
-            v = m.entries[i, j]
-            a = abs(v)
-            if a <= min_abs:
-                continue
-            rows.append([
-                float(m.k_phys[i, 0]), float(m.n_phys[i, 0]),
-                float(m.k_phys[j, 0]), float(m.n_phys[j, 0]),
-                float(a), float(np.angle(v)),
-            ])
-    return write_csv(path, ["kp", "np", "k", "n", "abs", "phase"], rows)
+    """Rows (k', n', k, n, abs, phase), d=1 lattices; zeros can be dropped.
+
+    The four positions are physical (alpha*k', beta*n', alpha*k, beta*n);
+    matrix_to_binary stores the integer lattice indices instead."""
+    i, j, mag, phase = _matrix_records(m, min_abs)
+    pos = _reprs(m.k_phys[:, 0]) + "," + _reprs(m.n_phys[:, 0])
+    return _write_columns(path, ["kp", "np", "k", "n", "abs", "phase"],
+                          [pos[i], pos[j], _reprs(mag), _reprs(phase)])
 
 
 def matrix_to_binary(path, m: GaborMatrix, min_abs: float = 0.0) -> Path:
     """Fixed-width little-endian records: 4 x int32 lattice indices followed
     by 2 x float64 (abs, phase)."""
-    if m.lattice.grid.dim != 1:
-        raise NotImplementedError("binary export covers d=1")
+    i, j, mag, phase = _matrix_records(m, min_abs)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    e = m.entries
-    # hypot is Python's abs(complex) bit for bit; np.abs may differ in the last ulp
-    mag = np.hypot(e.real, e.imag)
-    i, j = np.nonzero(mag > min_abs)
     ki = np.rint(m.k_phys[:, 0] / m.lattice.alpha).astype("<i4")
     ni = np.rint(m.n_phys[:, 0] / m.lattice.beta).astype("<i4")
     rec = np.empty(len(i), dtype=MATRIX_RECORD)
     rec["kp"], rec["np"], rec["k"], rec["n"] = ki[i], ni[i], ki[j], ni[j]
-    rec["abs"], rec["phase"] = mag[i, j], np.angle(e[i, j])
+    rec["abs"], rec["phase"] = mag, phase
     rec.tofile(path)
     return path

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -7,15 +8,19 @@ import pytest
 
 from fiolab.cli import main
 from fiolab.config import ConfigError, default_config, parse_config
-from fiolab.gabor import GaborLattice, Window
+from fiolab.gabor import GaborLattice, Window, gabor_analysis, stft
 from fiolab.grid import GridSpec, Signal, gaussian_generator, lp_norm
 from fiolab.manifest import load_manifest
 from fiolab.operators import OperatorHandle, gabor_matrix
 from fiolab.persist import (
+    MATRIX_RECORD,
+    coeffs_to_csv,
     matrix_to_binary,
+    matrix_to_csv,
     read_csv,
     signal_from_csv,
     signal_to_csv,
+    stft_to_csv,
     write_csv,
 )
 from fiolab.runner import run_experiment, rerun_from_manifest
@@ -48,6 +53,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[mystery]\nx = 1\n")
 
+    def test_output_section_rejected(self):
+        # seed, jobs and plot come only from --seed, --jobs and --plot
+        for key in ("seed = 11", "jobs = 2", "plot = true"):
+            with pytest.raises(ConfigError, match=r"unknown section \[output\]"):
+                parse_config(f"{TINY_FL}\n[output]\n{key}\n")
+
     def test_physical_validation(self):
         bad = TINY_FL.replace("n_sweep = 8,16,32", "n_sweep = 8,16,4096")
         with pytest.raises(ConfigError):
@@ -68,10 +79,20 @@ class TestPersist:
         f = Signal.from_generator(g, gaussian_generator())
         p = signal_to_csv(tmp_path / "sig.csv", f)
         back = signal_from_csv(p, g)
-        assert np.max(np.abs(back.samples - f.samples)) < 1e-16
+        assert np.array_equal(back.samples, f.samples)
         header, rows = read_csv(p)
         assert header == ["i0", "re", "im"]
         assert len(rows) == 64
+
+    def test_csv_round_trip_2d(self, tmp_path):
+        g = GridSpec(2, 4.0, 16)
+        rng = np.random.default_rng(5)
+        f = Signal(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        p = signal_to_csv(tmp_path / "sig.csv", f)
+        assert np.array_equal(signal_from_csv(p, g).samples, f.samples)
+        header, rows = read_csv(p)
+        assert header == ["i0", "i1", "re", "im"]
+        assert rows[17][:2] == ["1", "1"]
 
     def test_schema_line(self, tmp_path):
         p = write_csv(tmp_path / "x.csv", ["a"], [[1.5]])
@@ -111,14 +132,66 @@ def _binary_reference(path, m, min_abs):
     return path
 
 
-@pytest.mark.parametrize("min_abs", [0.0, 1e-3])
-def test_binary_matrix_matches_struct_writer(tmp_path, min_abs):
+def _matrix_csv_reference(path, m, min_abs):
+    """The record-by-record writer matrix_to_csv replaced."""
+    rows = []
+    for i in range(m.num_atoms):
+        for j in range(m.num_atoms):
+            v = m.entries[i, j]
+            a = abs(v)
+            if a <= min_abs:
+                continue
+            rows.append([
+                float(m.k_phys[i, 0]), float(m.n_phys[i, 0]),
+                float(m.k_phys[j, 0]), float(m.n_phys[j, 0]),
+                float(a), float(np.angle(v)),
+            ])
+    return write_csv(path, ["kp", "np", "k", "n", "abs", "phase"], rows)
+
+
+def _signal_csv_reference(path, f):
+    """The record-by-record writer signal_to_csv replaced."""
+    d = f.grid.dim
+    header = [f"i{a}" for a in range(d)] + ["re", "im"]
+    idx = np.indices(f.grid.shape).reshape(d, -1).T
+    flat = f.samples.ravel()
+    rows = ([*map(int, ix), float(v.real), float(v.imag)] for ix, v in zip(idx, flat))
+    return write_csv(path, header, rows)
+
+
+def _stft_csv_reference(path, data):
+    """The record-by-record writer stft_to_csv replaced."""
+    rows = []
+    for i in range(data.values.shape[0]):
+        for k in range(data.values.shape[1]):
+            v = data.values[i, k]
+            rows.append([int(i), int(k), float(v.real), float(v.imag)])
+    return write_csv(path, ["k", "n", "re", "im"], rows)
+
+
+def _coeffs_csv_reference(path, c):
+    """The record-by-record writer coeffs_to_csv replaced."""
+    rows = []
+    for i, k in enumerate(c.lattice.k_index):
+        for j, n in enumerate(c.lattice.n_index):
+            v = c.values[i, j]
+            rows.append([int(k), int(n), float(v.real), float(v.imag)])
+    return write_csv(path, ["k", "n", "re", "im"], rows)
+
+
+@pytest.fixture(scope="module")
+def xphi_matrix():
     g = GridSpec(1, 8.0, 256)
     w = Window.gaussian(g)
     lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=6, n_radius=6)
     op = OperatorHandle("fio_type1", symbol_from_name("model_sg(-0.5,-0.5)"),
                         phase_from_name("phase_xphi(0.3)"), g)
-    M = gabor_matrix(op, w, lat)
+    return gabor_matrix(op, w, lat)
+
+
+@pytest.mark.parametrize("min_abs", [0.0, 1e-3])
+def test_binary_matrix_matches_struct_writer(tmp_path, xphi_matrix, min_abs):
+    M = xphi_matrix
     got = matrix_to_binary(tmp_path / "m.bin", M, min_abs=min_abs).read_bytes()
     ref = _binary_reference(tmp_path / "ref.bin", M, min_abs).read_bytes()
     assert got == ref
@@ -126,6 +199,75 @@ def test_binary_matrix_matches_struct_writer(tmp_path, min_abs):
     nonzero = 32 * np.count_nonzero(M.entries)
     assert 0 < len(got) <= nonzero
     assert (len(got) < nonzero) == (min_abs > 0)
+
+
+@pytest.mark.parametrize("threshold", ["zero", "entry"])
+def test_matrix_csv_matches_record_writer(tmp_path, xphi_matrix, threshold):
+    M = xphi_matrix
+    # an entry's own modulus as threshold drops that entry (abs <= min_abs)
+    min_abs = abs(M.entries[40, 45]) if threshold == "entry" else 0.0
+    got = matrix_to_csv(tmp_path / "m.csv", M, min_abs=min_abs).read_bytes()
+    ref = _matrix_csv_reference(tmp_path / "ref.csv", M, min_abs).read_bytes()
+    assert got == ref
+    mag = np.hypot(M.entries.real, M.entries.imag)
+    assert len(got.splitlines()) - 2 == np.count_nonzero(mag > min_abs) > 0
+
+
+def test_matrix_exports_keep_nan_entries(tmp_path, xphi_matrix):
+    entries = xphi_matrix.entries.copy()
+    entries[3, 7] = np.nan
+    M = dataclasses.replace(xphi_matrix, entries=entries)
+    for min_abs in (0.0, 1e-3):
+        b = matrix_to_binary(tmp_path / "m.bin", M, min_abs=min_abs).read_bytes()
+        c = matrix_to_csv(tmp_path / "m.csv", M, min_abs=min_abs).read_bytes()
+        assert b == _binary_reference(tmp_path / "ref.bin", M, min_abs).read_bytes()
+        assert c == _matrix_csv_reference(tmp_path / "ref.csv", M, min_abs).read_bytes()
+        assert len(b) // MATRIX_RECORD.itemsize == len(c.splitlines()) - 2
+    rec = np.fromfile(tmp_path / "m.bin", dtype=MATRIX_RECORD)
+    assert np.isnan(rec["abs"]).sum() == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_signal_csv_matches_record_writer(tmp_path, dim):
+    g = GridSpec(dim, 4.0, 16)
+    rng = np.random.default_rng(dim)
+    vals = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    # -0.0, a subnormal and values whose repr is in exponent form
+    special = [-0.0, 5e-324, 1e-310, 1e16, 1.5e-7, -2.5e300, 123456789.125, 1e-05]
+    vals.real[:len(special)] = special
+    vals.imag[-len(special):] = special
+    f = Signal(g, vals)
+    got = signal_to_csv(tmp_path / "s.csv", f).read_bytes()
+    assert got == _signal_csv_reference(tmp_path / "ref.csv", f).read_bytes()
+    for text in (b"-0.0", b"5e-324", b"1e-310", b"1e+16", b"1.5e-07", b"-2.5e+300"):
+        assert text in got
+
+
+def test_stft_and_coeffs_csv_match_record_writers(tmp_path):
+    g = GridSpec(1, 8.0, 128)
+    w = Window.gaussian(g)
+    f = Signal.from_generator(g, gaussian_generator())
+    data = stft(f, w, x_stride=4)
+    got = stft_to_csv(tmp_path / "s.csv", data).read_bytes()
+    assert got == _stft_csv_reference(tmp_path / "sref.csv", data).read_bytes()
+    assert len(got.splitlines()) == 2 + data.values.size
+    c = gabor_analysis(f, w, GaborLattice.for_grid(g, 0.5, 0.5, k_radius=3, n_radius=5))
+    got = coeffs_to_csv(tmp_path / "c.csv", c).read_bytes()
+    assert got == _coeffs_csv_reference(tmp_path / "cref.csv", c).read_bytes()
+    assert got.splitlines()[2].startswith(b"-3,-5,")
+
+
+def test_matrix_exports_agree(tmp_path):
+    out = tmp_path / "m"
+    assert main(["matrix", "--radius", "4", "--out", str(out)]) == 0
+    csv = np.loadtxt(out / "matrix.csv", delimiter=",", skiprows=2, ndmin=2)
+    rec = np.fromfile(out / "matrix.bin", dtype=MATRIX_RECORD)
+    assert csv.shape == (len(rec), 6) and len(rec) > 0
+    # the CSV holds physical positions, the binary file lattice indices
+    for col, field, step in ((0, "kp", 0.5), (1, "np", 0.5), (2, "k", 0.5), (3, "n", 0.5)):
+        assert np.array_equal(np.rint(csv[:, col] / step).astype(np.int32), rec[field])
+    for col, field in ((4, "abs"), (5, "phase")):
+        assert csv[:, col].tobytes() == rec[field].tobytes()
 
 
 class TestRunner:
