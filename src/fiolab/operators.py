@@ -59,6 +59,9 @@ from .symbols import LPFamily, PhaseSpec, SymbolSpec, dot
 DEFAULT_CHUNK = 256
 ACTIVE_TOL = 1e-15
 ZERO_FLOOR = 1e-14
+# largest set of complex128 kernel rows (rows built x size x 16 B) that
+# _normal_operator keeps across power-iteration steps: every row at N = 4096
+DENSE_CACHE_BYTES = 256 * 2 ** 20
 
 
 def _active_columns(c: Array, tol: float = ACTIVE_TOL) -> Array:
@@ -151,6 +154,7 @@ def _kernel_apply(
         else:
             act = np.arange(n) if cache is not None else _active_columns(c)
             R, E, coef = rows, es[None, act], c[act] * grid.freq_step ** grid.dim
+        c = cw = None  # free the full columns: only coef enters the kernel loop
         for i, lo in enumerate(range(0, len(R), chunk)):
             r = R[lo:lo + chunk]
             if cache is not None and i < len(cache):
@@ -692,15 +696,20 @@ class OpNormReport:
 def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
     """A*A as a fast closure.
 
-    For dense-friendly sizes a type I operator keeps its kernel blocks
-    across calls, so each power-iteration step costs the FFTs and two
+    A type I operator keeps its kernel blocks across calls when they fit in
+    DENSE_CACHE_BYTES, so each power-iteration step costs the FFTs and two
     matrix-vector products instead of a full kernel re-evaluation.  The
-    blocks cover the rows _kernel_apply builds kernel rows for: only the
-    warped rows on the "warped_rows" path (113 x 4096 for phase_xphi(0.3)
-    at N = 4096, L = 16), none on "fft", every row otherwise.
+    blocks cover the rows _kernel_apply builds kernel rows for, over all
+    size frequencies: only the warped rows on the "warped_rows" path
+    (113 x 4096 for phase_xphi(0.3) at N = 4096, L = 16), none on "fft",
+    every row otherwise.  Above the limit the closure rebuilds them per call.
     """
     gr = op.grid
-    if op.kind == "fio_type1" and gr.size <= 4096:
+    if kernel_path(op.phase, op.symbol, gr) in ("fft", "warped_rows"):
+        n_rows = len(_warped_rows(op.phase, gr))
+    else:
+        n_rows = gr.size
+    if op.kind == "fio_type1" and n_rows * gr.size * 16 <= DENSE_CACHE_BYTES:
         cache: list = []
 
         def apply(v: Signal) -> Signal:

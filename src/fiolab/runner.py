@@ -10,6 +10,7 @@ outputs whose hashes differ from the stored ones), 3 inconclusive verdict.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import experiments as xp
-from .config import ExperimentConfig, default_config
+from .config import ConfigError, ExperimentConfig, default_config, parse_config
 from .gabor import GaborLattice, Window
 from .grid import GridSpec, default_grid, random_schwartz_signal
 from .manifest import RunManifest, file_sha256, load_manifest
@@ -63,10 +64,6 @@ def _write_verdict(out_dir: Path, name: str, payload: dict) -> Path:
     path = out_dir / f"{name}_verdict.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def _fit_rows(fit) -> list:
-    return [[float(x), float(v)] for x, v in fit.sweep]
 
 
 def run_fl_growth(cfg: ExperimentConfig, out: Path, plot: bool, jobs: int,
@@ -343,10 +340,14 @@ def rerun_from_manifest(manifest_path, out_dir, plot: bool = False) -> RunResult
     """Run a manifest's experiment again and compare each output with the
     sha256 the manifest stores; any difference sets exit code 2 and lists
     the files under summary["hash_mismatch"] and in the new manifest's
-    hash_mismatch."""
+    hash_mismatch.  A manifest whose config still has an [output] section,
+    which the config schema no longer has, raises ConfigError."""
     man = load_manifest(manifest_path)
-    from .config import parse_config
-
+    if re.search(r"^\[output\]", man.config_text, re.MULTILINE):
+        raise ConfigError(
+            f"manifest {manifest_path} predates the removal of [output] from the "
+            "config schema; its config cannot be rerun as stored (seed, jobs and "
+            "plot now come only from --seed, --jobs and --plot)")
     cfg = parse_config(man.config_text)
     res = run_experiment(
         man.experiment, cfg, out_dir, plot=plot, jobs=man.jobs, seed=man.seed,

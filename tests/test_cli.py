@@ -329,6 +329,33 @@ class TestRunner:
         assert rerun.status == "done"
         assert rerun.hash_mismatch == ["fl_growth.csv"]
 
+    def test_rerun_of_output_manifest_names_schema_change(self, tmp_path, capsys):
+        run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
+        path = tmp_path / "a" / "fl_growth.manifest.json"
+        data = json.loads(path.read_text())
+        data["config_text"] += "[output]\nseed = 1\n"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"predates the removal of \[output\]"):
+            rerun_from_manifest(path, tmp_path / "b")
+        code = main(["experiment", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "c")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "predates the removal of [output] from the config schema" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("name,cfg", [
+        ("lp_threshold", "p = 4\nm = 0\nn_sweep = 8,16,32\n"),
+        ("m1_sharpness", "p = 1\nm1 = -0.25\nn_sweep = 16,32,64\n"),
+    ])
+    def test_sweep_csv_independent_of_jobs(self, tmp_path, name, cfg):
+        cfg = parse_config(f"[experiment]\nname = {name}\n{cfg}diffeo_c = 0.3\n")
+        csvs = []
+        for jobs in (1, 2):
+            run_experiment(name, cfg, tmp_path / str(jobs), jobs=jobs, seed=0)
+            csvs.append((tmp_path / str(jobs) / f"{name}.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_fl_growth_bundled_default(self, tmp_path):
         res = run_experiment("fl_growth", None, tmp_path / "d", seed=0)
         assert res.exit_code == 0

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from fiolab import operators
 from fiolab.experiments import (
     DEFAULT_N_SWEEP,
     SharpnessResult,
+    _freq_multiply,
     _lp_witnesses,
+    _m1_operator_parts,
+    _mod_ratio,
     classify_slope,
     default_chi,
     fl_growth_experiment,
@@ -13,21 +17,33 @@ from fiolab.experiments import (
     main_theorem_boundedness_suite,
     make_fn,
     multiplier_growth_check,
+    self_dual_grid,
     sharpness_grid,
     sharpness_m1_experiment,
     sharpness_m2_experiment,
+    sharpness_window,
     theorem_lp_frequency_experiment,
     threshold,
 )
+from fiolab.gabor import Window
 from fiolab.grid import (
     GridSpec,
     Signal,
     bracket,
     bump_generator,
     fourier_transform,
+    gaussian_generator,
     lp_norm,
 )
-from fiolab.symbols import make_diffeo, plateau
+from fiolab.operators import (
+    _negated_phase,
+    _starred_symbol,
+    _transposed_phase,
+    apply_fio1,
+    apply_fio2,
+)
+from fiolab.symbols import make_diffeo, phase_from_name, plateau, symbol_from_name
+from fiolab.util import fit_loglog
 
 
 class TestBasics:
@@ -198,3 +214,139 @@ def test_grid_refinement_stability():
     ma = multiplier_growth_check(1.0, 1.0, sweep, grid=GridSpec(1, 2.0, 2048))
     mb = multiplier_growth_check(1.0, 1.0, sweep, grid=GridSpec(1, 2.0, 4096))
     assert abs(ma.slope - mb.slope) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# One kernel application per operator, against the per-witness loop
+# ---------------------------------------------------------------------------
+
+SMALL = GridSpec(1, 2.0, 1024)  # sharpness box, Nyquist 128: n up to 64
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every operators._kernel_apply call made by an experiment, with its
+    columns and result; the reference loops below run on the original."""
+    calls = []
+    orig = operators._kernel_apply
+
+    def spy(phase, sym, grid, vals, adjoint=False, **kw):
+        out = orig(phase, sym, grid, vals, adjoint=adjoint, **kw)
+        calls.append((phase, sym, grid, vals, adjoint, out))
+        return out
+
+    monkeypatch.setattr(operators, "_kernel_apply", spy)
+    return calls
+
+
+def _assert_columns_match_loop(calls):
+    """Each column of each batched call against apply_fio1 (apply_fio2 for
+    the adjoint) on that column alone, at 1e-12 relative."""
+    for phase, sym, grid, vals, adjoint, out in calls:
+        assert vals.ndim == 2 and out.shape == vals.shape
+        for j in range(vals.shape[1]):
+            f = Signal(grid, vals[:, j])
+            ref = apply_fio2(phase, sym, f) if adjoint else \
+                apply_fio1(phase, sym, f, guard=False)
+            assert _rel(out[:, j], ref.samples.ravel()) <= 1e-12
+
+
+def test_lp_threshold_one_application(kernel_calls):
+    g = GridSpec(1, 40.0, 512)
+    sweep = (2, 4, 8)
+    v = lp_threshold_experiment(-0.25, 4.0, sweep, grid=g, jobs=2)
+    calls = list(kernel_calls)
+    assert len(calls) == 1 and calls[0][3].shape == (g.size, 3 * len(sweep))
+    kernel_calls.clear()
+    _assert_columns_match_loop(calls)
+
+    chi, dif = default_chi(), make_diffeo(0.3)
+    phase = phase_from_name("phase_phix(0.3)")
+    sym = symbol_from_name("x_power_freq_cutoff(-0.25)")
+    ref = [(n, name, lp_norm(w, 4.0),
+            lp_norm(apply_fio1(phase, sym, w, guard=False), 4.0))
+           for n in sweep for name, w in _lp_witnesses(n, chi, dif, g)]
+    assert [r[:3] for r in v.rows] == [r[:3] for r in ref]
+    for (_, _, _, nout, ratio), (_, _, nin, nout_ref) in zip(v.rows, ref):
+        assert nout == pytest.approx(nout_ref, rel=1e-12, abs=0)
+        assert ratio == pytest.approx(nout_ref / nin, rel=1e-12, abs=0)
+    best = [max(r[3] / r[2] for r in ref if r[0] == n) for n in sweep]
+    assert v.measured_slope == pytest.approx(fit_loglog(sweep, best).slope, abs=1e-12)
+
+
+def test_m1_one_application(kernel_calls):
+    sweep = (16, 32, 64)
+    res = sharpness_m1_experiment(-0.25, 1.0, sweep, grid=SMALL, jobs=2)
+    calls = list(kernel_calls)
+    assert len(calls) == 1 and calls[0][3].shape == (SMALL.size, len(sweep))
+    kernel_calls.clear()
+    _assert_columns_match_loop(calls)
+
+    phase, sym = _m1_operator_parts(-0.25, 0.3)
+    window = sharpness_window(SMALL)
+    mult_up = bracket(SMALL.freq_points()).reshape(SMALL.shape) ** 0.25
+    ref = []
+    for n in sweep:
+        w = _freq_multiply(make_fn(n, default_chi(), SMALL), mult_up)
+        ref.append(_mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window, 4))
+    np.testing.assert_allclose(res.ratios, ref, rtol=1e-12, atol=0)
+
+
+def test_m2_conjugation_one_application_each(kernel_calls):
+    sweep = (4, 6)
+    dev = m2_conjugation_consistency(-0.25, 1.0, n_sweep=sweep, jobs=2)
+    calls = list(kernel_calls)
+    assert [c[4] for c in calls] == [False, True]
+    assert all(c[3].shape == (self_dual_grid().size, len(sweep)) for c in calls)
+    kernel_calls.clear()
+    _assert_columns_match_loop(calls)
+
+    grid = self_dual_grid()
+    window = Window.gaussian(grid, width=1.0)
+    env = gaussian_generator(width=0.2).translated([0.5])
+    phase, sym = _m1_operator_parts(-0.25, 0.3)
+    bphase, bsym = _negated_phase(_transposed_phase(phase)), _starred_symbol(sym)
+    mult_up = bracket(grid.freq_points()).reshape(grid.shape) ** 0.25
+    devs = []
+    for n in sweep:
+        w = _freq_multiply(Signal.from_generator(grid, env.modulated([float(n)])), mult_up)
+        wf = fourier_transform(w)
+        r_direct = _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window, 4)
+        r_conj = _mod_ratio(apply_fio2(bphase, bsym, wf), wf, 1.0, window, 4)
+        devs.append(abs(r_conj - r_direct) / r_direct)
+    # a difference of two ratios near 1, each matching at 1e-12 relative
+    assert dev == pytest.approx(max(devs), abs=1e-12)
+
+
+def test_boundedness_one_application_per_operator(kernel_calls):
+    sweep = (16, 32)
+    orders = [(-0.5, -0.5), (-0.25, 0.0)]
+    rows = main_theorem_boundedness_suite(1.0, orders, sweep, grid=SMALL, jobs=2)
+    calls = list(kernel_calls)
+    assert len(calls) == len(orders) * 2
+    assert all(c[3].shape == (SMALL.size, 2 * len(sweep)) for c in calls)
+    kernel_calls.clear()
+    _assert_columns_match_loop(calls)
+
+    window = sharpness_window(SMALL)
+    it = iter(rows)
+    for m1, m2 in orders:
+        mult_up = bracket(SMALL.freq_points()).reshape(SMALL.shape) ** (-m1)
+        for cc in (0.3, 0.0):
+            phase = phase_from_name(f"phase_xphi({cc})")
+            sym = symbol_from_name(f"model_sg({m1},{m2})")
+            best = []
+            for n in sweep:
+                fn = make_fn(n, default_chi(), SMALL)
+                best.append(max(
+                    _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window, 4)
+                    for w in (fn, _freq_multiply(fn, mult_up))))
+            fit = fit_loglog(sweep, best)
+            row = next(it)
+            assert row.order == (m1, m2)
+            assert row.slope == pytest.approx(fit.slope, abs=1e-12)
+            assert row.flat_ratio == pytest.approx(fit.flat_ratio, rel=1e-12, abs=0)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fiolab import operators
 from fiolab.gabor import GaborLattice, Window, gabor_atom
 from fiolab.grid import (
     GridSpec,
@@ -658,6 +659,36 @@ def test_normal_operator_caches_warped_rows(n, warped):
     blocks = _cached_blocks(normal)
     assert sum(len(K) for K in blocks) == warped
     assert all(K.shape[1] == n for K in blocks)
+
+
+def test_normal_operator_cache_budget(monkeypatch):
+    """DENSE_CACHE_BYTES bounds the kept kernel rows (rows x size x 16 B):
+    every row of a 4096-point "phase_kernel" operator fits exactly, an
+    8192-point one does not, and c15's 113 warped rows stop being cached
+    one byte under their size."""
+    one = symbol_from_name("one")
+    phix = phase_from_name("phase_phix(0.3)")
+
+    def normal(n, phase):
+        g = GridSpec(1, 16.0, n)
+        return _normal_operator(OperatorHandle("fio_type1", one, phase, g,
+                                               validate_phase=False))
+
+    assert kernel_path(phix, one, GridSpec(1, 16.0, 4096)) == "phase_kernel"
+    assert operators.DENSE_CACHE_BYTES == 4096 * 4096 * 16
+    assert "cache" in normal(4096, phix).__code__.co_freevars
+    assert "cache" not in normal(8192, phix).__code__.co_freevars
+
+    xphi = phase_from_name("phase_xphi(0.3)")
+    monkeypatch.setattr(operators, "DENSE_CACHE_BYTES", 113 * 4096 * 16)
+    assert "cache" in normal(4096, xphi).__code__.co_freevars
+    monkeypatch.setattr(operators, "DENSE_CACHE_BYTES", 113 * 4096 * 16 - 1)
+    uncached = normal(4096, xphi)
+    assert "cache" not in uncached.__code__.co_freevars
+    op = OperatorHandle("fio_type1", one, xphi, GridSpec(1, 16.0, 4096))
+    f = random_schwartz_signal(op.grid, np.random.default_rng(74))
+    ref = op.adjoint_apply(op.apply(f, guard=False)).samples
+    assert _rel(uncached(f).samples, ref) == 0.0
 
 
 @pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
