@@ -51,7 +51,6 @@ DEAD_BAND_LO = 0.05
 DEAD_BAND_HI = 0.10
 
 DEFAULT_N_SWEEP = (16, 32, 64, 128, 256)
-DEFAULT_N_SWEEP_2D = (4, 8, 16, 32)
 DEFAULT_LP_SWEEP = (8, 16, 32, 64, 128)
 
 

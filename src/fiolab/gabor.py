@@ -8,14 +8,15 @@ Gabor systems live on separable lattices alpha*Z^d x beta*Z^d with alpha a
 multiple of dx and beta a multiple of deta.  Modulations are exactly
 periodic modulo 2*Nyquist on the grid, so the default frequency index range
 is one full period; the space range covers the box plus a margin chosen by
-an atom-mass rule.
+an atom-mass rule.  On that range the frame operator is block diagonal
+(Walnut), and the frame solvers factor its blocks exactly.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .grid import (
 
 
 class NotAFrameError(RuntimeError):
-    """Gabor system rejected: unbounded condition or diverging iteration."""
+    """Gabor system rejected: frame spectrum not positive or past ratio_cap."""
 
 
 @dataclass
@@ -296,9 +297,11 @@ def _freq_pick(lat: GaborLattice) -> Array:
 
 
 def _window_table(g: Window, lat: GaborLattice) -> Array:
-    """All space-translates of the window as rows (d = 1)."""
+    """All space-translates T_{alpha k} g, one per k tuple in lat.k_tuples()
+    order, stacked along a leading axis; for d = 1 the rows are k_index."""
     return np.stack([
-        _zero_fill_shift(g.signal.samples, (k * lat.k_step,)) for k in lat.k_index
+        _zero_fill_shift(g.signal.samples, tuple(k * lat.k_step for k in kt))
+        for kt in lat.k_tuples()
     ])
 
 
@@ -382,27 +385,6 @@ def frame_operator(f: Signal, g: Window, lat: GaborLattice) -> Signal:
     return gabor_synthesis(gabor_analysis(f, g, lat), g, lat)
 
 
-def _fast_frame_apply(g: Window, lat: GaborLattice):
-    """Precomputed-table closure for repeated S_g applications (d = 1)."""
-    gr = g.grid
-    if gr.dim != 1:
-        return lambda v: frame_operator(Signal(gr, v), g, lat).samples
-    n = gr.samples_per_axis
-    ph = _alternating_phase(n, 1)
-    scale = gr.space_step
-    pick = _freq_pick(lat)
-    TG = _window_table(g, lat)
-    TGc = TG.conj()
-    tones = _tone_table(lat)
-
-    def apply(v: Array) -> Array:
-        H = np.fft.fftshift(np.fft.fft(v[None, :] * TGc, axis=1), axes=1)
-        C = H[:, pick] * (ph[pick] * scale)
-        return np.sum((C @ tones) * TG, axis=0)
-
-    return apply
-
-
 def frame_matrix_dense(g: Window, lat: GaborLattice) -> Array:
     """Dense matrix of S_g acting on grid vectors (d=1, small N only)."""
     gr = g.grid
@@ -415,6 +397,10 @@ def frame_matrix_dense(g: Window, lat: GaborLattice) -> Array:
 
 @dataclass
 class FrameBounds:
+    """Extreme eigenvalues A = lower, B = upper of S_g; is_frame holds when
+    A > 0 and B / A <= ratio_cap.  iterations is the number of Walnut blocks
+    factored (P^d, see _frame_blocks)."""
+
     lower: float
     upper: float
     iterations: int
@@ -440,31 +426,95 @@ def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
     return lam, maxiter, False
 
 
-def frame_bounds(
-    g: Window,
-    lat: GaborLattice,
-    tol: float = 1e-6,
-    maxiter: int = 3000,
-    ratio_cap: float = 1e6,
-    seed: int = 7,
-) -> FrameBounds:
-    """Extreme eigenvalues of S_g by power iteration (upper) and shifted
-    power iteration (lower); is_frame fails when upper/lower exceeds
-    ratio_cap."""
+def _period(lat: GaborLattice) -> int:
+    """P = N / n_step, the modulation period in samples, once n_index is
+    checked to cover exactly one period."""
+    n, q = lat.grid.samples_per_axis, lat.n_step
+    p = n // q
+    if n % q or lat.n_index != tuple(range(lat.n_index[0], lat.n_index[0] + p)):
+        raise GridAlignmentError(
+            f"the frame solvers need one full modulation period: n_step {q} "
+            f"must divide N = {n} and n_index must be N / n_step consecutive "
+            f"integers (got {len(lat.n_index)} from {lat.n_index[0]})")
+    return p
+
+
+def _fibers(a: Array, p: int, d: int) -> Array:
+    """Regroup the last d axes (length N = Q p each) as (p^d, Q^d): sample
+    q p + r of an axis goes to residue r, position q; leading axes stay."""
+    lead = a.shape[:a.ndim - d]
+    q = a.shape[-1] // p
+    m = len(lead)
+    order = list(range(m)) + [m + 2 * i + 1 for i in range(d)] + [m + 2 * i for i in range(d)]
+    return a.reshape(lead + (q, p) * d).transpose(order).reshape(lead + (p ** d, q ** d))
+
+
+def _unfibers(b: Array, p: int, shape: tuple[int, ...]) -> Array:
+    """Inverse of _fibers for one grid array."""
+    d = len(shape)
+    q = shape[0] // p
+    order = [k for i in range(d) for k in (d + i, i)]
+    return b.reshape((p,) * d + (q,) * d).transpose(order).reshape(shape)
+
+
+def _frame_blocks(g: Window, lat: GaborLattice) -> Array:
+    """S_g as its P^d Hermitian Walnut blocks, shape (P^d, Q^d, Q^d).
+
+    When n runs over one full period P = N / n_step (Q = n_step), the sum
+    over n of exp(2 pi i beta n (x - y)) is P where x = y modulo P samples
+    on every axis and 0 elsewhere, so S_g only couples samples of one
+    residue tuple r: S[qP+r, q'P+r] = (P dx)^d sum_k T_k g(qP+r) conj(T_k g(q'P+r))
+    (D. Walnut, J. Math. Anal. Appl. 165, 1992).
+    """
     gr = g.grid
-    rng = np.random.default_rng(seed)
-    v0 = rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape)
-    s_apply = _fast_frame_apply(g, lat)
-    upper, it1, _ = _power_iteration(s_apply, v0, tol, maxiter)
-    mu = 1.05 * upper
+    p = _period(lat)
+    T = _fibers(_window_table(g, lat), p, gr.dim).transpose(1, 2, 0)
+    return (T @ T.conj().transpose(0, 2, 1)) * (p * gr.space_step) ** gr.dim
 
-    def shifted(v: Array) -> Array:
-        return mu * v - s_apply(v)
 
-    top, it2, _ = _power_iteration(shifted, v0, tol, maxiter)
-    lower = mu - top
-    is_frame = lower > 0 and upper / max(lower, 1e-300) <= ratio_cap
-    return FrameBounds(lower=float(lower), upper=float(upper), iterations=it1 + it2, is_frame=is_frame)
+def _verdict(spec: Array, ratio_cap: float) -> FrameBounds:
+    lower, upper = float(spec.min()), float(spec.max())
+    is_frame = lower > 0 and upper / lower <= ratio_cap
+    return FrameBounds(lower=lower, upper=upper, iterations=len(spec), is_frame=is_frame)
+
+
+def frame_bounds(g: Window, lat: GaborLattice, ratio_cap: float = 1e6,
+                 seed: int = 7) -> FrameBounds:
+    """Exact frame bounds A, B: the extreme eigenvalues of the Walnut blocks
+    (eigvalsh over the block stack).  is_frame fails when A <= 0 or
+    B / A > ratio_cap.  seed is accepted for old callers and not read."""
+    return _verdict(np.linalg.eigvalsh(_frame_blocks(g, lat)), ratio_cap)
+
+
+def _frame_power(g: Window, lat: GaborLattice, s: float, ratio_cap: float = 1e6,
+                 bounds: Optional[FrameBounds] = None) -> Window:
+    """S_g^s g from one eigendecomposition of the Walnut blocks; bounds, when
+    given, replaces the block spectrum's is_frame verdict."""
+    gr = g.grid
+    lam, V = np.linalg.eigh(_frame_blocks(g, lat))
+    fb = bounds if bounds is not None else _verdict(lam, ratio_cap)
+    if not fb.is_frame:
+        raise NotAFrameError(
+            f"frame spectrum [{fb.lower:.3e}, {fb.upper:.3e}] fails A > 0, B/A <= ratio_cap")
+    p = _period(lat)
+    gb = _fibers(g.signal.samples, p, gr.dim)[..., None]
+    hb = V @ (lam[..., None] ** s * (V.conj().transpose(0, 2, 1) @ gb))
+    sig = Signal(gr, _unfibers(hb[..., 0], p, gr.shape))
+    return Window(signal=sig, l2_norm=lp_norm(sig, 2))
+
+
+def dual_window(g: Window, lat: GaborLattice, ratio_cap: float = 1e6) -> Window:
+    """Canonical dual gamma = S_g^{-1} g, solved exactly on the Walnut blocks;
+    NotAFrameError when the block spectrum fails the ratio_cap test."""
+    return _frame_power(g, lat, -1.0, ratio_cap)
+
+
+def tight_window(g: Window, lat: GaborLattice,
+                 bounds: Optional[FrameBounds] = None) -> Window:
+    """Canonical tight window h = S_g^{-1/2} g, exact on the Walnut blocks.
+    NotAFrameError when the frame is degenerate: by bounds.is_frame when
+    bounds is given, else by the block spectrum at the default ratio_cap."""
+    return _frame_power(g, lat, -0.5, bounds=bounds)
 
 
 def frame_degeneracy_check(
@@ -478,101 +528,20 @@ def frame_degeneracy_check(
     The discrete system is always a finite frame; degeneracy of the
     underlying continuous system (critical-density Gaussian, Balian-Low)
     shows up as a lower bound collapsing with the box size, while a true
-    frame keeps a stable positive bound.  Bounds come from the dense frame
-    matrix (the summation oracle), so the verdict is insensitive to
-    iteration stopping rules.  Pass grids with growing half_width; the
-    fitted exponent of A against L below -1 reads as degenerate.
+    frame keeps a stable positive bound.  Bounds come from frame_bounds,
+    exact block spectra, so the verdict depends on no stopping rule and no
+    grid is too large for a dense matrix.  Pass grids with growing
+    half_width; the fitted exponent of A against L below -1 reads as
+    degenerate.
     """
     lows, sizes = [], []
     for gr in grids:
-        if gr.size > 1024:
-            raise ValueError("degeneracy check uses dense spectra; keep N <= 1024")
         w = Window.gaussian(gr, width)
         lat = GaborLattice.for_grid(gr, alpha, beta, window=w)
-        spec = np.linalg.eigvalsh(frame_matrix_dense(w, lat))
-        lows.append(max(float(spec[0]), 1e-300))
+        lows.append(max(frame_bounds(w, lat).lower, 1e-300))
         sizes.append(gr.half_width)
     sizes = np.asarray(sizes)
     lows = np.asarray(lows)
     slope = float(np.polyfit(np.log(sizes), np.log(lows), 1)[0])
     return {"lower_bounds": lows.tolist(), "box_half_widths": sizes.tolist(),
             "decay_exponent": slope, "degenerate": slope < -1.0}
-
-
-def _cg_solve(apply_op, b: Array, tol: float, maxiter: int):
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.real(np.vdot(r, r)))
-    b_nrm = np.sqrt(float(np.real(np.vdot(b, b))))
-    if b_nrm == 0:
-        return x, 0, True
-    for it in range(1, maxiter + 1):
-        Ap = apply_op(p)
-        alpha = rs / float(np.real(np.vdot(p, Ap)))
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(np.real(np.vdot(r, r)))
-        if np.sqrt(rs_new) <= tol * b_nrm:
-            return x, it, True
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, maxiter, False
-
-
-def dual_window(g: Window, lat: GaborLattice, tol: float = 1e-10, maxiter: int = 500) -> Window:
-    """Canonical dual gamma = S_g^{-1} g by conjugate gradients."""
-    gr = g.grid
-    fast = _fast_frame_apply(g, lat)
-
-    def s_apply(v: Array) -> Array:
-        return fast(v.reshape(gr.shape)).ravel()
-
-    x, its, ok = _cg_solve(s_apply, g.signal.samples.ravel(), tol, maxiter)
-    if not ok:
-        raise NotAFrameError(
-            f"conjugate gradients did not reach {tol:.0e} in {maxiter} iterations"
-        )
-    return Window(signal=Signal(gr, x.reshape(gr.shape)),
-                  l2_norm=lp_norm(Signal(gr, x.reshape(gr.shape)), 2))
-
-
-def _chebyshev_coeffs(fn: Callable[[Array], Array], degree: int) -> Array:
-    k = np.arange(degree + 1)
-    nodes = np.cos(np.pi * (k + 0.5) / (degree + 1))
-    vals = fn(nodes)
-    coeffs = np.empty(degree + 1)
-    for j in range(degree + 1):
-        coeffs[j] = 2.0 / (degree + 1) * np.sum(vals * np.cos(np.pi * j * (k + 0.5) / (degree + 1)))
-    coeffs[0] /= 2.0
-    return coeffs
-
-
-def tight_window(g: Window, lat: GaborLattice, degree: int = 64,
-                 bounds: Optional[FrameBounds] = None) -> Window:
-    """Canonical tight window h = S_g^{-1/2} g.
-
-    S^{-1/2} is applied through an iterative Chebyshev expansion of
-    t -> t^{-1/2} on the certified spectral interval [0.95 A, 1.05 B]; the
-    polynomial is evaluated by Clenshaw recurrence in the operator, so the
-    cost is `degree` frame-operator applications.
-    """
-    fb = bounds if bounds is not None else frame_bounds(g, lat)
-    if not fb.is_frame:
-        raise NotAFrameError("cannot take an inverse square root of a degenerate frame operator")
-    a, b = 0.95 * fb.lower, 1.05 * fb.upper
-    coeffs = _chebyshev_coeffs(lambda t: ((b - a) / 2.0 * t + (b + a) / 2.0) ** -0.5, degree)
-    gr = g.grid
-    fast = _fast_frame_apply(g, lat)
-
-    def t_apply(v: Array) -> Array:
-        return (2.0 * fast(v) - (b + a) * v) / (b - a)
-
-    v = g.signal.samples
-    bk1 = np.zeros_like(v)
-    bk2 = np.zeros_like(v)
-    for c in coeffs[:0:-1]:
-        bk1, bk2 = t_apply(bk1) * 2.0 - bk2 + c * v, bk1
-    h = t_apply(bk1) - bk2 + coeffs[0] * v
-    sig = Signal(gr, h)
-    return Window(signal=sig, l2_norm=lp_norm(sig, 2))

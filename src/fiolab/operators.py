@@ -160,7 +160,10 @@ def _kernel_apply(
             if cache is not None and i < len(cache):
                 K = cache[i]
             else:
-                # built in place: one complex block alive at a time
+                # built in place, but K still holds the previous block, so two
+                # complex blocks are alive while this one is built. Releasing
+                # K first raised m1_sweep peak RSS: glibc then keeps the freed
+                # blocks under its dynamic trim threshold instead of unmapping.
                 X = xs[r, None]
                 K = np.multiply(dot(X, E) if phase is None else phase.fn(X, E), 2j * np.pi)
                 np.exp(K, out=K)

@@ -94,3 +94,57 @@ def test_traced_entry_points_exist():
     missing = [f"{mod}.{attr}" for mod, attr, _ in entries
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, "entry points missing from fiolab: " + ", ".join(missing)
+
+
+def _module_names(tree):
+    """Names bound at module scope by def, class or assignment."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                out.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def _reads(tree):
+    """Every name a file can reach a definition by: Name loads, attribute
+    names, imported names and string constants (getattr-style tables)."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.split(".")[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def test_no_unreferenced_module_names():
+    """Every module-level def, class or assignment in fiolab is read
+    somewhere in src/, tests/, perfbench/ or scripts/."""
+    reads = set()
+    for d in ("src", "tests", "perfbench", "scripts"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            reads |= _reads(ast.parse(path.read_text(), str(path)))
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        for name in sorted(_module_names(ast.parse(path.read_text(), str(path)))):
+            if name not in reads:
+                bad.append(f"{path.stem}.{name}")
+    assert not bad, "module names nothing reads: " + ", ".join(bad)
+
+
+def test_unreferenced_name_check_sees_reads():
+    src = ("import numpy as np\nfrom .grid import a\nX, Y = 1, 2\nZ: int = 3\n"
+           "def f():\n    return X\nclass C:\n    pass\nW = np.pi + C.attr\n"
+           "T = ('mod', 'f')\n")
+    tree = ast.parse(src)
+    assert _module_names(tree) == {"X", "Y", "Z", "f", "C", "W", "T"}
+    assert {"X", "np", "a", "C", "attr", "f", "mod"} <= _reads(tree)
+    assert not {"Y", "Z", "W", "T"} & _reads(tree)
