@@ -234,7 +234,8 @@ def multiplier_growth_check(
 # ---------------------------------------------------------------------------
 
 def _lp_witnesses(n: int, chi: Generator, dif: Diffeo, grid: GridSpec):
-    """(name, signal) triples; all spectra live in supp chi subset (0, 1)."""
+    """The (name, signal) pairs of sweep point n, plain and warped; all
+    spectra live in supp chi subset (0, 1)."""
     eta = grid.freq_axis()
     fn_hat = np.asarray(chi(eta)) * np.exp(2j * np.pi * n * eta)
     gd = dual_grid(grid)
@@ -242,8 +243,12 @@ def _lp_witnesses(n: int, chi: Generator, dif: Diffeo, grid: GridSpec):
     warped = np.asarray(chi(dif.phi(eta))) * np.exp(2j * np.pi * n * dif.phi(eta)) \
         * dif.dphi(eta)
     v = inverse_fourier(Signal(gd, warped))
-    b0 = inverse_fourier(Signal(gd, np.asarray(chi(eta)) + 0j))
-    return [("plain", u), ("warped", v), ("origin-bump", b0)]
+    return [("plain", u), ("warped", v)]
+
+
+def _origin_bump(chi: Generator, grid: GridSpec) -> Signal:
+    """The witness that every sweep point shares: the inverse transform of chi."""
+    return inverse_fourier(Signal(dual_grid(grid), np.asarray(chi(grid.freq_axis())) + 0j))
 
 
 def lp_threshold_experiment(
@@ -258,30 +263,38 @@ def lp_threshold_experiment(
     """L^p boundedness probe of A f = <x>^m integral exp(2 pi i x phi(eta)) G f^.
 
     The G cutoff is identically 1 on the witnesses' band, so it only guards
-    the Nyquist edge.  A is applied once, to the witnesses of every n as the
-    columns of one kernel application; the rows (n, witness, norm_in,
-    norm_out, ratio) keep the sweep order.  Verdict compares the fitted
-    max-ratio slope with the dead band; expected classification comes from m
-    against -d|1/2 - 1/p|.  jobs is accepted for a uniform signature and not
-    read: what is left after the one application is a few FFTs and L^p sums.
+    the Nyquist edge.  A is applied once, to the plain and warped witnesses
+    of every n and the one origin bump as the columns of one kernel
+    application; the rows (n, witness, norm_in, norm_out, ratio) keep the
+    sweep order, and every n's origin-bump row reads the bump's norms.
+    Verdict compares the fitted max-ratio slope with the dead band; expected
+    classification comes from m against -d|1/2 - 1/p|.  jobs is accepted for
+    a uniform signature and not read: what is left after the one application
+    is a few FFTs and L^p sums.
     """
     chi = chi or default_chi()
     grid = grid or lp_witness_grid()
     dif = make_diffeo(c)
     phase = phase_from_name(f"phase_phix({c})")
     sym = symbol_from_name(f"x_power_freq_cutoff({m})")
+    bump = _origin_bump(chi, grid)
     labels = []
 
     def witnesses():
-        # one at a time: a witness outlives its label and norm only as a column
+        # one n at a time: a witness outlives its label and norm only as a column
         for n in n_sweep:
-            for name, w in _lp_witnesses(n, chi, dif, grid):
-                labels.append((int(n), name, lp_norm(w, p)))
-                yield w
+            pairs = _lp_witnesses(n, chi, dif, grid)
+            labels.append([(name, lp_norm(w, p)) for name, w in pairs])
+            yield from (w for _, w in pairs)
+        yield bump
 
-    outs = _apply_columns(phase, sym, grid, witnesses())
-    rows = [(n, name, nin, nout, nout / nin)
-            for (n, name, nin), nout in zip(labels, (lp_norm(Aw, p) for Aw in outs))]
+    *outs, bump_out = _apply_columns(phase, sym, grid, witnesses())
+    outs = iter(outs)
+    bump_row = ("origin-bump", lp_norm(bump, p), lp_norm(bump_out, p))
+    rows = []
+    for n, named in zip(n_sweep, labels):
+        cells = [(name, nin, lp_norm(next(outs), p)) for name, nin in named] + [bump_row]
+        rows += [(int(n), name, nin, nout, nout / nin) for name, nin, nout in cells]
     per_n = len(rows) // len(n_sweep)
     best = [max(r[-1] for r in rows[i:i + per_n]) for i in range(0, len(rows), per_n)]
     fit = _fit_sweep(n_sweep, best)

@@ -2,7 +2,9 @@
 
 The STFT follows V_g f(x, eta) = <f, M_eta T_x g>; on the grid this is the
 discrete Fourier transform of f * conj(T_x g) evaluated at the frequency
-nodes, so one FFT per x node computes a full frequency column.
+nodes.  The products for all x nodes are stacked along a leading axis and
+one batched FFT over the last d axes computes every frequency slice, in any
+dimension d.
 
 Gabor systems live on separable lattices alpha*Z^d x beta*Z^d with alpha a
 multiple of dx and beta a multiple of deta.  Modulations are exactly
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from typing import Optional
 
@@ -80,7 +83,7 @@ def default_window(grid: GridSpec) -> Window:
 
 @dataclass
 class StftData:
-    """Sampled V_g f over (x nodes x frequency nodes).
+    """Sampled V_g f over (x nodes x frequency nodes), any d, small N.
 
     values has shape (x nodes per axis, ...) + grid.shape; the x nodes may be
     strided (every x_stride-th grid node per axis) to bound memory, with the
@@ -97,32 +100,27 @@ class StftData:
         return np.arange(0, self.grid.samples_per_axis, self.x_stride)
 
 
+def _spectrum(rows: Array, gr: GridSpec) -> Array:
+    """Centred DFT times dx^d over the last d axes of a stack of grid arrays:
+    the frequency samples of each row's integral against exp(-2 pi i eta.x)."""
+    axes = tuple(range(rows.ndim - gr.dim, rows.ndim))
+    ph = _alternating_phase(gr.samples_per_axis, gr.dim)
+    return np.fft.fftshift(np.fft.fftn(rows, axes=axes), axes=axes) * ph \
+        * gr.space_step ** gr.dim
+
+
 def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
-    """Dense STFT, one FFT per (strided) x node."""
+    """Dense STFT: the products f * conj(T_x g) of every (strided) x node,
+    filled in place, then one batched FFT."""
     if f.grid != g.grid:
         raise ValueError("signal and window must share a grid")
     gr = f.grid
     n = gr.samples_per_axis
-    d = gr.dim
-    ph = _alternating_phase(n, d)
-    scale = gr.space_step ** d
-    gs = g.signal.samples
-    if d == 1:
-        ms = np.arange(0, n, x_stride)
-        rows = np.empty((len(ms), n), dtype=complex)
-        for i, m in enumerate(ms):
-            tg = _zero_fill_shift(gs, (m - n // 2,))
-            rows[i] = f.samples * np.conj(tg)
-        vals = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1) * ph * scale
-        return StftData(gr, g.window_id, vals, x_stride)
-    ms = np.arange(0, n, x_stride)
-    out_shape = (len(ms),) * d + gr.shape
-    vals = np.empty(out_shape, dtype=complex)
-    for idx in product(range(len(ms)), repeat=d):
-        offs = tuple(int(ms[i]) - n // 2 for i in idx)
-        tg = _zero_fill_shift(gs, offs)
-        h = f.samples * np.conj(tg)
-        vals[idx] = np.fft.fftshift(np.fft.fftn(h)) * ph * scale
+    offs = np.arange(0, n, x_stride) - n // 2
+    rows = np.empty((len(offs) ** gr.dim,) + gr.shape, dtype=complex)
+    for i, off in enumerate(product(offs, repeat=gr.dim)):
+        rows[i] = f.samples * np.conj(_zero_fill_shift(g.signal.samples, off))
+    vals = _spectrum(rows, gr).reshape((len(offs),) * gr.dim + gr.shape)
     return StftData(gr, g.window_id, vals, x_stride)
 
 
@@ -161,24 +159,15 @@ def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:
     bmass = _edge_mass_ratio(g.signal.samples, gr.space_axis(), 0.9 * gr.half_width)
     if bmass > boundary_tol:
         warnings.warn(f"window boundary mass {bmass:.2e} exceeds {boundary_tol:.0e}")
+    axes = tuple(range(1, d + 1))
     ph = _alternating_phase(n, d)
     scale = gr.space_step ** d
-    gs = g.signal.samples
-    if d == 1:
-        ms = np.arange(0, n, F.x_stride)
-        syn = np.fft.ifft(np.fft.ifftshift(F.values * ph, axes=1), axis=1) / gr.space_step
-        acc = np.zeros(n, dtype=complex)
-        for i, m in enumerate(ms):
-            tg = _zero_fill_shift(gs, (m - n // 2,))
-            acc += syn[i] * tg
-        return Signal(gr, acc * scale * F.x_stride)
-    ms = np.arange(0, n, F.x_stride)
+    offs = np.arange(0, n, F.x_stride) - n // 2
+    V = F.values.reshape((-1,) + gr.shape)
+    syn = np.fft.ifftn(np.fft.ifftshift(V * ph, axes=axes), axes=axes) / scale
     acc = np.zeros(gr.shape, dtype=complex)
-    for idx in product(range(len(ms)), repeat=d):
-        offs = tuple(int(ms[i]) - n // 2 for i in idx)
-        tg = _zero_fill_shift(gs, offs)
-        piece = np.fft.ifftn(np.fft.ifftshift(F.values[idx] * ph)) / gr.space_step ** d
-        acc += piece * tg
+    for i, off in enumerate(product(offs, repeat=d)):
+        acc += syn[i] * _zero_fill_shift(g.signal.samples, off)
     return Signal(gr, acc * scale * F.x_stride ** d)
 
 
@@ -298,7 +287,7 @@ def _freq_pick(lat: GaborLattice) -> Array:
 
 def _window_table(g: Window, lat: GaborLattice) -> Array:
     """All space-translates T_{alpha k} g, one per k tuple in lat.k_tuples()
-    order, stacked along a leading axis; for d = 1 the rows are k_index."""
+    order, stacked along a leading axis."""
     return np.stack([
         _zero_fill_shift(g.signal.samples, tuple(k * lat.k_step for k in kt))
         for kt in lat.k_tuples()
@@ -306,30 +295,13 @@ def _window_table(g: Window, lat: GaborLattice) -> Array:
 
 
 def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
-    """C_g f: one FFT per space lattice node, frequency axis subsampled."""
+    """C_g f: one batched FFT over the space lattice nodes, frequency axes
+    subsampled."""
     gr = f.grid
-    n = gr.samples_per_axis
     d = gr.dim
-    ph = _alternating_phase(n, d)
-    scale = gr.space_step ** d
-    pick = _freq_pick(lat)
-    if d == 1:
-        TG = _window_table(g, lat)
-        H = np.fft.fftshift(np.fft.fft(f.samples[None, :] * TG.conj(), axis=1),
-                            axes=1) * ph * scale
-        return GaborCoeffs(lat, H[:, pick])
-    kvals = lat.k_values
-    shape = (len(kvals),) * d + (len(lat.n_index),) * d
-    out = np.empty(shape, dtype=complex)
-    for kidx in product(range(len(kvals)), repeat=d):
-        offs = tuple(int(kvals[i]) * lat.k_step for i in kidx)
-        tg = _zero_fill_shift(g.signal.samples, offs)
-        H = np.fft.fftshift(np.fft.fftn(f.samples * np.conj(tg))) * ph * scale
-        sub = H
-        for ax in range(d):
-            sub = np.take(sub, pick, axis=ax)
-        out[kidx] = sub
-    return GaborCoeffs(lat, out)
+    H = _spectrum(f.samples * _window_table(g, lat).conj(), gr)
+    sub = H[(slice(None),) + np.ix_(*[_freq_pick(lat)] * d)]
+    return GaborCoeffs(lat, sub.reshape((len(lat.k_index),) * d + (len(lat.n_index),) * d))
 
 
 def _tone_table(lat: GaborLattice) -> Array:
@@ -339,32 +311,26 @@ def _tone_table(lat: GaborLattice) -> Array:
 
 
 def _atom_rows(g: Window, lat: GaborLattice) -> Array:
-    """All atoms M_{beta n} T_{alpha k} g as rows, k-major (d = 1)."""
-    rows = _window_table(g, lat)[:, None, :] * _tone_table(lat)[None, :, :]
-    return rows.reshape(-1, rows.shape[-1])
+    """All atoms M_{beta n} T_{alpha k} g as flattened rows, k-major, in
+    lat.k_tuples() x lat.n_tuples() order.  The tone of an n tuple is the
+    product over axes of the 1-D tones, axes ordered (n_1..n_d, x_1..x_d)."""
+    d = lat.grid.dim
+    tones = reduce(np.multiply.outer, [_tone_table(lat)] * d)
+    tones = tones.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
+    tones = tones.reshape(len(lat.n_index) ** d, -1)
+    TG = _window_table(g, lat).reshape(-1, 1, tones.shape[1])
+    return (TG * tones).reshape(-1, tones.shape[1])
 
 
 def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
-    """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g."""
+    """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g: each n axis contracted
+    with the tone table, then the window translates summed."""
     gr = g.grid
-    d = gr.dim
     tones = _tone_table(lat)
-    if d == 1:
-        TG = _window_table(g, lat)
-        acc = np.sum((c.values @ tones) * TG, axis=0)
-        return Signal(gr, acc)
-    kvals = lat.k_values
-    acc = np.zeros(gr.shape, dtype=complex)
-    vals = c.values
-    for kidx in product(range(len(kvals)), repeat=d):
-        offs = tuple(int(kvals[i]) * lat.k_step for i in kidx)
-        tg = _zero_fill_shift(g.signal.samples, offs)
-        block = vals[kidx]  # shape (num_n,)*d
-        wave = block
-        for ax in range(d):
-            wave = np.tensordot(wave, tones, axes=([0], [0]))
-        acc += wave * tg
-    return Signal(gr, acc)
+    W = c.values.reshape((-1,) + (len(lat.n_index),) * gr.dim)
+    for _ in range(gr.dim):
+        W = np.tensordot(W, tones, axes=([1], [0]))
+    return Signal(gr, np.sum(W * _window_table(g, lat), axis=0))
 
 
 def gabor_analysis_direct(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
@@ -386,13 +352,11 @@ def frame_operator(f: Signal, g: Window, lat: GaborLattice) -> Signal:
 
 
 def frame_matrix_dense(g: Window, lat: GaborLattice) -> Array:
-    """Dense matrix of S_g acting on grid vectors (d=1, small N only)."""
+    """Dense matrix of S_g acting on flattened grid vectors (any d, small N)."""
     gr = g.grid
-    if gr.dim != 1:
-        raise NotImplementedError
     G = _atom_rows(g, lat)
-    # (S f)_t = sum_a G[a,t] * sum_{t'} conj(G[a,t']) f_{t'} dx
-    return (G.T @ G.conj()) * gr.space_step
+    # (S f)_t = sum_a G[a,t] * sum_{t'} conj(G[a,t']) f_{t'} dx^d
+    return (G.T @ G.conj()) * gr.space_step ** gr.dim
 
 
 @dataclass

@@ -40,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gabor import GaborLattice, Window, gabor_atom, _atom_rows, _power_iteration
+from .gabor import GaborLattice, Window, _atom_rows, _power_iteration
 from .grid import (
     Array,
     GridSpec,
@@ -536,11 +536,7 @@ def _atom_table(g: Window, lat: GaborLattice) -> tuple[Array, Array, Array]:
     nt = np.asarray(lat.n_tuples(), dtype=float).reshape(-1, d)
     kp = np.repeat(lat.alpha * kt, len(nt), axis=0)
     npos = np.tile(lat.beta * nt, (len(kt), 1))
-    if d == 1:
-        return _atom_rows(g, lat), kp, npos
-    rows = [gabor_atom(g, lat, k, n).samples.ravel()
-            for k in lat.k_tuples() for n in lat.n_tuples()]
-    return np.asarray(rows), kp, npos
+    return _atom_rows(g, lat), kp, npos
 
 
 def gabor_matrix(

@@ -2,9 +2,11 @@
 standard library, numpy or fiolab itself, except matplotlib, which only
 runner._maybe_plot imports (and which degrades when it is missing).  Every
 module other than __init__ also reads each name it imports at module scope,
-and every entry point the benchmark's tracer wraps exists in fiolab."""
+and every entry point the benchmark's tracer wraps exists in fiolab, with
+every call the benchmark's workloads make into it binding to its signature."""
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -94,6 +96,76 @@ def test_traced_entry_points_exist():
     missing = [f"{mod}.{attr}" for mod, attr, _ in entries
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing, "entry points missing from fiolab: " + ", ".join(missing)
+
+
+def _fiolab_bindings(tree):
+    """Module-scope names that `from fiolab... import` binds, each to the
+    fiolab module, class or function it names."""
+    out = {}
+    for node in tree.body:
+        if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "fiolab"):
+            continue
+        mod = importlib.import_module(node.module)
+        for a in node.names:
+            try:
+                obj = importlib.import_module(f"{node.module}.{a.name}")
+            except ModuleNotFoundError:
+                obj = getattr(mod, a.name)
+            out[a.asname or a.name] = obj
+    return out
+
+
+def _unbound_calls(tree):
+    """Calls `name(...)` or `alias.attr...(...)` rooted at a fiolab import
+    whose target is missing or whose signature rejects the call's positional
+    count or keywords; calls that unpack * or ** arguments are skipped."""
+    bound = _fiolab_bindings(tree)
+    bad = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func, attrs = call.func, []
+        while isinstance(func, ast.Attribute):
+            attrs.append(func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name) or func.id not in bound:
+            continue
+        if any(isinstance(a, ast.Starred) for a in call.args) \
+                or any(k.arg is None for k in call.keywords):
+            continue
+        where = f"line {call.lineno}: {ast.unparse(call.func)}"
+        try:
+            obj = bound[func.id]
+            for attr in reversed(attrs):
+                obj = getattr(obj, attr)
+            inspect.signature(obj).bind(*call.args, **{k.arg: k for k in call.keywords})
+        except (AttributeError, TypeError) as exc:
+            bad.append(f"{where}: {exc}")
+    return bad
+
+
+def test_benchmark_calls_bind():
+    """perfbench/workloads.py calls fiolab by keyword (frame_bounds(seed=),
+    for_grid(k_radius=, n_radius=), ...); a renamed or deleted parameter
+    would fail only inside a benchmark run.  The file is parsed, not
+    imported."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    assert len(_fiolab_bindings(tree)) >= 6
+    bad = _unbound_calls(tree)
+    assert not bad, "benchmark calls fiolab rejects: " + "; ".join(bad)
+
+
+def test_call_check_sees_misspelt_keyword():
+    src = ("import numpy as np\nfrom fiolab import gabor as gb\n"
+           "from fiolab.grid import GridSpec\n"
+           "g = GridSpec(1, 8.0, 256)\nnp.zeros(3, nonsense=1)\n"
+           "gb.frame_bounds(w, lat, seed=3)\ngb.Window.gaussian(g, width=0.5)\n")
+    assert _unbound_calls(ast.parse(src)) == []
+    bad = _unbound_calls(ast.parse(src.replace("seed=3", "sed=3")))
+    assert len(bad) == 1 and "gb.frame_bounds" in bad[0] and "sed" in bad[0]
+    bad = _unbound_calls(ast.parse(src + "gb.Window.gausian(g)\nGridSpec(1, 2, 3, 4, 5)\n"))
+    assert len(bad) == 2
 
 
 def _module_names(tree):

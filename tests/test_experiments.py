@@ -8,6 +8,7 @@ from fiolab.experiments import (
     _freq_multiply,
     _lp_witnesses,
     _m1_operator_parts,
+    _origin_bump,
     _mod_ratio,
     classify_slope,
     default_chi,
@@ -159,13 +160,18 @@ class TestLpThreshold:
         v = lp_threshold_experiment(m, p, (2, 4, 8), grid=g, jobs=1)
         assert len(v.rows) == 9
         for n, name, nin, nout, r in v.rows:
-            w = dict(_lp_witnesses(n, chi, dif, g))[name]
+            w = dict(_all_witnesses(n, chi, dif, g))[name]
             what = fourier_transform(w).samples * gcut
             act = np.nonzero(np.abs(what) > 1e-15 * np.abs(what).max())[0]
             kern = np.exp(2j * np.pi * np.multiply.outer(x, dif.phi(eta[act])))
             Aw = Signal(g, xw * (kern @ (what[act] * g.freq_step)))
             assert nin == lp_norm(w, p)
             assert nout == pytest.approx(lp_norm(Aw, p), rel=1e-12, abs=0)
+
+
+def _all_witnesses(n, chi, dif, g):
+    """Sweep point n's witnesses in row order, the shared origin bump last."""
+    return _lp_witnesses(n, chi, dif, g) + [("origin-bump", _origin_bump(chi, g))]
 
 
 class TestSharpness:
@@ -260,7 +266,8 @@ def test_lp_threshold_one_application(kernel_calls):
     sweep = (2, 4, 8)
     v = lp_threshold_experiment(-0.25, 4.0, sweep, grid=g, jobs=2)
     calls = list(kernel_calls)
-    assert len(calls) == 1 and calls[0][3].shape == (g.size, 3 * len(sweep))
+    # plain and warped per sweep point, plus the one shared origin bump
+    assert len(calls) == 1 and calls[0][3].shape == (g.size, 2 * len(sweep) + 1)
     kernel_calls.clear()
     _assert_columns_match_loop(calls)
 
@@ -269,7 +276,7 @@ def test_lp_threshold_one_application(kernel_calls):
     sym = symbol_from_name("x_power_freq_cutoff(-0.25)")
     ref = [(n, name, lp_norm(w, 4.0),
             lp_norm(apply_fio1(phase, sym, w, guard=False), 4.0))
-           for n in sweep for name, w in _lp_witnesses(n, chi, dif, g)]
+           for n in sweep for name, w in _all_witnesses(n, chi, dif, g)]
     assert [r[:3] for r in v.rows] == [r[:3] for r in ref]
     for (_, _, _, nout, ratio), (_, _, nin, nout_ref) in zip(v.rows, ref):
         assert nout == pytest.approx(nout_ref, rel=1e-12, abs=0)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from itertools import product
+
 from fiolab.gabor import (
+    GaborCoeffs,
     GaborLattice,
+    StftData,
     NotAFrameError,
     Window,
     dual_window,
@@ -18,6 +22,10 @@ from fiolab.gabor import (
     stft,
     stft_direct,
     tight_window,
+    _atom_rows,
+    _freq_pick,
+    _tone_table,
+    _window_table,
 )
 from fiolab.grid import (
     GridAlignmentError,
@@ -28,6 +36,8 @@ from fiolab.grid import (
     inner_product,
     lp_norm,
     random_schwartz_signal,
+    _alternating_phase,
+    _zero_fill_shift,
 )
 
 from conftest import make_corpus
@@ -351,3 +361,190 @@ class TestDualTight:
             ref = V @ (lam ** -0.5 * (V.conj().T @ g))
             h = tight_window(w, lat).signal.samples.ravel()
             assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# The d = 1 / d > 1 two-branch STFT and Gabor transforms that the batched
+# paths replaced, kept verbatim as byte references for them.
+# ---------------------------------------------------------------------------
+
+def _stft_reference(f, g, x_stride=1):
+    gr = f.grid
+    n = gr.samples_per_axis
+    d = gr.dim
+    ph = _alternating_phase(n, d)
+    scale = gr.space_step ** d
+    gs = g.signal.samples
+    if d == 1:
+        ms = np.arange(0, n, x_stride)
+        rows = np.empty((len(ms), n), dtype=complex)
+        for i, m in enumerate(ms):
+            tg = _zero_fill_shift(gs, (m - n // 2,))
+            rows[i] = f.samples * np.conj(tg)
+        vals = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1) * ph * scale
+        return StftData(gr, g.window_id, vals, x_stride)
+    ms = np.arange(0, n, x_stride)
+    out_shape = (len(ms),) * d + gr.shape
+    vals = np.empty(out_shape, dtype=complex)
+    for idx in product(range(len(ms)), repeat=d):
+        offs = tuple(int(ms[i]) - n // 2 for i in idx)
+        tg = _zero_fill_shift(gs, offs)
+        h = f.samples * np.conj(tg)
+        vals[idx] = np.fft.fftshift(np.fft.fftn(h)) * ph * scale
+    return StftData(gr, g.window_id, vals, x_stride)
+
+
+def _istft_reference(F, g):
+    gr = g.grid
+    n = gr.samples_per_axis
+    d = gr.dim
+    ph = _alternating_phase(n, d)
+    scale = gr.space_step ** d
+    gs = g.signal.samples
+    if d == 1:
+        ms = np.arange(0, n, F.x_stride)
+        syn = np.fft.ifft(np.fft.ifftshift(F.values * ph, axes=1), axis=1) / gr.space_step
+        acc = np.zeros(n, dtype=complex)
+        for i, m in enumerate(ms):
+            tg = _zero_fill_shift(gs, (m - n // 2,))
+            acc += syn[i] * tg
+        return Signal(gr, acc * scale * F.x_stride)
+    ms = np.arange(0, n, F.x_stride)
+    acc = np.zeros(gr.shape, dtype=complex)
+    for idx in product(range(len(ms)), repeat=d):
+        offs = tuple(int(ms[i]) - n // 2 for i in idx)
+        tg = _zero_fill_shift(gs, offs)
+        piece = np.fft.ifftn(np.fft.ifftshift(F.values[idx] * ph)) / gr.space_step ** d
+        acc += piece * tg
+    return Signal(gr, acc * scale * F.x_stride ** d)
+
+
+def _gabor_analysis_reference(f, g, lat):
+    gr = f.grid
+    n = gr.samples_per_axis
+    d = gr.dim
+    ph = _alternating_phase(n, d)
+    scale = gr.space_step ** d
+    pick = _freq_pick(lat)
+    if d == 1:
+        TG = _window_table(g, lat)
+        H = np.fft.fftshift(np.fft.fft(f.samples[None, :] * TG.conj(), axis=1),
+                            axes=1) * ph * scale
+        return GaborCoeffs(lat, H[:, pick])
+    kvals = lat.k_values
+    shape = (len(kvals),) * d + (len(lat.n_index),) * d
+    out = np.empty(shape, dtype=complex)
+    for kidx in product(range(len(kvals)), repeat=d):
+        offs = tuple(int(kvals[i]) * lat.k_step for i in kidx)
+        tg = _zero_fill_shift(g.signal.samples, offs)
+        H = np.fft.fftshift(np.fft.fftn(f.samples * np.conj(tg))) * ph * scale
+        sub = H
+        for ax in range(d):
+            sub = np.take(sub, pick, axis=ax)
+        out[kidx] = sub
+    return GaborCoeffs(lat, out)
+
+
+def _gabor_synthesis_reference(c, g, lat):
+    gr = g.grid
+    d = gr.dim
+    tones = _tone_table(lat)
+    if d == 1:
+        TG = _window_table(g, lat)
+        acc = np.sum((c.values @ tones) * TG, axis=0)
+        return Signal(gr, acc)
+    kvals = lat.k_values
+    acc = np.zeros(gr.shape, dtype=complex)
+    vals = c.values
+    for kidx in product(range(len(kvals)), repeat=d):
+        offs = tuple(int(kvals[i]) * lat.k_step for i in kidx)
+        tg = _zero_fill_shift(g.signal.samples, offs)
+        block = vals[kidx]  # shape (num_n,)*d
+        wave = block
+        for ax in range(d):
+            wave = np.tensordot(wave, tones, axes=([0], [0]))
+        acc += wave * tg
+    return Signal(gr, acc)
+
+
+MERGED_GRIDS = [GridSpec(1, 8.0, 256), GridSpec(2, 4.0, 16)]
+
+
+def _merged_lattice(g, w, kind):
+    """A full-period lattice, or a k_radius = n_radius = 3 box (beta 0.25
+    keeps n = +-3 inside the N = 16 band)."""
+    if kind == "full":
+        return GaborLattice.for_grid(g, 0.5, 0.25, window=w)
+    return GaborLattice.for_grid(g, 0.5, 0.25, k_radius=3, n_radius=3)
+
+
+class TestMergedPathsByteReference:
+    @pytest.mark.parametrize("x_stride", [1, 2])
+    @pytest.mark.parametrize("g", MERGED_GRIDS, ids=["d1", "d2"])
+    def test_stft_istft(self, g, x_stride):
+        w = Window.gaussian(g)
+        f = random_schwartz_signal(g, np.random.default_rng(21))
+        V = stft(f, w, x_stride=x_stride)
+        ref = _stft_reference(f, w, x_stride=x_stride)
+        assert V.values.shape == ref.values.shape
+        assert np.array_equal(V.values, ref.values)
+        assert np.array_equal(istft(V, w).samples, _istft_reference(ref, w).samples)
+
+    @pytest.mark.parametrize("kind", ["full", "radius3"])
+    @pytest.mark.parametrize("g", MERGED_GRIDS, ids=["d1", "d2"])
+    def test_analysis_synthesis(self, g, kind):
+        w = Window.gaussian(g)
+        lat = _merged_lattice(g, w, kind)
+        f = random_schwartz_signal(g, np.random.default_rng(22))
+        c = gabor_analysis(f, w, lat)
+        ref = _gabor_analysis_reference(f, w, lat)
+        assert c.values.shape == ref.values.shape == c.expected_shape
+        assert np.array_equal(c.values, ref.values)
+        assert np.array_equal(gabor_synthesis(c, w, lat).samples,
+                              _gabor_synthesis_reference(ref, w, lat).samples)
+
+    def test_atom_rows_d1(self, g256, w256, lat256):
+        old = _window_table(w256, lat256)[:, None, :] * _tone_table(lat256)[None, :, :]
+        assert np.array_equal(_atom_rows(w256, lat256), old.reshape(-1, old.shape[-1]))
+
+
+class TestTwoDimensional:
+    @pytest.fixture(scope="class")
+    def setup2d(self):
+        g = MERGED_GRIDS[1]
+        w = Window.gaussian(g)
+        return g, w, _merged_lattice(g, w, "radius3")
+
+    def test_analysis_matches_direct(self, setup2d):
+        g, w, lat = setup2d
+        f = random_schwartz_signal(g, np.random.default_rng(23))
+        a = gabor_analysis(f, w, lat).values
+        b = gabor_analysis_direct(f, w, lat).values
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_synthesis_matches_atom_sum(self, setup2d):
+        g, w, lat = setup2d
+        rng = np.random.default_rng(24)
+        shape = (len(lat.k_index),) * 2 + (len(lat.n_index),) * 2
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        acc = np.zeros(g.shape, dtype=complex)
+        ks, ns = lat.k_index, lat.n_index
+        for ki in product(range(len(ks)), repeat=2):
+            for ni in product(range(len(ns)), repeat=2):
+                atom = gabor_atom(w, lat, [ks[i] for i in ki], [ns[i] for i in ni])
+                acc += vals[ki + ni] * atom.samples
+        rec = gabor_synthesis(GaborCoeffs(lat, vals), w, lat).samples
+        assert np.max(np.abs(rec - acc)) <= 1e-12
+
+    def test_stft_strided_matches_direct(self, setup2d):
+        g, w, _ = setup2d
+        f = random_schwartz_signal(g, np.random.default_rng(25))
+        fast = stft(f, w, x_stride=2).values
+        slow = stft_direct(f, w, x_stride=2).values
+        assert fast.shape == (8, 8, 16, 16)
+        assert np.max(np.abs(fast - slow)) < 1e-10
+
+    def test_frame_matrix_dense(self, grid2d):
+        w, lat, S = grid2d
+        D = frame_matrix_dense(w, lat)
+        assert np.max(np.abs(D - S)) <= 1e-12 * np.max(np.abs(S))
