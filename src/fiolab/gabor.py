@@ -2,9 +2,10 @@
 
 The STFT follows V_g f(x, eta) = <f, M_eta T_x g>; on the grid this is the
 discrete Fourier transform of f * conj(T_x g) evaluated at the frequency
-nodes.  The products for all x nodes are stacked along a leading axis and
-one batched FFT over the last d axes computes every frequency slice, in any
-dimension d.
+nodes.  The products for a block of x nodes are stacked along a leading
+axis and one batched FFT over the last d axes computes their frequency
+slices, in any dimension d; consumers take the STFT block by block, so a
+norm never holds the whole array.
 
 Gabor systems live on separable lattices alpha*Z^d x beta*Z^d with alpha a
 multiple of dx and beta a multiple of deta.  Modulations are exactly
@@ -109,19 +110,53 @@ def _spectrum(rows: Array, gr: GridSpec) -> Array:
         * gr.space_step ** gr.dim
 
 
-def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
-    """Dense STFT: the products f * conj(T_x g) of every (strided) x node,
-    filled in place, then one batched FFT."""
+# Bytes of complex STFT rows per block of _stft_blocks: small enough that
+# every pass over a block runs in cache (16 rows at N = 4096, d = 1).
+_STFT_BLOCK_BYTES = 1 << 20
+
+
+def _stft_blocks(f: Signal, g: Window, x_stride: int):
+    """The STFT in consecutive blocks of x nodes: yields (i0, rows), rows
+    the un-shifted DFT over the last d axes of f * conj(T_x g) for the x
+    nodes i0, i0 + 1, ... of product(x offsets, repeat=d).  Neither the
+    centring (fftshift and the +-1 phase) nor dx^d is applied.
+
+    T_x g of a whole block is one fancy index into the sliding windows of
+    conj(g) zero-padded to 3N per axis: the window starting at N - s is
+    conj(T_s g) for every shift |s| <= N/2."""
     if f.grid != g.grid:
         raise ValueError("signal and window must share a grid")
     gr = f.grid
     n = gr.samples_per_axis
-    offs = np.arange(0, n, x_stride) - n // 2
-    rows = np.empty((len(offs) ** gr.dim,) + gr.shape, dtype=complex)
-    for i, off in enumerate(product(offs, repeat=gr.dim)):
-        rows[i] = f.samples * np.conj(_zero_fill_shift(g.signal.samples, off))
-    vals = _spectrum(rows, gr).reshape((len(offs),) * gr.dim + gr.shape)
-    return StftData(gr, g.window_id, vals, x_stride)
+    d = gr.dim
+    gs = g.signal.samples
+    pad = np.zeros((3 * n,) * d, dtype=gs.dtype)
+    pad[(slice(n, 2 * n),) * d] = np.conj(gs)
+    shifted = np.lib.stride_tricks.sliding_window_view(pad, gr.shape)
+    starts = n - (np.arange(0, n, x_stride) - n // 2)
+    total = len(starts) ** d
+    step = max(1, _STFT_BLOCK_BYTES // (16 * n ** d))
+    axes = tuple(range(1, d + 1))
+    for i0 in range(0, total, step):
+        idx = np.unravel_index(np.arange(i0, min(i0 + step, total)), (len(starts),) * d)
+        rows = f.samples * shifted[tuple(starts[i] for i in idx)]
+        yield i0, np.fft.fftn(rows, axes=axes)
+
+
+def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
+    """Dense STFT: each block of _stft_blocks centred, scaled by dx^d and
+    written into one preallocated array."""
+    gr = f.grid
+    d = gr.dim
+    m = len(range(0, gr.samples_per_axis, x_stride))
+    axes = tuple(range(1, d + 1))
+    ph = _alternating_phase(gr.samples_per_axis, d)
+    scale = gr.space_step ** d
+    vals = np.empty((m ** d,) + gr.shape, dtype=complex)
+    for i0, rows in _stft_blocks(f, g, x_stride):
+        np.multiply(np.fft.fftshift(rows, axes=axes) * ph, scale,
+                    out=vals[i0:i0 + len(rows)])
+    return StftData(gr, g.window_id, vals.reshape((m,) * d + gr.shape), x_stride)
 
 
 def stft_direct(f: Signal, g: Window, x_stride: int = 1) -> StftData:
@@ -174,6 +209,18 @@ def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:
 # ---------------------------------------------------------------------------
 # Lattices and frame operators
 # ---------------------------------------------------------------------------
+
+def _mass_margin(g2: Array, k: int, alpha: float, dx: float, mass_tol: float) -> int:
+    """Grow k while the marginal g2 (|g|^2 along one axis) translated by
+    (k + 1) alpha keeps at least mass_tol of its mass in the box."""
+    tot = float(np.sum(g2))
+    n = len(g2)
+    while True:
+        s = int(round((k + 1) * alpha / dx))
+        if s >= n or float(np.sum(g2[: n - s])) < mass_tol * tot:
+            return k
+        k += 1
+
 
 @dataclass(frozen=True)
 class GaborLattice:
@@ -229,25 +276,19 @@ class GaborLattice:
         n_radius: Optional[int] = None,
         mass_tol: float = 1e-12,
     ) -> "GaborLattice":
-        """Default ranges: k spans the box plus the window-mass margin, n one
-        full modulation period (modulations alias with period 2*Nyquist)."""
+        """Default ranges: k spans the box plus the window-mass margin (the
+        largest over the axes, each from the window's |g|^2 summed over the
+        other axes), n one full modulation period (modulations alias with
+        period 2*Nyquist)."""
         if k_radius is None:
-            if window is not None and grid.dim == 1:
+            k_radius = int(np.floor(grid.half_width / alpha))
+            if window is not None:
                 g2 = np.abs(window.signal.samples) ** 2
-                tot = float(np.sum(g2))
-                k = int(np.floor(grid.half_width / alpha))
-                n = grid.samples_per_axis
-                while True:
-                    s = int(round((k + 1) * alpha / grid.space_step))
-                    if s >= n:
-                        break
-                    inbox = float(np.sum(g2[: n - s]))
-                    if inbox < mass_tol * tot:
-                        break
-                    k += 1
-                k_radius = k
-            else:
-                k_radius = int(np.floor(grid.half_width / alpha))
+                d = grid.dim
+                k_radius = max(
+                    _mass_margin(g2.sum(axis=tuple(b for b in range(d) if b != a)),
+                                 k_radius, alpha, grid.space_step, mass_tol)
+                    for a in range(d))
         k_index = tuple(range(-k_radius, k_radius + 1))
         if n_radius is None:
             period = int(round(2.0 * grid.nyquist / beta))

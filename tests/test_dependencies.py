@@ -220,3 +220,38 @@ def test_unreferenced_name_check_sees_reads():
     assert _module_names(tree) == {"X", "Y", "Z", "f", "C", "W", "T"}
     assert {"X", "np", "a", "C", "attr", "f", "mod"} <= _reads(tree)
     assert not {"Y", "Z", "W", "T"} & _reads(tree)
+
+
+def _fft_out_calls(tree):
+    """numpy.fft calls that pass out=, reached as np.fft.f, numpy.fft.f,
+    fft.f or a name imported from numpy.fft."""
+    from_fft = {a.asname or a.name for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom) and n.module == "numpy.fft"
+                for a in n.names}
+    bad = []
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and any(k.arg == "out" for k in call.keywords)):
+            continue
+        func = call.func
+        if (isinstance(func, ast.Attribute)
+                and ast.unparse(func.value) in {"np.fft", "numpy.fft", "fft"}) \
+                or (isinstance(func, ast.Name) and func.id in from_fft):
+            bad.append(f"line {call.lineno}: {ast.unparse(func)}")
+    return bad
+
+
+def test_no_fft_out_argument():
+    """pyproject.toml declares numpy>=1.24, and the out= argument of the
+    numpy.fft functions first appears in numpy 2.0."""
+    assert '"numpy>=1.24"' in (ROOT / "pyproject.toml").read_text()
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        bad += [f"{path.name}: {b}" for b in _fft_out_calls(ast.parse(path.read_text()))]
+    assert not bad, "numpy.fft calls with out= (numpy >= 2.0 only): " + ", ".join(bad)
+
+
+def test_fft_out_check_sees_calls():
+    src = ("import numpy as np\nfrom numpy.fft import ifft as inv\n"
+           "a = np.fft.fftn(x, axes=(1,), out=x)\nb = inv(x, out=x)\n"
+           "c = np.fft.fft(x)\nd = np.multiply(x, 2, out=x)\n")
+    assert _fft_out_calls(ast.parse(src)) == ["line 3: np.fft.fftn", "line 4: inv"]

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from itertools import product
 
+from fiolab import gabor
+from fiolab.experiments import default_chi, make_fn, sharpness_grid, sharpness_window
 from fiolab.gabor import (
     GaborCoeffs,
     GaborLattice,
@@ -506,6 +510,66 @@ class TestMergedPathsByteReference:
     def test_atom_rows_d1(self, g256, w256, lat256):
         old = _window_table(w256, lat256)[:, None, :] * _tone_table(lat256)[None, :, :]
         assert np.array_equal(_atom_rows(w256, lat256), old.reshape(-1, old.shape[-1]))
+
+
+class TestStftBlocks:
+    """stft and mod_norm read the STFT from _stft_blocks, _STFT_BLOCK_BYTES
+    of rows at a time.  At that size a small grid fits in one block, so the
+    byte checks here also shrink the block to 7 rows: several blocks, the
+    last one short."""
+
+    @pytest.mark.parametrize("x_stride", [1, 2, 3])
+    @pytest.mark.parametrize("g", MERGED_GRIDS, ids=["d1", "d2"])
+    def test_small_blocks_keep_bits(self, g, x_stride, monkeypatch):
+        monkeypatch.setattr(gabor, "_STFT_BLOCK_BYTES", 7 * 16 * g.size)
+        w = Window.gaussian(g)
+        f = random_schwartz_signal(g, np.random.default_rng(26))
+        V = stft(f, w, x_stride=x_stride)
+        assert np.array_equal(V.values, _stft_reference(f, w, x_stride=x_stride).values)
+        nodes = len(range(0, g.samples_per_axis, x_stride)) ** g.dim
+        starts = [(i0, len(rows)) for i0, rows in gabor._stft_blocks(f, w, x_stride)]
+        assert [i0 for i0, _ in starts] == list(range(0, nodes, 7))
+        assert sum(b for _, b in starts) == nodes and starts[-1][1] <= 7
+
+    def test_grid_mismatch_rejected(self, g256, w256):
+        f = random_schwartz_signal(GridSpec(1, 8.0, 128), np.random.default_rng(27))
+        with pytest.raises(ValueError, match="share a grid"):
+            stft(f, w256)
+
+    def test_m1_call_holds_one_copy(self):
+        """The m1 sweep's STFT (N = 4096, x_stride 4) is 64 MB of values;
+        filling it block by block keeps the traced peak near one copy."""
+        g = sharpness_grid()
+        f = make_fn(64, default_chi(), g)
+        w = sharpness_window(g)
+        tracemalloc.start()
+        try:
+            V = stft(f, w, x_stride=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.values.nbytes == 64 * 2 ** 20
+        assert peak <= 80 * 2 ** 20
+
+
+class TestLatticeMargin:
+    def test_window_margin_same_in_every_dimension(self):
+        """The window-mass margin of k_radius comes from each axis's marginal
+        of |g|^2, so a d = 2 Gaussian lattice gets the d = 1 range."""
+        lats = [GaborLattice.for_grid(g, 0.5, 0.5, window=Window.gaussian(g))
+                for g in (GridSpec(1, 4.0, 16), GridSpec(2, 4.0, 16))]
+        bare = GaborLattice.for_grid(GridSpec(2, 4.0, 16), 0.5, 0.5)
+        assert lats[0].k_index == lats[1].k_index
+        assert lats[1].k_index[-1] == 11 > bare.k_index[-1] == 8
+
+    def test_widest_axis_sets_the_margin(self):
+        g1, g2 = GridSpec(1, 4.0, 16), GridSpec(2, 4.0, 16)
+        narrow, wide = (Window.gaussian(g1, wd) for wd in (0.25, 2.0))
+        k_wide = GaborLattice.for_grid(g1, 0.5, 0.5, window=wide).k_index
+        assert k_wide[-1] == 15
+        for a, b in ((narrow, wide), (wide, narrow)):
+            w = Window.from_signal(Signal(g2, np.outer(a.signal.samples, b.signal.samples)))
+            assert GaborLattice.for_grid(g2, 0.5, 0.5, window=w).k_index == k_wide
 
 
 class TestTwoDimensional:

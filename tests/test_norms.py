@@ -1,7 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fiolab.gabor import GaborLattice, Window, gabor_analysis, tight_window
+from fiolab import gabor
+from fiolab.experiments import default_chi, make_fn, sharpness_grid, sharpness_window
+from fiolab.gabor import (
+    GaborLattice,
+    Window,
+    gabor_analysis,
+    stft,
+    stft_direct,
+    tight_window,
+)
 from fiolab.grid import (
     GridSpec,
     Signal,
@@ -24,6 +35,8 @@ from fiolab.norms import (
     lloc_check,
     mod_norm,
     seq_norm,
+    _mixed_norm,
+    _weight_array,
 )
 
 from conftest import make_corpus
@@ -97,6 +110,70 @@ class TestModNorm:
             rb = mod_norm(f, 1, window=wb).value
             ratios.append(ra / rb)
         assert max(ratios) / min(ratios) < 10.0
+
+
+def _mod_norm_reference(data, p, q, weight):
+    """mod_norm as it was computed from the whole dense STFT data."""
+    gr = data.grid
+    w_arr = _weight_array(gr.space_axis()[data.x_axis_indices], gr.freq_axis(), weight, gr.dim)
+    return _mixed_norm(data.values, w_arr, p, q, gr.dim,
+                       gr.space_step * data.x_stride, gr.freq_step)
+
+
+PQ = [(p, q) for p in (1.0, 2.0, 4.0, np.inf) for q in dict.fromkeys((p, np.inf))]
+WEIGHTS = [WeightSpec(0, 0), WeightSpec(1, 1), WeightSpec(2, -1)]
+
+
+class TestStreamedModNorm:
+    """mod_norm streams the STFT in blocks and must equal the dense-STFT
+    norm bit for bit.  "small" blocks are 7 rows, so every grid here spans
+    several blocks and x_stride 3 leaves a short last one."""
+
+    @pytest.mark.parametrize("block", ["default", "small"])
+    @pytest.mark.parametrize("x_stride", [1, 2, 3])
+    @pytest.mark.parametrize("g", [GridSpec(1, 8.0, 256), GridSpec(2, 4.0, 16)],
+                             ids=["d1", "d2"])
+    def test_matches_dense_reference(self, g, x_stride, block, monkeypatch):
+        if block == "small":
+            monkeypatch.setattr(gabor, "_STFT_BLOCK_BYTES", 7 * 16 * g.size)
+        w = Window.gaussian(g)
+        f = random_schwartz_signal(g, np.random.default_rng(29))
+        data = stft(f, w, x_stride=x_stride)
+        for p, q in PQ:
+            for weight in WEIGHTS:
+                got = mod_norm(f, p, q, weight, window=w, x_stride=x_stride).value
+                assert got == _mod_norm_reference(data, p, q, weight), (p, q, weight)
+
+    def test_m1_witness(self):
+        g = sharpness_grid()
+        w = sharpness_window(g)
+        f = make_fn(64, default_chi(), g)
+        ref = _mod_norm_reference(stft(f, w, x_stride=4), 1.0, 1.0, WeightSpec())
+        assert mod_norm(f, 1.0, window=w, x_stride=4).value == ref
+
+    def test_2d_against_direct_summation(self):
+        g = GridSpec(2, 4.0, 16)
+        w = Window.gaussian(g)
+        f = random_schwartz_signal(g, np.random.default_rng(30))
+        data = stft_direct(f, w, x_stride=2)
+        for p, q in [(1.0, 1.0), (2.0, np.inf), (np.inf, 2.0)]:
+            for weight in WEIGHTS:
+                ref = _mod_norm_reference(data, p, q, weight)
+                got = mod_norm(f, p, q, weight, window=w, x_stride=2).value
+                assert abs(got - ref) <= 1e-12 * ref
+
+    def test_m1_call_peak_memory(self):
+        """The dense STFT of this call alone is 64 MB."""
+        g = sharpness_grid()
+        w = sharpness_window(g)
+        f = make_fn(64, default_chi(), g)
+        tracemalloc.start()
+        try:
+            mod_norm(f, 1.0, window=w, x_stride=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
 
 class TestFlNorm:
