@@ -12,10 +12,14 @@ multiple of dx and beta a multiple of deta.  Modulations are exactly
 periodic modulo 2*Nyquist on the grid, so the default frequency index range
 is one full period; the space range covers the box plus a margin chosen by
 an atom-mass rule.  On that range the frame operator is block diagonal
-(Walnut), and the frame solvers factor its blocks exactly.
+(Walnut), and the frame solvers factor its blocks exactly.  Since the tones
+of any lattice repeat after N / gcd(N, n_step) samples, the same fibers
+fold the lattice coefficients of many signals at once (_folded_analysis,
+which gives the Gabor-matrix rows).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -351,14 +355,19 @@ def _tone_table(lat: GaborLattice) -> Array:
         lat.n_values.astype(float), x))
 
 
+def _tone_rows(tones: Array, d: int) -> Array:
+    """The tones of all n tuples from a 1-D table tones[n, x]: the product
+    over axes of the 1-D tones, axes ordered (n_1..n_d, x_1..x_d), as rows
+    in lat.n_tuples() order over the flattened x tuples."""
+    t = reduce(np.multiply.outer, [tones] * d)
+    t = t.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
+    return t.reshape(tones.shape[0] ** d, -1)
+
+
 def _atom_rows(g: Window, lat: GaborLattice) -> Array:
     """All atoms M_{beta n} T_{alpha k} g as flattened rows, k-major, in
-    lat.k_tuples() x lat.n_tuples() order.  The tone of an n tuple is the
-    product over axes of the 1-D tones, axes ordered (n_1..n_d, x_1..x_d)."""
-    d = lat.grid.dim
-    tones = reduce(np.multiply.outer, [_tone_table(lat)] * d)
-    tones = tones.transpose(list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2)))
-    tones = tones.reshape(len(lat.n_index) ** d, -1)
+    lat.k_tuples() x lat.n_tuples() order."""
+    tones = _tone_rows(_tone_table(lat), lat.grid.dim)
     TG = _window_table(g, lat).reshape(-1, 1, tones.shape[1])
     return (TG * tones).reshape(-1, tones.shape[1])
 
@@ -460,6 +469,43 @@ def _unfibers(b: Array, p: int, shape: tuple[int, ...]) -> Array:
     q = shape[0] // p
     order = [k for i in range(d) for k in (d + i, i)]
     return b.reshape((p,) * d + (q,) * d).transpose(order).reshape(shape)
+
+
+# Bytes of complex per-column work in one column block of _folded_analysis
+# (the larger of a column's residue sums and its coefficients).
+_FOLD_BLOCK_BYTES = 1 << 22
+
+
+def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
+    """<h, g_{k',n'}> for every column h of cols (grid size, m), as rows
+    k-major in lat.k_tuples() x lat.n_tuples() order: shape (num_atoms, m).
+
+    beta is a multiple of the frequency step, so every tone
+    exp(2 pi i beta n' x) repeats after P = N / gcd(N, n_step) samples per
+    axis.  The inner product therefore folds onto the Walnut fibers of
+    _fibers: the Q^d = (N / P)^d samples of each residue tuple r are summed
+    against conj(T_{k'} g) first, one batched matmul giving (P^d, K, m), and
+    the P^d residue sums then against the conjugated tones of the first P
+    samples, one gemm.  Columns go in blocks of _FOLD_BLOCK_BYTES.
+    """
+    gr = g.grid
+    d = gr.dim
+    n = gr.samples_per_axis
+    p = n // math.gcd(n, lat.n_step)
+    W = _fibers(_window_table(g, lat).conj(), p, d).transpose(1, 0, 2)
+    T = _tone_rows(_tone_table(lat)[:, :p], d).conj()
+    nk, nn = W.shape[1], T.shape[0]
+    m = cols.shape[1]
+    out = np.empty((nk, nn, m), dtype=complex)
+    step = max(1, _FOLD_BLOCK_BYTES // (16 * nk * max(p ** d, nn)))
+    scale = gr.space_step ** d
+    for c0 in range(0, m, step):
+        h = _fibers(cols[:, c0:c0 + step].T.reshape((-1,) + gr.shape), p, d)
+        Y = W @ h.transpose(1, 2, 0)
+        Z = T @ Y.reshape(p ** d, -1)
+        np.multiply(Z.reshape(nn, nk, -1).transpose(1, 0, 2), scale,
+                    out=out[:, :, c0:c0 + step])
+    return out.reshape(nk * nn, m)
 
 
 def _frame_blocks(g: Window, lat: GaborLattice) -> Array:

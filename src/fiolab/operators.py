@@ -31,6 +31,12 @@ op_norm_estimate) goes through it.  kernel_path names the path it takes:
 
 A symbol rebuilt without `separable` (SymbolSpec(name, order, fn)) always
 takes the dense reference path; the tests compare the fast paths with it.
+
+gabor_matrix sends every lattice atom through one application as a column
+and folds the outputs onto the Walnut fibers of the tone period
+(gabor._folded_analysis) instead of a dense atoms x outputs Gram product;
+the decay certificates build their envelopes from per-axis-group bracket
+tables instead of num_atoms^2 temporaries.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gabor import GaborLattice, Window, _atom_rows, _power_iteration
+from .gabor import GaborLattice, Window, _atom_rows, _folded_analysis, _power_iteration
 from .grid import (
     Array,
     GridSpec,
@@ -546,14 +552,19 @@ def gabor_matrix(
     zero_floor: float = ZERO_FLOOR,
 ) -> GaborMatrix:
     """Assemble <Op g_{k,n}, g_{k',n'}>: all atoms go through the operator as
-    the columns of one application, followed by one Gram product."""
+    the columns of one application, and the rows come from the Walnut-fiber
+    fold of the output columns (gabor._folded_analysis), for any lattice.
+    Entries below zero_floor times the peak modulus are set to 0."""
     gr = g.grid
     atoms, kp, npos = _atom_table(g, lat)
     outs = op._apply_flat(gr, atoms.T)
-    entries = (atoms.conj() @ outs) * gr.space_step ** gr.dim
-    peak = np.abs(entries).max()
+    atoms = None  # only the outputs enter the fold
+    entries = _folded_analysis(outs, g, lat)
+    outs = None
+    mag = np.abs(entries)
+    peak = mag.max()
     if peak > 0:
-        entries[np.abs(entries) < zero_floor * peak] = 0.0
+        entries[mag < zero_floor * peak] = 0.0
     return GaborMatrix(entries=entries, k_phys=kp, n_phys=npos, lattice=lat,
                        window_id=g.window_id, operator_id=op.operator_id)
 
@@ -564,33 +575,55 @@ class DecayReport:
     worst: tuple[int, int]
 
 
-def diag_decay_certify(M: GaborMatrix, m1: float, m2: float,
-                       N1: int = 1, N2: int = 1) -> DecayReport:
-    """Smallest C with |entry| <= C <n>^{m1} <k'>^{m2} <n-n'>^{-2N1} <k-k'>^{-2N2}."""
-    kb = bracket(M.k_phys)
-    nb = bracket(M.n_phys)
-    dk = M.k_phys[:, None, :] - M.k_phys[None, :, :]
-    dn = M.n_phys[:, None, :] - M.n_phys[None, :, :]
-    decay = bracket(dn) ** (-2 * N1) * bracket(dk) ** (-2 * N2)
-    envelope = np.outer(kb ** m2, nb ** m1) * decay
-    ratios = np.abs(M.entries) / envelope
+def _lattice_tables(M: GaborMatrix) -> tuple[Array, Array]:
+    """The k and n lattice positions of M, one row per k tuple and per n
+    tuple (the flattened index is k-major: k_flat * nn + n_flat)."""
+    nn = len(M.lattice.n_index) ** M.lattice.grid.dim
+    return M.k_phys[::nn], M.n_phys[:nn]
+
+
+def _pair_brackets(z: Array, sign: float) -> Array:
+    """<z_i + sign z_j> over all pairs (i, j) of the rows of z; sign is +-1,
+    so sign z_j is exact and the sums equal the dense z_i +- z_j bit for bit."""
+    return bracket(z[:, None, :] + sign * z[None, :, :])
+
+
+def _ratio_report(M: GaborMatrix, envelope: Array) -> DecayReport:
+    """The largest |entries| / envelope, envelope a (k', n', k, n) array
+    that is overwritten by the ratios."""
+    ratios = np.divide(np.abs(M.entries).reshape(envelope.shape), envelope, out=envelope)
     i = int(np.argmax(ratios))
     return DecayReport(constant=float(ratios.ravel()[i]),
                        worst=(i // M.num_atoms, i % M.num_atoms))
+
+
+def diag_decay_certify(M: GaborMatrix, m1: float, m2: float,
+                       N1: int = 1, N2: int = 1) -> DecayReport:
+    """Smallest C with |entry| <= C <n>^{m1} <k'>^{m2} <n-n'>^{-2N1} <k-k'>^{-2N2}.
+
+    The envelope is built on a (k', n', k, n) view from the (k', k) and
+    (n', n) bracket tables, in the multiplication order of the dense form
+    (<k'>^{m2} <n>^{m1}) (<n-n'>^{-2N1} <k-k'>^{-2N2})."""
+    kt, nt = _lattice_tables(M)
+    dn = _pair_brackets(nt, -1.0) ** (-2 * N1)
+    dk = _pair_brackets(kt, -1.0) ** (-2 * N2)
+    envelope = np.multiply(dn[None, :, None, :], dk[:, None, :, None])
+    outer = np.multiply.outer(bracket(kt) ** m2, bracket(nt) ** m1)
+    envelope *= outer[:, None, None, :]
+    return _ratio_report(M, envelope)
 
 
 def weyl_decay_certify(M: GaborMatrix, m1: float, m2: float,
                        N1: int = 1, N2: int = 1) -> DecayReport:
-    """Weyl variant: weights <n+n'>^{m1} <k+k'>^{m2} (midpoint covariance)."""
-    sk = bracket(M.k_phys[:, None, :] + M.k_phys[None, :, :])
-    sn = bracket(M.n_phys[:, None, :] + M.n_phys[None, :, :])
-    dk = bracket(M.k_phys[:, None, :] - M.k_phys[None, :, :])
-    dn = bracket(M.n_phys[:, None, :] - M.n_phys[None, :, :])
-    envelope = sn ** m1 * sk ** m2 * dn ** (-2 * N1) * dk ** (-2 * N2)
-    ratios = np.abs(M.entries) / envelope
-    i = int(np.argmax(ratios))
-    return DecayReport(constant=float(ratios.ravel()[i]),
-                       worst=(i // M.num_atoms, i % M.num_atoms))
+    """Weyl variant: weights <n+n'>^{m1} <k+k'>^{m2} (midpoint covariance),
+    combined left to right as <n+n'>^{m1} <k+k'>^{m2} <n-n'>^{-2N1} <k-k'>^{-2N2}
+    on a (k', n', k, n) view of the bracket tables."""
+    kt, nt = _lattice_tables(M)
+    envelope = np.multiply((_pair_brackets(nt, 1.0) ** m1)[None, :, None, :],
+                           (_pair_brackets(kt, 1.0) ** m2)[:, None, :, None])
+    envelope *= (_pair_brackets(nt, -1.0) ** (-2 * N1))[None, :, None, :]
+    envelope *= (_pair_brackets(kt, -1.0) ** (-2 * N2))[:, None, :, None]
+    return _ratio_report(M, envelope)
 
 
 @dataclass

@@ -30,6 +30,7 @@ from fiolab.gabor import (
 from fiolab.grid import (
     GridSpec,
     Signal,
+    TruncationAliasingWarning,
     WeightSpec,
     gaussian_generator,
     lp_norm,
@@ -201,8 +202,11 @@ def test_c07_structural_identities(grid, warped_phase, corpus):
     gens = [Signal.from_generator(grid, gaussian_generator(0.9)),
             Signal.from_generator(grid, gaussian_generator(1.3))]
     fam = LPFamily(j_max=3)
-    dil = max(dilation_conjugation_check(sym, warped_phase, fam, j, k, gens)
-              for (j, k) in ((2, 0), (3, 1)))
+    # the outer dilate(lam=2) leaves Nyquist-edge mass above its 1e-8
+    # warning threshold; any other warning is re-emitted
+    with pytest.warns(TruncationAliasingWarning, match=r"^dilate\(lam=2\.0\)"):
+        dil = max(dilation_conjugation_check(sym, warped_phase, fam, j, k, gens)
+                  for (j, k) in ((2, 0), (3, 1)))
     ok = max(adj, tra, fc, dil) < 1e-8
     report(7, ok, "FIO structural identities",
            f"adjoint {adj:.2e}, transpose {tra:.2e}, F-conj {fc:.2e}, "
