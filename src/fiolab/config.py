@@ -21,8 +21,7 @@ class ConfigError(ValueError):
 
 _SCHEMA: dict[str, dict[str, str]] = {
     "grid": {"dim": "int", "half_width": "float", "samples_per_axis": "int"},
-    "window": {"kind": "str", "width": "float"},
-    "lattice": {"alpha": "float", "beta": "float", "k_radius": "int", "n_radius": "int"},
+    "lattice": {"alpha": "float", "beta": "float"},
     "experiment": {
         "name": "str",
         "p": "float",
@@ -38,10 +37,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "diffeo_c": "float",
         "orders": "pairlist",
         "radii": "intlist",
-        "x_stride": "int",
-        "symbol": "str",
-        "phase": "str",
-        "refine": "int",
     },
 }
 
@@ -75,12 +70,6 @@ class ExperimentConfig:
 
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
-
-    def require(self, section: str, key: str):
-        v = self.get(section, key)
-        if v is None:
-            raise ConfigError(f"missing [{section}] {key}")
-        return v
 
     def grid(self, default: GridSpec | None = None) -> GridSpec:
         sec = self.sections.get("grid")
@@ -256,7 +245,6 @@ radii = 16,24
 [experiment]
 name = l2_stability
 diffeo_c = 0.3
-refine = 1
 """,
     "norm_equivalence": """\
 [grid]

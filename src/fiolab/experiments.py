@@ -98,10 +98,6 @@ class ThresholdVerdict:
     threshold: float
     rows: tuple[tuple, ...] = ()  # (n, witness, norm_in, norm_out, ratio)
 
-    @property
-    def matches(self) -> bool:
-        return self.verdict == self.expected
-
 
 # ---------------------------------------------------------------------------
 # Witness families
@@ -127,7 +123,6 @@ def _tensor_power(chi: Generator, dim: int) -> Generator:
     return Generator(
         name="bump_tensor", params=dict(chi.params),
         fn=lambda *cs: np.prod([np.asarray(chi(c)) for c in cs], axis=0),
-        support=tuple(chi.support[0] for _ in range(dim)) if chi.support else None,
     )
 
 
@@ -305,13 +300,6 @@ def lp_threshold_experiment(
         verdict=classify_slope(fit.slope), fit=fit, threshold=thr,
         rows=tuple(rows),
     )
-
-
-def theorem_lp_frequency_experiment(m_tilde: float, p: float, **kw) -> ThresholdVerdict:
-    """The 2 < p < infinity boundary case: bounded iff m <= -(1/2 - 1/p)."""
-    if not 2.0 < p < np.inf:
-        raise ValueError("this experiment targets 2 < p < infinity")
-    return lp_threshold_experiment(m_tilde, p, **kw)
 
 
 # ---------------------------------------------------------------------------

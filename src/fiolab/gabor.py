@@ -566,33 +566,3 @@ def tight_window(g: Window, lat: GaborLattice,
     NotAFrameError when the frame is degenerate: by bounds.is_frame when
     bounds is given, else by the block spectrum at the default ratio_cap."""
     return _frame_power(g, lat, -0.5, bounds=bounds)
-
-
-def frame_degeneracy_check(
-    alpha: float,
-    beta: float,
-    grids: tuple[GridSpec, ...],
-    width: float = 1.0,
-) -> dict:
-    """Track the lower frame bound as the truncation box grows.
-
-    The discrete system is always a finite frame; degeneracy of the
-    underlying continuous system (critical-density Gaussian, Balian-Low)
-    shows up as a lower bound collapsing with the box size, while a true
-    frame keeps a stable positive bound.  Bounds come from frame_bounds,
-    exact block spectra, so the verdict depends on no stopping rule and no
-    grid is too large for a dense matrix.  Pass grids with growing
-    half_width; the fitted exponent of A against L below -1 reads as
-    degenerate.
-    """
-    lows, sizes = [], []
-    for gr in grids:
-        w = Window.gaussian(gr, width)
-        lat = GaborLattice.for_grid(gr, alpha, beta, window=w)
-        lows.append(max(frame_bounds(w, lat).lower, 1e-300))
-        sizes.append(gr.half_width)
-    sizes = np.asarray(sizes)
-    lows = np.asarray(lows)
-    slope = float(np.polyfit(np.log(sizes), np.log(lows), 1)[0])
-    return {"lower_bounds": lows.tolist(), "box_half_widths": sizes.tolist(),
-            "decay_exponent": slope, "degenerate": slope < -1.0}

@@ -156,16 +156,12 @@ class Generator:
 
     fn takes d coordinate arrays (broadcastable) and returns complex values.
     Dilations, translations and compositions re-evaluate the rule instead of
-    interpolating samples.  support/band are optional declared boxes
-    (per-axis (lo, hi) tuples) for exactly compactly supported respectively
-    band-limited rules.
+    interpolating samples.
     """
 
     name: str
     params: dict
     fn: Callable[..., Array]
-    support: Optional[tuple[tuple[float, float], ...]] = None
-    band: Optional[tuple[tuple[float, float], ...]] = None
 
     def __call__(self, *coords: Array) -> Array:
         return np.asarray(self.fn(*coords), dtype=complex)
@@ -173,15 +169,10 @@ class Generator:
     def translated(self, x0) -> "Generator":
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         base = self
-        sup = None
-        if base.support is not None:
-            sup = tuple((lo + float(s), hi + float(s)) for (lo, hi), s in zip(base.support, x0))
         return Generator(
             name=f"translate({base.name})",
             params={**base.params, "x0": tuple(map(float, x0))},
             fn=lambda *cs: base(*[c - s for c, s in zip(cs, x0)]),
-            support=sup,
-            band=base.band,
         )
 
     def modulated(self, eta0) -> "Generator":
@@ -191,22 +182,15 @@ class Generator:
             name=f"modulate({base.name})",
             params={**base.params, "eta0": tuple(map(float, eta0))},
             fn=lambda *cs: np.exp(2j * np.pi * sum(e * c for e, c in zip(eta0, cs))) * base(*cs),
-            support=base.support,
-            band=None,
         )
 
     def dilated(self, lam: float) -> "Generator":
         lam = float(lam)
         base = self
-        sup = None
-        if base.support is not None:
-            sup = tuple((lo / lam, hi / lam) for lo, hi in base.support)
         return Generator(
             name=f"dilate({base.name})",
             params={**base.params, "lam": lam},
             fn=lambda *cs: base(*[lam * c for c in cs]),
-            support=sup,
-            band=None,
         )
 
     def composed(self, maps: tuple[Callable[[Array], Array], ...], tag: str) -> "Generator":
@@ -216,8 +200,6 @@ class Generator:
             name=f"{tag}({base.name})",
             params=dict(base.params),
             fn=lambda *cs: base(*[m(c) for m, c in zip(maps, cs)]),
-            support=None,
-            band=base.band if all(m is None for m in maps) else None,
         )
 
 
@@ -232,7 +214,8 @@ def gaussian_generator(width: float = 1.0, dim: int = 1) -> Generator:
 
 
 def bump_generator(center: float = 0.5, half_width: float = 0.42, dim: int = 1) -> Generator:
-    """Smooth compactly supported bump, exactly zero outside the declared box."""
+    """Smooth compactly supported bump, exactly zero outside the box of
+    half-width half_width about center in every coordinate."""
     c, hw = float(center), float(half_width)
     return Generator(
         name="bump",
@@ -240,32 +223,6 @@ def bump_generator(center: float = 0.5, half_width: float = 0.42, dim: int = 1) 
         fn=lambda *cs: np.prod(
             [bump((np.asarray(t) - c) / hw) for t in cs], axis=0
         ) + 0j,
-        support=tuple(((c - hw, c + hw),) * dim),
-    )
-
-
-def bandlimited_generator(grid: "GridSpec", band_edge: float | None = None) -> Generator:
-    """Sinc-type signal: inverse transform of a smooth frequency plateau.
-
-    Evaluable at arbitrary points through its finite Fourier sum, and carries
-    a declared band so compact-spectrum hypotheses can be recognised exactly.
-    """
-    edge = float(band_edge) if band_edge is not None else grid.nyquist / 4.0
-    eta = grid.freq_axis()
-    prof = plateau(eta, edge / 2.0, edge)
-    deta = grid.freq_step
-    if grid.dim != 1:
-        raise NotImplementedError("bandlimited generator provided for d=1 only")
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(2j * np.pi * np.multiply.outer(t, eta)) @ (prof * deta)
-
-    return Generator(
-        name="bandlimited",
-        params={"band_edge": edge},
-        fn=fn,
-        band=((-edge, edge),),
     )
 
 
@@ -317,12 +274,6 @@ def bracket(z: Array) -> Array:
     """Japanese bracket <z> = (1 + |z|^2)^{1/2}, |.| over the last axis."""
     z = np.asarray(z, dtype=float)
     return np.sqrt(1.0 + np.sum(z * z, axis=-1))
-
-
-def bracket1(z: Array) -> Array:
-    """Scalar-argument bracket, no axis reduction."""
-    z = np.asarray(z, dtype=float)
-    return np.sqrt(1.0 + z * z)
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +447,6 @@ def inner_product(f: Signal, g: Signal) -> complex:
         raise ValueError("signals live on different grids")
     dx = f.grid.space_step ** f.grid.dim
     return complex(np.vdot(g.samples, f.samples) * dx)
-
-
-def weighted_multiply(f: Signal, weight: Callable[..., Array]) -> Signal:
-    """Pointwise multiply by weight(x1, ..., xd) evaluated on the grid."""
-    w = np.asarray(weight(*f.grid.space_mesh()))
-    return Signal(f.grid, f.samples * w)
 
 
 def random_schwartz_signal(grid: GridSpec, rng: np.random.Generator) -> Signal:

@@ -37,10 +37,6 @@ from .util import GrowthFit, fit_loglog
 Array = np.ndarray
 
 
-class HypothesisError(ValueError):
-    """Input does not satisfy the hypothesis of the requested check."""
-
-
 @dataclass
 class NormReport:
     value: float
@@ -206,62 +202,6 @@ def gabor_norm_equivalence_check(
         mn = mod_norm(f, p, q, weight, window=g, x_stride=x_stride).value
         ratios.append(sn / mn)
     return EquivalenceReport(lo=min(ratios), hi=max(ratios), ratios=tuple(ratios))
-
-
-@dataclass
-class LlocReport:
-    kind: str  # "compact-support" or "band-limited"
-    mod_value: float
-    ref_value: float
-
-    @property
-    def ratio(self) -> float:
-        return self.mod_value / self.ref_value
-
-
-def lloc_check(f: Signal, p: float, q: float, window: Optional[Window] = None) -> LlocReport:
-    """Compactly supported: M^{p,q} against FL^q; band-limited: against L^p.
-
-    The hypothesis is read off the signal's generator metadata (declared
-    exact support or band); signals satisfying neither are rejected.  For
-    sample-only signals a 1e-10 relative mass rule on strict sub-boxes is
-    applied instead.
-    """
-    gen = f.generator
-    gr = f.grid
-    if gen is not None and gen.support is not None:
-        kind = "compact-support"
-    elif gen is not None and gen.band is not None:
-        kind = "band-limited"
-    elif gen is None:
-        half = gr.half_width / 2.0
-        mesh = gr.space_mesh()
-        inside = np.ones(gr.shape, dtype=bool)
-        for m in mesh:
-            inside &= np.abs(m) <= half
-        tot = float(np.sum(np.abs(f.samples) ** 2))
-        out_mass = float(np.sum(np.abs(f.samples[~inside]) ** 2)) / tot
-        fh = fourier_transform(f)
-        fmesh = gr.freq_mesh()
-        finside = np.ones(gr.shape, dtype=bool)
-        for m in fmesh:
-            finside &= np.abs(m) <= gr.nyquist / 2.0
-        ftot = float(np.sum(np.abs(fh.samples) ** 2))
-        f_out = float(np.sum(np.abs(fh.samples[~finside]) ** 2)) / ftot
-        if out_mass < 1e-10:
-            kind = "compact-support"
-        elif f_out < 1e-10:
-            kind = "band-limited"
-        else:
-            raise HypothesisError("signal is neither compactly supported nor band-limited")
-    else:
-        raise HypothesisError(
-            "generator declares neither exact support nor band; "
-            "norm equivalence hypotheses do not apply"
-        )
-    mv = mod_norm(f, p, q, window=window).value
-    ref = fl_norm(f, q) if kind == "compact-support" else lp_norm(f, p)
-    return LlocReport(kind=kind, mod_value=mv, ref_value=ref)
 
 
 def dilation_indices(p: float) -> tuple[float, float]:

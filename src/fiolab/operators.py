@@ -35,8 +35,8 @@ takes the dense reference path; the tests compare the fast paths with it.
 gabor_matrix sends every lattice atom through one application as a column
 and folds the outputs onto the Walnut fibers of the tone period
 (gabor._folded_analysis) instead of a dense atoms x outputs Gram product;
-the decay certificates build their envelopes from per-axis-group bracket
-tables instead of num_atoms^2 temporaries.
+diag_decay_certify builds its envelope from per-axis-group bracket tables
+instead of num_atoms^2 temporaries.
 """
 from __future__ import annotations
 
@@ -204,11 +204,6 @@ def _weyl_sum(p: SymbolSpec, grid: GridSpec, vals: Array) -> Array:
         ker = np.exp(2j * np.pi * np.sum((x[None, None, :] - xs[None, :, :]) * E, axis=-1))
         out[i] = np.sum(ker * p(mid, E), axis=0) @ cols
     return (out * (grid.space_step * grid.freq_step) ** grid.dim).reshape(vals.shape)
-
-
-def apply_weyl(p: SymbolSpec, f: Signal) -> Signal:
-    """Weyl quantization by the dense midpoint double sum (small grids only)."""
-    return Signal(f.grid, _weyl_sum(p, f.grid, f.samples.ravel()))
 
 
 def _aliasing_guard(
@@ -582,10 +577,9 @@ def _lattice_tables(M: GaborMatrix) -> tuple[Array, Array]:
     return M.k_phys[::nn], M.n_phys[:nn]
 
 
-def _pair_brackets(z: Array, sign: float) -> Array:
-    """<z_i + sign z_j> over all pairs (i, j) of the rows of z; sign is +-1,
-    so sign z_j is exact and the sums equal the dense z_i +- z_j bit for bit."""
-    return bracket(z[:, None, :] + sign * z[None, :, :])
+def _pair_brackets(z: Array) -> Array:
+    """<z_i - z_j> over all pairs (i, j) of the rows of z."""
+    return bracket(z[:, None, :] - z[None, :, :])
 
 
 def _ratio_report(M: GaborMatrix, envelope: Array) -> DecayReport:
@@ -605,24 +599,11 @@ def diag_decay_certify(M: GaborMatrix, m1: float, m2: float,
     (n', n) bracket tables, in the multiplication order of the dense form
     (<k'>^{m2} <n>^{m1}) (<n-n'>^{-2N1} <k-k'>^{-2N2})."""
     kt, nt = _lattice_tables(M)
-    dn = _pair_brackets(nt, -1.0) ** (-2 * N1)
-    dk = _pair_brackets(kt, -1.0) ** (-2 * N2)
+    dn = _pair_brackets(nt) ** (-2 * N1)
+    dk = _pair_brackets(kt) ** (-2 * N2)
     envelope = np.multiply(dn[None, :, None, :], dk[:, None, :, None])
     outer = np.multiply.outer(bracket(kt) ** m2, bracket(nt) ** m1)
     envelope *= outer[:, None, None, :]
-    return _ratio_report(M, envelope)
-
-
-def weyl_decay_certify(M: GaborMatrix, m1: float, m2: float,
-                       N1: int = 1, N2: int = 1) -> DecayReport:
-    """Weyl variant: weights <n+n'>^{m1} <k+k'>^{m2} (midpoint covariance),
-    combined left to right as <n+n'>^{m1} <k+k'>^{m2} <n-n'>^{-2N1} <k-k'>^{-2N2}
-    on a (k', n', k, n) view of the bracket tables."""
-    kt, nt = _lattice_tables(M)
-    envelope = np.multiply((_pair_brackets(nt, 1.0) ** m1)[None, :, None, :],
-                           (_pair_brackets(kt, 1.0) ** m2)[:, None, :, None])
-    envelope *= (_pair_brackets(nt, -1.0) ** (-2 * N1))[None, :, None, :]
-    envelope *= (_pair_brackets(kt, -1.0) ** (-2 * N2))[:, None, :, None]
     return _ratio_report(M, envelope)
 
 
@@ -673,44 +654,6 @@ def schur_certify(M: GaborMatrix, weight: Optional[Callable] = None) -> SchurRep
     mixed_b = float(np.max(np.sum(inner_b, axis=1)))  # sum n, sup n'
     return SchurReport(sup_row=sup_row, sup_col=sup_col,
                        mixed_a=mixed_a, mixed_b=mixed_b)
-
-
-@dataclass
-class ConcentrationReport:
-    max_cell_distance: float
-    distances: Array
-
-    def passed(self, cells: float = 2.0) -> bool:
-        return bool(self.max_cell_distance <= cells)
-
-
-def fio_kernel_concentration(M: GaborMatrix, phase: PhaseSpec) -> ConcentrationReport:
-    """Peak offsets against the canonical-relation prediction.
-
-    For a column at (y, omega) the kernel should peak where
-    grad_eta Phi(y', omega) = y and omega' = grad_x Phi(y', omega); y' is
-    located on the lattice by direct search along the k axis.
-    """
-    lat = M.lattice
-    d = lat.grid.dim
-    alpha, beta = lat.alpha, lat.beta
-    kcand = np.asarray(sorted(set(map(tuple, M.k_phys.tolist()))), dtype=float)
-    col_norms = np.sqrt(np.sum(np.abs(M.entries) ** 2, axis=0))
-    keep = col_norms > 1e-12 * col_norms.max()
-    dists = []
-    for i in np.nonzero(keep)[0]:
-        y = M.k_phys[i]
-        om = M.n_phys[i]
-        ge = np.asarray(phase.grad_eta(kcand, np.broadcast_to(om, kcand.shape)))
-        jbest = int(np.argmin(np.sum((ge - y) ** 2, axis=-1)))
-        ypred = kcand[jbest]
-        opred = np.asarray(phase.grad_x(ypred[None, :], om[None, :]))[0]
-        ipk = int(np.argmax(np.abs(M.entries[:, i])))
-        dk = np.max(np.abs(M.k_phys[ipk] - ypred)) / alpha
-        dn = np.max(np.abs(M.n_phys[ipk] - opred)) / beta
-        dists.append(max(dk, dn))
-    dists = np.asarray(dists)
-    return ConcentrationReport(max_cell_distance=float(dists.max()), distances=dists)
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,9 @@ def run_experiment(
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
     cfg = cfg if cfg is not None else default_config(name)
+    declared = cfg.get("experiment", "name")
+    if declared is not None and declared != name:
+        raise ConfigError(f"config is for experiment {declared!r}, not {name!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man = RunManifest.start(

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import (Array, GridSpec, Signal, bracket, bump, fourier_transform,
-                   inverse_fourier, plateau)
+from .grid import Array, GridSpec, bracket, bump, plateau
 from .grid import smooth_step  # noqa: F401  (the cutoffs stay importable from symbols)
 
 # ---------------------------------------------------------------------------
@@ -115,15 +114,6 @@ class PhaseSpec:
 
     def __call__(self, x: Array, eta: Array) -> Array:
         return np.asarray(self.fn(x, eta), dtype=float)
-
-
-def symbol_sum(parts: Sequence[SymbolSpec], name: str = "sum") -> SymbolSpec:
-    m1 = max(s.order[0] for s in parts)
-    m2 = max(s.order[1] for s in parts)
-    return SymbolSpec(
-        name=name, order=(m1, m2),
-        fn=lambda x, eta: sum(s(x, eta) for s in parts),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +291,6 @@ def growth_validate(
                         passed=bool(r1 >= c and r2 >= c))
 
 
-def phase_consistency_check(phase: PhaseSpec, box: Box, samples: int = 9,
-                            h: float = 1e-3) -> float:
-    """Max deviation of the analytic mixed Hessian from differenced grad_x."""
-    X, E = _sample_points(box, samples)
-    d = box.dim
-    H = np.asarray(phase.mixed_hessian(X, E), dtype=float).reshape(-1, d, d)
-    worst = 0.0
-    for l in range(d):
-        Ep = E.copy()
-        Ep[:, l] += h
-        Em = E.copy()
-        Em[:, l] -= h
-        fd = (np.asarray(phase.grad_x(X, Ep)) - np.asarray(phase.grad_x(X, Em))) / (2 * h)
-        fd = fd.reshape(-1, d)
-        worst = max(worst, float(np.max(np.abs(fd - H[:, :, l]))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Littlewood-Paley family
 # ---------------------------------------------------------------------------
@@ -343,37 +315,6 @@ class LPFamily:
         if j == 0:
             return self.psi0(r)
         return self.psi(2.0 ** (-j) * r)
-
-    def psi_j_radial(self, j: int, r: Array) -> Array:
-        if j == 0:
-            return self.psi0(r)
-        return self.psi(2.0 ** (-j) * np.abs(np.asarray(r, dtype=float)))
-
-
-def lp_family(j_max: int, grid: Optional[GridSpec] = None) -> LPFamily:
-    if grid is not None and 2.0 ** (j_max + 1) > grid.nyquist:
-        raise ValueError(
-            f"piece j={j_max} is supported up to |eta| = {2.0 ** (j_max + 1)}, "
-            f"beyond the resolved band {grid.nyquist}"
-        )
-    return LPFamily(j_max=j_max)
-
-
-def lp_apply_freq(f: Signal, j: int, fam: LPFamily) -> Signal:
-    """Fourier multiplier psi_j(D)."""
-    gr = f.grid
-    fm = np.stack(gr.freq_mesh(), axis=-1)
-    mask = fam.psi_j(j, fm)
-    F = fourier_transform(f)
-    return inverse_fourier(Signal(F.grid, F.samples * mask))
-
-
-def lp_apply_space(f: Signal, j: int, fam: LPFamily) -> Signal:
-    """Pointwise multiplication by psi_j(x)."""
-    gr = f.grid
-    xm = np.stack(gr.space_mesh(), axis=-1)
-    return Signal(gr, f.samples * fam.psi_j(j, xm))
-
 
 # ---------------------------------------------------------------------------
 # Dyadic symbol pieces and dilation conjugates
@@ -434,29 +375,6 @@ def conjugated_piece(
     return s_new, p_new
 
 
-def dyadic_support_constant(sym_tilde: SymbolSpec, j: int, k: int,
-                            samples: int = 41, floor: float = 1e-12) -> float:
-    """Smallest C certifying the rescaled support box membership.
-
-    The conjugated piece must live where <2^{(j-k)/2} eta> ~ 2^j and
-    <2^{(k-j)/2} x> ~ 2^k; returns the max over the sampled support of the
-    two-sided comparability constant.
-    """
-    box = sym_tilde.support_hint
-    if box is None:
-        raise ValueError("conjugated piece carries no support hint")
-    X, E = _sample_points(box, samples)
-    vals = np.abs(sym_tilde(X, E))
-    m = vals > floor * (np.max(vals) if np.max(vals) > 0 else 1.0)
-    if not np.any(m):
-        return 1.0
-    lam = 2.0 ** ((j - k) / 2.0)
-    re = bracket(lam * E[m]) / 2.0 ** j
-    rx = bracket(X[m] / lam) / 2.0 ** k
-    cands = np.concatenate([re, 1.0 / re, rx, 1.0 / rx])
-    return float(np.max(cands))
-
-
 # ---------------------------------------------------------------------------
 # Diffeomorphism library
 # ---------------------------------------------------------------------------
@@ -513,9 +431,6 @@ class Diffeo:
             t[act] = ta
         t = np.where(y <= lo_edge, y, t)
         return float(t[0]) if scalar else t
-
-    def dphi_inv(self, y: Array) -> Array:
-        return 1.0 / self.dphi(self.phi_inv(y))
 
 
 def make_diffeo(c: float = 0.3, center: float = 0.5, width: float = 0.9) -> Diffeo:

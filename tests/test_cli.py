@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fiolab.cli import main
-from fiolab.config import ConfigError, default_config, parse_config
+from fiolab.config import DEFAULT_CONFIGS, ConfigError, default_config, load_config, \
+    parse_config
 from fiolab.gabor import GaborLattice, Window, gabor_analysis, stft
 from fiolab.grid import GridSpec, Signal, gaussian_generator, lp_norm
 from fiolab.manifest import load_manifest
@@ -58,6 +59,16 @@ class TestConfig:
         for key in ("seed = 11", "jobs = 2", "plot = true"):
             with pytest.raises(ConfigError, match=r"unknown section \[output\]"):
                 parse_config(f"{TINY_FL}\n[output]\n{key}\n")
+
+    def test_deleted_keys_rejected(self):
+        # the window is fixed per experiment and the lattice size by the runner
+        with pytest.raises(ConfigError, match=r"unknown section \[window\]"):
+            parse_config(f"{TINY_FL}\n[window]\nkind = gaussian\nwidth = 1\n")
+        for section, key in (("lattice", "k_radius = 4"), ("lattice", "n_radius = 4"),
+                             ("experiment", "x_stride = 2"), ("experiment", "symbol = one"),
+                             ("experiment", "phase = phase_linear"), ("experiment", "refine = 1")):
+            with pytest.raises(ConfigError, match=f"unknown key '{key.split()[0]}'"):
+                parse_config(f"[{section}]\n{key}\n")
 
     def test_physical_validation(self):
         bad = TINY_FL.replace("n_sweep = 8,16,32", "n_sweep = 8,16,4096")
@@ -343,6 +354,33 @@ class TestRunner:
         err = capsys.readouterr().err
         assert "predates the removal of [output] from the config schema" in err
         assert not (tmp_path / "c").exists()
+
+    def test_rerun_of_manifest_with_dropped_key_is_refused(self, tmp_path, capsys):
+        run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
+        path = tmp_path / "a" / "fl_growth.manifest.json"
+        data = json.loads(path.read_text())
+        data["config_text"] = data["config_text"].replace(
+            "[experiment]\n", "[experiment]\nrefine = 1\n")
+        path.write_text(json.dumps(data))
+        code = main(["experiment", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert "unknown key 'refine' in [experiment]" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_config_name_must_match_experiment(self, tmp_path, capsys):
+        lp = tmp_path / "lp.ini"
+        lp.write_text(DEFAULT_CONFIGS["lp_threshold"])
+        with pytest.raises(ConfigError, match="'lp_threshold', not 'm1_sharpness'"):
+            run_experiment("m1_sharpness", load_config(lp), tmp_path / "a")
+        code = main(["experiment", "m1_sharpness", "--config", str(lp),
+                     "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert "not 'm1_sharpness'" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.manifest.json"))
+        nameless = parse_config(TINY_FL.replace("name = fl_growth\n", ""))
+        assert run_experiment("fl_growth", nameless, tmp_path / "c").exit_code == 0
+        assert (tmp_path / "c" / "fl_growth.manifest.json").is_file()
 
     @pytest.mark.parametrize("name,cfg", [
         ("lp_threshold", "p = 4\nm = 0\nn_sweep = 8,16,32\n"),

@@ -3,7 +3,10 @@ standard library, numpy or fiolab itself, except matplotlib, which only
 runner._maybe_plot imports (and which degrades when it is missing).  Every
 module other than __init__ also reads each name it imports at module scope,
 and every entry point the benchmark's tracer wraps exists in fiolab, with
-every call the benchmark's workloads make into it binding to its signature."""
+every call the benchmark's workloads make into it binding to its signature.
+Every name fiolab defines is read somewhere, every module-level function is
+read by program code rather than by tests alone, and every config key the
+schema accepts is read by a runner or by the config's own validation."""
 import ast
 import importlib
 import inspect
@@ -197,29 +200,160 @@ def _reads(tree):
     return out
 
 
-def test_no_unreferenced_module_names():
-    """Every module-level def, class or assignment in fiolab is read
-    somewhere in src/, tests/, perfbench/ or scripts/."""
+def _class_members(tree):
+    """(class, name) of each non-dunder method or property defined in the
+    body of a module-level class."""
+    return {(node.name, item.name)
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
+def _tree_reads(*dirs):
     reads = set()
-    for d in ("src", "tests", "perfbench", "scripts"):
+    for d in dirs:
         for path in sorted((ROOT / d).rglob("*.py")):
             reads |= _reads(ast.parse(path.read_text(), str(path)))
+    return reads
+
+
+def test_no_unreferenced_module_names():
+    """Every module-level def, class or assignment in fiolab, and every
+    non-dunder method or property of a module-level class, is read
+    somewhere in src/, tests/, perfbench/ or scripts/."""
+    reads = _tree_reads("src", "tests", "perfbench", "scripts")
     bad = []
     for path in sorted(SRC.glob("*.py")):
-        for name in sorted(_module_names(ast.parse(path.read_text(), str(path)))):
+        tree = ast.parse(path.read_text(), str(path))
+        for name in sorted(_module_names(tree)):
             if name not in reads:
                 bad.append(f"{path.stem}.{name}")
+        for cls, name in sorted(_class_members(tree)):
+            if name not in reads:
+                bad.append(f"{path.stem}.{cls}.{name}")
     assert not bad, "module names nothing reads: " + ", ".join(bad)
 
 
 def test_unreferenced_name_check_sees_reads():
     src = ("import numpy as np\nfrom .grid import a\nX, Y = 1, 2\nZ: int = 3\n"
            "def f():\n    return X\nclass C:\n    pass\nW = np.pi + C.attr\n"
-           "T = ('mod', 'f')\n")
+           "T = ('mod', 'f')\n"
+           "class D:\n    def __init__(self):\n        self.v = self.prop\n"
+           "    @property\n    def prop(self):\n        return 1\n"
+           "    def dead(self):\n        return self.v\n")
     tree = ast.parse(src)
-    assert _module_names(tree) == {"X", "Y", "Z", "f", "C", "W", "T"}
-    assert {"X", "np", "a", "C", "attr", "f", "mod"} <= _reads(tree)
-    assert not {"Y", "Z", "W", "T"} & _reads(tree)
+    assert _module_names(tree) == {"X", "Y", "Z", "f", "C", "W", "T", "D"}
+    assert _class_members(tree) == {("D", "prop"), ("D", "dead")}
+    assert {"X", "np", "a", "C", "attr", "f", "mod", "prop"} <= _reads(tree)
+    assert not {"Y", "Z", "W", "T", "dead"} & _reads(tree)
+
+
+# Module-level functions that only tests call, kept on purpose: the dense
+# references that fast paths are compared against, the STFT inverse that
+# the gate's inversion criterion (c01) runs, and the four structural
+# identity checks of criterion c07.
+TEST_ONLY_FUNCTIONS = {
+    "gabor.stft_direct", "gabor.gabor_analysis_direct", "gabor.frame_matrix_dense",
+    "gabor.istft",
+    "operators.adjoint_identity_check", "operators.transpose_identity_check",
+    "operators.fourier_conjugation_check", "operators.dilation_conjugation_check",
+}
+
+
+def _test_only_functions(modules, program_reads):
+    """Module-level functions of `modules` ({stem: tree}) that no statement
+    of another function or module reads, and that are not in
+    `program_reads` (names read by code outside those modules)."""
+    readers, defs = {}, []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            owner = node.name if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if owner:
+                defs.append((stem, owner))
+            for name in _reads(node):
+                readers.setdefault(name, set()).add((stem, owner))
+    return sorted(f"{stem}.{name}" for stem, name in defs
+                  if name not in program_reads
+                  and not readers.get(name, set()) - {(stem, name)})
+
+
+def test_no_test_only_functions():
+    """Every module-level def in fiolab is read by program code: src/
+    outside its own definition and outside __init__.py, perfbench/ or
+    scripts/.  A function that only tests call is dead weight unless it is
+    listed in TEST_ONLY_FUNCTIONS."""
+    modules = {p.stem: ast.parse(p.read_text(), str(p))
+               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    found = _test_only_functions(modules, _tree_reads("perfbench", "scripts"))
+    assert TEST_ONLY_FUNCTIONS <= set(found), "listed functions now have a caller: " \
+        + ", ".join(sorted(TEST_ONLY_FUNCTIONS - set(found)))
+    bad = sorted(set(found) - TEST_ONLY_FUNCTIONS)
+    assert not bad, "functions only tests call: " + ", ".join(bad)
+
+
+def test_test_only_check_sees_callers():
+    a = ast.parse("def f():\n    return f()\ndef g():\n    return h()\n"
+                  "def h():\n    pass\nTABLE = {'k': k}\ndef k():\n    pass\n"
+                  "def s():\n    pass\ndef w():\n    pass\n")
+    b = ast.parse("from .a import w\ndef u():\n    return w()\n")
+    assert _test_only_functions({"a": a, "b": b}, {"s"}) == ["a.f", "a.g", "b.u"]
+
+
+def _config_reads(tree):
+    """(section, key) pairs a piece of code reads from a config: literal
+    cfg.get("<section>", "<key>", ...) calls, and .get("<key>") calls or
+    ["<key>"] subscripts on a name bound to <x>.sections.get("<section>")."""
+    def consts(args):
+        return [a.value for a in args if isinstance(a, ast.Constant)
+                and isinstance(a.value, str)]
+
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name) \
+                and isinstance(node.value, ast.Call) \
+                and ast.unparse(node.value.func).endswith(".sections.get") \
+                and consts(node.value.args[:1]):
+            alias[node.targets[0].id] = node.value.args[0].value
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" and isinstance(node.func.value, ast.Name):
+            owner, keys = node.func.value.id, consts(node.args[:2])
+            if owner == "cfg" and len(keys) == 2:
+                out.add(tuple(keys))
+            elif owner in alias and keys:
+                out.add((alias[owner], keys[0]))
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                and node.value.id in alias and consts([node.slice]):
+            out.add((alias[node.value.id], node.slice.value))
+    return out
+
+
+def test_every_config_key_is_read():
+    """Every key config._SCHEMA accepts is read, by a literal
+    cfg.get("<section>", "<key>", ...) in runner.py or by
+    ExperimentConfig.grid or _validate_physical; a key nothing reads is an
+    option that changes nothing."""
+    from fiolab.config import _SCHEMA
+    reads = _config_reads(ast.parse((SRC / "runner.py").read_text()))
+    for node in ast.walk(ast.parse((SRC / "config.py").read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name in ("grid", "_validate_physical"):
+            reads |= _config_reads(node)
+    bad = sorted(f"[{sec}] {key}" for sec, keys in _SCHEMA.items() for key in keys
+                 if (sec, key) not in reads)
+    assert not bad, "config keys nothing reads: " + ", ".join(bad)
+
+
+def test_config_read_check_sees_reads():
+    src = ("def f(cfg, self):\n    sec = self.sections.get('grid')\n"
+           "    lat = cfg.sections.get('lattice', {})\n"
+           "    a = cfg.get('experiment', 'p', 1.0) + sec['n'] + sec.get('d', 1)\n"
+           "    b = lat.get('alpha') + other.get('x', 'y') + cfg.get('z')\n")
+    assert _config_reads(ast.parse(src)) == {
+        ("experiment", "p"), ("grid", "n"), ("grid", "d"), ("lattice", "alpha")}
 
 
 def _fft_out_calls(tree):

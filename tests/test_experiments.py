@@ -23,7 +23,6 @@ from fiolab.experiments import (
     sharpness_m1_experiment,
     sharpness_m2_experiment,
     sharpness_window,
-    theorem_lp_frequency_experiment,
     threshold,
 )
 from fiolab.gabor import Window
@@ -137,10 +136,6 @@ class TestLpThreshold:
         slopes = [lp_threshold_experiment(m, 4.0, (8, 16, 32)).measured_slope
                   for m in (-0.5, -0.25, 0.0)]
         assert slopes[0] <= slopes[1] + 0.02 <= slopes[2] + 0.04
-
-    def test_frequency_wrapper_guards_p(self):
-        with pytest.raises(ValueError):
-            theorem_lp_frequency_experiment(0.0, 2.0)
 
     def test_rows_schema(self):
         v = lp_threshold_experiment(0.0, 4.0, (8, 16))

@@ -9,7 +9,6 @@ from fiolab.grid import (
     Signal,
     TruncationAliasingWarning,
     WeightSpec,
-    bandlimited_generator,
     bump_generator,
     dilate,
     fourier_transform,
@@ -20,7 +19,6 @@ from fiolab.grid import (
     modulate,
     random_schwartz_signal,
     translate,
-    weighted_multiply,
     _edge_mass_ratio,
     _zero_fill_shift,
 )
@@ -216,11 +214,6 @@ class TestNorms:
         f = random_schwartz_signal(grid256, rng)
         assert abs(inner_product(f, f).real - lp_norm(f, 2) ** 2) < 1e-12 * lp_norm(f, 2) ** 2
 
-    def test_weighted_multiply(self, gauss256):
-        out = weighted_multiply(gauss256, lambda x: 1.0 + x ** 2)
-        x = gauss256.grid.space_axis()
-        assert np.max(np.abs(out.samples - (1 + x ** 2) * gauss256.samples)) == 0.0
-
     def test_weight_spec(self):
         w = WeightSpec(s1=2.0, s2=1.0)
         val = w(np.array([[3.0]]), np.array([[4.0]]))
@@ -232,24 +225,3 @@ def test_corpus_is_concentrated(grid1024):
         edge = np.abs(grid1024.space_axis()) > 0.9 * grid1024.half_width
         assert np.sum(np.abs(f.samples[edge]) ** 2) < 1e-16 * np.sum(np.abs(f.samples) ** 2)
 
-
-def test_bandlimited_generator_matches_inline_step():
-    """The plateau profile equals the smooth step the generator once built
-    inline, bit for bit, on the default grid."""
-    g = GridSpec(1, 16.0, 1024)
-    eta = g.freq_axis()
-    edge = g.nyquist / 4.0
-    inner, outer = edge / 2.0, edge
-    r = np.abs(eta)
-    prof = np.zeros_like(r)
-    prof[r <= inner] = 1.0
-    mid = (r > inner) & (r < outer)
-    u = (outer - r[mid]) / (outer - inner)
-    a = np.exp(-1.0 / u)
-    b = np.exp(-1.0 / (1.0 - u))
-    prof[mid] = a / (a + b)
-    t = g.space_axis()
-    ref = np.exp(2j * np.pi * np.multiply.outer(t, eta)) @ (prof * g.freq_step)
-    gen = bandlimited_generator(g)
-    assert np.array_equal(gen(t), ref)
-    assert gen.band == ((-outer, outer),)

@@ -17,7 +17,6 @@ from fiolab.grid import (
     GridSpec,
     Signal,
     WeightSpec,
-    bandlimited_generator,
     bump_generator,
     gaussian_generator,
     fourier_transform,
@@ -27,12 +26,10 @@ from fiolab.grid import (
     translate,
 )
 from fiolab.norms import (
-    HypothesisError,
     dilation_exponent_check,
     dilation_indices,
     fl_norm,
     gabor_norm_equivalence_check,
-    lloc_check,
     mod_norm,
     seq_norm,
     _mixed_norm,
@@ -262,30 +259,14 @@ class TestEquivalence:
 
 class TestLloc:
     def test_compact_support_stable_under_modulation(self):
+        # on a fixed compact support ||f||_{M^{p,q}} ~ ||f||_{FL^q}, so the
+        # ratio does not drift as the bump is modulated up the band
         g = GridSpec(1, 2.0, 1024)
         ratios = []
         for n in (8, 16, 32, 64, 128):
             f = Signal.from_generator(g, bump_generator().modulated([float(n)]))
-            rep = lloc_check(f, 2, 2, window=Window.gaussian(g, 0.4))
-            assert rep.kind == "compact-support"
-            ratios.append(rep.ratio)
+            ratios.append(mod_norm(f, 1, 1, window=Window.gaussian(g, 0.4)).value / fl_norm(f, 1))
         assert max(ratios) / min(ratios) < 2.0
-
-    def test_band_limited_stable_under_translation(self):
-        g = GridSpec(1, 8.0, 256)
-        base = bandlimited_generator(g, band_edge=2.0)
-        ratios = []
-        for s in (-16, 0, 16, 32):
-            f = translate(Signal.from_generator(g, base), [s * g.space_step])
-            rep = lloc_check(f, 2, 2, window=Window.gaussian(g))
-            assert rep.kind == "band-limited"
-            ratios.append(rep.ratio)
-        assert max(ratios) / min(ratios) < 2.0
-
-    def test_gaussian_rejected(self, g256):
-        f = Signal.from_generator(g256, gaussian_generator())
-        with pytest.raises(HypothesisError):
-            lloc_check(f, 2, 2)
 
 
 class TestDilationExponents:
