@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run every registered experiment with its bundled default config.
+"""Run every registered experiment with its runner's default config.
 
 Outputs land under out/<experiment>/ with CSVs, verdict JSON and a manifest;
 pass --plot for SVG charts, --out to change the root directory.
@@ -17,7 +17,7 @@ def main() -> int:
     ap.add_argument("--plot", action="store_true")
     ap.add_argument("--jobs", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--only", nargs="*", default=None,
+    ap.add_argument("--only", nargs="*", default=None, choices=sorted(EXPERIMENTS),
                     help="subset of experiment names")
     args = ap.parse_args()
     jobs = args.jobs if args.jobs is not None else default_jobs()

@@ -11,7 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .config import ConfigError, default_config, load_config
+from .config import ConfigError, load_config
 from .gabor import (
     GaborLattice,
     NotAFrameError,
@@ -78,12 +78,19 @@ def _window_from(spec: str, grid: GridSpec) -> Window:
     raise ConfigError(f"unknown window {spec!r}")
 
 
-def _add_common(sp):
-    sp.add_argument("--grid", help="N,L override (even N, box half width L)")
-    sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--plot", action="store_true")
-    sp.add_argument("--jobs", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
+_COMMON = {
+    "grid": {"help": "N,L override (even N, box half width L)"},
+    "out": {"default": "out", "help": "output directory"},
+    "plot": {"action": "store_true"},
+    "jobs": {"type": int, "default": None},
+    "seed": {"type": int, "default": 0},
+}
+
+
+def _add_common(sp, *flags):
+    """The shared flags `flags` (names in _COMMON) that this subcommand reads."""
+    for flag in flags:
+        sp.add_argument(f"--{flag}", **_COMMON[flag])
 
 
 def cmd_stft(args) -> int:
@@ -186,7 +193,7 @@ def cmd_experiment(args) -> int:
     if args.from_manifest:
         res = rerun_from_manifest(args.from_manifest, args.out, plot=args.plot)
     else:
-        cfg = load_config(args.config) if args.config else default_config(args.name)
+        cfg = load_config(args.config) if args.config else None
         res = run_experiment(args.name, cfg, args.out, plot=args.plot,
                              jobs=jobs, seed=args.seed,
                              command=" ".join(sys.argv[1:]))
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--window", default="gauss:1.0")
     sp.add_argument("--stride", type=int, default=1)
-    _add_common(sp)
+    _add_common(sp, "grid", "out")
     sp.set_defaults(fn=cmd_stft)
 
     sp = sub.add_parser("gabor", help="Gabor analysis/synthesis/bounds/dual/tight")
@@ -232,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input", nargs="?", default="gaussian")
     sp.add_argument("--alpha", type=float, default=0.5)
     sp.add_argument("--beta", type=float, default=0.5)
-    _add_common(sp)
+    _add_common(sp, "grid", "out")
     sp.set_defaults(fn=cmd_gabor)
 
     sp = sub.add_parser("norm", help="weighted modulation norm")
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s1", type=float, default=0.0)
     sp.add_argument("--s2", type=float, default=0.0)
     sp.add_argument("--stride", type=int, default=1)
-    _add_common(sp)
+    _add_common(sp, "grid")
     sp.set_defaults(fn=cmd_norm)
 
     sp = sub.add_parser("apply", help="apply a quantized operator")
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["pseudo_kn", "pseudo_weyl", "fio_type1", "fio_type2"])
     sp.add_argument("--symbol", default="one")
     sp.add_argument("--phase", default=None)
-    _add_common(sp)
+    _add_common(sp, "grid", "out")
     sp.set_defaults(fn=cmd_apply)
 
     sp = sub.add_parser("matrix", help="assemble a Gabor matrix")
@@ -263,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.5)
     sp.add_argument("--radius", type=int, default=8)
     sp.add_argument("--min-abs", type=float, default=0.0)
-    _add_common(sp)
+    _add_common(sp, "grid", "out")
     sp.set_defaults(fn=cmd_matrix)
 
     sp = sub.add_parser("experiment", help="run a named experiment")
@@ -271,12 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"one of {sorted(EXPERIMENTS)}")
     sp.add_argument("--config", default=None)
     sp.add_argument("--from-manifest", default=None)
-    _add_common(sp)
+    _add_common(sp, "out", "plot", "jobs", "seed")
     sp.set_defaults(fn=cmd_experiment)
 
     sp = sub.add_parser("validate", help="validate symbol:<n> or phase:<n>")
     sp.add_argument("target")
-    _add_common(sp)
     sp.set_defaults(fn=cmd_validate)
     return ap
 

@@ -2,14 +2,18 @@
 
 Unknown sections or keys are rejected at load time, physical parameters are
 checked against the grid, and the canonical re-serialisation (sorted
-sections and keys) feeds the manifest digest.
+sections and keys) feeds the manifest digest.  Which keys an experiment
+accepts, and the default of each, is declared once: by the keyword-only
+parameters of its runner (runner.py).  [grid] binds as one GridSpec
+`grid`, every other key by its own name; [experiment] name only names the
+experiment.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .grid import GridSpec
@@ -63,26 +67,63 @@ def _coerce(kind: str, raw: str) -> Any:
     return raw
 
 
+def _grid_spec(sec: dict[str, Any]) -> GridSpec:
+    try:
+        return GridSpec(sec.get("dim", 1), sec["half_width"], sec["samples_per_axis"])
+    except KeyError as e:
+        raise ConfigError(f"[grid] needs {e.args[0]}") from None
+
+
+def _section_of(key: str) -> str:
+    """The section that holds runner keyword `key` (other than `grid`)."""
+    return "lattice" if key in _SCHEMA["lattice"] else "experiment"
+
+
 @dataclass
 class ExperimentConfig:
     sections: dict[str, dict[str, Any]] = field(default_factory=dict)
-    raw_text: str = ""
 
-    def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
+    def get(self, section: str, key: str):
+        return self.sections.get(section, {}).get(key)
 
-    def grid(self, default: GridSpec | None = None) -> GridSpec:
-        sec = self.sections.get("grid")
-        if not sec:
-            if default is None:
-                raise ConfigError("missing [grid] section")
-            return default
-        gr = GridSpec(
-            dim=sec.get("dim", 1),
-            half_width=sec["half_width"],
-            samples_per_axis=sec["samples_per_axis"],
-        )
-        return gr
+    def params(self) -> dict[str, Any]:
+        """Every value as the runner keyword it binds to: [grid] as one
+        GridSpec `grid`, every other key by its own name, [experiment] name
+        left out."""
+        out: dict[str, Any] = {}
+        for sec, keys in self.sections.items():
+            if sec == "grid":
+                out["grid"] = _grid_spec(keys)
+            else:
+                out.update((k, v) for k, v in keys.items() if k != "name")
+        return out
+
+    def resolve(self, name: str, defaults: dict[str, Any]) -> "ExperimentConfig":
+        """The config experiment `name` runs with, whose runner takes the
+        keywords in `defaults`: every one of them, from this config where it
+        is given, else at its default; a default of None, which the runner
+        derives from other keys (norm_equivalence q = p), is recorded only
+        when given.  A key the runner does not take, or an [experiment] name
+        other than `name`, raises ConfigError."""
+        declared = self.get("experiment", "name")
+        if declared is not None and declared != name:
+            raise ConfigError(f"config is for experiment {declared!r}, not {name!r}")
+        given = self.params()
+        for key in given:
+            if key not in defaults:
+                label = "[grid]" if key == "grid" else f"[{_section_of(key)}] {key}"
+                raise ConfigError(f"experiment {name!r} does not accept {label}")
+        sections: dict[str, dict[str, Any]] = {"experiment": {"name": name}}
+        for key, v in {**defaults, **given}.items():
+            if v is None:
+                continue
+            if key == "grid":
+                sections["grid"] = asdict(v)
+            else:
+                sections.setdefault(_section_of(key), {})[key] = v
+        cfg = ExperimentConfig(sections)
+        _validate_physical(cfg)
+        return cfg
 
     def canonical_text(self) -> str:
         out = io.StringIO()
@@ -120,7 +161,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 sections[sec][key] = _coerce(_SCHEMA[sec][key], raw)
             except ValueError as e:
                 raise ConfigError(f"[{sec}] {key}: {e}") from e
-    cfg = ExperimentConfig(sections=sections, raw_text=text)
+    cfg = ExperimentConfig(sections)
     _validate_physical(cfg)
     return cfg
 
@@ -133,7 +174,7 @@ def _validate_physical(cfg: ExperimentConfig) -> None:
             raise ConfigError("samples_per_axis must be even and positive")
         if sec.get("half_width", 1.0) <= 0:
             raise ConfigError("half_width must be positive")
-        gr = cfg.grid()
+        gr = _grid_spec(sec)
         ns = cfg.get("experiment", "n_sweep")
         if ns:
             if max(ns) > gr.nyquist / 2.0:
@@ -155,118 +196,3 @@ def load_config(path) -> ExperimentConfig:
 
     return parse_config(Path(path).read_text())
 
-
-DEFAULT_CONFIGS = {
-    "fl_growth": """\
-[experiment]
-name = fl_growth
-p = 1
-n_sweep = 16,32,64,128,256
-diffeo_c = 0.3
-""",
-    "multiplier_growth": """\
-[experiment]
-name = multiplier_growth
-m = 1
-p = 1
-n_sweep = 16,32,64,128,256
-""",
-    "dilation_exponents": """\
-[grid]
-dim = 1
-half_width = 20
-samples_per_axis = 2048
-
-[experiment]
-name = dilation_exponents
-p = 2
-lam_sweep = 1,1.4142135623730951,2,2.8284271247461903,4,5.656854249492381,8
-""",
-    "lp_threshold": """\
-[experiment]
-name = lp_threshold
-p = 4
-m = 0
-n_sweep = 8,16,32,64,128
-diffeo_c = 0.3
-""",
-    "m1_sharpness": """\
-[experiment]
-name = m1_sharpness
-p = 1
-m1 = -0.25
-n_sweep = 16,32,64,128,256
-diffeo_c = 0.3
-""",
-    "m2_sharpness": """\
-[experiment]
-name = m2_sharpness
-p = 1
-m2 = -0.25
-n_sweep = 16,32,64,128,256
-diffeo_c = 0.3
-""",
-    "boundedness_suite": """\
-[experiment]
-name = boundedness_suite
-p = 1
-orders = -0.5,-0.5
-n_sweep = 16,32,64,128
-diffeo_c = 0.3
-""",
-    "composition_residual": """\
-[grid]
-dim = 1
-half_width = 6
-samples_per_axis = 4096
-
-[experiment]
-name = composition_residual
-js = 1,2,3,4
-diffeo_c = 0.3
-""",
-    "almost_diag": """\
-[grid]
-dim = 1
-half_width = 16
-samples_per_axis = 1024
-
-[lattice]
-alpha = 0.5
-beta = 0.5
-
-[experiment]
-name = almost_diag
-m1 = -0.5
-m2 = -0.5
-radii = 16,24
-""",
-    "l2_stability": """\
-[experiment]
-name = l2_stability
-diffeo_c = 0.3
-""",
-    "norm_equivalence": """\
-[grid]
-dim = 1
-half_width = 16
-samples_per_axis = 1024
-
-[lattice]
-alpha = 0.5
-beta = 0.5
-
-[experiment]
-name = norm_equivalence
-p = 1
-q = 1
-s1 = 0
-s2 = 0
-""",
-}
-
-
-def default_config(name: str) -> ExperimentConfig:
-    if name not in DEFAULT_CONFIGS:
-        raise ConfigError(f"no bundled config for experiment {name!r}")
-    return parse_config(DEFAULT_CONFIGS[name])

@@ -421,25 +421,6 @@ class FrameBounds:
     is_frame: bool
 
 
-def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
-    """Top eigenvalue of a Hermitian positive semi-definite operator, as
-    (value, iterations, converged); converged once the Rayleigh quotient
-    moves by at most tol relative, after at least five steps."""
-    v = v0 / np.linalg.norm(v0.ravel())
-    lam = 0.0
-    for it in range(1, maxiter + 1):
-        w = apply_op(v)
-        new = float(np.real(np.vdot(v.ravel(), w.ravel())))
-        nrm = np.linalg.norm(w.ravel())
-        if nrm == 0:
-            return 0.0, it, True
-        v = w / nrm
-        if it > 4 and abs(new - lam) <= tol * max(abs(new), 1e-300):
-            return new, it, True
-        lam = new
-    return lam, maxiter, False
-
-
 def _period(lat: GaborLattice) -> int:
     """P = N / n_step, the modulation period in samples, once n_index is
     checked to cover exactly one period."""

@@ -43,8 +43,6 @@ class NormReport:
     p: float
     q: float
     weight: WeightSpec
-    method: str
-    window_id: str
 
 
 def _inner_root(sums: Array, p: float, d: int, dx_eff: float) -> Array:
@@ -142,8 +140,7 @@ def mod_norm(
         acc = np.sum(a, axis=0)
     inner = acc if np.isinf(p) else _inner_root(acc, p, d, gr.space_step * x_stride)
     value = _outer_norm(np.fft.fftshift(inner), q, d, gr.freq_step)
-    return NormReport(value=value, p=p, q=q, weight=weight, method="stft-blocks",
-                      window_id=g.window_id)
+    return NormReport(value=value, p=p, q=q, weight=weight)
 
 
 def fl_norm(f: Signal, p: float) -> float:

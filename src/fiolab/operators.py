@@ -46,7 +46,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gabor import GaborLattice, Window, _atom_rows, _folded_analysis, _power_iteration
+from .gabor import GaborLattice, Window, _atom_rows, _folded_analysis
 from .grid import (
     Array,
     GridSpec,
@@ -89,8 +89,11 @@ def _warped_rows(phase: Optional[PhaseSpec], grid: GridSpec) -> Optional[Array]:
     return np.nonzero(np.any(phase.warp_x(xs) != xs, axis=-1))[0]
 
 
-def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec, grid: GridSpec) -> str:
-    """The path _kernel_apply takes for (phase, sym) on grid:
+def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec,
+                grid: GridSpec) -> tuple[str, Array]:
+    """The path _kernel_apply takes for (phase, sym) on grid, and the grid
+    rows it builds kernel rows for (the warped rows on "fft" and
+    "warped_rows", every row otherwise).  The paths:
 
     * "fft": separable symbol and no warped row, a(x) F^{-1} b(eta) F;
     * "warped_rows": separable symbol; plain rows from the FFT, kernel rows
@@ -100,11 +103,11 @@ def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec, grid: GridSpec) -> 
     * "dense": the kernel times sigma(x, eta) on every row, the reference.
     """
     if sym.separable is None:
-        return "dense"
+        return "dense", np.arange(grid.size)
     rows = _warped_rows(phase, grid)
     if rows is None:
-        return "phase_kernel"
-    return "warped_rows" if len(rows) else "fft"
+        return "phase_kernel", np.arange(grid.size)
+    return ("warped_rows" if len(rows) else "fft"), rows
 
 
 def _kernel_apply(
@@ -137,8 +140,8 @@ def _kernel_apply(
     def dft(c, g, inverse=False):
         return _dft(c.reshape(grid.shape + (m,)), g, inverse).reshape(n, m)
 
-    fft_rows = kernel_path(phase, sym, grid) in ("fft", "warped_rows")
-    rows = _warped_rows(phase, grid) if fft_rows else np.arange(n)
+    path, rows = kernel_path(phase, sym, grid)
+    fft_rows = path in ("fft", "warped_rows")
     xs, es = grid.space_points(), grid.freq_points()
     sep = sym.separable
     a, b = (sep[0](xs)[:, None], sep[1](es)[:, None]) if sep is not None else (1.0, 1.0)
@@ -185,9 +188,9 @@ def _kernel_apply(
     return out.reshape(vals.shape)
 
 
-def apply_pseudo_kn(p: SymbolSpec, f: Signal, chunk: int = DEFAULT_CHUNK) -> Signal:
+def apply_pseudo_kn(p: SymbolSpec, f: Signal) -> Signal:
     """Kohn-Nirenberg quantization; separable symbols take the two-FFT path."""
-    return Signal(f.grid, _kernel_apply(None, p, f.grid, f.samples.ravel(), chunk=chunk))
+    return Signal(f.grid, _kernel_apply(None, p, f.grid, f.samples.ravel()))
 
 
 def _weyl_sum(p: SymbolSpec, grid: GridSpec, vals: Array) -> Array:
@@ -246,24 +249,18 @@ def apply_fio1(
     phase: PhaseSpec,
     sym: SymbolSpec,
     f: Signal,
-    chunk: int = DEFAULT_CHUNK,
     guard: bool = True,
 ) -> Signal:
     """Type I FIO: the oscillatory sum over the active frequency columns."""
     if guard:
         _aliasing_guard(phase, sym, f)
-    return Signal(f.grid, _kernel_apply(phase, sym, f.grid, f.samples.ravel(), chunk=chunk))
+    return Signal(f.grid, _kernel_apply(phase, sym, f.grid, f.samples.ravel()))
 
 
-def apply_fio2(
-    phase: PhaseSpec,
-    sym: SymbolSpec,
-    f: Signal,
-    chunk: int = DEFAULT_CHUNK,
-) -> Signal:
+def apply_fio2(phase: PhaseSpec, sym: SymbolSpec, f: Signal) -> Signal:
     """Type II FIO, the exact discrete adjoint of apply_fio1(phase, sym)."""
     return Signal(f.grid, _kernel_apply(phase, sym, f.grid, f.samples.ravel(),
-                                        adjoint=True, chunk=chunk))
+                                        adjoint=True))
 
 
 @dataclass
@@ -296,12 +293,6 @@ class OperatorHandle:
                         f"phase fails validation: delta_min={nd.delta_min:.3g}, "
                         f"growth ratios=({gw.min_ratio_x:.3g}, {gw.min_ratio_eta:.3g})"
                     )
-
-    @property
-    def operator_id(self) -> str:
-        ph = "none" if self.phase is None else (
-            f"{self.phase.name}{tuple(sorted(self.phase.params.items()))}")
-        return f"{self.kind}:{self.symbol.name}{tuple(sorted(self.symbol.params.items()))}:{ph}"
 
     def _apply_flat(self, grid: GridSpec, vals: Array, adjoint: bool = False) -> Array:
         """The operator, or its adjoint, on flat sample columns (size,) or (size, m).
@@ -522,8 +513,6 @@ class GaborMatrix:
     k_phys: Array
     n_phys: Array
     lattice: GaborLattice
-    window_id: str
-    operator_id: str
 
     @property
     def num_atoms(self) -> int:
@@ -560,8 +549,7 @@ def gabor_matrix(
     peak = mag.max()
     if peak > 0:
         entries[mag < zero_floor * peak] = 0.0
-    return GaborMatrix(entries=entries, k_phys=kp, n_phys=npos, lattice=lat,
-                       window_id=g.window_id, operator_id=op.operator_id)
+    return GaborMatrix(entries=entries, k_phys=kp, n_phys=npos, lattice=lat)
 
 
 @dataclass
@@ -663,9 +651,27 @@ def schur_certify(M: GaborMatrix, weight: Optional[Callable] = None) -> SchurRep
 @dataclass
 class OpNormReport:
     value: float
-    method: str
     iterations: int
     converged: bool
+
+
+def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
+    """Top eigenvalue of a Hermitian positive semi-definite operator, as
+    (value, iterations, converged); converged once the Rayleigh quotient
+    moves by at most tol relative, after at least five steps."""
+    v = v0 / np.linalg.norm(v0.ravel())
+    lam = 0.0
+    for it in range(1, maxiter + 1):
+        w = apply_op(v)
+        new = float(np.real(np.vdot(v.ravel(), w.ravel())))
+        nrm = np.linalg.norm(w.ravel())
+        if nrm == 0:
+            return 0.0, it, True
+        v = w / nrm
+        if it > 4 and abs(new - lam) <= tol * max(abs(new), 1e-300):
+            return new, it, True
+        lam = new
+    return lam, maxiter, False
 
 
 def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
@@ -680,10 +686,7 @@ def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
     every row otherwise.  Above the limit the closure rebuilds them per call.
     """
     gr = op.grid
-    if kernel_path(op.phase, op.symbol, gr) in ("fft", "warped_rows"):
-        n_rows = len(_warped_rows(op.phase, gr))
-    else:
-        n_rows = gr.size
+    n_rows = len(kernel_path(op.phase, op.symbol, gr)[1])
     if op.kind == "fio_type1" and n_rows * gr.size * 16 <= DENSE_CACHE_BYTES:
         cache: list = []
 
@@ -722,8 +725,8 @@ def op_norm_estimate(
         # relative change tol in the norm is about 2 tol in the eigenvalue
         lam, its, converged = _power_iteration(
             lambda v: normal(Signal(gr, v)).samples, v0, 2.0 * tol, maxiter)
-        return OpNormReport(value=float(np.sqrt(max(lam, 0.0))), method=method,
-                            iterations=its, converged=converged)
+        return OpNormReport(value=float(np.sqrt(max(lam, 0.0))), iterations=its,
+                            converged=converged)
     if method == "corpus_max_ratio":
         if corpus is None:
             raise ValueError("corpus_max_ratio needs a corpus")
@@ -731,6 +734,5 @@ def op_norm_estimate(
         best = 0.0
         for f in corpus:
             best = max(best, fn(op.apply(f, guard=False)) / fn(f))
-        return OpNormReport(value=float(best), method=method, iterations=len(corpus),
-                            converged=True)
+        return OpNormReport(value=float(best), iterations=len(corpus), converged=True)
     raise ValueError(f"unknown method {method}")

@@ -9,6 +9,7 @@ outputs whose hashes differ from the stored ones), 3 inconclusive verdict.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import re
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import experiments as xp
-from .config import ConfigError, ExperimentConfig, default_config, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .gabor import GaborLattice, Window
 from .grid import GridSpec, default_grid, random_schwartz_signal
 from .manifest import RunManifest, file_sha256, load_manifest
@@ -66,15 +67,17 @@ def _write_verdict(out_dir: Path, name: str, payload: dict) -> Path:
     return path
 
 
-def run_fl_growth(cfg: ExperimentConfig, out: Path, plot: bool, jobs: int,
-                  seed: int) -> RunResult:
-    p = cfg.get("experiment", "p", 1.0)
-    ns = cfg.get("experiment", "n_sweep", xp.DEFAULT_N_SWEEP)
-    c = cfg.get("experiment", "diffeo_c", 0.3)
-    grid = cfg.grid(xp.sharpness_grid())
+# Each runner takes (out, plot, jobs, seed) and then, keyword-only, the
+# config keys its experiment accepts, each at its default: [grid] as
+# `grid`, [lattice] alpha and beta and every [experiment] key by name.
+
+def run_fl_growth(out: Path, plot: bool, jobs: int, seed: int, *, p: float = 1.0,
+                  n_sweep: tuple = xp.DEFAULT_N_SWEEP, diffeo_c: float = 0.3,
+                  grid: GridSpec = xp.sharpness_grid()) -> RunResult:
     from .norms import fl_norm
     from .symbols import make_diffeo
-    fit = xp.fl_growth_experiment(p, ns, dif=make_diffeo(c), grid=grid, jobs=jobs)
+    fit = xp.fl_growth_experiment(p, n_sweep, dif=make_diffeo(diffeo_c), grid=grid,
+                                  jobs=jobs)
     chi = xp.default_chi()
     rows = []
     for (n, v) in fit.sweep:
@@ -83,18 +86,16 @@ def run_fl_growth(cfg: ExperimentConfig, out: Path, plot: bool, jobs: int,
     files = [write_csv(out / "fl_growth.csv", ["n", "norm_in", "norm_out", "ratio"], rows)]
     files += _maybe_plot(out, "fl_growth", [n for n, _ in fit.sweep],
                          [v for _, v in fit.sweep], "n", "FL^p norm", plot)
-    payload = {"slope": fit.slope, "r_squared": fit.r_squared, "p": p, "c": c}
+    payload = {"slope": fit.slope, "r_squared": fit.r_squared, "p": p, "c": diffeo_c}
     files.append(_write_verdict(out, "fl_growth", payload))
     return RunResult(exit_code=0, files=files, summary=payload)
 
 
-def run_multiplier_growth(cfg, out, plot, jobs, seed) -> RunResult:
-    m = cfg.get("experiment", "m", 1.0)
-    p = cfg.get("experiment", "p", 1.0)
-    ns = cfg.get("experiment", "n_sweep", xp.DEFAULT_N_SWEEP)
-    grid = cfg.grid(xp.sharpness_grid())
+def run_multiplier_growth(out, plot, jobs, seed, *, m: float = 1.0, p: float = 1.0,
+                          n_sweep: tuple = xp.DEFAULT_N_SWEEP,
+                          grid: GridSpec = xp.sharpness_grid()) -> RunResult:
     from .norms import mod_norm
-    fit = xp.multiplier_growth_check(m, p, ns, grid=grid, jobs=jobs)
+    fit = xp.multiplier_growth_check(m, p, n_sweep, grid=grid, jobs=jobs)
     window = xp.sharpness_window(grid)
     chi = xp.default_chi()
     rows = []
@@ -111,14 +112,13 @@ def run_multiplier_growth(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(0, files, payload)
 
 
-def run_dilation_exponents(cfg, out, plot, jobs, seed) -> RunResult:
-    p = cfg.get("experiment", "p", 2.0)
-    lams = cfg.get("experiment", "lam_sweep",
-                   (1, 2 ** 0.5, 2, 2 ** 1.5, 4, 2 ** 2.5, 8))
-    grid = cfg.grid(GridSpec(1, 20.0, 2048))
+def run_dilation_exponents(out, plot, jobs, seed, *, p: float = 2.0,
+                           lam_sweep: tuple = (1.0, 2 ** 0.5, 2.0, 2 ** 1.5, 4.0,
+                                               2 ** 2.5, 8.0),
+                           grid: GridSpec = GridSpec(1, 20.0, 2048)) -> RunResult:
     f = _Signal.from_generator(grid, gaussian_generator())
-    up = dilation_exponent_check(f, p, lams, x_stride=2)
-    down = dilation_exponent_check(f, p, [1.0 / v for v in lams], x_stride=2)
+    up = dilation_exponent_check(f, p, lam_sweep, x_stride=2)
+    down = dilation_exponent_check(f, p, [1.0 / v for v in lam_sweep], x_stride=2)
     mu1, mu2 = dilation_indices(p)
     rows = [[float(l), v] for (l, v) in up.sweep] + \
            [[float(l), v] for (l, v) in down.sweep]
@@ -134,12 +134,10 @@ def run_dilation_exponents(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(0 if ok else 2, files, payload)
 
 
-def run_lp_threshold(cfg, out, plot, jobs, seed) -> RunResult:
-    p = cfg.get("experiment", "p", 4.0)
-    m = cfg.get("experiment", "m", 0.0)
-    ns = cfg.get("experiment", "n_sweep", xp.DEFAULT_LP_SWEEP)
-    c = cfg.get("experiment", "diffeo_c", 0.3)
-    v = xp.lp_threshold_experiment(m, p, ns, c=c, jobs=jobs)
+def run_lp_threshold(out, plot, jobs, seed, *, p: float = 4.0, m: float = 0.0,
+                     n_sweep: tuple = xp.DEFAULT_LP_SWEEP,
+                     diffeo_c: float = 0.3) -> RunResult:
+    v = xp.lp_threshold_experiment(m, p, n_sweep, c=diffeo_c, jobs=jobs)
     files = [write_csv(out / "lp_threshold.csv",
                        ["n", "witness", "norm_in", "norm_out", "ratio"], v.rows)]
     payload = {
@@ -147,19 +145,17 @@ def run_lp_threshold(cfg, out, plot, jobs, seed) -> RunResult:
         "verdict": v.verdict, "slope": v.measured_slope,
     }
     files.append(_write_verdict(out, "lp_threshold", payload))
-    files += _maybe_plot(out, "lp_threshold", list(ns),
-                         [max(r for (n2, _, _, _, r) in v.rows if n2 == n) for n in ns],
+    files += _maybe_plot(out, "lp_threshold", list(n_sweep),
+                         [max(r for (n2, _, _, _, r) in v.rows if n2 == n) for n in n_sweep],
                          "n", "max ratio", plot)
     code = 0 if v.verdict != "inconclusive" else 3
     return RunResult(code, files, payload)
 
 
-def run_m1_sharpness(cfg, out, plot, jobs, seed) -> RunResult:
-    p = cfg.get("experiment", "p", 1.0)
-    m1 = cfg.get("experiment", "m1", -0.25)
-    ns = cfg.get("experiment", "n_sweep", xp.DEFAULT_N_SWEEP)
-    c = cfg.get("experiment", "diffeo_c", 0.3)
-    res = xp.sharpness_m1_experiment(m1, p, ns, c=c, jobs=jobs)
+def run_m1_sharpness(out, plot, jobs, seed, *, p: float = 1.0, m1: float = -0.25,
+                     n_sweep: tuple = xp.DEFAULT_N_SWEEP,
+                     diffeo_c: float = 0.3) -> RunResult:
+    res = xp.sharpness_m1_experiment(m1, p, n_sweep, c=diffeo_c, jobs=jobs)
     v = res.verdict
     files = [write_csv(out / "m1_sharpness.csv",
                        ["n", "witness", "norm_in", "norm_out", "ratio"], v.rows)]
@@ -170,12 +166,10 @@ def run_m1_sharpness(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(code, files, payload)
 
 
-def run_m2_sharpness(cfg, out, plot, jobs, seed) -> RunResult:
-    p = cfg.get("experiment", "p", 1.0)
-    m2 = cfg.get("experiment", "m2", -0.25)
-    ns = cfg.get("experiment", "n_sweep", xp.DEFAULT_N_SWEEP)
-    c = cfg.get("experiment", "diffeo_c", 0.3)
-    res, dev = xp.sharpness_m2_experiment(m2, p, ns, c=c, jobs=jobs)
+def run_m2_sharpness(out, plot, jobs, seed, *, p: float = 1.0, m2: float = -0.25,
+                     n_sweep: tuple = xp.DEFAULT_N_SWEEP,
+                     diffeo_c: float = 0.3) -> RunResult:
+    res, dev = xp.sharpness_m2_experiment(m2, p, n_sweep, c=diffeo_c, jobs=jobs)
     v = res.verdict
     files = [write_csv(out / "m2_sharpness.csv",
                        ["n", "witness", "norm_in", "norm_out", "ratio"], v.rows)]
@@ -187,14 +181,14 @@ def run_m2_sharpness(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(code, files, payload)
 
 
-def run_boundedness_suite(cfg, out, plot, jobs, seed) -> RunResult:
-    p = cfg.get("experiment", "p", 1.0)
-    orders = cfg.get("experiment", "orders", ((-0.5, -0.5),))
-    ns = cfg.get("experiment", "n_sweep", (16, 32, 64, 128))
-    c = cfg.get("experiment", "diffeo_c", 0.3)
+def run_boundedness_suite(out, plot, jobs, seed, *, p: float = 1.0,
+                          orders: tuple = ((-0.5, -0.5),),
+                          n_sweep: tuple = (16, 32, 64, 128),
+                          diffeo_c: float = 0.3) -> RunResult:
     rows_out = []
     ok = True
-    for row in xp.main_theorem_boundedness_suite(p, orders, ns, c=c, jobs=jobs):
+    for row in xp.main_theorem_boundedness_suite(p, orders, n_sweep, c=diffeo_c,
+                                                 jobs=jobs):
         rows_out.append([row.order[0], row.order[1], row.phase_name,
                          row.slope, row.flat_ratio, row.passed])
         ok = ok and row.passed
@@ -206,13 +200,12 @@ def run_boundedness_suite(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(0 if ok else 2, files, payload)
 
 
-def run_composition_residual(cfg, out, plot, jobs, seed) -> RunResult:
-    js = cfg.get("experiment", "js", (1, 2, 3, 4))
-    c = cfg.get("experiment", "diffeo_c", 0.3)
-    grid = cfg.grid(GridSpec(1, 6.0, 4096))
+def run_composition_residual(out, plot, jobs, seed, *, js: tuple = (1, 2, 3, 4),
+                             diffeo_c: float = 0.3,
+                             grid: GridSpec = GridSpec(1, 6.0, 4096)) -> RunResult:
     p = symbol_from_name("eta_power(1.0)")
     sigma = symbol_from_name("one")
-    phase = phase_from_name(f"phase_xphi({c})")
+    phase = phase_from_name(f"phase_xphi({diffeo_c})")
     curve = compose_leading(p, phase, sigma, js, grid)
     files = [write_csv(out / "composition.csv", ["j", "residual"], curve)]
     from .operators import residuals_decay
@@ -222,13 +215,9 @@ def run_composition_residual(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(0 if ok else 2, files, payload)
 
 
-def run_almost_diag(cfg, out, plot, jobs, seed) -> RunResult:
-    grid = cfg.grid(default_grid(1))
-    m1 = cfg.get("experiment", "m1", -0.5)
-    m2 = cfg.get("experiment", "m2", -0.5)
-    radii = cfg.get("experiment", "radii", (16, 24))
-    alpha = cfg.get("lattice", "alpha", 0.5)
-    beta = cfg.get("lattice", "beta", 0.5)
+def run_almost_diag(out, plot, jobs, seed, *, m1: float = -0.5, m2: float = -0.5,
+                    radii: tuple = (16, 24), alpha: float = 0.5, beta: float = 0.5,
+                    grid: GridSpec = default_grid(1)) -> RunResult:
     g = Window.gaussian(grid)
     sym = symbol_from_name(f"model_sg({m1},{m2})")
     op = OperatorHandle("pseudo_kn", sym, None, grid)
@@ -252,9 +241,8 @@ def run_almost_diag(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(0 if stable else 2, files, payload)
 
 
-def run_l2_stability(cfg, out, plot, jobs, seed) -> RunResult:
-    c = cfg.get("experiment", "diffeo_c", 0.3)
-    phase = phase_from_name(f"phase_xphi({c})")
+def run_l2_stability(out, plot, jobs, seed, *, diffeo_c: float = 0.3) -> RunResult:
+    phase = phase_from_name(f"phase_xphi({diffeo_c})")
     sym = symbol_from_name("one")
     vals = []
     for n in (2048, 4096):
@@ -269,14 +257,11 @@ def run_l2_stability(cfg, out, plot, jobs, seed) -> RunResult:
     return RunResult(0 if rel < 0.05 else 2, files, payload)
 
 
-def run_norm_equivalence(cfg, out, plot, jobs, seed) -> RunResult:
-    grid = cfg.grid(default_grid(1))
-    p = cfg.get("experiment", "p", 1.0)
-    q = cfg.get("experiment", "q", p)
-    s1 = cfg.get("experiment", "s1", 0.0)
-    s2 = cfg.get("experiment", "s2", 0.0)
-    alpha = cfg.get("lattice", "alpha", 0.5)
-    beta = cfg.get("lattice", "beta", 0.5)
+def run_norm_equivalence(out, plot, jobs, seed, *, p: float = 1.0,
+                         q: Optional[float] = None, s1: float = 0.0, s2: float = 0.0,
+                         alpha: float = 0.5, beta: float = 0.5,
+                         grid: GridSpec = default_grid(1)) -> RunResult:
+    q = p if q is None else q
     rng = np.random.default_rng(seed)
     corpus = [random_schwartz_signal(grid, rng) for _ in range(8)]
     g = Window.gaussian(grid)
@@ -305,6 +290,15 @@ EXPERIMENTS: dict[str, Callable] = {
 }
 
 
+def _runner_defaults(name: str) -> dict:
+    """The config keys experiment `name` accepts, each with its default:
+    the keyword-only parameters of its runner."""
+    if name not in EXPERIMENTS:
+        raise KeyError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
+    params = inspect.signature(EXPERIMENTS[name]).parameters.values()
+    return {a.name: a.default for a in params if a.kind is a.KEYWORD_ONLY}
+
+
 def run_experiment(
     name: str,
     cfg: Optional[ExperimentConfig],
@@ -314,12 +308,13 @@ def run_experiment(
     seed: int = 0,
     command: str = "",
 ) -> RunResult:
-    if name not in EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}; have {sorted(EXPERIMENTS)}")
-    cfg = cfg if cfg is not None else default_config(name)
-    declared = cfg.get("experiment", "name")
-    if declared is not None and declared != name:
-        raise ConfigError(f"config is for experiment {declared!r}, not {name!r}")
+    """Run experiment `name` with `cfg` bound to its runner (None: the
+    runner's defaults).  A key the runner does not take raises ConfigError
+    before anything is written; the manifest records the resolved config,
+    every key the runner takes with the value that ran."""
+    if cfg is None:
+        cfg = ExperimentConfig()
+    cfg = cfg.resolve(name, _runner_defaults(name))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     man = RunManifest.start(
@@ -330,7 +325,7 @@ def run_experiment(
     man_path = out / f"{name}.manifest.json"
     man.write(man_path)
     try:
-        res = EXPERIMENTS[name](cfg, out, plot, jobs, seed)
+        res = EXPERIMENTS[name](out, plot, jobs, seed, **cfg.params())
     except Exception as exc:
         man.fail(man_path, exc)
         raise

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -7,8 +8,7 @@ import numpy as np
 import pytest
 
 from fiolab.cli import main
-from fiolab.config import DEFAULT_CONFIGS, ConfigError, default_config, load_config, \
-    parse_config
+from fiolab.config import ConfigError, ExperimentConfig, load_config, parse_config
 from fiolab.gabor import GaborLattice, Window, gabor_analysis, stft
 from fiolab.grid import GridSpec, Signal, gaussian_generator, lp_norm
 from fiolab.manifest import load_manifest
@@ -24,8 +24,14 @@ from fiolab.persist import (
     stft_to_csv,
     write_csv,
 )
-from fiolab.runner import run_experiment, rerun_from_manifest
+from fiolab.runner import EXPERIMENTS, _runner_defaults, run_experiment, rerun_from_manifest
 from fiolab.symbols import phase_from_name, symbol_from_name
+
+
+def default_config(name):
+    """The config experiment `name` runs with when none is given."""
+    return ExperimentConfig().resolve(name, _runner_defaults(name))
+
 
 TINY_FL = """\
 [grid]
@@ -77,11 +83,58 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[grid]\ndim = 1\nhalf_width = 2\nsamples_per_axis = 511\n")
 
+    def test_physical_validation_uses_the_grid_that_runs(self, tmp_path):
+        # with no [grid], n_sweep is checked against the runner's default
+        # grid (fl_growth: Nyquist 512, safe band 256)
+        cfg = parse_config("[experiment]\nn_sweep = 16,512\n")
+        with pytest.raises(ConfigError, match="exceeds the safe band"):
+            run_experiment("fl_growth", cfg, tmp_path / "a")
+        assert not list(tmp_path.rglob("*.manifest.json"))
+
     def test_defaults_exist_for_registered(self):
-        from fiolab.runner import EXPERIMENTS
         for name in EXPERIMENTS:
             cfg = default_config(name)
             assert cfg.get("experiment", "name") == name
+            # the rendered defaults parse back to the same keys, values and types
+            text = cfg.canonical_text()
+            assert parse_config(text).canonical_text() == text
+            assert parse_config(text).params() == cfg.params()
+
+
+# one key each runner does not take: [grid] where the sweep grid is fixed,
+# [lattice] where no lattice is built, an [experiment] key otherwise
+UNREAD_KEY = {
+    "fl_growth": ("[lattice]\nalpha = 0.5\n", "[lattice] alpha"),
+    "multiplier_growth": ("[lattice]\nalpha = 0.5\n", "[lattice] alpha"),
+    "dilation_exponents": ("[lattice]\nbeta = 0.5\n", "[lattice] beta"),
+    "lp_threshold": ("[grid]\nhalf_width = 2\nsamples_per_axis = 512\n", "[grid]"),
+    "m1_sharpness": ("[grid]\nhalf_width = 2\nsamples_per_axis = 512\n", "[grid]"),
+    "m2_sharpness": ("[grid]\nhalf_width = 2\nsamples_per_axis = 512\n", "[grid]"),
+    "boundedness_suite": ("[grid]\nhalf_width = 2\nsamples_per_axis = 512\n", "[grid]"),
+    "composition_residual": ("[lattice]\nalpha = 0.5\n", "[lattice] alpha"),
+    "almost_diag": ("[experiment]\nn_sweep = 16,32\n", "[experiment] n_sweep"),
+    "l2_stability": ("[grid]\nhalf_width = 2\nsamples_per_axis = 512\n", "[grid]"),
+    "norm_equivalence": ("[experiment]\nm1 = -0.5\n", "[experiment] m1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_key_runner_does_not_take_is_rejected(name, tmp_path, capsys):
+    text, label = UNREAD_KEY[name]
+    cfg = parse_config(text)
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"experiment '{name}' does not accept {label}") + "$"):
+        run_experiment(name, cfg, tmp_path / "a")
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    assert main(["experiment", name, "--config", str(path),
+                 "--out", str(tmp_path / "b")]) == 1
+    assert f"does not accept {label}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.manifest.json"))
+
+
+def test_every_experiment_has_an_unread_key_case():
+    assert set(UNREAD_KEY) == set(EXPERIMENTS)
 
 
 class TestPersist:
@@ -295,7 +348,8 @@ class TestRunner:
     def test_failed_run_marks_manifest(self, tmp_path, monkeypatch):
         from fiolab import runner
 
-        def boom(cfg, out, plot, jobs, seed):
+        def boom(out, plot, jobs, seed, *, p=1.0, n_sweep=(8,), diffeo_c=0.3,
+                 grid=GridSpec(1, 2.0, 512)):
             raise RuntimeError("diverged at n=64")
 
         monkeypatch.setitem(runner.EXPERIMENTS, "fl_growth", boom)
@@ -370,7 +424,7 @@ class TestRunner:
 
     def test_config_name_must_match_experiment(self, tmp_path, capsys):
         lp = tmp_path / "lp.ini"
-        lp.write_text(DEFAULT_CONFIGS["lp_threshold"])
+        lp.write_text(default_config("lp_threshold").canonical_text())
         with pytest.raises(ConfigError, match="'lp_threshold', not 'm1_sharpness'"):
             run_experiment("m1_sharpness", load_config(lp), tmp_path / "a")
         code = main(["experiment", "m1_sharpness", "--config", str(lp),
@@ -398,10 +452,35 @@ class TestRunner:
         res = run_experiment("fl_growth", None, tmp_path / "d", seed=0)
         assert res.exit_code == 0
         assert res.summary["slope"] >= 0.4
-        from fiolab.persist import read_csv
         header, rows = read_csv(tmp_path / "d" / "fl_growth.csv")
         assert header == ["n", "norm_in", "norm_out", "ratio"]
         assert len(rows) == 5
+        # the manifest holds the resolved config, [grid] included, and it
+        # parses back to the config that ran
+        path = tmp_path / "d" / "fl_growth.manifest.json"
+        text = load_manifest(path).config_text
+        assert text == default_config("fl_growth").canonical_text()
+        assert parse_config(text).canonical_text() == text
+        assert parse_config(text).params()["grid"] == GridSpec(1, 2.0, 4096)
+        rerun = rerun_from_manifest(path, tmp_path / "e")
+        assert rerun.exit_code == 0 and "hash_mismatch" not in rerun.summary
+
+    def test_manifest_records_resolved_config(self, tmp_path):
+        # a partial config runs with every other key at its default, and the
+        # manifest says so; norm_equivalence's q defaults to p, so it is
+        # recorded only when given
+        cfg = parse_config("[experiment]\np = 2\n")
+        run_experiment("norm_equivalence", cfg, tmp_path / "ne", seed=3)
+        text = load_manifest(tmp_path / "ne" / "norm_equivalence.manifest.json").config_text
+        resolved = parse_config(text)
+        assert resolved.get("experiment", "p") == 2.0
+        assert resolved.get("experiment", "q") is None
+        assert resolved.sections["lattice"] == {"alpha": 0.5, "beta": 0.5}
+        assert resolved.params()["grid"] == GridSpec(1, 16.0, 1024)
+        run_experiment("norm_equivalence", parse_config("[experiment]\np = 2\nq = 2\n"),
+                       tmp_path / "pq", seed=3)
+        assert (tmp_path / "ne" / "norm_equivalence.csv").read_bytes() == \
+            (tmp_path / "pq" / "norm_equivalence.csv").read_bytes()
 
     def test_norm_equivalence_runner(self, tmp_path):
         cfg = parse_config("""\
@@ -474,3 +553,14 @@ class TestCli:
     def test_experiment_needs_name(self, capsys):
         with pytest.raises(SystemExit):
             main(["experiment"])
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "fl_growth", "--grid", "512,2"],
+        ["validate", "phase:phase_xphi(0.3)", "--out", "x"],
+        ["norm", "gaussian", "--out", "x"],
+        ["stft", "gaussian", "--seed", "1"],
+    ])
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,8 +5,9 @@ module other than __init__ also reads each name it imports at module scope,
 and every entry point the benchmark's tracer wraps exists in fiolab, with
 every call the benchmark's workloads make into it binding to its signature.
 Every name fiolab defines is read somewhere, every module-level function is
-read by program code rather than by tests alone, and every config key the
-schema accepts is read by a runner or by the config's own validation."""
+read by program code rather than by tests alone, and every config key an
+experiment accepts, a keyword-only parameter of its runner, is read by that
+runner."""
 import ast
 import importlib
 import inspect
@@ -301,59 +302,43 @@ def test_test_only_check_sees_callers():
     assert _test_only_functions({"a": a, "b": b}, {"s"}) == ["a.f", "a.g", "b.u"]
 
 
-def _config_reads(tree):
-    """(section, key) pairs a piece of code reads from a config: literal
-    cfg.get("<section>", "<key>", ...) calls, and .get("<key>") calls or
-    ["<key>"] subscripts on a name bound to <x>.sections.get("<section>")."""
-    def consts(args):
-        return [a.value for a in args if isinstance(a, ast.Constant)
-                and isinstance(a.value, str)]
-
-    alias = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Call) \
-                and ast.unparse(node.value.func).endswith(".sections.get") \
-                and consts(node.value.args[:1]):
-            alias[node.targets[0].id] = node.value.args[0].value
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "get" and isinstance(node.func.value, ast.Name):
-            owner, keys = node.func.value.id, consts(node.args[:2])
-            if owner == "cfg" and len(keys) == 2:
-                out.add(tuple(keys))
-            elif owner in alias and keys:
-                out.add((alias[owner], keys[0]))
-        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
-                and node.value.id in alias and consts([node.slice]):
-            out.add((alias[node.value.id], node.slice.value))
-    return out
+def _unread_runner_params(tree):
+    """runner(parameter) for each keyword-only parameter of a module-level
+    run_* function that the function's body never reads."""
+    bad = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("run_"):
+            reads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            bad += [f"{node.name}({a.arg})" for a in node.args.kwonlyargs
+                    if a.arg not in reads]
+    return bad
 
 
-def test_every_config_key_is_read():
-    """Every key config._SCHEMA accepts is read, by a literal
-    cfg.get("<section>", "<key>", ...) in runner.py or by
-    ExperimentConfig.grid or _validate_physical; a key nothing reads is an
-    option that changes nothing."""
+def test_every_runner_parameter_is_read():
+    """An experiment accepts exactly the keyword-only parameters of its
+    runner, so each one is read in that runner's body and is a config key
+    ([grid] binds as `grid`), and every key config._SCHEMA accepts is taken
+    by some runner; a key nothing reads is an option that changes nothing."""
     from fiolab.config import _SCHEMA
-    reads = _config_reads(ast.parse((SRC / "runner.py").read_text()))
-    for node in ast.walk(ast.parse((SRC / "config.py").read_text())):
-        if isinstance(node, ast.FunctionDef) and node.name in ("grid", "_validate_physical"):
-            reads |= _config_reads(node)
-    bad = sorted(f"[{sec}] {key}" for sec, keys in _SCHEMA.items() for key in keys
-                 if (sec, key) not in reads)
-    assert not bad, "config keys nothing reads: " + ", ".join(bad)
+    from fiolab.runner import EXPERIMENTS
+    tree = ast.parse((SRC / "runner.py").read_text())
+    defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert {fn.__name__ for fn in EXPERIMENTS.values()} <= defined
+    bad = _unread_runner_params(tree)
+    assert not bad, "runner parameters the runner never reads: " + ", ".join(bad)
+    taken = {a.name for fn in EXPERIMENTS.values()
+             for a in inspect.signature(fn).parameters.values() if a.kind is a.KEYWORD_ONLY}
+    keys = {"grid", *_SCHEMA["lattice"], *_SCHEMA["experiment"]} - {"name"}
+    assert taken == keys
 
 
-def test_config_read_check_sees_reads():
-    src = ("def f(cfg, self):\n    sec = self.sections.get('grid')\n"
-           "    lat = cfg.sections.get('lattice', {})\n"
-           "    a = cfg.get('experiment', 'p', 1.0) + sec['n'] + sec.get('d', 1)\n"
-           "    b = lat.get('alpha') + other.get('x', 'y') + cfg.get('z')\n")
-    assert _config_reads(ast.parse(src)) == {
-        ("experiment", "p"), ("grid", "n"), ("grid", "d"), ("lattice", "alpha")}
+def test_runner_parameter_check_sees_reads():
+    src = ("def run_a(out, plot, jobs, seed, *, p=1.0, grid=None):\n    return p\n"
+           "def run_b(out, plot, jobs, seed, *, q=1.0):\n"
+           "    def inner():\n        return q\n    return inner\n"
+           "def helper(*, r=1):\n    pass\n")
+    assert _unread_runner_params(ast.parse(src)) == ["run_a(grid)"]
 
 
 def _fft_out_calls(tree):

@@ -598,7 +598,7 @@ class TestConcentration:
 
 def _op_norm_reference(op, tol, maxiter, seed=3):
     """The power loop op_norm_estimate ran on A*A before it shared
-    gabor._power_iteration: (value, iterations, converged)."""
+    operators._power_iteration: (value, iterations, converged)."""
     gr = op.grid
     normal_apply = _normal_operator(op)
     rng = np.random.default_rng(seed)
@@ -721,20 +721,20 @@ def test_path_cases_cover_registries():
         for sname in PATH_SYMBOLS:
             sym = _path_symbol(sname)
             dense = replace(sym, separable=None)
-            assert (kernel_path(None, sym, g), kernel_path(None, dense, g)) == ("fft", "dense")
+            assert (kernel_path(None, sym, g)[0], kernel_path(None, dense, g)[0]) == ("fft", "dense")
             for pname in PATH_PHASES:
                 phase = phase_from_name(pname)
-                assert kernel_path(phase, sym, g) == PATH_LABELS[pname]
-                assert kernel_path(phase, dense, g) == "dense"
+                assert kernel_path(phase, sym, g)[0] == PATH_LABELS[pname]
+                assert kernel_path(phase, dense, g)[0] == "dense"
     # derived phases declare no warp and keep the phase-only kernel
     g, sym = PATH_GRIDS["d1"], symbol_from_name("one")
     xphi = phase_from_name("phase_xphi(0.3)")
     fam = LPFamily(j_max=3)
     derived = [_transposed_phase(xphi), _negated_phase(xphi),
                conjugated_piece(dyadic_piece(sym, 2, 0, fam), xphi, 2, 0)[1]]
-    assert [kernel_path(p, sym, g) for p in derived] == ["phase_kernel"] * 3
+    assert [kernel_path(p, sym, g)[0] for p in derived] == ["phase_kernel"] * 3
     # the label follows the grid: no node of this one lies inside the warp
-    assert kernel_path(xphi, sym, GridSpec(1, 8.0, 8)) == "fft"
+    assert kernel_path(xphi, sym, GridSpec(1, 8.0, 8))[0] == "fft"
 
 
 @pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
@@ -823,7 +823,7 @@ def test_normal_operator_cache_budget(monkeypatch):
         return _normal_operator(OperatorHandle("fio_type1", one, phase, g,
                                                validate_phase=False))
 
-    assert kernel_path(phix, one, GridSpec(1, 16.0, 4096)) == "phase_kernel"
+    assert kernel_path(phix, one, GridSpec(1, 16.0, 4096))[0] == "phase_kernel"
     assert operators.DENSE_CACHE_BYTES == 4096 * 4096 * 16
     assert "cache" in normal(4096, phix).__code__.co_freevars
     assert "cache" not in normal(8192, phix).__code__.co_freevars
