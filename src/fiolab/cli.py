@@ -83,7 +83,7 @@ _COMMON = {
     "out": {"default": "out", "help": "output directory"},
     "plot": {"action": "store_true"},
     "jobs": {"type": int, "default": None},
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": int, "default": None},
 }
 
 
@@ -189,13 +189,17 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     if args.from_manifest:
+        given = [f"--{f}" for f in ("seed", "jobs") if getattr(args, f) is not None]
+        if given:
+            raise ConfigError(f"--from-manifest does not accept {' or '.join(given)}: "
+                              "the rerun takes seed and jobs from the manifest")
         res = rerun_from_manifest(args.from_manifest, args.out, plot=args.plot)
     else:
         cfg = load_config(args.config) if args.config else None
         res = run_experiment(args.name, cfg, args.out, plot=args.plot,
-                             jobs=jobs, seed=args.seed,
+                             jobs=args.jobs if args.jobs is not None else default_jobs(),
+                             seed=args.seed if args.seed is not None else 0,
                              command=" ".join(sys.argv[1:]))
     for k, v in sorted(res.summary.items()):
         print(f"{k} = {v}")

@@ -73,13 +73,6 @@ class Window:
     def grid(self) -> GridSpec:
         return self.signal.grid
 
-    @property
-    def window_id(self) -> str:
-        gen = self.signal.generator
-        if gen is None:
-            return "custom"
-        return f"{gen.name}{tuple(sorted(gen.params.items()))}"
-
 
 def default_window(grid: GridSpec) -> Window:
     """Unit-width Gaussian on roomy boxes, box-scaled on small ones."""
@@ -96,7 +89,6 @@ class StftData:
     """
 
     grid: GridSpec
-    window_id: str
     values: Array
     x_stride: int = 1
 
@@ -160,7 +152,7 @@ def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
     for i0, rows in _stft_blocks(f, g, x_stride):
         np.multiply(np.fft.fftshift(rows, axes=axes) * ph, scale,
                     out=vals[i0:i0 + len(rows)])
-    return StftData(gr, g.window_id, vals.reshape((m,) * d + gr.shape), x_stride)
+    return StftData(gr, vals.reshape((m,) * d + gr.shape), x_stride)
 
 
 def stft_direct(f: Signal, g: Window, x_stride: int = 1) -> StftData:
@@ -181,7 +173,7 @@ def stft_direct(f: Signal, g: Window, x_stride: int = 1) -> StftData:
         h = fs * np.conj(tg)
         col = (np.exp(-2j * np.pi * (fre @ pts.T)) @ h) * dx
         vals[idx] = col.reshape(gr.shape)
-    return StftData(gr, g.window_id, vals, x_stride)
+    return StftData(gr, vals, x_stride)
 
 
 def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:

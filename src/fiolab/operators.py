@@ -35,8 +35,12 @@ takes the dense reference path; the tests compare the fast paths with it.
 gabor_matrix sends every lattice atom through one application as a column
 and folds the outputs onto the Walnut fibers of the tone period
 (gabor._folded_analysis) instead of a dense atoms x outputs Gram product;
-diag_decay_certify builds its envelope from per-axis-group bracket tables
-instead of num_atoms^2 temporaries.
+it refuses, before allocating, a lattice whose tables and entries would
+exceed GABOR_MATRIX_BYTES.  Every later pass over the entries (the zero
+floor, diag_decay_certify, schur_certify and the persist exports) walks
+them in row blocks of whole k' rows (_row_blocks), so it holds one block's
+temporaries instead of num_atoms^2 ones; diag_decay_certify builds each
+block's envelope from per-axis-group bracket tables.
 """
 from __future__ import annotations
 
@@ -68,6 +72,13 @@ ZERO_FLOOR = 1e-14
 # largest set of complex128 kernel rows (rows built x size x 16 B) that
 # _normal_operator keeps across power-iteration steps: every row at N = 4096
 DENSE_CACHE_BYTES = 256 * 2 ** 20
+# largest atom table, operator outputs and entries (num_atoms x size x 16 B
+# twice, plus num_atoms^2 x 16 B) that gabor_matrix allocates: a quarter of
+# an 8 GB machine, 8192 atoms at N = 4096
+GABOR_MATRIX_BYTES = 2 * 2 ** 30
+# complex entry bytes per row block of a finished Gabor matrix (_row_blocks);
+# a block is never less than one whole k' row (one k', every n', all columns)
+ROW_BLOCK_BYTES = 2 ** 20
 
 
 def _active_columns(c: Array, tol: float = ACTIVE_TOL) -> Array:
@@ -529,6 +540,21 @@ def _atom_table(g: Window, lat: GaborLattice) -> tuple[Array, Array, Array]:
     return _atom_rows(g, lat), kp, npos
 
 
+class GaborMatrixSizeError(ValueError):
+    """A Gabor matrix whose tables and entries exceed GABOR_MATRIX_BYTES."""
+
+
+def _row_blocks(M: GaborMatrix):
+    """Row slices of M.entries in order, each of whole k' rows (the nn rows
+    k_flat * nn ... k_flat * nn + nn - 1 of one k'): as many k' rows as fit
+    in ROW_BLOCK_BYTES of entries, and at least one."""
+    nn = len(M.lattice.n_index) ** M.lattice.grid.dim
+    row_bytes = nn * M.num_atoms * M.entries.itemsize
+    step = nn * max(1, ROW_BLOCK_BYTES // row_bytes)
+    for lo in range(0, M.num_atoms, step):
+        yield slice(lo, min(lo + step, M.num_atoms))
+
+
 def gabor_matrix(
     op: OperatorHandle,
     g: Window,
@@ -538,18 +564,30 @@ def gabor_matrix(
     """Assemble <Op g_{k,n}, g_{k',n'}>: all atoms go through the operator as
     the columns of one application, and the rows come from the Walnut-fiber
     fold of the output columns (gabor._folded_analysis), for any lattice.
-    Entries below zero_floor times the peak modulus are set to 0."""
+    Entries below zero_floor times the peak modulus are set to 0.
+
+    Raises GaborMatrixSizeError, before allocating anything, when the atom
+    table, the operator outputs and the entries together exceed
+    GABOR_MATRIX_BYTES."""
     gr = g.grid
+    n_bytes = 16 * lat.num_atoms * (2 * gr.size + lat.num_atoms)
+    if n_bytes > GABOR_MATRIX_BYTES:
+        raise GaborMatrixSizeError(
+            f"a Gabor matrix of {lat.num_atoms} atoms on {gr.size} grid points needs "
+            f"{n_bytes / 2 ** 30:.1f} GiB for its atoms, outputs and entries, over "
+            f"the {GABOR_MATRIX_BYTES / 2 ** 30:.0f} GiB limit (GABOR_MATRIX_BYTES)")
     atoms, kp, npos = _atom_table(g, lat)
     outs = op._apply_flat(gr, atoms.T)
     atoms = None  # only the outputs enter the fold
-    entries = _folded_analysis(outs, g, lat)
+    M = GaborMatrix(entries=_folded_analysis(outs, g, lat), k_phys=kp, n_phys=npos,
+                    lattice=lat)
     outs = None
-    mag = np.abs(entries)
-    peak = mag.max()
+    peak = np.max([np.abs(M.entries[rows]).max() for rows in _row_blocks(M)])
     if peak > 0:
-        entries[mag < zero_floor * peak] = 0.0
-    return GaborMatrix(entries=entries, k_phys=kp, n_phys=npos, lattice=lat)
+        for rows in _row_blocks(M):
+            block = M.entries[rows]
+            block[np.abs(block) < zero_floor * peak] = 0.0
+    return M
 
 
 @dataclass
@@ -570,29 +608,38 @@ def _pair_brackets(z: Array) -> Array:
     return bracket(z[:, None, :] - z[None, :, :])
 
 
-def _ratio_report(M: GaborMatrix, envelope: Array) -> DecayReport:
-    """The largest |entries| / envelope, envelope a (k', n', k, n) array
-    that is overwritten by the ratios."""
-    ratios = np.divide(np.abs(M.entries).reshape(envelope.shape), envelope, out=envelope)
-    i = int(np.argmax(ratios))
-    return DecayReport(constant=float(ratios.ravel()[i]),
-                       worst=(i // M.num_atoms, i % M.num_atoms))
+def _block_ratios(block: Array, envelope: Array) -> Array:
+    """|block| / envelope for a row block of entries and its (k', n', k, n)
+    envelope, which is overwritten by the ratios."""
+    return np.divide(np.abs(block).reshape(envelope.shape), envelope, out=envelope)
 
 
 def diag_decay_certify(M: GaborMatrix, m1: float, m2: float,
                        N1: int = 1, N2: int = 1) -> DecayReport:
     """Smallest C with |entry| <= C <n>^{m1} <k'>^{m2} <n-n'>^{-2N1} <k-k'>^{-2N2}.
 
-    The envelope is built on a (k', n', k, n) view from the (k', k) and
-    (n', n) bracket tables, in the multiplication order of the dense form
-    (<k'>^{m2} <n>^{m1}) (<n-n'>^{-2N1} <k-k'>^{-2N2})."""
+    The envelope of each row block (_row_blocks) is built on a (k', n', k, n)
+    view from the (k', k) and (n', n) bracket tables, in the multiplication
+    order of the dense form (<k'>^{m2} <n>^{m1}) (<n-n'>^{-2N1} <k-k'>^{-2N2}).
+    The worst index is the first largest ratio in row-major order, or the
+    first NaN, as np.argmax over all ratios gives it."""
     kt, nt = _lattice_tables(M)
+    nn = len(nt)
     dn = _pair_brackets(nt) ** (-2 * N1)
     dk = _pair_brackets(kt) ** (-2 * N2)
-    envelope = np.multiply(dn[None, :, None, :], dk[:, None, :, None])
     outer = np.multiply.outer(bracket(kt) ** m2, bracket(nt) ** m1)
-    envelope *= outer[:, None, None, :]
-    return _ratio_report(M, envelope)
+    peaks, where = [], []
+    for rows in _row_blocks(M):
+        ks = slice(rows.start // nn, rows.stop // nn)
+        envelope = np.multiply(dn[None, :, None, :], dk[ks, None, :, None])
+        envelope *= outer[ks, None, None, :]
+        ratios = _block_ratios(M.entries[rows], envelope)
+        i = int(np.argmax(ratios))
+        peaks.append(ratios.ravel()[i])
+        where.append(rows.start * M.num_atoms + i)
+    b = int(np.argmax(peaks))
+    return DecayReport(constant=float(peaks[b]),
+                       worst=(where[b] // M.num_atoms, where[b] % M.num_atoms))
 
 
 @dataclass
@@ -621,25 +668,35 @@ class SchurReport:
 
 
 def schur_certify(M: GaborMatrix, weight: Optional[Callable] = None) -> SchurReport:
-    """weight(k', n', k, n), when given, multiplies |entries| pointwise."""
-    a = np.abs(M.entries)
-    if weight is not None:
-        w = weight(M.k_phys[:, None, :], M.n_phys[:, None, :],
-                   M.k_phys[None, :, :], M.n_phys[None, :, :])
-        a = a * w
-    sup_row = float(np.max(np.sum(a, axis=1)))
-    sup_col = float(np.max(np.sum(a, axis=0)))
+    """weight(k', n', k, n), when given, multiplies |entries| pointwise.
+
+    The sums walk the row blocks of _row_blocks.  The two that run over the
+    row axis, the column sums and the sum over k' of mixed_b, add one row,
+    or one k' row, at a time in row order, as the dense reductions do, so
+    all four sums are those of the num_atoms^2 form bit for bit."""
     nk = len(M.lattice.k_index) ** M.lattice.grid.dim
     nn = len(M.lattice.n_index) ** M.lattice.grid.dim
-    # flattened order is k-major: index = k_flat * nn + n_flat
-    b = a.reshape(nk, nn, nk, nn)
+    row_sums, col, sup_k, sum_k = [], None, None, None
+    for rows in _row_blocks(M):
+        a = np.abs(M.entries[rows])
+        if weight is not None:
+            a = a * weight(M.k_phys[rows, None, :], M.n_phys[rows, None, :],
+                           M.k_phys[None, :, :], M.n_phys[None, :, :])
+        row_sums.append(np.sum(a, axis=1))
+        for r in a:
+            col = r.copy() if col is None else np.add(col, r, out=col)
+        # flattened order is k-major: index = k_flat * nn + n_flat
+        b = a.reshape(-1, nn, nk, nn)
+        inner = np.max(np.sum(b, axis=2), axis=0)    # sum over k, sup over k' -> (n', n)
+        sup_k = inner if sup_k is None else np.maximum(sup_k, inner)
+        for r in b:                                  # sum over k' -> (n', k, n)
+            sum_k = r.copy() if sum_k is None else np.add(sum_k, r, out=sum_k)
+    sup_row = float(np.max(np.concatenate(row_sums)))
+    sup_col = float(np.max(col))
     # sup over n of sum over n' of sup over k' of sum over k
-    inner = np.sum(b, axis=2)            # over k -> (k', n', n)
-    inner = np.max(inner, axis=0)        # sup over k' -> (n', n)
-    mixed_a = float(np.max(np.sum(inner, axis=0)))  # sum n', sup n
-    inner_b = np.sum(b, axis=0)          # over k' -> (n', k, n)
-    inner_b = np.max(inner_b, axis=1)    # sup over k -> (n', n)
-    mixed_b = float(np.max(np.sum(inner_b, axis=1)))  # sum n, sup n'
+    mixed_a = float(np.max(np.sum(sup_k, axis=0)))
+    # sup over n' of sum over n of sup over k of sum over k'
+    mixed_b = float(np.max(np.sum(np.max(sum_k, axis=1), axis=1)))
     return SchurReport(sup_row=sup_row, sup_col=sup_col,
                        mixed_a=mixed_a, mixed_b=mixed_b)
 

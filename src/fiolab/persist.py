@@ -2,10 +2,15 @@
 
 Every CSV starts with the version comment "# schema=1" followed by a header
 row.  Floats are written with repr (shortest round-trip form), so identical
-inputs give byte-identical files.
+inputs give byte-identical files.  Lines go to the open file in chunks of
+_LINES_PER_WRITE, never joined into one text.  The Gabor-matrix exports take
+their records from one selection, _matrix_records, which walks the entries
+in the row blocks of operators._row_blocks: an export holds the matrix plus
+one block's records.
 """
 from __future__ import annotations
 
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -13,11 +18,12 @@ import numpy as np
 
 from .gabor import GaborCoeffs, StftData
 from .grid import GridSpec, Signal
-from .operators import GaborMatrix
+from .operators import GaborMatrix, _row_blocks
 
 SCHEMA_LINE = "# schema=1"
 MATRIX_RECORD = np.dtype([("kp", "<i4"), ("np", "<i4"), ("k", "<i4"), ("n", "<i4"),
                           ("abs", "<f8"), ("phase", "<f8")])
+_LINES_PER_WRITE = 2 ** 12
 
 
 def _fmt(v) -> str:
@@ -42,8 +48,10 @@ def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]
 def _write_lines(path, header: Sequence[str], lines: Iterable[str]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = "\n".join([SCHEMA_LINE, ",".join(header), *lines]) + "\n"
-    path.write_text(text, encoding="ascii", newline="\n")
+    lines = chain([SCHEMA_LINE, ",".join(header)], lines)
+    with path.open("w", encoding="ascii", newline="\n") as fh:
+        while chunk := list(islice(lines, _LINES_PER_WRITE)):
+            fh.write("\n".join(chunk) + "\n")
     return path
 
 
@@ -97,14 +105,20 @@ def coeffs_to_csv(path, c: GaborCoeffs) -> Path:
 
 def _matrix_records(m: GaborMatrix, min_abs: float):
     """Row-major entries (i', i) of a d=1 matrix whose modulus is not <= min_abs
-    (NaN entries are kept), as (i', i, modulus, phase)."""
+    (NaN entries are kept), as (i', i, modulus, phase), one tuple of arrays
+    per row block of operators._row_blocks."""
     if m.lattice.grid.dim != 1:
         raise NotImplementedError("matrix export covers d=1")
-    e = m.entries
-    # hypot is Python's abs(complex) bit for bit; np.abs may differ in the last ulp
-    mag = np.hypot(e.real, e.imag)
-    i, j = np.nonzero(~(mag <= min_abs))
-    return i, j, mag[i, j], np.angle(e[i, j])
+
+    def blocks():
+        for rows in _row_blocks(m):
+            e = m.entries[rows]
+            # hypot is Python's abs(complex) bit for bit; np.abs may differ in the last ulp
+            mag = np.hypot(e.real, e.imag)
+            i, j = np.nonzero(~(mag <= min_abs))
+            yield i + rows.start, j, mag[i, j], np.angle(e[i, j])
+
+    return blocks()
 
 
 def matrix_to_csv(path, m: GaborMatrix, min_abs: float = 0.0) -> Path:
@@ -112,22 +126,25 @@ def matrix_to_csv(path, m: GaborMatrix, min_abs: float = 0.0) -> Path:
 
     The four positions are physical (alpha*k', beta*n', alpha*k, beta*n);
     matrix_to_binary stores the integer lattice indices instead."""
-    i, j, mag, phase = _matrix_records(m, min_abs)
+    records = _matrix_records(m, min_abs)
     pos = _reprs(m.k_phys[:, 0]) + "," + _reprs(m.n_phys[:, 0])
-    return _write_columns(path, ["kp", "np", "k", "n", "abs", "phase"],
-                          [pos[i], pos[j], _reprs(mag), _reprs(phase)])
+    lines = (line for i, j, mag, phase in records for line in map(",".join, zip(
+        pos[i], pos[j], map(repr, mag.tolist()), map(repr, phase.tolist()))))
+    return _write_lines(path, ["kp", "np", "k", "n", "abs", "phase"], lines)
 
 
 def matrix_to_binary(path, m: GaborMatrix, min_abs: float = 0.0) -> Path:
     """Fixed-width little-endian records: 4 x int32 lattice indices followed
     by 2 x float64 (abs, phase)."""
-    i, j, mag, phase = _matrix_records(m, min_abs)
+    records = _matrix_records(m, min_abs)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ki = np.rint(m.k_phys[:, 0] / m.lattice.alpha).astype("<i4")
     ni = np.rint(m.n_phys[:, 0] / m.lattice.beta).astype("<i4")
-    rec = np.empty(len(i), dtype=MATRIX_RECORD)
-    rec["kp"], rec["np"], rec["k"], rec["n"] = ki[i], ni[i], ki[j], ni[j]
-    rec["abs"], rec["phase"] = mag, phase
-    rec.tofile(path)
+    with path.open("wb") as fh:
+        for i, j, mag, phase in records:
+            rec = np.empty(len(i), dtype=MATRIX_RECORD)
+            rec["kp"], rec["np"], rec["k"], rec["n"] = ki[i], ni[i], ki[j], ni[j]
+            rec["abs"], rec["phase"] = mag, phase
+            rec.tofile(fh)
     return path

@@ -2,19 +2,22 @@ import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fiolab import operators, persist
 from fiolab.cli import main
 from fiolab.config import ConfigError, ExperimentConfig, load_config, parse_config
 from fiolab.gabor import GaborLattice, Window, gabor_analysis, stft
 from fiolab.grid import GridSpec, Signal, gaussian_generator, lp_norm
 from fiolab.manifest import load_manifest
-from fiolab.operators import OperatorHandle, gabor_matrix
+from fiolab.operators import GaborMatrixSizeError, OperatorHandle, gabor_matrix
 from fiolab.persist import (
     MATRIX_RECORD,
+    SCHEMA_LINE,
     coeffs_to_csv,
     matrix_to_binary,
     matrix_to_csv,
@@ -321,6 +324,109 @@ def test_stft_and_coeffs_csv_match_record_writers(tmp_path):
     assert got.splitlines()[2].startswith(b"-3,-5,")
 
 
+def _whole_array_exports(m, min_abs):
+    """The CSV text and binary bytes of the exports before they walked row
+    blocks: one record selection over the whole array, one joined text."""
+    e = m.entries
+    mag = np.hypot(e.real, e.imag)
+    i, j = np.nonzero(~(mag <= min_abs))
+    mag, phase = mag[i, j], np.angle(e[i, j])
+    reprs = lambda a: np.array(list(map(repr, np.ravel(a).tolist())), dtype=object)
+    pos = reprs(m.k_phys[:, 0]) + "," + reprs(m.n_phys[:, 0])
+    lines = map(",".join, zip(pos[i], pos[j], reprs(mag), reprs(phase)))
+    text = "\n".join([SCHEMA_LINE, "kp,np,k,n,abs,phase", *lines]) + "\n"
+    ki = np.rint(m.k_phys[:, 0] / m.lattice.alpha).astype("<i4")
+    ni = np.rint(m.n_phys[:, 0] / m.lattice.beta).astype("<i4")
+    rec = np.empty(len(i), dtype=MATRIX_RECORD)
+    rec["kp"], rec["np"], rec["k"], rec["n"] = ki[i], ni[i], ki[j], ni[j]
+    rec["abs"], rec["phase"] = mag, phase
+    return text.encode("ascii"), rec.tobytes()
+
+
+@pytest.mark.parametrize("lines_per_write", [1, 7, None])
+@pytest.mark.parametrize("k_rows", [1, 5, None])
+def test_matrix_exports_match_whole_array_form(tmp_path, xphi_matrix, monkeypatch,
+                                                k_rows, lines_per_write):
+    """Row blocks of one k' row, of five and the whole matrix, and writes of
+    1, 7 and the default number of lines, give the bytes of the whole-array
+    exports, NaN entries included; the second min_abs empties the blocks of
+    the first and last k' rows, and the third keeps only the NaN entries."""
+    lat = xphi_matrix.lattice
+    nk, nn = len(lat.k_index), len(lat.n_index)
+    monkeypatch.setattr(operators, "ROW_BLOCK_BYTES",
+                        (k_rows or nk) * nn * xphi_matrix.entries[0].nbytes)
+    if lines_per_write:
+        monkeypatch.setattr(persist, "_LINES_PER_WRITE", lines_per_write)
+    entries = xphi_matrix.entries.copy()
+    entries[nn + 3, 7] = entries[-nn - 1, 0] = np.nan
+    M = dataclasses.replace(xphi_matrix, entries=entries)
+    mag = np.abs(entries).reshape(nk, nn, -1)
+    edge = np.nanmax(mag[[0, -1]])
+    assert edge < np.nanmax(mag[1:-1])
+    for min_abs in (0.0, edge, np.nanmax(mag)):
+        text, raw = _whole_array_exports(M, min_abs)
+        assert matrix_to_csv(tmp_path / "m.csv", M, min_abs=min_abs).read_bytes() == text
+        assert matrix_to_binary(tmp_path / "m.bin", M, min_abs=min_abs).read_bytes() == raw
+        assert text.count(b",nan,nan\n") == 2
+        assert np.isnan(np.frombuffer(raw, dtype=MATRIX_RECORD)["abs"]).sum() == 2
+
+
+@pytest.mark.parametrize("lines_per_write", [1, 7, None])
+def test_signal_and_stft_csv_match_joined_text(tmp_path, monkeypatch, lines_per_write):
+    """Chunked writes give the bytes of the one joined text they replaced."""
+    if lines_per_write:
+        monkeypatch.setattr(persist, "_LINES_PER_WRITE", lines_per_write)
+    g = GridSpec(1, 8.0, 128)
+    f = Signal.from_generator(g, gaussian_generator())
+    data = stft(f, Window.gaussian(g), x_stride=4)
+
+    def joined(header, rows):
+        lines = (",".join(repr(v) for v in row) for row in rows)
+        return ("\n".join([SCHEMA_LINE, header, *lines]) + "\n").encode("ascii")
+
+    got = signal_to_csv(tmp_path / "s.csv", f).read_bytes()
+    assert got == joined("i0,re,im", ((i, v.real, v.imag)
+                                      for i, v in enumerate(f.samples.tolist())))
+    got = stft_to_csv(tmp_path / "t.csv", data).read_bytes()
+    assert got == joined("k,n,re,im", ((i, k, v.real, v.imag)
+                                       for i, row in enumerate(data.values.tolist())
+                                       for k, v in enumerate(row)))
+
+
+class TestDenseSizeGuard:
+    """gabor_matrix refuses a lattice whose atom table, operator outputs and
+    entries exceed GABOR_MATRIX_BYTES, before it allocates any of them."""
+
+    def test_cli_refuses_40401_atoms(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        tracemalloc.start()
+        try:
+            code = main(["matrix", "--grid", "4096,16", "--radius", "100",
+                         "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "40401 atoms" in err and "GABOR_MATRIX_BYTES" in err
+        assert not out.exists()
+        # the window and the lattice only: one 4096-sample grid is 64 KiB
+        assert peak < 2 ** 20
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        g = GridSpec(1, 8.0, 128)
+        lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=2, n_radius=2)
+        op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g)
+        n_bytes = 16 * lat.num_atoms * (2 * g.size + lat.num_atoms)
+        monkeypatch.setattr(operators, "GABOR_MATRIX_BYTES", n_bytes)
+        assert gabor_matrix(op, Window.gaussian(g), lat).num_atoms == 25
+        monkeypatch.setattr(operators, "GABOR_MATRIX_BYTES", n_bytes - 1)
+        monkeypatch.setattr(operators, "_atom_table", None)  # never reached
+        with pytest.raises(GaborMatrixSizeError, match="25 atoms on 128 grid points"):
+            gabor_matrix(op, Window.gaussian(g), lat)
+        assert issubclass(GaborMatrixSizeError, ValueError)
+
+
 def test_matrix_exports_agree(tmp_path):
     out = tmp_path / "m"
     assert main(["matrix", "--radius", "4", "--out", str(out)]) == 0
@@ -408,6 +514,18 @@ class TestRunner:
         err = capsys.readouterr().err
         assert "predates the removal of [output] from the config schema" in err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--jobs", "2"]])
+    def test_rerun_refuses_seed_and_jobs(self, tmp_path, capsys, flag):
+        run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
+        path = tmp_path / "a" / "fl_growth.manifest.json"
+        code = main(["experiment", "--from-manifest", str(path),
+                     "--out", str(tmp_path / "b"), *flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"--from-manifest does not accept {flag[0]}" in err
+        assert "the rerun takes seed and jobs from the manifest" in err
+        assert not (tmp_path / "b").exists()
 
     def test_rerun_of_manifest_with_dropped_key_is_refused(self, tmp_path, capsys):
         run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)

@@ -397,7 +397,7 @@ def _stft_reference(f, g, x_stride=1):
             tg = _zero_fill_shift(gs, (m - n // 2,))
             rows[i] = f.samples * np.conj(tg)
         vals = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1) * ph * scale
-        return StftData(gr, g.window_id, vals, x_stride)
+        return StftData(gr, vals, x_stride)
     ms = np.arange(0, n, x_stride)
     out_shape = (len(ms),) * d + gr.shape
     vals = np.empty(out_shape, dtype=complex)
@@ -406,7 +406,7 @@ def _stft_reference(f, g, x_stride=1):
         tg = _zero_fill_shift(gs, offs)
         h = f.samples * np.conj(tg)
         vals[idx] = np.fft.fftshift(np.fft.fftn(h)) * ph * scale
-    return StftData(gr, g.window_id, vals, x_stride)
+    return StftData(gr, vals, x_stride)
 
 
 def _istft_reference(F, g):

@@ -373,39 +373,158 @@ class TestFactoredDecay:
     @pytest.mark.parametrize("lname", ["coprime", "d2", "d2_coprime"])
     def test_equal_to_dense_envelope(self, lname, args, monkeypatch):
         seen = []
-        ratio_report = operators._ratio_report
+        block_ratios = operators._block_ratios
 
-        def spy(M, envelope):  # _ratio_report leaves the ratios in envelope
-            rep = ratio_report(M, envelope)
-            seen.append(envelope.reshape(M.entries.shape))
-            return rep
+        def spy(block, envelope):
+            ratios = block_ratios(block, envelope)
+            seen.append(ratios.reshape(block.shape))
+            return ratios
 
-        monkeypatch.setattr(operators, "_ratio_report", spy)
+        monkeypatch.setattr(operators, "_block_ratios", spy)
         op, w, lat = _fold_case(lname)
         M = gabor_matrix(op, w, lat)
+        # three k' rows per block, so that every lattice has several blocks
+        monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", _k_rows_per_block(lat, 3))
         ref = _diag_decay_reference(M, *args)
         rep = diag_decay_certify(M, *args)
         assert (rep.constant, rep.worst) == _decay_report(ref)
-        assert np.array_equal(seen.pop(), ref)
+        assert len(seen) > 1
+        assert np.array_equal(np.concatenate(seen), ref)
 
-    def test_traced_peak(self):
-        """One certificate on the 2401-atom matrix of the `fiolab matrix`
-        benchmark holds at most 2.5 |entries| arrays (the dense envelope
-        held about 5)."""
-        g = GridSpec(1, 16.0, 1024)
-        lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=24, n_radius=24)
-        op = OperatorHandle("pseudo_kn", symbol_from_name("model_sg(-0.5,-0.5)"), None, g)
-        M = gabor_matrix(op, Window.gaussian(g), lat)
-        assert M.num_atoms == 2401
+
+def _schur_reference(M, weight=None):
+    """The four sums of schur_certify before it walked row blocks: dense
+    num_atoms^2 reductions."""
+    a = np.abs(M.entries)
+    if weight is not None:
+        a = a * weight(M.k_phys[:, None, :], M.n_phys[:, None, :],
+                       M.k_phys[None, :, :], M.n_phys[None, :, :])
+    nk = len(M.lattice.k_index) ** M.lattice.grid.dim
+    nn = len(M.lattice.n_index) ** M.lattice.grid.dim
+    b = a.reshape(nk, nn, nk, nn)
+    mixed_a = np.max(np.sum(np.max(np.sum(b, axis=2), axis=0), axis=0))
+    mixed_b = np.max(np.sum(np.max(np.sum(b, axis=0), axis=1), axis=1))
+    return (float(np.max(np.sum(a, axis=1))), float(np.max(np.sum(a, axis=0))),
+            float(mixed_a), float(mixed_b))
+
+
+def _schur_weight(kp, np_, k, n):
+    return bracket(k - kp) ** 0.5 * bracket(np_) ** -0.25
+
+
+def _k_rows_per_block(lat, k_rows):
+    """A ROW_BLOCK_BYTES that gives blocks of k_rows whole k' rows."""
+    return k_rows * len(lat.n_index) ** lat.grid.dim * lat.num_atoms * 16
+
+
+# one k' row per block (the floor of _row_blocks); seven, which leaves a short
+# last block on every FOLD_LATTICES lattice; and the whole matrix
+ROW_BLOCKS = {"one": 1, "seven": 7, "whole": None}
+
+
+def _block_bytes(lat, blocks):
+    k_rows = ROW_BLOCKS[blocks] or len(lat.k_index) ** lat.grid.dim
+    return _k_rows_per_block(lat, k_rows)
+
+
+class TestRowBlocks:
+    """The zero floor and both certificates walk the entries in row blocks of
+    whole k' rows; at one k' row, an odd count and the whole matrix they
+    equal the dense num_atoms^2 forms bit for bit, NaN entries included."""
+
+    def test_blocks_cover_whole_k_rows(self, monkeypatch):
+        op, w, lat = _fold_case("coprime")
+        M = gabor_matrix(op, w, lat)
+        nn = len(lat.n_index)
+        monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", _k_rows_per_block(lat, 4))
+        blocks = list(operators._row_blocks(M))
+        assert [b.start for b in blocks] == list(range(0, M.num_atoms, 4 * nn))
+        assert blocks[-1] == slice(8 * nn, M.num_atoms) and len(lat.k_index) == 9
+        monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", 1)
+        assert len(list(operators._row_blocks(M))) == len(lat.k_index)
+
+    @pytest.mark.parametrize("blocks", sorted(ROW_BLOCKS))
+    @pytest.mark.parametrize("lname", sorted(FOLD_LATTICES))
+    def test_zero_floor(self, lname, blocks, monkeypatch):
+        op, w, lat = _fold_case(lname, "fio_type1", "phase_xphi(0.3)")
+        ref = gabor_matrix(op, w, lat, zero_floor=0.0).entries
+        floored = ref.copy()
+        mag = np.abs(floored)
+        floored[mag < 1e-3 * mag.max()] = 0.0
+        monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", _block_bytes(lat, blocks))
+        M = gabor_matrix(op, w, lat, zero_floor=1e-3)
+        assert np.count_nonzero(M.entries) < np.count_nonzero(ref)
+        assert np.array_equal(M.entries, floored)
+
+    @pytest.mark.parametrize("blocks", sorted(ROW_BLOCKS))
+    @pytest.mark.parametrize("lname", sorted(FOLD_LATTICES))
+    def test_certificates_equal_dense(self, lname, blocks, monkeypatch):
+        op, w, lat = _fold_case(lname, "fio_type1", "phase_xphi(0.3)")
+        M = gabor_matrix(op, w, lat)
+        entries = M.entries.copy()
+        entries[1, 2] = entries[-1, 0] = np.nan
+        M_nan = replace(M, entries=entries)
+        monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", _block_bytes(lat, blocks))
+        for A in (M, M_nan):
+            for args in [(-0.5, -0.5, 1, 1), (0.7, -1.3, 2, 1)]:
+                rep = diag_decay_certify(A, *args)
+                assert repr((rep.constant, rep.worst)) == \
+                    repr(_decay_report(_diag_decay_reference(A, *args)))
+            for weight in (None, _schur_weight):
+                sc = schur_certify(A, weight=weight)
+                got = (sc.sup_row, sc.sup_col, sc.mixed_a, sc.mixed_b)
+                assert repr(got) == repr(_schur_reference(A, weight))
+        assert diag_decay_certify(M_nan, -0.5, -0.5).worst == (1, 2)
+
+    def test_worst_is_first_of_ties_across_blocks(self, monkeypatch):
+        """Equal largest ratios in two blocks: the first one in row order."""
+        op, w, lat = _fold_case("coprime")
+        M = gabor_matrix(op, w, lat)
+        monkeypatch.setattr(operators, "ROW_BLOCK_BYTES", 1)
+        nn = len(lat.n_index)
+        entries = np.zeros_like(M.entries)
+        # <k'> = <k> and <n> = <n'> on the diagonal: both ratios are equal
+        entries[2 * nn + 3, 2 * nn + 3] = entries[-2 * nn - 4, -2 * nn - 4] = 1.0
+        rep = diag_decay_certify(replace(M, entries=entries), 0.0, 0.0)
+        assert rep.worst == (2 * nn + 3, 2 * nn + 3)
+
+
+BENCH_GRID = GridSpec(1, 16.0, 1024)
+
+
+@pytest.fixture(scope="class")
+def bench_matrix():
+    """The 2401-atom matrix of the `fiolab matrix` benchmark."""
+    lat = GaborLattice.for_grid(BENCH_GRID, 0.5, 0.5, k_radius=24, n_radius=24)
+    op = OperatorHandle("pseudo_kn", symbol_from_name("model_sg(-0.5,-0.5)"), None,
+                        BENCH_GRID)
+    M = gabor_matrix(op, Window.gaussian(BENCH_GRID), lat)
+    assert M.num_atoms == 2401
+    return M
+
+
+class TestTracedPeaks:
+    """Each pass over a finished matrix holds at most a tenth of |entries|
+    above the matrix (whole-array passes held 0.5 to 2 entries arrays)."""
+
+    @pytest.mark.parametrize("step", ["decay", "schur", "csv", "binary"])
+    def test_traced_peak(self, bench_matrix, step, tmp_path):
+        from fiolab import persist
+        M = bench_matrix
+        run = {"decay": lambda: diag_decay_certify(M, -0.5, -0.5, 1, 1),
+               "schur": lambda: schur_certify(M),
+               "csv": lambda: persist.matrix_to_csv(tmp_path / "m.csv", M),
+               "binary": lambda: persist.matrix_to_binary(tmp_path / "m.bin", M)}[step]
         tracemalloc.start()
         try:
-            rep = diag_decay_certify(M, -0.5, -0.5, 1, 1)
+            out = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * M.num_atoms ** 2 * 8
-        ref = _diag_decay_reference(M, -0.5, -0.5, 1, 1)
-        assert (rep.constant, rep.worst) == _decay_report(ref)
+        assert peak <= 0.1 * M.entries.nbytes
+        if step == "decay":
+            ref = _diag_decay_reference(M, -0.5, -0.5, 1, 1)
+            assert (out.constant, out.worst) == _decay_report(ref)
 
 
 @pytest.fixture(scope="module")
