@@ -12,8 +12,8 @@ grid's unitary transform pair apply_fio2(Phi, sigma) is the exact discrete
 adjoint of apply_fio1(Phi, sigma), and adjoint identities hold to rounding
 rather than to quadrature accuracy.
 
-_kernel_apply is the single place that evaluates exp(2 pi i Phi) and decides
-how an operator is applied; every consumer (apply_pseudo_kn, apply_fio1,
+_kernel_apply is the single place that builds kernel blocks and decides how
+an operator is applied; every consumer (apply_pseudo_kn, apply_fio1,
 apply_fio2, OperatorHandle, gabor_matrix, the normal operator of
 op_norm_estimate) goes through it.  kernel_path names the path it takes:
 
@@ -32,6 +32,18 @@ op_norm_estimate) goes through it.  kernel_path names the path it takes:
 A symbol rebuilt without `separable` (SymbolSpec(name, order, fn)) always
 takes the dense reference path; the tests compare the fast paths with it.
 
+How a block is built (_block_builder) is separate from the path.  On
+"warped_rows" and "phase_kernel", a phase that declares warp_x
+(Phi = psi(x).eta) or warp_eta (Phi = x.chi(eta)) is linear on one side,
+whose nodes lie on a uniform grid.  Writing a node index there as
+k = Q a + b, Q the power of two nearest sqrt(N),
+exp(2 pi i s (v0 + (Q a + b) h)) = exp(2 pi i s (v0 + Q a h)) exp(2 pi i s b h),
+so each entry is a product of entries of two short tables per axis
+(_table_block) instead of one complex exp.  The "dense" path and phases that
+declare neither warp (derived ones such as _transposed_phase) evaluate
+exp(2 pi i Phi) entry by entry: the reference the table build is tested
+against.
+
 gabor_matrix sends every lattice atom through one application as a column
 and folds the outputs onto the Walnut fibers of the tone period
 (gabor._folded_analysis) instead of a dense atoms x outputs Gram product;
@@ -44,6 +56,7 @@ block's envelope from per-axis-group bracket tables.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -112,6 +125,10 @@ def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec,
     * "phase_kernel": separable symbol, phase without warp_x; the phase-only
       kernel on every row, a(x) and b(eta) applied as vectors;
     * "dense": the kernel times sigma(x, eta) on every row, the reference.
+
+    The label does not say how blocks are built: on "warped_rows" and
+    "phase_kernel" a phase declaring warp_x or warp_eta gets them from
+    exponential tables (_block_builder), any other from exp(2 pi i Phi).
     """
     if sym.separable is None:
         return "dense", np.arange(grid.size)
@@ -119,6 +136,103 @@ def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec,
     if rows is None:
         return "phase_kernel", np.arange(grid.size)
     return ("warped_rows" if len(rows) else "fft"), rows
+
+
+def _split(n: int) -> int:
+    """Q = 2^round(log2(n) / 2), the power of two nearest sqrt(n) on a log
+    scale: a node index k < n of a linear-side axis is split as k = Q a + b
+    with b < Q, so its tables have ceil(n / Q) and Q rows."""
+    return 2 ** round(np.log2(n) / 2)
+
+
+def _exp_table(nodes: Array, s: Array) -> Array:
+    """T[i, j] = exp(2 pi i nodes[i] s[j])."""
+    T = np.multiply(np.multiply.outer(nodes, s), 2j * np.pi)
+    return np.exp(T, out=T)
+
+
+def _lo_tables(s: Array, step: float, n: int) -> list[Array]:
+    """Per coordinate t of s (rows j), lo[b, j] = exp(2 pi i s[j, t] b step)
+    for b < Q = _split(n)."""
+    nodes = step * np.arange(_split(n))
+    return [_exp_table(nodes, st) for st in s.T]
+
+
+def _scale_runs(K: Array, k: Array, rows: Callable[[Array], Array]) -> None:
+    """K[i] *= T[k[i]] in place, one slice per run of equal k[i], where
+    rows(u) gives the rows T[u] for the distinct run values u, sorted."""
+    if not len(k):  # no active column, as for a zero input
+        return
+    cut = np.flatnonzero(np.diff(k)) + 1
+    starts = np.concatenate(([0], cut))
+    u, inv = np.unique(k[starts], return_inverse=True)
+    T = rows(u)
+    for j, i0, i1 in zip(inv, starts, np.append(cut, len(k))):
+        K[i0:i1] *= T[j]
+
+
+def _table_block(s: Array, idx: tuple[Array, ...], axis: Array, lo: list[Array]) -> Array:
+    """B[i, j] = exp(2 pi i sum_t s[j, t] axis[idx[t][i]]) for linear-side
+    nodes with per-axis indices idx[t] and warped values s, from two tables
+    per axis instead of one exp per entry: with idx[t] = Q a + b,
+    exp(2 pi i s axis[Q a + b]) = exp(2 pi i s axis[Q a]) exp(2 pi i s b h).
+    lo[t] (_lo_tables) holds the second factor; the rows of the first, the hi
+    table, are evaluated for the distinct a present.  The last axis, which
+    varies fastest along a sorted flat index, is gathered; every other factor
+    multiplies runs of equal index in place, so no gathered temporary of B's
+    size is made."""
+    q = len(lo[0])
+    B = None
+    for t in reversed(range(len(lo))):
+        a, b = np.divmod(idx[t], q)
+        if B is None:
+            B = lo[t][b]
+        else:
+            _scale_runs(B, b, lambda u: lo[t][u])
+        _scale_runs(B, a, lambda u: _exp_table(axis[q * u], s[:, t]))
+    return B
+
+
+def _block_builder(phase: Optional[PhaseSpec], sym: SymbolSpec, grid: GridSpec,
+                   R: Array, C: Array) -> Callable[[slice], Array]:
+    """The kernel blocks of _kernel_apply: for a slice r of the grid rows R,
+    K[R[r], C] over the frequency columns C (indices into freq_points).
+
+    With a separable symbol, a phase declaring warp_x is linear in eta and
+    one declaring warp_eta is linear in x, and their blocks come from
+    _table_block on the linear side's axis: for warp_x with s = psi(x) of
+    the block's rows and the columns' eta indices, transposed; for warp_eta
+    with s = chi(eta) of the columns, whose lo tables are built once on
+    first use, and the block's x indices.  Every other case, the "dense"
+    path included, evaluates exp(2 pi i Phi) entry by entry, times
+    sigma(x, eta) when the symbol is not separable: the reference."""
+    xs, n = grid.space_points(), grid.samples_per_axis
+    sep = sym.separable is not None
+    if sep and phase is not None and phase.warp_x is not None:
+        cols = np.unravel_index(C, grid.shape)
+
+        def build(r):
+            s = phase.warp_x(xs[R[r]])
+            return _table_block(s, cols, grid.freq_axis(),
+                                _lo_tables(s, grid.freq_step, n)).T
+
+        return build
+    if sep and phase is not None and phase.warp_eta is not None:
+        s = phase.warp_eta(grid.freq_points()[C])
+        lo = functools.cache(lambda: _lo_tables(s, grid.space_step, n))
+        return lambda r: _table_block(s, np.unravel_index(R[r], grid.shape),
+                                      grid.space_axis(), lo())
+    E = grid.freq_points()[None, C]
+
+    def build(r):
+        X = xs[R[r], None]
+        K = np.multiply(dot(X, E) if phase is None else phase.fn(X, E), 2j * np.pi)
+        np.exp(K, out=K)
+        if not sep:
+            K *= sym(X, E)
+        return K
+
+    return build
 
 
 def _kernel_apply(
@@ -140,8 +254,10 @@ def _kernel_apply(
     inverse DFT for A and the forward DFT for A*, and only the warped rows
     get kernel rows.  Kernel rows are built in blocks of `chunk` over the
     active input coefficients: fhat(eta) b(eta) for A, conj(a(x)) f(x) for
-    A*, each above ACTIVE_TOL of its column's peak.  A `cache` list keeps
-    the blocks, over all kernel rows and all eta, for the next call.
+    A*, each above ACTIVE_TOL of its column's peak.  _block_builder builds
+    them, from two exponential tables per axis for a phase declaring
+    warp_x or warp_eta and by exp(2 pi i Phi) otherwise.  A `cache` list
+    keeps the blocks, over all kernel rows and all eta, for the next call.
     """
     n = grid.size
     cols = vals.reshape(n, -1)
@@ -170,31 +286,27 @@ def _kernel_apply(
     if len(rows):
         if adjoint:
             act = np.arange(len(rows)) if cache is not None else _active_columns(cw)
-            R, E, coef = rows[act], es[None], cw[act] * grid.space_step ** grid.dim
+            R, C, coef = rows[act], np.arange(n), cw[act] * grid.space_step ** grid.dim
         else:
             act = np.arange(n) if cache is not None else _active_columns(c)
-            R, E, coef = rows, es[None, act], c[act] * grid.freq_step ** grid.dim
+            R, C, coef = rows, act, c[act] * grid.freq_step ** grid.dim
         c = cw = None  # free the full columns: only coef enters the kernel loop
+        build = _block_builder(phase, sym, grid, R, C)
         for i, lo in enumerate(range(0, len(R), chunk)):
-            r = R[lo:lo + chunk]
             if cache is not None and i < len(cache):
                 K = cache[i]
             else:
-                # built in place, but K still holds the previous block, so two
-                # complex blocks are alive while this one is built. Releasing
-                # K first raised m1_sweep peak RSS: glibc then keeps the freed
-                # blocks under its dynamic trim threshold instead of unmapping.
-                X = xs[r, None]
-                K = np.multiply(dot(X, E) if phase is None else phase.fn(X, E), 2j * np.pi)
-                np.exp(K, out=K)
-                if sep is None:
-                    K *= sym(X, E)
+                # K still holds the previous block while this one is built.
+                # Releasing it first raised m1_sweep peak RSS: glibc then keeps
+                # the freed blocks under its dynamic trim threshold instead of
+                # unmapping them.
+                K = build(slice(lo, lo + chunk))
                 if cache is not None:
                     cache.append(K)
             if adjoint:
                 out += np.conj(K.T @ np.conj(coef[lo:lo + chunk]))
             else:
-                out[r] = K @ coef
+                out[R[lo:lo + chunk]] = K @ coef
     out = dft(np.conj(b) * out, gd, inverse=True) if adjoint else a * out
     return out.reshape(vals.shape)
 

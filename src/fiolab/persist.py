@@ -40,11 +40,6 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
     return _write_lines(path, header, (",".join(_fmt(v) for v in row) for row in rows))
 
 
-def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> Path:
-    """write_csv for equal-length columns of formatted fields."""
-    return _write_lines(path, header, map(",".join, zip(*columns)))
-
-
 def _write_lines(path, header: Sequence[str], lines: Iterable[str]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -69,10 +64,19 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
 
 
 def _indexed_csv(path, header: Sequence[str], values, axes: Sequence[Sequence[int]]) -> Path:
-    """One row per entry of values, row-major: its label on each axis, re, im."""
+    """One row per entry of values, row-major: its label on each axis, re, im.
+    Rows are formatted _LINES_PER_WRITE at a time, as they are written."""
     v = np.ravel(values)
-    labels = [_reprs(a) for a in np.meshgrid(*axes, indexing="ij")]
-    return _write_columns(path, header, [*labels, _reprs(v.real), _reprs(v.imag)])
+    axes = [np.asarray(a) for a in axes]
+
+    def lines():
+        for lo in range(0, len(v), _LINES_PER_WRITE):
+            block = v[lo:lo + _LINES_PER_WRITE]
+            at = np.unravel_index(np.arange(lo, lo + len(block)), [len(a) for a in axes])
+            fields = [a[i] for a, i in zip(axes, at)] + [block.real, block.imag]
+            yield from map(",".join, zip(*(map(repr, f.tolist()) for f in fields)))
+
+    return _write_lines(path, header, lines())
 
 
 def signal_to_csv(path, f: Signal) -> Path:

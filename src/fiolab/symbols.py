@@ -99,8 +99,12 @@ class PhaseSpec:
     warp_x, when given, declares Phi(x, eta) = sum_i psi(x_i) eta_i with
     psi = warp_x applied per coordinate.  Grid rows with psi(x) == x in every
     coordinate are then rows of the plain Fourier kernel, and operators take
-    them from the FFT.  Phases that do not declare it (derived and hand-built
-    ones) are evaluated through fn on every row.
+    them from the FFT.  warp_eta, when given, declares Phi(x, eta) =
+    sum_i x_i chi(eta_i) with chi = warp_eta per coordinate.  Either
+    declaration makes Phi linear on one side, and operators build its kernel
+    blocks from two short exponential tables per axis on that side's uniform
+    grid instead of one exp per entry.  Phases that declare neither (derived
+    and hand-built ones) are evaluated through fn on every entry.
     """
 
     name: str
@@ -111,6 +115,7 @@ class PhaseSpec:
     params: dict = field(default_factory=dict)
     order: tuple[float, float] = (1.0, 1.0)
     warp_x: Optional[Callable[[Array], Array]] = None
+    warp_eta: Optional[Callable[[Array], Array]] = None
 
     def __call__(self, x: Array, eta: Array) -> Array:
         return np.asarray(self.fn(x, eta), dtype=float)
@@ -576,6 +581,7 @@ def _phase_phix(c: float = 0.3) -> PhaseSpec:
         grad_eta=lambda x, eta: dif.dphi(eta) * np.asarray(x, dtype=float),
         mixed_hessian=hess,
         params={"c": c},
+        warp_eta=dif.phi,
     )
 
 

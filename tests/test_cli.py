@@ -11,7 +11,7 @@ import pytest
 from fiolab import operators, persist
 from fiolab.cli import main
 from fiolab.config import ConfigError, ExperimentConfig, load_config, parse_config
-from fiolab.gabor import GaborLattice, Window, gabor_analysis, stft
+from fiolab.gabor import GaborLattice, StftData, Window, gabor_analysis, stft
 from fiolab.grid import GridSpec, Signal, gaussian_generator, lp_norm
 from fiolab.manifest import load_manifest
 from fiolab.operators import GaborMatrixSizeError, OperatorHandle, gabor_matrix
@@ -322,6 +322,27 @@ def test_stft_and_coeffs_csv_match_record_writers(tmp_path):
     got = coeffs_to_csv(tmp_path / "c.csv", c).read_bytes()
     assert got == _coeffs_csv_reference(tmp_path / "cref.csv", c).read_bytes()
     assert got.splitlines()[2].startswith(b"-3,-5,")
+
+
+def test_indexed_csv_traced_peak(tmp_path, monkeypatch):
+    """stft_to_csv formats its rows one write block at a time: with 1024
+    lines a block, a 64 x 1024 STFT traces under its own 1 MiB of values,
+    where formatting every field up front traced about 19 MB."""
+    monkeypatch.setattr(persist, "_LINES_PER_WRITE", 2 ** 10)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((64, 1024)) + 1j * rng.standard_normal((64, 1024))
+    data = StftData(GridSpec(1, 8.0, 1024), vals, x_stride=16)
+    tracemalloc.start()
+    try:
+        path = stft_to_csv(tmp_path / "s.csv", data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vals.nbytes
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2 + vals.size
+    last = complex(vals[-1, -1])
+    assert lines[-1] == f"63,1023,{last.real!r},{last.imag!r}"
 
 
 def _whole_array_exports(m, min_abs):

@@ -6,6 +6,13 @@ import numpy as np
 import pytest
 
 from fiolab import gabor, operators
+from fiolab.experiments import (
+    _lp_witnesses,
+    default_chi,
+    lp_witness_grid,
+    make_fn,
+    sharpness_grid,
+)
 from fiolab.gabor import GaborLattice, Window, gabor_atom
 from fiolab.grid import (
     GridSpec,
@@ -914,6 +921,88 @@ def test_paths_across_kernel_blocks():
     for _ in range(2):
         assert _rel(normal(f).samples, ref) <= 1e-12
     assert [len(K) for K in _cached_blocks(normal)] == [256, 256, 256, 141]
+
+
+@pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
+@pytest.mark.parametrize("pname", PATH_PHASES)
+def test_declared_warps_take_table_build(gname, pname, monkeypatch):
+    """Every registry phase declares a warp, and its kernel blocks come from
+    the exponential tables of _table_block, never from fn: lo tables of Q
+    rows and hi tables of at most ceil(n / Q), Q the power of two nearest
+    sqrt(n), and fewer table entries than block entries, in both directions
+    and in d = 1 and 2.  phase_linear builds no block at all.  A zero input,
+    which leaves no active column, gives zero."""
+    g = PATH_GRIDS[gname]
+    n = g.samples_per_axis
+    q = operators._split(n)
+    assert q in (16, 4) and q * q == n
+    phase = phase_from_name(pname)
+    assert phase.warp_x is not None or phase.warp_eta is not None
+    tables, blocks = [], []
+    exp_table, table_block = operators._exp_table, operators._table_block
+
+    def spy_table(nodes, s):
+        tables.append((len(nodes), len(s)))
+        return exp_table(nodes, s)
+
+    def spy_block(*args):
+        B = table_block(*args)
+        blocks.append(B.shape)
+        return B
+
+    def no_fn(x, eta):
+        raise AssertionError("exp(2 pi i Phi) evaluated through fn")
+
+    monkeypatch.setattr(operators, "_exp_table", spy_table)
+    monkeypatch.setattr(operators, "_table_block", spy_block)
+    sym = _path_symbol("complex")
+    op = OperatorHandle("fio_type1", sym, replace(phase, fn=no_fn), g, validate_phase=False)
+    dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
+    f = random_schwartz_signal(g, np.random.default_rng(75))
+    for apply in ("apply", "adjoint_apply"):
+        tables.clear()
+        blocks.clear()
+        args = (f, False) if apply == "apply" else (f,)
+        got = getattr(op, apply)(*args).samples
+        assert _rel(got, getattr(dense, apply)(*args).samples) <= 1e-12
+        if pname == "phase_linear":
+            assert tables == blocks == []
+            continue
+        assert blocks and {r for r, _ in tables} >= {q}
+        assert all(r <= max(q, -(-n // q)) for r, _ in tables)
+        assert sum(r * c for r, c in tables) < sum(r * c for r, c in blocks)
+    zero = Signal(g, np.zeros(g.shape, dtype=complex))
+    assert not np.any(op.apply(zero, guard=False).samples)
+    assert not np.any(op.adjoint_apply(zero).samples)
+
+
+def _large_argument_inputs(gname):
+    """Witness columns of c14 (lp_witness, n = 128) and c12 (sharpness,
+    n = 16 and 256), with the grid they run on."""
+    if gname == "lp_witness":
+        g = lp_witness_grid()
+        pairs = _lp_witnesses(128, default_chi(), make_diffeo(0.3), g)
+        return g, np.stack([w.samples for _, w in pairs], axis=1)
+    g = sharpness_grid()
+    return g, np.stack([make_fn(n, default_chi(), g).samples for n in (16, 256)], axis=1)
+
+
+@pytest.mark.parametrize("gname", ["lp_witness", "sharpness"])
+@pytest.mark.parametrize("pname", ["phase_phix(0.3)", "phase_xphi(0.3)"])
+def test_table_build_at_large_arguments(gname, pname):
+    """On the c12 and c14 grids the kernel arguments reach |2 pi Phi| of
+    about 2000 rad (c14 witnesses) and 3000 rad (n = 256), against about
+    400 rad in the path tests above.  The table-built blocks still agree
+    with the direct exp(2 pi i Phi) of the dense path to 1e-12, for A and
+    for A*."""
+    g, cols = _large_argument_inputs(gname)
+    one = symbol_from_name("one")
+    phase = phase_from_name(pname)
+    for adjoint in (False, True):
+        got = operators._kernel_apply(phase, one, g, cols, adjoint=adjoint)
+        ref = operators._kernel_apply(phase, replace(one, separable=None), g, cols,
+                                      adjoint=adjoint)
+        assert _rel(got, ref) <= 1e-12
 
 
 @pytest.mark.parametrize("n,warped", [(2048, 57), (4096, 113)])

@@ -7,6 +7,7 @@ from fiolab.grid import (
     GridSpec, Signal, bracket, gaussian_generator, fourier_transform, lp_norm,
 )
 from fiolab.symbols import (
+    PHASE_BUILDERS,
     Box,
     LPFamily,
     MonotonicityError,
@@ -17,6 +18,7 @@ from fiolab.symbols import (
     dyadic_piece,
     growth_validate,
     make_diffeo,
+    dot,
     nondeg_validate,
     phase_from_name,
     plateau,
@@ -320,3 +322,21 @@ class TestRegistry:
         s2 = symbol_from_name("x_cutoff_eta_power(1.0)")
         assert s2(np.array([[0.5]]), np.array([[1.0]]))[0] == pytest.approx(np.sqrt(2), rel=1e-12)
         assert s2(np.array([[2.5]]), np.array([[1.0]]))[0] == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_BUILDERS))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_declared_warps_match_phase(name, dim):
+    """A declared warp is what operators build kernels from instead of fn:
+    Phi = psi(x).eta for warp_x = psi and x.chi(eta) for warp_eta = chi, on
+    points across the warp's bump and outside it."""
+    phase = PHASE_BUILDERS[name]()
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(-1.0, 2.0, (64, 1, dim))
+    eta = rng.uniform(-300.0, 300.0, (1, 48, dim))
+    eta[0, :16] = rng.uniform(-1.0, 2.0, (16, dim))
+    refs = ([dot(phase.warp_x(x), eta)] if phase.warp_x is not None else []) \
+        + ([dot(x, phase.warp_eta(eta))] if phase.warp_eta is not None else [])
+    for ref in refs:
+        assert ref.shape == (64, 48)
+        np.testing.assert_allclose(phase(x, eta), ref, rtol=1e-14, atol=1e-14)
