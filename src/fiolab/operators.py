@@ -12,10 +12,12 @@ grid's unitary transform pair apply_fio2(Phi, sigma) is the exact discrete
 adjoint of apply_fio1(Phi, sigma), and adjoint identities hold to rounding
 rather than to quadrature accuracy.
 
-_kernel_apply is the single place that builds kernel blocks and decides how
-an operator is applied; every consumer (apply_pseudo_kn, apply_fio1,
-apply_fio2, OperatorHandle, gabor_matrix, the normal operator of
-op_norm_estimate) goes through it.  kernel_path names the path it takes:
+_kernel_apply is the single place that applies an operator; every consumer
+(apply_pseudo_kn, apply_fio1, apply_fio2, OperatorHandle, gabor_matrix, the
+normal operator of op_norm_estimate's power iteration) goes through it.
+kernel_path names the path it takes, and _block_builder builds its kernel
+blocks and the warped-row blocks of op_norm_estimate's exact L^2 norm
+(_exact_l2_norm).  The paths:
 
 * "fft": two FFTs, a F^{-1} b F, when sigma declares separable = (a(x), b(eta))
   and every grid row is plain, i.e. the phase is x.eta there (phase None, or
@@ -39,10 +41,18 @@ whose nodes lie on a uniform grid.  Writing a node index there as
 k = Q a + b, Q the power of two nearest sqrt(N),
 exp(2 pi i s (v0 + (Q a + b) h)) = exp(2 pi i s (v0 + Q a h)) exp(2 pi i s b h),
 so each entry is a product of entries of two short tables per axis
-(_table_block) instead of one complex exp.  The "dense" path and phases that
-declare neither warp (derived ones such as _transposed_phase) evaluate
-exp(2 pi i Phi) entry by entry: the reference the table build is tested
-against.
+(_table_block) instead of one complex exp.  _transposed_phase swaps a
+declared warp to the other side and _negated_phase negates it, and the
+derived symbols (_transposed_symbol, _starred_symbol) keep `separable`, so
+the operators of the transpose and Fourier-conjugation identities take the
+tables too.  The "dense" path and phases that declare neither warp
+(hand-built ones, dilation conjugates) evaluate exp(2 pi i Phi) entry by
+entry: the reference the table build is tested against.
+
+op_norm_estimate gives the L^2 norm exactly, from one 2w x 2w eigenvalue
+problem over the w warped rows, for a constant separable symbol on the
+"fft" and "warped_rows" paths (_exact_l2_norm), and by power iteration on
+A*A otherwise.
 
 gabor_matrix sends every lattice atom through one application as a column
 and folds the outputs onto the Walnut fibers of the tone period
@@ -83,8 +93,11 @@ DEFAULT_CHUNK = 256
 ACTIVE_TOL = 1e-15
 ZERO_FLOOR = 1e-14
 # largest set of complex128 kernel rows (rows built x size x 16 B) that
-# _normal_operator keeps across power-iteration steps: every row at N = 4096
+# _normal_operator keeps across power-iteration steps, for the operators
+# _exact_l2_norm does not cover: every row at N = 4096
 DENSE_CACHE_BYTES = 256 * 2 ** 20
+# frequency columns per warped-row kernel block that _exact_l2_norm sums
+NORM_COLUMNS = 1024
 # largest atom table, operator outputs and entries (num_atoms x size x 16 B
 # twice, plus num_atoms^2 x 16 B) that gabor_matrix allocates: a quarter of
 # an 8 GB machine, 8192 atoms at N = 4096
@@ -198,21 +211,22 @@ def _block_builder(phase: Optional[PhaseSpec], sym: SymbolSpec, grid: GridSpec,
     """The kernel blocks of _kernel_apply: for a slice r of the grid rows R,
     K[R[r], C] over the frequency columns C (indices into freq_points).
 
-    With a separable symbol, a phase declaring warp_x is linear in eta and
-    one declaring warp_eta is linear in x, and their blocks come from
-    _table_block on the linear side's axis: for warp_x with s = psi(x) of
-    the block's rows and the columns' eta indices, transposed; for warp_eta
-    with s = chi(eta) of the columns, whose lo tables are built once on
-    first use, and the block's x indices.  Every other case, the "dense"
+    With a separable symbol, phase None (x.eta) and a phase declaring
+    warp_x are linear in eta and one declaring warp_eta is linear in x, and
+    their blocks come from _table_block on the linear side's axis: for
+    warp_x with s = psi(x) (x itself for phase None) of the block's rows
+    and the columns' eta indices, transposed; for warp_eta with s = chi(eta)
+    of the columns, whose lo tables are built once on first use, and the
+    block's x indices.  Every other case, the "dense"
     path included, evaluates exp(2 pi i Phi) entry by entry, times
     sigma(x, eta) when the symbol is not separable: the reference."""
     xs, n = grid.space_points(), grid.samples_per_axis
     sep = sym.separable is not None
-    if sep and phase is not None and phase.warp_x is not None:
+    if sep and (phase is None or phase.warp_x is not None):
         cols = np.unravel_index(C, grid.shape)
 
         def build(r):
-            s = phase.warp_x(xs[R[r]])
+            s = xs[R[r]] if phase is None else phase.warp_x(xs[R[r]])
             return _table_block(s, cols, grid.freq_axis(),
                                 _lo_tables(s, grid.freq_step, n)).T
 
@@ -448,6 +462,7 @@ class OperatorHandle:
 # ---------------------------------------------------------------------------
 
 def _transposed_phase(phase: PhaseSpec) -> PhaseSpec:
+    """Phi(eta, x); psi(x).eta becomes x.psi(eta), so the warps swap sides."""
     return PhaseSpec(
         name=f"t({phase.name})",
         fn=lambda x, eta: phase.fn(eta, x),
@@ -456,17 +471,26 @@ def _transposed_phase(phase: PhaseSpec) -> PhaseSpec:
         mixed_hessian=lambda x, eta: np.swapaxes(
             np.asarray(phase.mixed_hessian(eta, x)), -1, -2),
         params=dict(phase.params),
+        warp_x=phase.warp_eta,
+        warp_eta=phase.warp_x,
     )
 
 
 def _transposed_symbol(sym: SymbolSpec) -> SymbolSpec:
+    """sigma(eta, x); a(x) b(eta) becomes b(x) a(eta)."""
+    sep = sym.separable
     return SymbolSpec(
         name=f"t({sym.name})", order=(sym.order[1], sym.order[0]),
         fn=lambda x, eta: sym(eta, x), params=dict(sym.params),
+        separable=None if sep is None else (sep[1], sep[0]),
     )
 
 
 def _negated_phase(phase: PhaseSpec) -> PhaseSpec:
+    """-Phi; a declared warp is negated with it."""
+    def neg(warp):
+        return None if warp is None else (lambda v: -np.asarray(warp(v)))
+
     return PhaseSpec(
         name=f"neg({phase.name})",
         fn=lambda x, eta: -np.asarray(phase.fn(x, eta)),
@@ -474,13 +498,19 @@ def _negated_phase(phase: PhaseSpec) -> PhaseSpec:
         grad_eta=lambda x, eta: -np.asarray(phase.grad_eta(x, eta)),
         mixed_hessian=lambda x, eta: -np.asarray(phase.mixed_hessian(x, eta)),
         params=dict(phase.params),
+        warp_x=neg(phase.warp_x),
+        warp_eta=neg(phase.warp_eta),
     )
 
 
 def _starred_symbol(sym: SymbolSpec) -> SymbolSpec:
+    """conj(sigma(eta, x)); a(x) b(eta) becomes conj(b(x)) conj(a(eta))."""
+    sep = sym.separable
     return SymbolSpec(
         name=f"star({sym.name})", order=(sym.order[1], sym.order[0]),
         fn=lambda x, eta: np.conj(sym(eta, x)), params=dict(sym.params),
+        separable=None if sep is None else (lambda x: np.conj(sep[1](x)),
+                                            lambda eta: np.conj(sep[0](eta))),
     )
 
 
@@ -844,15 +874,16 @@ def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
 
 
 def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
-    """A*A as a fast closure.
+    """A*A as a fast closure, for the operators _exact_l2_norm does not cover.
 
     A type I operator keeps its kernel blocks across calls when they fit in
     DENSE_CACHE_BYTES, so each power-iteration step costs the FFTs and two
     matrix-vector products instead of a full kernel re-evaluation.  The
     blocks cover the rows _kernel_apply builds kernel rows for, over all
-    size frequencies: only the warped rows on the "warped_rows" path
-    (113 x 4096 for phase_xphi(0.3) at N = 4096, L = 16), none on "fft",
-    every row otherwise.  Above the limit the closure rebuilds them per call.
+    size frequencies: only the warped rows on the "warped_rows" path (57 x
+    2048 for phase_xphi(0.3) with symbol model_sg(-0.5,-0.5) at N = 2048,
+    L = 16), none on "fft", every row otherwise.  Above the limit the
+    closure rebuilds them per call.
     """
     gr = op.grid
     n_rows = len(kernel_path(op.phase, op.symbol, gr)[1])
@@ -868,40 +899,89 @@ def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
     return lambda v: op.adjoint_apply(op.apply(v, guard=False))
 
 
+def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
+    """||A|| on L^2 without iterating, or None where it does not apply.
+
+    It applies to pseudo_kn, fio_type1 and fio_type2 (whose norm is its
+    type I operator's) on the "fft" and "warped_rows" paths when a(x) and
+    b(eta) are constant on the grid, and when the warped rows are at most a
+    quarter of the grid, so that the 2w x 2w matrix below is no larger than
+    the w x size kernel rows the power path would cache.
+
+    The sample matrix is then gamma K U / sqrt(size) up to a unit factor,
+    with gamma = |a b|, K = exp(2 pi i Phi) on the grid and U unitary.  The
+    plain rows of K / sqrt(size) are orthonormal DFT rows, so A A* =
+    gamma^2 I outside a space of at most 2w dimensions, a rank-2w update of
+    a scaled identity (Golub, SIAM Rev. 15, 1973).  With K_w and P_w the
+    phase kernel and the plain x.eta kernel on the w warped rows,
+    D = gamma^2 K_w K_w* / size, X = K_w P_w* / size and
+    G = C* C = gamma^2 (D - gamma^2 X X*), where C is the plain-by-warped
+    block of A A*, ||A||^2 is the top eigenvalue of
+    [[gamma^2 I, G^1/2], [G^1/2, D]].  D and X are summed over blocks of
+    NORM_COLUMNS frequency columns, so no size x w array is formed.  With
+    no warped row the norm is gamma.
+    """
+    if op.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
+        return None
+    gr, sym = op.grid, op.symbol
+    phase = None if op.kind == "pseudo_kn" else op.phase
+    path, rows = kernel_path(phase, sym, gr)
+    if path not in ("fft", "warped_rows") or 4 * len(rows) > gr.size:
+        return None
+    a, b = sym.separable[0](gr.space_points()), sym.separable[1](gr.freq_points())
+    if np.any(a != a.flat[0]) or np.any(b != b.flat[0]):
+        return None
+    g2 = float(abs(a.flat[0] * b.flat[0])) ** 2
+    w, n = len(rows), gr.size
+    if w == 0:
+        return float(np.sqrt(g2))
+    D = np.zeros((w, w), dtype=complex)
+    X = np.zeros((w, w), dtype=complex)
+    for lo in range(0, n, NORM_COLUMNS):
+        C = np.arange(lo, min(lo + NORM_COLUMNS, n))
+        K = _block_builder(phase, sym, gr, rows, C)(slice(None))
+        D += K @ K.conj().T
+        X += K @ _block_builder(None, sym, gr, rows, C)(slice(None)).conj().T
+    D *= g2 / n
+    X /= n
+    mu, V = np.linalg.eigh(g2 * (D - g2 * (X @ X.conj().T)))
+    half = (V * np.sqrt(np.clip(mu, 0.0, None))) @ V.conj().T
+    H = np.block([[g2 * np.eye(w), half], [half, D]])
+    return float(np.sqrt(np.linalg.eigvalsh(H)[-1]))
+
+
 def op_norm_estimate(
     op: OperatorHandle,
     p: float = 2.0,
     method: str = "power_iter_l2",
-    corpus: Optional[Sequence[Signal]] = None,
     tol: float = 1e-4,
     maxiter: int = 1000,
     seed: int = 3,
-    mod_norm_fn: Optional[Callable[[Signal], float]] = None,
 ) -> OpNormReport:
-    """L^2 norm by power iteration on A*A, or a corpus max-ratio lower bound.
+    """The L^2 norm of op.
 
-    corpus_max_ratio evaluates mod_norm_fn (any norm functional) on Op f and
-    f; with the default it is the L^2 ratio.
+    Where _exact_l2_norm applies (constant separable symbol, no warp or a
+    declared warp_x moving at most a quarter of the rows, as for criterion
+    c15's fio_type1 with phase_xphi and symbol one) the value is exact to
+    rounding, with iterations 0 and no dependence on seed.  Every other
+    operator runs _power_iteration on A*A (_normal_operator) from a start
+    vector drawn with seed, stopped when the norm moves by about tol.
+    "power_iter_l2" is the only method, and p must be 2.
     """
-    if method == "power_iter_l2":
-        if p != 2.0:
-            raise ValueError("power iteration certifies the L^2 norm only")
-        gr = op.grid
-        normal = _normal_operator(op)
-        rng = np.random.default_rng(seed)
-        v0 = rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape)
-        # the norm is the square root of the top eigenvalue of A*A, so a
-        # relative change tol in the norm is about 2 tol in the eigenvalue
-        lam, its, converged = _power_iteration(
-            lambda v: normal(Signal(gr, v)).samples, v0, 2.0 * tol, maxiter)
-        return OpNormReport(value=float(np.sqrt(max(lam, 0.0))), iterations=its,
-                            converged=converged)
-    if method == "corpus_max_ratio":
-        if corpus is None:
-            raise ValueError("corpus_max_ratio needs a corpus")
-        fn = mod_norm_fn if mod_norm_fn is not None else (lambda s: lp_norm(s, p))
-        best = 0.0
-        for f in corpus:
-            best = max(best, fn(op.apply(f, guard=False)) / fn(f))
-        return OpNormReport(value=float(best), iterations=len(corpus), converged=True)
-    raise ValueError(f"unknown method {method}")
+    if method != "power_iter_l2":
+        raise ValueError(f"unknown method {method}")
+    if p != 2.0:
+        raise ValueError("op_norm_estimate certifies the L^2 norm only")
+    exact = _exact_l2_norm(op)
+    if exact is not None:
+        return OpNormReport(value=exact, iterations=0, converged=True)
+    gr = op.grid
+    normal = _normal_operator(op)
+    rng = np.random.default_rng(seed)
+    v0 = rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape)
+    # the norm is the square root of the top eigenvalue of A*A, so a
+    # relative change tol in the norm is about 2 tol in the eigenvalue
+    lam, its, converged = _power_iteration(
+        lambda v: normal(Signal(gr, v)).samples, v0, 2.0 * tol, maxiter)
+    return OpNormReport(value=float(np.sqrt(max(lam, 0.0))), iterations=its,
+                        converged=converged)

@@ -248,7 +248,7 @@ def run_l2_stability(out, plot, jobs, seed, *, diffeo_c: float = 0.3) -> RunResu
     for n in (2048, 4096):
         grid = GridSpec(1, 16.0, n)
         op = OperatorHandle("fio_type1", sym, phase, grid)
-        vals.append(op_norm_estimate(op, 2.0, "power_iter_l2", seed=seed).value)
+        vals.append(op_norm_estimate(op, 2.0, "power_iter_l2").value)
     rel = abs(vals[1] - vals[0]) / vals[0]
     files = [write_csv(out / "l2_stability.csv", ["N", "l2_norm"],
                        [[2048, vals[0]], [4096, vals[1]]])]

@@ -103,8 +103,9 @@ class PhaseSpec:
     sum_i x_i chi(eta_i) with chi = warp_eta per coordinate.  Either
     declaration makes Phi linear on one side, and operators build its kernel
     blocks from two short exponential tables per axis on that side's uniform
-    grid instead of one exp per entry.  Phases that declare neither (derived
-    and hand-built ones) are evaluated through fn on every entry.
+    grid instead of one exp per entry.  Phases that declare neither
+    (hand-built ones, dilation conjugates) are evaluated through fn on every
+    entry.
     """
 
     name: str

@@ -587,6 +587,16 @@ class TestRunner:
             csvs.append((tmp_path / str(jobs) / f"{name}.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
+    def test_l2_stability_csv_independent_of_seed(self, tmp_path):
+        """Criterion c15's operator takes the exact L^2 norm, so the seed,
+        which only drew the power iteration's start vector, moves nothing."""
+        csvs = []
+        for seed in (0, 7):
+            res = run_experiment("l2_stability", None, tmp_path / str(seed), seed=seed)
+            assert res.exit_code == 0
+            csvs.append((tmp_path / str(seed) / "l2_stability.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_fl_growth_bundled_default(self, tmp_path):
         res = run_experiment("fl_growth", None, tmp_path / "d", seed=0)
         assert res.exit_code == 0

@@ -48,7 +48,9 @@ from fiolab.operators import (
     _atom_table,
     _negated_phase,
     _normal_operator,
+    _starred_symbol,
     _transposed_phase,
+    _transposed_symbol,
 )
 from fiolab.symbols import (
     PHASE_BUILDERS,
@@ -751,7 +753,7 @@ def _op_norm_reference(op, tol, maxiter, seed=3):
 class TestOpNorm:
     @pytest.mark.parametrize("tol,maxiter", [(1e-4, 1000), (1e-8, 1000), (1e-4, 6)])
     @pytest.mark.parametrize("kind,sym,phase", [
-        ("fio_type1", "one", "phase_xphi(0.3)"),
+        ("fio_type1", "model_sg(-0.5,-0.5)", "phase_xphi(0.3)"),
         ("fio_type1", "model_sg(-0.5,-0.5)", "phase_phix(0.3)"),
         ("pseudo_kn", "eta_power(-1.0)", None),
     ])
@@ -777,10 +779,76 @@ class TestOpNorm:
     def test_corpus_ratio_lower_bound(self, g512):
         op = OperatorHandle("fio_type1", symbol_from_name("one"),
                             phase_from_name("phase_xphi(0.3)"), g512)
-        corpus = make_corpus(g512, 4, seed=52)
-        lo = op_norm_estimate(op, 2.0, "corpus_max_ratio", corpus=corpus)
+        lo = max(lp_norm(op.apply(f, guard=False), 2) / lp_norm(f, 2)
+                 for f in make_corpus(g512, 4, seed=52))
         hi = op_norm_estimate(op, 2.0, "power_iter_l2")
-        assert lo.value <= hi.value * (1 + 1e-6)
+        assert lo <= hi.value * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize("c", [0.15, 0.3])
+    @pytest.mark.parametrize("kind", ["fio_type1", "fio_type2", "pseudo_kn"])
+    def test_exact_norm_matches_dense(self, kind, c, n):
+        """A constant separable symbol on the "fft" or "warped_rows" path
+        takes the exact route: the spectral norm of the dense sample
+        matrix, with no iteration and whatever the seed."""
+        g = GridSpec(1, 16.0, n)
+        phase = None if kind == "pseudo_kn" else phase_from_name(f"phase_xphi({c})")
+        op = OperatorHandle(kind, symbol_from_name("one"), phase, g)
+        ref = np.linalg.norm(op._apply_flat(g, np.eye(n, dtype=complex)), 2)
+        reps = [op_norm_estimate(op, 2.0, "power_iter_l2", seed=s) for s in (3, 4)]
+        assert reps[0] == reps[1]
+        assert (reps[0].iterations, reps[0].converged) == (0, True)
+        assert abs(reps[0].value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("g", [GridSpec(2, 8.0, 32), GridSpec(1, 16.0, 256)],
+                             ids=["d2", "d1"])
+    def test_exact_norm_scales_with_constant_symbol(self, g):
+        """gamma = |a b| for complex constants a and b; d = 2 has 63 warped
+        rows of 1024."""
+        a = lambda x: np.full(np.asarray(x).shape[:-1], 3j)
+        b = lambda eta: np.full(np.asarray(eta).shape[:-1], -0.5)
+        sym = SymbolSpec("const", (0.0, 0.0), fn=lambda x, eta: a(x) * b(eta),
+                         separable=(a, b))
+        op = OperatorHandle("fio_type1", sym, phase_from_name("phase_xphi(0.3)"), g)
+        assert kernel_path(op.phase, sym, g)[0] == "warped_rows"
+        rep = op_norm_estimate(op)
+        ref = np.linalg.norm(op._apply_flat(g, np.eye(g.size, dtype=complex)), 2)
+        assert rep.iterations == 0
+        assert abs(rep.value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("sym,phase", [
+        ("model_sg(-0.5,-0.5)", "phase_xphi(0.3)"),
+        ("x_power(0.5)", "phase_linear"),
+        ("one", "phase_phix(0.3)"),
+    ])
+    def test_other_operators_iterate(self, sym, phase):
+        """A non-constant separable symbol, or a phase off the "fft" and
+        "warped_rows" paths, keeps the power iteration."""
+        op = OperatorHandle("fio_type1", symbol_from_name(sym), phase_from_name(phase),
+                            GridSpec(1, 16.0, 256))
+        rep = op_norm_estimate(op, 2.0, "power_iter_l2", tol=1e-8)
+        assert rep.iterations > 0 and rep.converged
+
+    def test_many_warped_rows_iterate(self):
+        """(-phi(x)).eta moves every row but x = 0, so the 2w x 2w matrix of
+        the exact route would outgrow the power path's cached kernel rows:
+        it iterates, and reaches the dense norm to its tolerance."""
+        g = GridSpec(1, 16.0, 256)
+        phase = _negated_phase(phase_from_name("phase_xphi(0.3)"))
+        assert kernel_path(phase, symbol_from_name("one"), g)[1].size == 255
+        op = OperatorHandle("fio_type1", symbol_from_name("one"), phase, g,
+                            validate_phase=False)
+        rep = op_norm_estimate(op, 2.0, "power_iter_l2", tol=1e-8)
+        ref = np.linalg.norm(op._apply_flat(g, np.eye(g.size, dtype=complex)), 2)
+        assert rep.iterations > 0 and rep.converged
+        assert abs(rep.value - ref) <= 1e-6 * ref
+
+    def test_unknown_method_and_p(self, g512):
+        op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g512)
+        with pytest.raises(ValueError, match="unknown method"):
+            op_norm_estimate(op, 2.0, "corpus_max_ratio")
+        with pytest.raises(ValueError, match="L\\^2"):
+            op_norm_estimate(op, 1.0)
 
     def test_leading_symbol_orders(self):
         p = symbol_from_name("eta_power(1.0)")
@@ -852,13 +920,17 @@ def test_path_cases_cover_registries():
                 phase = phase_from_name(pname)
                 assert kernel_path(phase, sym, g)[0] == PATH_LABELS[pname]
                 assert kernel_path(phase, dense, g)[0] == "dense"
-    # derived phases declare no warp and keep the phase-only kernel
+    # transposed and negated phases carry their parent's warp: x.phi(eta)
+    # takes the phase-only kernel, (-phi(x)).eta warps every row but x = 0;
+    # a dilation conjugate declares no warp
     g, sym = PATH_GRIDS["d1"], symbol_from_name("one")
     xphi = phase_from_name("phase_xphi(0.3)")
     fam = LPFamily(j_max=3)
     derived = [_transposed_phase(xphi), _negated_phase(xphi),
                conjugated_piece(dyadic_piece(sym, 2, 0, fam), xphi, 2, 0)[1]]
-    assert [kernel_path(p, sym, g)[0] for p in derived] == ["phase_kernel"] * 3
+    assert [kernel_path(p, sym, g)[0] for p in derived] == \
+        ["phase_kernel", "warped_rows", "phase_kernel"]
+    assert kernel_path(derived[1], sym, g)[1].size == g.size - 1
     # the label follows the grid: no node of this one lies inside the warp
     assert kernel_path(xphi, sym, GridSpec(1, 8.0, 8))[0] == "fft"
 
@@ -974,6 +1046,42 @@ def test_declared_warps_take_table_build(gname, pname, monkeypatch):
     zero = Signal(g, np.zeros(g.shape, dtype=complex))
     assert not np.any(op.apply(zero, guard=False).samples)
     assert not np.any(op.adjoint_apply(zero).samples)
+
+
+DERIVED_OPERATORS = {
+    "t": lambda p, s: (_transposed_phase(p), _transposed_symbol(s)),
+    "neg": lambda p, s: (_negated_phase(p), s),
+    "neg_t": lambda p, s: (_negated_phase(_transposed_phase(p)), _starred_symbol(s)),
+}
+
+
+@pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
+@pytest.mark.parametrize("derive", sorted(DERIVED_OPERATORS))
+@pytest.mark.parametrize("pname", ["phase_xphi(0.3)", "phase_phix(0.3)"])
+def test_derived_operators_take_table_build(gname, pname, derive):
+    """The operators of the transpose and Fourier-conjugation identities
+    (c07, c13) keep a separable symbol and a declared warp, so their kernel
+    blocks come from the exponential tables, never from fn, and agree with
+    the direct exp(2 pi i Phi) times sigma of the dense path, for A and A*.
+    The derived symbol's factors multiply to its fn."""
+    g = PATH_GRIDS[gname]
+    phase, sym = DERIVED_OPERATORS[derive](phase_from_name(pname), _path_symbol("complex"))
+    x = g.space_points()[:, None]
+    eta = g.freq_points()[None, ::7]
+    a, b = sym.separable
+    assert _rel(a(x) * b(eta), sym(x, eta)) <= 1e-15
+
+    def no_fn(x, eta):
+        raise AssertionError("exp(2 pi i Phi) evaluated through fn")
+
+    op = OperatorHandle("fio_type1", sym, replace(phase, fn=no_fn), g,
+                        validate_phase=False)
+    dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g,
+                           validate_phase=False)
+    f = random_schwartz_signal(g, np.random.default_rng(76))
+    assert _rel(op.apply(f, guard=False).samples,
+                dense.apply(f, guard=False).samples) <= 1e-12
+    assert _rel(op.adjoint_apply(f).samples, dense.adjoint_apply(f).samples) <= 1e-12
 
 
 def _large_argument_inputs(gname):

@@ -6,6 +6,7 @@ from fiolab.experiments import _freq_multiply
 from fiolab.grid import (
     GridSpec, Signal, bracket, gaussian_generator, fourier_transform, lp_norm,
 )
+from fiolab.operators import _negated_phase, _transposed_phase
 from fiolab.symbols import (
     PHASE_BUILDERS,
     Box,
@@ -324,19 +325,34 @@ class TestRegistry:
         assert s2(np.array([[2.5]]), np.array([[1.0]]))[0] == 0.0
 
 
-@pytest.mark.parametrize("name", sorted(PHASE_BUILDERS))
+DERIVED_PHASES = {"t": _transposed_phase, "neg": _negated_phase}
+
+
+def _phase_by_label(label):
+    """A registry phase with default arguments, or t(...) / neg(...) of one."""
+    head, _, rest = label.partition("(")
+    if head in DERIVED_PHASES:
+        return DERIVED_PHASES[head](_phase_by_label(rest[:-1]))
+    return PHASE_BUILDERS[label]()
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_BUILDERS) + [
+    form.format(n) for form in ("t({})", "neg({})", "neg(t({}))", "t(neg({}))")
+    for n in ("phase_xphi", "phase_phix")])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_declared_warps_match_phase(name, dim):
     """A declared warp is what operators build kernels from instead of fn:
     Phi = psi(x).eta for warp_x = psi and x.chi(eta) for warp_eta = chi, on
-    points across the warp's bump and outside it."""
-    phase = PHASE_BUILDERS[name]()
+    points across the warp's bump and outside it.  Every registry phase
+    declares one, and transposed and negated phases carry it over."""
+    phase = _phase_by_label(name)
     rng = np.random.default_rng(dim)
     x = rng.uniform(-1.0, 2.0, (64, 1, dim))
     eta = rng.uniform(-300.0, 300.0, (1, 48, dim))
     eta[0, :16] = rng.uniform(-1.0, 2.0, (16, dim))
     refs = ([dot(phase.warp_x(x), eta)] if phase.warp_x is not None else []) \
         + ([dot(x, phase.warp_eta(eta))] if phase.warp_eta is not None else [])
+    assert refs
     for ref in refs:
         assert ref.shape == (64, 48)
         np.testing.assert_allclose(phase(x, eta), ref, rtol=1e-14, atol=1e-14)
