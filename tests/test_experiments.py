@@ -6,6 +6,7 @@ from fiolab.experiments import (
     DEFAULT_N_SWEEP,
     SharpnessResult,
     _freq_multiply,
+    _lp_sweep,
     _lp_witnesses,
     _m1_operator_parts,
     _origin_bump,
@@ -143,15 +144,20 @@ class TestLpThreshold:
         n, name, nin, nout, r = v.rows[0]
         assert isinstance(name, str) and r == pytest.approx(nout / nin)
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("m,p", [(0.0, 4.0), (-0.5, 1.0)])
-    def test_ratios_match_literal_kernel(self, m, p):
+    def test_ratios_match_literal_kernel(self, m, p, warm):
         """The experiment's operator, <x>^m sum_eta exp(2 pi i x phi(eta))
-        G(eta) what(eta) deta, written out as one dense kernel."""
+        G(eta) what(eta) deta, written out as one dense kernel: from a cold
+        cache, and warm, from the application another m's cell made."""
         g = GridSpec(1, 40.0, 512)
         chi, dif = default_chi(), make_diffeo(0.3)
         x, eta = g.space_axis(), g.freq_axis()
         xw = bracket(x[:, None]) ** m
         gcut = plateau(eta, 1.0, 2.0)
+        _lp_sweep.cache_clear()
+        if warm:
+            lp_threshold_experiment(-0.25, 2.0, (2, 4, 8), grid=g)
         v = lp_threshold_experiment(m, p, (2, 4, 8), grid=g, jobs=1)
         assert len(v.rows) == 9
         for n, name, nin, nout, r in v.rows:
@@ -259,6 +265,7 @@ def _assert_columns_match_loop(calls):
 def test_lp_threshold_one_application(kernel_calls):
     g = GridSpec(1, 40.0, 512)
     sweep = (2, 4, 8)
+    _lp_sweep.cache_clear()
     v = lp_threshold_experiment(-0.25, 4.0, sweep, grid=g, jobs=2)
     calls = list(kernel_calls)
     # plain and warped per sweep point, plus the one shared origin bump
@@ -278,6 +285,34 @@ def test_lp_threshold_one_application(kernel_calls):
         assert ratio == pytest.approx(nout_ref / nin, rel=1e-12, abs=0)
     best = [max(r[3] / r[2] for r in ref if r[0] == n) for n in sweep]
     assert v.measured_slope == pytest.approx(fit_loglog(sweep, best).slope, abs=1e-12)
+
+
+def test_lp_table_shares_one_application(kernel_calls):
+    """The nine (p, m) cells of one sweep share one kernel application, and
+    each equals a cold call for that cell alone; a second c adds a second."""
+    g = GridSpec(1, 40.0, 512)
+    sweep = (2, 4, 8)
+    cells = [(p, m) for p in (1.0, 2.0, 4.0) for m in (0.0, -0.25, -0.5)]
+    _lp_sweep.cache_clear()
+    shared = {(p, m): lp_threshold_experiment(m, p, sweep, grid=g) for p, m in cells}
+    assert len(kernel_calls) == 1
+    for (p, m), v in shared.items():
+        _lp_sweep.cache_clear()
+        cold = lp_threshold_experiment(m, p, sweep, grid=g)
+        assert v.rows == cold.rows
+        assert v.measured_slope == cold.measured_slope
+        assert v.verdict == cold.verdict
+
+    _lp_sweep.cache_clear()
+    kernel_calls.clear()
+    for c in (0.3, 0.0, 0.3):
+        lp_threshold_experiment(0.0, 4.0, sweep, c=c, grid=g)
+    assert len(kernel_calls) == 2
+
+    _, ins, outs = _lp_sweep(0.3, sweep, g)
+    for s in (ins[0], outs[0], outs[-1]):
+        with pytest.raises(ValueError):
+            s.samples[0] = 0.0
 
 
 def test_m1_one_application(kernel_calls):
