@@ -47,11 +47,12 @@ from .symbols import Box, growth_validate, nondeg_validate, phase_from_name, \
 from .util import default_jobs
 
 
-def _parse_grid(spec: str | None, dim: int = 1) -> GridSpec:
+def _parse_grid(spec: str | None) -> GridSpec:
+    """The d = 1 grid "N,L", or the default one."""
     if not spec:
-        return default_grid(dim)
+        return default_grid()
     n, l = spec.split(",")
-    return GridSpec(dim, float(l), int(n))
+    return GridSpec(1, float(l), int(n))
 
 
 def _load_signal(spec: str, grid: GridSpec) -> Signal:

@@ -108,16 +108,15 @@ class ThresholdVerdict:
 # Witness families
 # ---------------------------------------------------------------------------
 
-def make_fn(n: int, chi: Generator, grid: GridSpec, dim: int = 1) -> Signal:
-    """f_n(t) = chi(t) exp(2 pi i n t), tensorized over axes for d > 1."""
+def make_fn(n: int, chi: Generator, grid: GridSpec) -> Signal:
+    """f_n(t) = chi(t) exp(2 pi i n t), tensorized over the grid's axes for
+    d > 1."""
     if n < 0:
         raise ValueError("modulation index must be nonnegative")
     if n > grid.nyquist / 2.0:
         raise ValueError(
             f"modulation n={n} leaves the safe band (Nyquist {grid.nyquist})")
-    if dim != grid.dim:
-        raise ValueError("dimension mismatch")
-    gen = _tensor_power(chi, dim).modulated([float(n)] * dim)
+    gen = _tensor_power(chi, grid.dim).modulated([float(n)] * grid.dim)
     return Signal.from_generator(grid, gen)
 
 
@@ -153,17 +152,16 @@ def _apply_columns(phase, sym, grid: GridSpec, signals: Iterable[Signal],
     return [Signal(grid, row) for row in np.ascontiguousarray(out.T)]
 
 
-def _mod_ratio(out: Signal, inp: Signal, p: float, window: Window, x_stride: int) -> float:
-    """||out||_{M^p} / ||inp||_{M^p}."""
-    return mod_norm(out, p, window=window, x_stride=x_stride).value / \
-        mod_norm(inp, p, window=window, x_stride=x_stride).value
+def _mod_ratio(out: Signal, inp: Signal, p: float, window: Window) -> float:
+    """||out||_{M^p} / ||inp||_{M^p} over every 4th x node."""
+    return mod_norm(out, p, window=window, x_stride=4).value / \
+        mod_norm(inp, p, window=window, x_stride=4).value
 
 
 def _mod_ratios(outs: Sequence[Signal], ins: Sequence[Signal], p: float, window: Window,
-                x_stride: int, jobs: int | None) -> list[float]:
+                jobs: int | None) -> list[float]:
     """_mod_ratio of each (out, in) pair, in order, split over jobs workers."""
-    return pmap(lambda pair: _mod_ratio(*pair, p, window, x_stride), list(zip(outs, ins)),
-                jobs)
+    return pmap(lambda pair: _mod_ratio(*pair, p, window), list(zip(outs, ins)), jobs)
 
 
 def _fit_sweep(ns: Sequence[int], vals: Sequence[float]) -> GrowthFit:
@@ -179,18 +177,19 @@ def fl_growth_experiment(
     n_sweep: Sequence[int] = DEFAULT_N_SWEEP,
     dif: Optional[Diffeo] = None,
     grid: Optional[GridSpec] = None,
-    dim: int = 1,
     jobs: int | None = None,
 ) -> GrowthFit:
     """Growth of ||f_n o phi||_{FL^p}; the warp defeats modulation invariance.
 
     The composed signal is evaluated through its generator, chi(phi(t))
-    exp(2 pi i n phi(t)), so no interpolation error enters the fit.
+    exp(2 pi i n phi(t)), tensorized over the grid's d axes, so no
+    interpolation error enters the fit.
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError("the lower-bound mechanism applies for 1 <= p <= 2")
     dif = dif or make_diffeo()
     grid = grid or sharpness_grid()
+    dim = grid.dim
     base = _tensor_power(default_chi(), dim)
 
     def one(n: int) -> float:
@@ -208,19 +207,18 @@ def multiplier_growth_check(
     p: float,
     n_sweep: Sequence[int] = DEFAULT_N_SWEEP,
     grid: Optional[GridSpec] = None,
-    window: Optional[Window] = None,
-    x_stride: int = 4,
     jobs: int | None = None,
 ) -> GrowthFit:
-    """Growth of ||<D>^m f_n||_{M^p}; the multiplier scales like n^m."""
+    """Growth of ||<D>^m f_n||_{M^p}, with the sharpness window and every
+    4th x node; the multiplier scales like n^m."""
     chi = default_chi()
     grid = grid or sharpness_grid()
-    window = window or sharpness_window(grid)
+    window = sharpness_window(grid)
     mult = bracket(grid.freq_points()).reshape(grid.shape) ** m
 
     def one(n: int) -> float:
         h = _freq_multiply(make_fn(n, chi, grid), mult)
-        return mod_norm(h, p, window=window, x_stride=x_stride).value
+        return mod_norm(h, p, window=window, x_stride=4).value
 
     vals = pmap(one, list(n_sweep), jobs)
     return _fit_sweep(n_sweep, vals)
@@ -334,11 +332,10 @@ def sharpness_m1_experiment(
     n_sweep: Sequence[int] = DEFAULT_N_SWEEP,
     c: float = 0.3,
     grid: Optional[GridSpec] = None,
-    window: Optional[Window] = None,
-    x_stride: int = 4,
     jobs: int | None = None,
 ) -> SharpnessResult:
-    """Growth of ||A <D>^{-m1} f_n||_{M^p} / ||<D>^{-m1} f_n||_{M^p}.
+    """Growth of ||A <D>^{-m1} f_n||_{M^p} / ||<D>^{-m1} f_n||_{M^p}, with
+    the sharpness window of the grid (sharpness_grid() by default).
 
     A has phase sum phi(x_i) eta_i and symbol G0(x) <eta>^{m1}; inputs
     pre-compensate the order so the numerator reduces to the warped bump.
@@ -351,11 +348,11 @@ def sharpness_m1_experiment(
         raise ValueError("sharpness_m1_experiment covers 1 <= p <= 2")
     chi = default_chi()
     grid = grid or sharpness_grid()
-    window = window or sharpness_window(grid)
+    window = sharpness_window(grid)
     phase, sym = _m1_operator_parts(m1, c)
     mult_up = bracket(grid.freq_points()).reshape(grid.shape) ** (-m1)
     ws = [_freq_multiply(make_fn(n, chi, grid), mult_up) for n in n_sweep]
-    ratios = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, x_stride, jobs)
+    ratios = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, jobs)
     fit = _fit_sweep(n_sweep, ratios)
     thr = threshold(p, grid.dim)
     expected = "bounded" if m1 <= thr + 1e-12 else "unbounded"
@@ -379,7 +376,6 @@ def m2_conjugation_consistency(
     p: float,
     c: float = 0.3,
     n_sweep: Sequence[int] = (4, 6, 8, 10),
-    x_stride: int = 4,
     jobs: int | None = None,
 ) -> float:
     """Max relative deviation between the conjugated and direct ratio data.
@@ -405,9 +401,9 @@ def m2_conjugation_consistency(
     ws = [_freq_multiply(Signal.from_generator(grid, env.modulated([float(n)])), mult_up)
           for n in n_sweep]
     wfs = [fourier_transform(w) for w in ws]
-    direct = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, x_stride, jobs)
+    direct = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, jobs)
     conj = _mod_ratios(_apply_columns(bphase, bsym, dual_grid(grid), wfs, adjoint=True), wfs,
-                       p, window, x_stride, jobs)
+                       p, window, jobs)
     return float(max(abs(rc - rd) / rd for rc, rd in zip(conj, direct)))
 
 
@@ -416,11 +412,7 @@ def sharpness_m2_experiment(
     p: float,
     n_sweep: Sequence[int] = DEFAULT_N_SWEEP,
     c: float = 0.3,
-    grid: Optional[GridSpec] = None,
-    window: Optional[Window] = None,
-    x_stride: int = 4,
     jobs: int | None = None,
-    consistency_sweep: Sequence[int] = (4, 6, 8, 10),
 ) -> tuple[SharpnessResult, float]:
     """Space-order sharpness through Fourier conjugation of the m1 operator.
 
@@ -433,12 +425,8 @@ def sharpness_m2_experiment(
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError("sharpness_m2_experiment covers 1 <= p <= 2")
-    base = sharpness_m1_experiment(
-        m2, p, n_sweep=n_sweep, c=c, grid=grid, window=window,
-        x_stride=x_stride, jobs=jobs,
-    )
-    dev = m2_conjugation_consistency(
-        m2, p, c=c, n_sweep=consistency_sweep, x_stride=x_stride, jobs=jobs)
+    base = sharpness_m1_experiment(m2, p, n_sweep=n_sweep, c=c, jobs=jobs)
+    dev = m2_conjugation_consistency(m2, p, c=c, jobs=jobs)
     v = base.verdict
     verdict = ThresholdVerdict(
         p=v.p, order=(0.0, m2), expected=v.expected,
@@ -468,31 +456,29 @@ def main_theorem_boundedness_suite(
     n_sweep: Sequence[int] = (16, 32, 64, 128),
     c: float = 0.3,
     grid: Optional[GridSpec] = None,
-    window: Optional[Window] = None,
-    phases: Sequence[str] = ("warped", "linear"),
-    x_stride: int = 4,
     jobs: int | None = None,
 ) -> list[BoundednessRow]:
-    """At-threshold orders must give flat max-ratio sweeps (slope <= 0.05).
+    """At-threshold orders must give flat max-ratio sweeps (slope <= 0.05),
+    for the warped phase and the linear one (phase_xphi(0)).
 
     Witnesses per n are the hardest known inputs: f_n and the order-
     compensated <D>^{-m1} f_n.  Each (order, phase) operator is applied once,
-    to the witnesses of every n as columns; jobs splits the modulation norms.
+    to the witnesses of every n as columns; jobs splits the modulation norms,
+    taken with the sharpness window.
     """
     grid = grid or sharpness_grid()
-    window = window or sharpness_window(grid)
+    window = sharpness_window(grid)
     chi = default_chi()
     fns = [make_fn(n, chi, grid) for n in n_sweep]
     rows = []
     for (m1, m2) in orders:
         mult_up = bracket(grid.freq_points()).reshape(grid.shape) ** (-m1)
         ws = [w for fn in fns for w in (fn, _freq_multiply(fn, mult_up))]
-        for pname in phases:
+        for pname in ("warped", "linear"):
             cc = c if pname == "warped" else 0.0
             phase = phase_from_name(f"phase_xphi({cc})")
             sym = symbol_from_name(f"model_sg({m1},{m2})")
-            r = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, x_stride,
-                            jobs)
+            r = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, jobs)
             vals = [max(0.0, r[i], r[i + 1]) for i in range(0, len(r), 2)]
             fit = _fit_sweep(n_sweep, vals)
             rows.append(BoundednessRow(

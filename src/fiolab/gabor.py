@@ -44,8 +44,12 @@ from .grid import (
 )
 
 
+# largest frame-bound ratio B / A that the frame solvers accept
+RATIO_CAP = 1e6
+
+
 class NotAFrameError(RuntimeError):
-    """Gabor system rejected: frame spectrum not positive or past ratio_cap."""
+    """Gabor system rejected: frame spectrum not positive or past RATIO_CAP."""
 
 
 @dataclass
@@ -56,14 +60,12 @@ class Window:
     l2_norm: float
 
     @classmethod
-    def from_signal(cls, sig: Signal, normalize: bool = True) -> "Window":
+    def from_signal(cls, sig: Signal) -> "Window":
+        """The window sig / ||sig||_2, of unit norm."""
         nrm = lp_norm(sig, 2)
         if nrm == 0:
             raise ValueError("window must be non-zero")
-        if normalize:
-            sig = Signal(sig.grid, sig.samples / nrm, sig.generator)
-            nrm = 1.0
-        return cls(signal=sig, l2_norm=nrm)
+        return cls(signal=Signal(sig.grid, sig.samples / nrm, sig.generator), l2_norm=1.0)
 
     @classmethod
     def gaussian(cls, grid: GridSpec, width: float = 1.0) -> "Window":
@@ -91,10 +93,6 @@ class StftData:
     grid: GridSpec
     values: Array
     x_stride: int = 1
-
-    @property
-    def x_axis_indices(self) -> Array:
-        return np.arange(0, self.grid.samples_per_axis, self.x_stride)
 
 
 def _spectrum(rows: Array, gr: GridSpec) -> Array:
@@ -176,11 +174,12 @@ def stft_direct(f: Signal, g: Window, x_stride: int = 1) -> StftData:
     return StftData(gr, vals, x_stride)
 
 
-def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:
+def istft(F: StftData, g: Window) -> Signal:
     """Riemann-sum inversion u = sum V(x,eta) M_eta T_x g dx deta.
 
-    Requires a unit-norm window; warns when the window carries boundary mass
-    (zero-fill translations then lose reconstruction accuracy).
+    Requires a unit-norm window; warns when the window carries more than
+    1e-8 of its mass near the boundary (zero-fill translations then lose
+    reconstruction accuracy).
     """
     if abs(g.l2_norm - 1.0) > 1e-8:
         raise ValueError("istft needs a window normalised to unit L^2 norm")
@@ -188,8 +187,8 @@ def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:
     n = gr.samples_per_axis
     d = gr.dim
     bmass = _edge_mass_ratio(g.signal.samples, gr.space_axis(), 0.9 * gr.half_width)
-    if bmass > boundary_tol:
-        warnings.warn(f"window boundary mass {bmass:.2e} exceeds {boundary_tol:.0e}")
+    if bmass > 1e-8:
+        warnings.warn(f"window boundary mass {bmass:.2e} exceeds 1e-08")
     axes = tuple(range(1, d + 1))
     ph = _alternating_phase(n, d)
     scale = gr.space_step ** d
@@ -206,14 +205,14 @@ def istft(F: StftData, g: Window, boundary_tol: float = 1e-8) -> Signal:
 # Lattices and frame operators
 # ---------------------------------------------------------------------------
 
-def _mass_margin(g2: Array, k: int, alpha: float, dx: float, mass_tol: float) -> int:
+def _mass_margin(g2: Array, k: int, alpha: float, dx: float) -> int:
     """Grow k while the marginal g2 (|g|^2 along one axis) translated by
-    (k + 1) alpha keeps at least mass_tol of its mass in the box."""
+    (k + 1) alpha keeps at least 1e-12 of its mass in the box."""
     tot = float(np.sum(g2))
     n = len(g2)
     while True:
         s = int(round((k + 1) * alpha / dx))
-        if s >= n or float(np.sum(g2[: n - s])) < mass_tol * tot:
+        if s >= n or float(np.sum(g2[: n - s])) < 1e-12 * tot:
             return k
         k += 1
 
@@ -270,7 +269,6 @@ class GaborLattice:
         window: Optional[Window] = None,
         k_radius: Optional[int] = None,
         n_radius: Optional[int] = None,
-        mass_tol: float = 1e-12,
     ) -> "GaborLattice":
         """Default ranges: k spans the box plus the window-mass margin (the
         largest over the axes, each from the window's |g|^2 summed over the
@@ -283,7 +281,7 @@ class GaborLattice:
                 d = grid.dim
                 k_radius = max(
                     _mass_margin(g2.sum(axis=tuple(b for b in range(d) if b != a)),
-                                 k_radius, alpha, grid.space_step, mass_tol)
+                                 k_radius, alpha, grid.space_step)
                     for a in range(d))
         k_index = tuple(range(-k_radius, k_radius + 1))
         if n_radius is None:
@@ -300,11 +298,6 @@ class GaborCoeffs:
 
     lattice: GaborLattice
     values: Array
-
-    @property
-    def expected_shape(self) -> tuple[int, ...]:
-        d = self.lattice.grid.dim
-        return (len(self.lattice.k_index),) * d + (len(self.lattice.n_index),) * d
 
 
 def gabor_atom(g: Window, lat: GaborLattice, k, n) -> Signal:
@@ -404,7 +397,7 @@ def frame_matrix_dense(g: Window, lat: GaborLattice) -> Array:
 @dataclass
 class FrameBounds:
     """Extreme eigenvalues A = lower, B = upper of S_g; is_frame holds when
-    A > 0 and B / A <= ratio_cap.  iterations is the number of Walnut blocks
+    A > 0 and B / A <= RATIO_CAP.  iterations is the number of Walnut blocks
     factored (P^d, see _frame_blocks)."""
 
     lower: float
@@ -496,30 +489,29 @@ def _frame_blocks(g: Window, lat: GaborLattice) -> Array:
     return (T @ T.conj().transpose(0, 2, 1)) * (p * gr.space_step) ** gr.dim
 
 
-def _verdict(spec: Array, ratio_cap: float) -> FrameBounds:
+def _verdict(spec: Array) -> FrameBounds:
     lower, upper = float(spec.min()), float(spec.max())
-    is_frame = lower > 0 and upper / lower <= ratio_cap
+    is_frame = lower > 0 and upper / lower <= RATIO_CAP
     return FrameBounds(lower=lower, upper=upper, iterations=len(spec), is_frame=is_frame)
 
 
-def frame_bounds(g: Window, lat: GaborLattice, ratio_cap: float = 1e6,
-                 seed: int = 7) -> FrameBounds:
+def frame_bounds(g: Window, lat: GaborLattice, seed: int = 7) -> FrameBounds:
     """Exact frame bounds A, B: the extreme eigenvalues of the Walnut blocks
     (eigvalsh over the block stack).  is_frame fails when A <= 0 or
-    B / A > ratio_cap.  seed is accepted for old callers and not read."""
-    return _verdict(np.linalg.eigvalsh(_frame_blocks(g, lat)), ratio_cap)
+    B / A > RATIO_CAP.  seed is accepted for old callers and not read."""
+    return _verdict(np.linalg.eigvalsh(_frame_blocks(g, lat)))
 
 
-def _frame_power(g: Window, lat: GaborLattice, s: float, ratio_cap: float = 1e6,
+def _frame_power(g: Window, lat: GaborLattice, s: float,
                  bounds: Optional[FrameBounds] = None) -> Window:
     """S_g^s g from one eigendecomposition of the Walnut blocks; bounds, when
     given, replaces the block spectrum's is_frame verdict."""
     gr = g.grid
     lam, V = np.linalg.eigh(_frame_blocks(g, lat))
-    fb = bounds if bounds is not None else _verdict(lam, ratio_cap)
+    fb = bounds if bounds is not None else _verdict(lam)
     if not fb.is_frame:
         raise NotAFrameError(
-            f"frame spectrum [{fb.lower:.3e}, {fb.upper:.3e}] fails A > 0, B/A <= ratio_cap")
+            f"frame spectrum [{fb.lower:.3e}, {fb.upper:.3e}] fails A > 0, B/A <= RATIO_CAP")
     p = _period(lat)
     gb = _fibers(g.signal.samples, p, gr.dim)[..., None]
     hb = V @ (lam[..., None] ** s * (V.conj().transpose(0, 2, 1) @ gb))
@@ -527,15 +519,15 @@ def _frame_power(g: Window, lat: GaborLattice, s: float, ratio_cap: float = 1e6,
     return Window(signal=sig, l2_norm=lp_norm(sig, 2))
 
 
-def dual_window(g: Window, lat: GaborLattice, ratio_cap: float = 1e6) -> Window:
+def dual_window(g: Window, lat: GaborLattice) -> Window:
     """Canonical dual gamma = S_g^{-1} g, solved exactly on the Walnut blocks;
-    NotAFrameError when the block spectrum fails the ratio_cap test."""
-    return _frame_power(g, lat, -1.0, ratio_cap)
+    NotAFrameError when the block spectrum fails the RATIO_CAP test."""
+    return _frame_power(g, lat, -1.0)
 
 
 def tight_window(g: Window, lat: GaborLattice,
                  bounds: Optional[FrameBounds] = None) -> Window:
     """Canonical tight window h = S_g^{-1/2} g, exact on the Walnut blocks.
     NotAFrameError when the frame is degenerate: by bounds.is_frame when
-    bounds is given, else by the block spectrum at the default ratio_cap."""
+    bounds is given, else by the block spectrum against RATIO_CAP."""
     return _frame_power(g, lat, -0.5, bounds=bounds)

@@ -92,14 +92,15 @@ class GridSpec:
     def freq_points(self) -> Array:
         return np.stack([m.ravel() for m in self.freq_mesh()], axis=-1)
 
-    def offsets_for(self, x0, tol: float = 1e-9) -> tuple[int, ...]:
-        """Integer per-axis sample offsets for a grid-aligned translation."""
+    def offsets_for(self, x0) -> tuple[int, ...]:
+        """Integer per-axis sample offsets for a grid-aligned translation
+        (within 1e-9 of a sample)."""
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.shape != (self.dim,):
             raise ValueError(f"x0 must have {self.dim} components")
         offs = x0 / self.space_step
         rounded = np.round(offs)
-        if np.max(np.abs(offs - rounded)) > tol:
+        if np.max(np.abs(offs - rounded)) > 1e-9:
             raise GridAlignmentError(
                 f"translation {x0} is not an integer multiple of dx={self.space_step}"
             )
@@ -373,14 +374,14 @@ def _edge_mass_ratio(vals: Array, axis: Array, cutoff: float) -> float:
     return float(np.sum(np.abs(vals[mask]) ** 2)) / tot
 
 
-def dilate(f: Signal, lam: float, warn_tol: float = 1e-8) -> Signal:
+def dilate(f: Signal, lam: float) -> Signal:
     """U_lam f(x) = f(lam x).
 
     Generator-backed signals are re-evaluated analytically (no interpolation
     error).  Sample-only signals support integer lam by re-indexing and, for
     d = 1, arbitrary lam > 0 through band-limited trigonometric resampling.
     Emits TruncationAliasingWarning when the result carries more than
-    warn_tol of its mass near the box boundary or the Nyquist edge.
+    1e-8 of its mass near the box boundary or the Nyquist edge.
     """
     lam = float(lam)
     if lam <= 0:
@@ -416,15 +417,15 @@ def dilate(f: Signal, lam: float, warn_tol: float = 1e-8) -> Signal:
             "non-integer dilation of sample-only signals is implemented for d=1"
         )
     br = _edge_mass_ratio(out.samples, g.space_axis(), 0.9 * g.half_width)
-    if br > warn_tol:
+    if br > 1e-8:
         warnings.warn(
-            f"dilate(lam={lam}): boundary mass ratio {br:.2e} exceeds {warn_tol:.0e}",
+            f"dilate(lam={lam}): boundary mass ratio {br:.2e} exceeds 1e-08",
             TruncationAliasingWarning,
         )
     fr = _edge_mass_ratio(fourier_transform(out).samples, g.freq_axis(), 0.95 * g.nyquist)
-    if fr > warn_tol:
+    if fr > 1e-8:
         warnings.warn(
-            f"dilate(lam={lam}): Nyquist-edge mass ratio {fr:.2e} exceeds {warn_tol:.0e}",
+            f"dilate(lam={lam}): Nyquist-edge mass ratio {fr:.2e} exceeds 1e-08",
             TruncationAliasingWarning,
         )
     return out

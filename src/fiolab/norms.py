@@ -182,21 +182,13 @@ def gabor_norm_equivalence_check(
     weight: WeightSpec,
     g: Window,
     lat: GaborLattice,
-    x_stride: int = 1,
-    analysis_window: Optional[Window] = None,
 ) -> EquivalenceReport:
-    """Ratio interval of seq_norm(C_g f) / mod_norm(f) over a corpus.
-
-    analysis_window lets the coefficients come from a window with its
-    natural normalisation (a canonical tight window has L^2 norm
-    (alpha beta)^{d/2}, which is what makes the p = 2 ratio equal one) while
-    the modulation norm keeps its unit-norm window.
-    """
-    aw = analysis_window if analysis_window is not None else g
+    """Ratio interval of seq_norm(C_g f) / mod_norm(f) over a corpus, both
+    with the unit-norm window g."""
     ratios = []
     for f in corpus:
-        sn = seq_norm(gabor_analysis(f, aw, lat), p, q, weight)
-        mn = mod_norm(f, p, q, weight, window=g, x_stride=x_stride).value
+        sn = seq_norm(gabor_analysis(f, g, lat), p, q, weight)
+        mn = mod_norm(f, p, q, weight, window=g).value
         ratios.append(sn / mn)
     return EquivalenceReport(lo=min(ratios), hi=max(ratios), ratios=tuple(ratios))
 
@@ -216,10 +208,10 @@ def dilation_exponent_check(
     f: Signal,
     p: float,
     lams: Sequence[float],
-    window: Optional[Window] = None,
     x_stride: int = 1,
 ) -> GrowthFit:
-    """Fit of log ||U_lam f||_{M^p} against log lam over a geometric sweep.
+    """Fit of log ||U_lam f||_{M^p} against log lam over a geometric sweep,
+    with mod_norm's default window.
 
     Callers compare the slope against d*mu1(p) (lam >= 1) or d*mu2(p)
     (lam <= 1); truncation-aliasing warnings from dilate propagate.
@@ -229,5 +221,5 @@ def dilation_exponent_check(
     norms = []
     for lam in lams:
         u = dilate(f, lam)
-        norms.append(mod_norm(u, p, window=window, x_stride=x_stride).value)
+        norms.append(mod_norm(u, p, x_stride=x_stride).value)
     return fit_loglog(list(lams), norms)

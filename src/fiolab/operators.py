@@ -13,11 +13,11 @@ adjoint of apply_fio1(Phi, sigma), and adjoint identities hold to rounding
 rather than to quadrature accuracy.
 
 _kernel_apply is the single place that applies an operator; every consumer
-(apply_pseudo_kn, apply_fio1, apply_fio2, OperatorHandle, gabor_matrix, the
-normal operator of op_norm_estimate's power iteration) goes through it.
-kernel_path names the path it takes, and _block_builder builds its kernel
-blocks and the warped-row blocks of op_norm_estimate's exact L^2 norm
-(_exact_l2_norm).  The paths:
+(apply_pseudo_kn, apply_fio1, apply_fio2, OperatorHandle, gabor_matrix and
+so op_norm_estimate's power iteration on A*A) goes through it.  kernel_path
+names the path it takes, and _block_builder builds its kernel blocks and the
+warped-row blocks of op_norm_estimate's exact L^2 norm (_exact_l2_norm).
+The paths:
 
 * "fft": two FFTs, a F^{-1} b F, when sigma declares separable = (a(x), b(eta))
   and every grid row is plain, i.e. the phase is x.eta there (phase None, or
@@ -51,8 +51,9 @@ entry: the reference the table build is tested against.
 
 op_norm_estimate gives the L^2 norm exactly, from one 2w x 2w eigenvalue
 problem over the w warped rows, for a constant separable symbol on the
-"fft" and "warped_rows" paths (_exact_l2_norm), and by power iteration on
-A*A otherwise.
+"fft" and "warped_rows" paths (_exact_l2_norm), and otherwise by power
+iteration on A*A, each step one application of A and one of A*, which
+rebuild their kernel blocks.
 
 gabor_matrix sends every lattice atom through one application as a column
 and folds the outputs onto the Walnut fibers of the tone period
@@ -92,10 +93,6 @@ from .symbols import LPFamily, PhaseSpec, SymbolSpec, dot
 DEFAULT_CHUNK = 256
 ACTIVE_TOL = 1e-15
 ZERO_FLOOR = 1e-14
-# largest set of complex128 kernel rows (rows built x size x 16 B) that
-# _normal_operator keeps across power-iteration steps, for the operators
-# _exact_l2_norm does not cover: every row at N = 4096
-DENSE_CACHE_BYTES = 256 * 2 ** 20
 # frequency columns per warped-row kernel block that _exact_l2_norm sums
 NORM_COLUMNS = 1024
 # largest atom table, operator outputs and entries (num_atoms x size x 16 B
@@ -107,10 +104,11 @@ GABOR_MATRIX_BYTES = 2 * 2 ** 30
 ROW_BLOCK_BYTES = 2 ** 20
 
 
-def _active_columns(c: Array, tol: float = ACTIVE_TOL) -> Array:
-    """Rows of c (one or many columns) above tol times their column's peak."""
+def _active_columns(c: Array) -> Array:
+    """Rows of c (one or many columns) above ACTIVE_TOL times their column's
+    peak."""
     a = np.abs(c.reshape(len(c), -1))
-    return np.nonzero(np.any(a > tol * a.max(axis=0), axis=1))[0]
+    return np.nonzero(np.any(a > ACTIVE_TOL * a.max(axis=0), axis=1))[0]
 
 
 def _warped_rows(phase: Optional[PhaseSpec], grid: GridSpec) -> Optional[Array]:
@@ -256,7 +254,6 @@ def _kernel_apply(
     vals: Array,
     adjoint: bool = False,
     chunk: int = DEFAULT_CHUNK,
-    cache: Optional[list] = None,
 ) -> Array:
     """A f, or A* f with adjoint=True, where A f(x) = sum_eta K[x, eta] fhat(eta)
     deta^d and K = exp(2 pi i Phi) sigma; phase None stands for x.eta.
@@ -270,8 +267,7 @@ def _kernel_apply(
     active input coefficients: fhat(eta) b(eta) for A, conj(a(x)) f(x) for
     A*, each above ACTIVE_TOL of its column's peak.  _block_builder builds
     them, from two exponential tables per axis for a phase declaring
-    warp_x or warp_eta and by exp(2 pi i Phi) otherwise.  A `cache` list
-    keeps the blocks, over all kernel rows and all eta, for the next call.
+    warp_x or warp_eta and by exp(2 pi i Phi) otherwise.
     """
     n = grid.size
     cols = vals.reshape(n, -1)
@@ -299,24 +295,19 @@ def _kernel_apply(
         out = dft(c, gd, inverse=True) if fft_rows else np.zeros((n, m), dtype=complex)
     if len(rows):
         if adjoint:
-            act = np.arange(len(rows)) if cache is not None else _active_columns(cw)
+            act = _active_columns(cw)
             R, C, coef = rows[act], np.arange(n), cw[act] * grid.space_step ** grid.dim
         else:
-            act = np.arange(n) if cache is not None else _active_columns(c)
+            act = _active_columns(c)
             R, C, coef = rows, act, c[act] * grid.freq_step ** grid.dim
         c = cw = None  # free the full columns: only coef enters the kernel loop
         build = _block_builder(phase, sym, grid, R, C)
-        for i, lo in enumerate(range(0, len(R), chunk)):
-            if cache is not None and i < len(cache):
-                K = cache[i]
-            else:
-                # K still holds the previous block while this one is built.
-                # Releasing it first raised m1_sweep peak RSS: glibc then keeps
-                # the freed blocks under its dynamic trim threshold instead of
-                # unmapping them.
-                K = build(slice(lo, lo + chunk))
-                if cache is not None:
-                    cache.append(K)
+        for lo in range(0, len(R), chunk):
+            # K still holds the previous block while this one is built.
+            # Releasing it first raised m1_sweep peak RSS: glibc then keeps
+            # the freed blocks under its dynamic trim threshold instead of
+            # unmapping them.
+            K = build(slice(lo, lo + chunk))
             if adjoint:
                 out += np.conj(K.T @ np.conj(coef[lo:lo + chunk]))
             else:
@@ -346,15 +337,10 @@ def _weyl_sum(p: SymbolSpec, grid: GridSpec, vals: Array) -> Array:
     return (out * (grid.space_step * grid.freq_step) ** grid.dim).reshape(vals.shape)
 
 
-def _aliasing_guard(
-    phase: PhaseSpec,
-    sym: Optional[SymbolSpec],
-    f: Signal,
-    amp_tol: float = 1e-10,
-    frac: float = 0.95,
-) -> None:
-    """Warn when the stationary output frequency grad_x Phi exceeds the band
-    on the amplitude-active part of (supp sigma) x (active input columns)."""
+def _aliasing_guard(phase: PhaseSpec, sym: SymbolSpec, f: Signal) -> None:
+    """Warn when the stationary output frequency grad_x Phi exceeds 0.95 x
+    Nyquist on the amplitude-active part (above 1e-10 of the peak) of
+    (supp sigma) x (active input columns)."""
     grid = f.grid
     fhat = fourier_transform(f).samples.ravel()
     act = _active_columns(fhat)
@@ -366,17 +352,15 @@ def _aliasing_guard(
     xs = grid.space_points()[::step]
     X = xs[:, None, :]
     E = es[None, :, :]
-    w = np.abs(fhat[act])[None, :] * np.ones((len(xs), 1))
-    if sym is not None:
-        w = w * np.abs(sym(X, E))
-    mask = w > amp_tol * (w.max() if w.max() > 0 else 1.0)
+    w = np.abs(fhat[act])[None, :] * np.abs(sym(X, E))
+    mask = w > 1e-10 * (w.max() if w.max() > 0 else 1.0)
     if not np.any(mask):
         return
     gx = np.abs(np.asarray(phase.grad_x(X, E)))
     worst = float(np.max(np.where(mask[..., None], gx, 0.0)))
-    if worst > frac * grid.nyquist:
+    if worst > 0.95 * grid.nyquist:
         warnings.warn(
-            f"stationary output frequency {worst:.1f} exceeds {frac:.2f} x Nyquist "
+            f"stationary output frequency {worst:.1f} exceeds 0.95 x Nyquist "
             f"({grid.nyquist:.1f}) on the active set",
             TruncationAliasingWarning,
         )
@@ -621,21 +605,19 @@ def compose_leading(
     sigma: SymbolSpec,
     js: Sequence[int],
     grid: GridSpec,
-    x_center: float = 0.45,
-    fam: Optional[LPFamily] = None,
 ) -> list[tuple[int, float]]:
     """Residual curve r_j = ||p(x,D) A f_j - S0 f_j||_2 / ||f_j||_2.
 
-    f_j carries the unit band profile psi_j centred at x_center, so every
+    f_j carries the unit band profile psi_j centred at x = 0.45, so every
     dyadic band is probed with full strength.
     """
-    fam = fam or LPFamily(j_max=max(js))
+    fam = LPFamily(j_max=max(js))
     s0 = leading_symbol(p, phase, sigma)
     eta = grid.freq_points()
     out = []
     for j in js:
         prof = fam.psi_j(j, eta).reshape(grid.shape)
-        mod = np.exp(-2j * np.pi * x_center * np.sum(eta, axis=-1)).reshape(grid.shape)
+        mod = np.exp(-2j * np.pi * 0.45 * np.sum(eta, axis=-1)).reshape(grid.shape)
         fj = inverse_fourier(Signal(dual_grid(grid), prof * mod))
         Af = apply_fio1(phase, sigma, fj, guard=False)
         pAf = apply_pseudo_kn(p, Af)
@@ -697,16 +679,11 @@ def _row_blocks(M: GaborMatrix):
         yield slice(lo, min(lo + step, M.num_atoms))
 
 
-def gabor_matrix(
-    op: OperatorHandle,
-    g: Window,
-    lat: GaborLattice,
-    zero_floor: float = ZERO_FLOOR,
-) -> GaborMatrix:
+def gabor_matrix(op: OperatorHandle, g: Window, lat: GaborLattice) -> GaborMatrix:
     """Assemble <Op g_{k,n}, g_{k',n'}>: all atoms go through the operator as
     the columns of one application, and the rows come from the Walnut-fiber
     fold of the output columns (gabor._folded_analysis), for any lattice.
-    Entries below zero_floor times the peak modulus are set to 0.
+    Entries below ZERO_FLOOR times the peak modulus are set to 0.
 
     Raises GaborMatrixSizeError, before allocating anything, when the atom
     table, the operator outputs and the entries together exceed
@@ -728,7 +705,7 @@ def gabor_matrix(
     if peak > 0:
         for rows in _row_blocks(M):
             block = M.entries[rows]
-            block[np.abs(block) < zero_floor * peak] = 0.0
+            block[np.abs(block) < ZERO_FLOOR * peak] = 0.0
     return M
 
 
@@ -809,21 +786,17 @@ class SchurReport:
         return max(self.sup_row, self.sup_col, self.mixed_a, self.mixed_b)
 
 
-def schur_certify(M: GaborMatrix, weight: Optional[Callable] = None) -> SchurReport:
-    """weight(k', n', k, n), when given, multiplies |entries| pointwise.
-
-    The sums walk the row blocks of _row_blocks.  The two that run over the
-    row axis, the column sums and the sum over k' of mixed_b, add one row,
-    or one k' row, at a time in row order, as the dense reductions do, so
-    all four sums are those of the num_atoms^2 form bit for bit."""
+def schur_certify(M: GaborMatrix) -> SchurReport:
+    """The four Schur sums of |entries|, walking the row blocks of
+    _row_blocks.  The two that run over the row axis, the column sums and
+    the sum over k' of mixed_b, add one row, or one k' row, at a time in row
+    order, as the dense reductions do, so all four sums are those of the
+    num_atoms^2 form bit for bit."""
     nk = len(M.lattice.k_index) ** M.lattice.grid.dim
     nn = len(M.lattice.n_index) ** M.lattice.grid.dim
     row_sums, col, sup_k, sum_k = [], None, None, None
     for rows in _row_blocks(M):
         a = np.abs(M.entries[rows])
-        if weight is not None:
-            a = a * weight(M.k_phys[rows, None, :], M.n_phys[rows, None, :],
-                           M.k_phys[None, :, :], M.n_phys[None, :, :])
         row_sums.append(np.sum(a, axis=1))
         for r in a:
             col = r.copy() if col is None else np.add(col, r, out=col)
@@ -873,40 +846,14 @@ def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
     return lam, maxiter, False
 
 
-def _normal_operator(op: OperatorHandle) -> Callable[[Signal], Signal]:
-    """A*A as a fast closure, for the operators _exact_l2_norm does not cover.
-
-    A type I operator keeps its kernel blocks across calls when they fit in
-    DENSE_CACHE_BYTES, so each power-iteration step costs the FFTs and two
-    matrix-vector products instead of a full kernel re-evaluation.  The
-    blocks cover the rows _kernel_apply builds kernel rows for, over all
-    size frequencies: only the warped rows on the "warped_rows" path (57 x
-    2048 for phase_xphi(0.3) with symbol model_sg(-0.5,-0.5) at N = 2048,
-    L = 16), none on "fft", every row otherwise.  Above the limit the
-    closure rebuilds them per call.
-    """
-    gr = op.grid
-    n_rows = len(kernel_path(op.phase, op.symbol, gr)[1])
-    if op.kind == "fio_type1" and n_rows * gr.size * 16 <= DENSE_CACHE_BYTES:
-        cache: list = []
-
-        def apply(v: Signal) -> Signal:
-            w = _kernel_apply(op.phase, op.symbol, gr, v.samples.ravel(), cache=cache)
-            return Signal(gr, _kernel_apply(op.phase, op.symbol, gr, w, adjoint=True,
-                                            cache=cache))
-
-        return apply
-    return lambda v: op.adjoint_apply(op.apply(v, guard=False))
-
-
 def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     """||A|| on L^2 without iterating, or None where it does not apply.
 
     It applies to pseudo_kn, fio_type1 and fio_type2 (whose norm is its
     type I operator's) on the "fft" and "warped_rows" paths when a(x) and
     b(eta) are constant on the grid, and when the warped rows are at most a
-    quarter of the grid, so that the 2w x 2w matrix below is no larger than
-    the w x size kernel rows the power path would cache.
+    quarter of the grid, which keeps the 2w x 2w eigenvalue problem below
+    to at most size / 2 rows (2048 at N = 4096, d = 1).
 
     The sample matrix is then gamma K U / sqrt(size) up to a unit factor,
     with gamma = |a b|, K = exp(2 pi i Phi) on the grid and U unitary.  The
@@ -964,9 +911,10 @@ def op_norm_estimate(
     declared warp_x moving at most a quarter of the rows, as for criterion
     c15's fio_type1 with phase_xphi and symbol one) the value is exact to
     rounding, with iterations 0 and no dependence on seed.  Every other
-    operator runs _power_iteration on A*A (_normal_operator) from a start
-    vector drawn with seed, stopped when the norm moves by about tol.
-    "power_iter_l2" is the only method, and p must be 2.
+    operator runs _power_iteration on A*A, op.adjoint_apply after op.apply
+    with each step rebuilding the kernel blocks, from a start vector drawn
+    with seed, stopped when the norm moves by about tol.  "power_iter_l2"
+    is the only method, and p must be 2.
     """
     if method != "power_iter_l2":
         raise ValueError(f"unknown method {method}")
@@ -976,12 +924,12 @@ def op_norm_estimate(
     if exact is not None:
         return OpNormReport(value=exact, iterations=0, converged=True)
     gr = op.grid
-    normal = _normal_operator(op)
     rng = np.random.default_rng(seed)
     v0 = rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape)
     # the norm is the square root of the top eigenvalue of A*A, so a
     # relative change tol in the norm is about 2 tol in the eigenvalue
     lam, its, converged = _power_iteration(
-        lambda v: normal(Signal(gr, v)).samples, v0, 2.0 * tol, maxiter)
+        lambda v: op.adjoint_apply(op.apply(Signal(gr, v), guard=False)).samples,
+        v0, 2.0 * tol, maxiter)
     return OpNormReport(value=float(np.sqrt(max(lam, 0.0))), iterations=its,
                         converged=converged)

@@ -35,18 +35,6 @@ def bump_d1(u: Array) -> Array:
     return out
 
 
-def bump_d2(u: Array) -> Array:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    um = u[m]
-    q = 1.0 - um * um
-    g1 = -2.0 * um / (q * q)
-    g2 = -2.0 / (q * q) - 8.0 * um * um / (q ** 3)
-    out[m] = np.exp(-1.0 / q) * (g1 * g1 + g2)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Symbol and phase records
 # ---------------------------------------------------------------------------
@@ -205,25 +193,20 @@ class SGReport:
     passed: bool
 
 
-def sg_validate(
-    sym: SymbolSpec,
-    box: Optional[Box] = None,
-    R: Optional[int] = None,
-    samples: int = 13,
-    h_x: Optional[float] = None,
-    h_eta: Optional[float] = None,
-    cap: float = 1e4,
-) -> SGReport:
-    """Smallest C making all stencil estimates hold on the sample box."""
+def sg_validate(sym: SymbolSpec, box: Optional[Box] = None) -> SGReport:
+    """Smallest C making all stencil estimates hold, for every derivative
+    order up to sym.derivative_budget, on 13 points per axis of the sample
+    box, with stencil steps of 1/64 of its widest x and eta sides; passed
+    when C <= 1e4."""
     if box is None:
         box = sym.support_hint or Box.cube(1, 8.0, 8.0)
-    R = sym.derivative_budget if R is None else R
+    R = sym.derivative_budget
     if R > 4:
         raise ValueError("derivative budget limited to 4")
     d = box.dim
-    h_x = h_x if h_x is not None else max((hi - lo) for lo, hi in zip(box.x_lo, box.x_hi)) / 64.0
-    h_eta = h_eta if h_eta is not None else max((hi - lo) for lo, hi in zip(box.eta_lo, box.eta_hi)) / 64.0
-    X, E = _sample_points(box, samples)
+    h_x = max((hi - lo) for lo, hi in zip(box.x_lo, box.x_hi)) / 64.0
+    h_eta = max((hi - lo) for lo, hi in zip(box.eta_lo, box.eta_hi)) / 64.0
+    X, E = _sample_points(box, 13)
     m1, m2 = sym.order
     bx = bracket(X)
     be = bracket(E)
@@ -246,7 +229,7 @@ def sg_validate(
                 worst_pt = (tuple(X[i]), tuple(E[i]))
                 worst_ord = (alpha, beta)
     return SGReport(constant=best, worst_point=worst_pt, worst_orders=worst_ord,
-                    per_order=per_order, passed=bool(best <= cap))
+                    per_order=per_order, passed=bool(best <= 1e4))
 
 
 @dataclass
@@ -256,13 +239,8 @@ class NondegReport:
     passed: bool
 
 
-def nondeg_validate(
-    phase: PhaseSpec,
-    box: Box,
-    delta: float = 1e-3,
-    samples: int = 33,
-) -> NondegReport:
-    """min |det d2Phi/dx deta| over the sample box against the floor delta."""
+def nondeg_validate(phase: PhaseSpec, box: Box, samples: int = 33) -> NondegReport:
+    """min |det d2Phi/dx deta| over the sample box against the floor 1e-3."""
     X, E = _sample_points(box, samples)
     H = np.asarray(phase.mixed_hessian(X, E), dtype=float)
     d = box.dim
@@ -271,7 +249,7 @@ def nondeg_validate(
     i = int(np.argmin(dets))
     return NondegReport(delta_min=float(dets[i]),
                         worst_point=(tuple(X[i]), tuple(E[i])),
-                        passed=bool(dets[i] > delta))
+                        passed=bool(dets[i] > 1e-3))
 
 
 @dataclass
@@ -281,20 +259,16 @@ class GrowthReport:
     passed: bool
 
 
-def growth_validate(
-    phase: PhaseSpec,
-    box: Box,
-    c: float = 0.05,
-    samples: int = 33,
-) -> GrowthReport:
-    """<grad_x Phi>/<eta> and <grad_eta Phi>/<x> floors over the box."""
+def growth_validate(phase: PhaseSpec, box: Box, samples: int = 33) -> GrowthReport:
+    """<grad_x Phi>/<eta> and <grad_eta Phi>/<x> floors over the box, each
+    against 0.05."""
     X, E = _sample_points(box, samples)
     gx = bracket(np.asarray(phase.grad_x(X, E), dtype=float))
     ge = bracket(np.asarray(phase.grad_eta(X, E), dtype=float))
     r1 = float(np.min(gx / bracket(E)))
     r2 = float(np.min(ge / bracket(X)))
     return GrowthReport(min_ratio_x=r1, min_ratio_eta=r2,
-                        passed=bool(r1 >= c and r2 >= c))
+                        passed=bool(r1 >= 0.05 and r2 >= 0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -406,61 +380,28 @@ class Diffeo:
     def dphi(self, t: Array) -> Array:
         return 1.0 + self.c * bump_d1(self._u(t)) / self.half_width
 
-    def d2phi(self, t: Array) -> Array:
-        return self.c * bump_d2(self._u(t)) / self.half_width ** 2
 
-    def phi_inv(self, y: Array, tol: float = 1e-14, maxiter: int = 200) -> Array:
-        """Safeguarded Newton iteration, exact identity outside the bump."""
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        lo_edge = self.center - self.half_width
-        hi_edge = self.center + self.half_width
-        t = y.copy()
-        act = (y > lo_edge) & (y < self.phi(np.array([hi_edge]))[0])
-        if np.any(act):
-            ya = y[act]
-            lo = np.full_like(ya, lo_edge)
-            hi = np.full_like(ya, hi_edge)
-            ta = np.clip(ya, lo_edge, hi_edge)
-            for _ in range(maxiter):
-                r = self.phi(ta) - ya
-                if np.max(np.abs(r)) < tol:
-                    break
-                lo = np.where(r < 0, ta, lo)
-                hi = np.where(r > 0, ta, hi)
-                step = r / self.dphi(ta)
-                cand = ta - step
-                bad = (cand <= lo) | (cand >= hi)
-                cand[bad] = 0.5 * (lo[bad] + hi[bad])
-                ta = cand
-            t[act] = ta
-        t = np.where(y <= lo_edge, y, t)
-        return float(t[0]) if scalar else t
-
-
-def make_diffeo(c: float = 0.3, center: float = 0.5, width: float = 0.9) -> Diffeo:
-    """Diffeomorphism equal to the identity outside (0, 1), nonlinear inside.
+def make_diffeo(c: float = 0.3) -> Diffeo:
+    """Diffeomorphism equal to the identity outside (0, 1), nonlinear inside:
+    the bump is centred at 0.5 with half-width 0.45.
 
     Rejects c large enough to break monotonicity (|c| sup|s'| must be < 1).
     """
-    hw = width / 2.0
-    if center - hw < 0.0 or center + hw > 1.0:
-        raise ValueError("bump must sit inside (0, 1)")
+    hw = 0.45
     uu = np.linspace(-1.0, 1.0, 20001)
     sup = float(np.max(np.abs(bump_d1(uu)))) / hw
     if abs(c) * sup >= 1.0:
         raise MonotonicityError(
             f"|c| * sup|s'| = {abs(c) * sup:.3f} >= 1; phi would fold"
         )
-    return Diffeo(c=float(c), center=float(center), half_width=hw)
+    return Diffeo(c=float(c), center=0.5, half_width=hw)
 
 
 # ---------------------------------------------------------------------------
 # Registry addressable by name(args) strings
 # ---------------------------------------------------------------------------
 
-def _sym_one(dim: int = 1) -> SymbolSpec:
+def _sym_one() -> SymbolSpec:
     return SymbolSpec(
         name="one", order=(0.0, 0.0),
         fn=lambda x, eta: np.ones(np.broadcast(

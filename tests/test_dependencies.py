@@ -4,11 +4,14 @@ runner._maybe_plot imports (and which degrades when it is missing).  Every
 module other than __init__ also reads each name it imports at module scope,
 and every entry point the benchmark's tracer wraps exists in fiolab, with
 every call the benchmark's workloads make into it binding to its signature.
-Every name fiolab defines is read somewhere, every module-level function is
-read by program code rather than by tests alone, and every config key an
-experiment accepts, a keyword-only parameter of its runner, is read by that
-runner."""
+Every name fiolab defines is read somewhere; every module-level function and
+every method or property of a module-level class is read by program code
+rather than by tests alone; every defaulted parameter of those functions and
+methods is passed by some program call; and every config key an experiment
+accepts, a keyword-only parameter of its runner, is read by that runner.
+No numpy.fft call passes out=, which numpy 1.24 lacks."""
 import ast
+import fnmatch
 import importlib
 import inspect
 import sys
@@ -253,7 +256,7 @@ def test_unreferenced_name_check_sees_reads():
 # Module-level functions that only tests call, kept on purpose: the dense
 # references that fast paths are compared against, the STFT inverse that
 # the gate's inversion criterion (c01) runs, and the four structural
-# identity checks of criterion c07.
+# identity checks of criterion c07.  No method or property is kept.
 TEST_ONLY_FUNCTIONS = {
     "gabor.stft_direct", "gabor.gabor_analysis_direct", "gabor.frame_matrix_dense",
     "gabor.istft",
@@ -262,44 +265,186 @@ TEST_ONLY_FUNCTIONS = {
 }
 
 
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+
+
+def _owned_nodes(tree):
+    """(owner, node) over the statements of a module: a module-level
+    function or a method of a module-level class owns itself, as "f" or
+    "C.m"; every other statement, the rest of a class included, has owner
+    None."""
+    for node in tree.body:
+        if _is_def(node):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield (f"{node.name}.{item.name}" if _is_def(item) else None), item
+            for extra in node.decorator_list + node.bases + node.keywords:
+                yield None, extra
+        else:
+            yield None, node
+
+
 def _test_only_functions(modules, program_reads):
-    """Module-level functions of `modules` ({stem: tree}) that no statement
-    of another function or module reads, and that are not in
+    """Module-level functions, and non-dunder methods and properties of
+    module-level classes, of `modules` ({stem: tree}) that no statement of
+    another function, method or module reads, and that are not in
     `program_reads` (names read by code outside those modules)."""
     readers, defs = {}, []
     for stem, tree in modules.items():
-        for node in tree.body:
-            owner = node.name if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
-            if owner:
-                defs.append((stem, owner))
+        for owner, node in _owned_nodes(tree):
+            if owner and not (node.name.startswith("__") and node.name.endswith("__")):
+                defs.append((stem, owner, node.name))
             for name in _reads(node):
                 readers.setdefault(name, set()).add((stem, owner))
-    return sorted(f"{stem}.{name}" for stem, name in defs
+    return sorted(f"{stem}.{owner}" for stem, owner, name in defs
                   if name not in program_reads
-                  and not readers.get(name, set()) - {(stem, name)})
+                  and not readers.get(name, set()) - {(stem, owner)})
+
+
+def _program_modules():
+    return {p.stem: ast.parse(p.read_text(), str(p))
+            for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
 
 
 def test_no_test_only_functions():
-    """Every module-level def in fiolab is read by program code: src/
-    outside its own definition and outside __init__.py, perfbench/ or
-    scripts/.  A function that only tests call is dead weight unless it is
-    listed in TEST_ONLY_FUNCTIONS."""
-    modules = {p.stem: ast.parse(p.read_text(), str(p))
-               for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
-    found = _test_only_functions(modules, _tree_reads("perfbench", "scripts"))
+    """Every module-level def in fiolab, and every method or property of a
+    module-level class, is read by program code: src/ outside its own
+    definition and outside __init__.py, perfbench/ or scripts/.  One that
+    only tests call is dead weight unless it is listed in
+    TEST_ONLY_FUNCTIONS."""
+    found = _test_only_functions(_program_modules(), _tree_reads("perfbench", "scripts"))
     assert TEST_ONLY_FUNCTIONS <= set(found), "listed functions now have a caller: " \
         + ", ".join(sorted(TEST_ONLY_FUNCTIONS - set(found)))
     bad = sorted(set(found) - TEST_ONLY_FUNCTIONS)
-    assert not bad, "functions only tests call: " + ", ".join(bad)
+    assert not bad, "functions or methods only tests call: " + ", ".join(bad)
 
 
 def test_test_only_check_sees_callers():
     a = ast.parse("def f():\n    return f()\ndef g():\n    return h()\n"
                   "def h():\n    pass\nTABLE = {'k': k}\ndef k():\n    pass\n"
-                  "def s():\n    pass\ndef w():\n    pass\n")
-    b = ast.parse("from .a import w\ndef u():\n    return w()\n")
-    assert _test_only_functions({"a": a, "b": b}, {"s"}) == ["a.f", "a.g", "b.u"]
+                  "def s():\n    pass\ndef w():\n    pass\n"
+                  "class C:\n    def __init__(self):\n        self.v = self.used\n"
+                  "    @property\n    def used(self):\n        return 1\n"
+                  "    def own(self):\n        return self.own()\n"
+                  "    def called(self):\n        pass\n")
+    b = ast.parse("from .a import w\ndef u():\n    return w()\n"
+                  "def t(c):\n    return c.called()\n")
+    assert _test_only_functions({"a": a, "b": b}, {"s", "t"}) == \
+        ["a.C.own", "a.f", "a.g", "b.u"]
+
+
+# Defaulted parameters that no program call passes, kept on purpose, as
+# fnmatch patterns of "module.function(parameter)", each with its reason.
+DEFAULT_EXCEPTIONS = {
+    "runner.run_*(*)": "config keys, bound by keyword from a config "
+                       "(test_every_runner_parameter_is_read)",
+    "symbols._sym_*(*)": "registry builders: the name(args) strings of the CLI "
+                         "and configs pass them",
+    "symbols._phase_*(*)": "registry builders: the name(args) strings of the CLI "
+                           "and configs pass them",
+    "experiments.lp_threshold_experiment(grid)": "tests run the sweep on small grids "
+                                                 "(TestLpThreshold)",
+    "experiments.sharpness_m1_experiment(grid)": "test_m1_one_application runs it on a "
+                                                 "small grid",
+    "experiments.main_theorem_boundedness_suite(grid)":
+        "test_boundedness_one_application_per_operator runs it on a small grid",
+    "gabor.stft_direct(x_stride)": "the dense reference of stft's strided x nodes "
+                                   "(test_stft_strided_matches_direct)",
+    "experiments.m2_conjugation_consistency(n_sweep)":
+        "the gate's c13 pins its deviation line at n = 4, 6, 8 "
+        "(test_c13_m2_by_conjugation)",
+    "operators.op_norm_estimate(tol)": "TestOpNorm::test_power_iteration_matches_reference "
+                                       "pins the power loop's stop",
+    "operators.op_norm_estimate(maxiter)": "TestOpNorm::test_power_iteration_matches_"
+                                           "reference pins the power loop's step cap",
+}
+
+
+def _defaulted(cls, fn):
+    """(name, index) of each defaulted parameter of fn, a method of class
+    cls when cls is given: index is its position among the arguments a call
+    passes (self or cls is skipped, except for a staticmethod), and None for
+    a keyword-only parameter."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    skip = 1 if cls and not static else 0
+    first = len(pos) - len(a.defaults)
+    return [(arg.arg, i - skip) for i, arg in enumerate(pos) if i >= first] \
+        + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _passes(call, name, index):
+    """Whether call passes parameter `name` at position `index`: by keyword,
+    by position, or through a * or ** argument that could reach it."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and any(
+        isinstance(arg, ast.Starred) or j == index for j, arg in enumerate(call.args))
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _unpassed_defaults(modules, others):
+    """"module.function(parameter)" for each defaulted parameter of a
+    module-level function or a method of a module-level class in `modules`
+    ({stem: tree}) that no call passes: calls by the function's name (its
+    class's name for __init__) anywhere in `modules` outside the function's
+    own body, or in the trees of `others`.  Calls are matched by name, so a
+    same-named function elsewhere can only make the check more lenient."""
+    calls = [n for tree in [*modules.values(), *others] for n in ast.walk(tree)
+             if isinstance(n, ast.Call)]
+    out = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if _is_def(node):
+                defs = [(None, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(node.name, item) for item in node.body if _is_def(item)]
+            else:
+                continue
+            for cls, fn in defs:
+                own = {id(n) for n in ast.walk(fn)}
+                target = cls if fn.name == "__init__" else fn.name
+                mine = [c for c in calls if _callee(c) == target and id(c) not in own]
+                qual = f"{cls}.{fn.name}" if cls else fn.name
+                out += [f"{stem}.{qual}({name})" for name, index in _defaulted(cls, fn)
+                        if not any(_passes(c, name, index) for c in mine)]
+    return out
+
+
+def test_every_default_is_passed():
+    """Every defaulted parameter of a fiolab function or method is passed,
+    by keyword or by position, by some call in src/ outside the function's
+    own body, in perfbench/ or in scripts/: a default that only tests
+    override is an option no program sets.  The exceptions are the patterns
+    of DEFAULT_EXCEPTIONS, and each of them still matches a parameter."""
+    modules = _program_modules()
+    others = [ast.parse(p.read_text(), str(p)) for d in ("perfbench", "scripts")
+              for p in sorted((ROOT / d).rglob("*.py"))]
+    found = _unpassed_defaults(modules, others)
+    stale = [pat for pat in DEFAULT_EXCEPTIONS if not fnmatch.filter(found, pat)]
+    assert not stale, "exceptions that match no unpassed parameter: " + ", ".join(stale)
+    bad = [f for f in found
+           if not any(fnmatch.fnmatchcase(f, pat) for pat in DEFAULT_EXCEPTIONS)]
+    assert not bad, "defaulted parameters no program call passes: " + ", ".join(bad)
+
+
+def test_default_check_sees_calls():
+    a = ast.parse("def f(x, y=1, *, z=2):\n    return f(x, y=0, z=0)\n"
+                  "def g(x, y=1, w=2):\n    pass\n"
+                  "class C:\n    def __init__(self, v=0):\n        pass\n"
+                  "    def m(self, u=1, t=2):\n        pass\n"
+                  "    @staticmethod\n    def s(q=1):\n        pass\n"
+                  "def h(k=1):\n    pass\n")
+    b = ast.parse("g(1, 2)\nC(v=3).m(4)\nC.s(5)\nh(*args)\n")
+    assert _unpassed_defaults({"a": a}, [b]) == \
+        ["a.f(y)", "a.f(z)", "a.g(w)", "a.C.m(t)"]
 
 
 def _unread_runner_params(tree):

@@ -100,7 +100,7 @@ class TestFlGrowth:
 
     def test_2d_tensor_growth(self):
         g = GridSpec(2, 2.0, 256)  # nyquist 32
-        fit = fl_growth_experiment(1.0, (4, 8, 16), grid=g, dim=2)
+        fit = fl_growth_experiment(1.0, (4, 8, 16), grid=g)
         # d = 2: expected asymptotic exponent 2 * (1/p - 1/2) = 1
         assert fit.slope > 0.55
 
@@ -195,8 +195,7 @@ class TestSharpness:
         assert dev < 1e-6
 
     def test_m2_matches_m1(self):
-        r2, dev = sharpness_m2_experiment(-0.25, 1.0, (32, 64, 128),
-                                          consistency_sweep=(4, 6))
+        r2, dev = sharpness_m2_experiment(-0.25, 1.0, (32, 64, 128))
         r1 = sharpness_m1_experiment(-0.25, 1.0, (32, 64, 128))
         assert dev < 1e-6
         assert r2.verdict.order == (0.0, -0.25)
@@ -329,7 +328,7 @@ def test_m1_one_application(kernel_calls):
     ref = []
     for n in sweep:
         w = _freq_multiply(make_fn(n, default_chi(), SMALL), mult_up)
-        ref.append(_mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window, 4))
+        ref.append(_mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window))
     np.testing.assert_allclose(res.ratios, ref, rtol=1e-12, atol=0)
 
 
@@ -352,8 +351,8 @@ def test_m2_conjugation_one_application_each(kernel_calls):
     for n in sweep:
         w = _freq_multiply(Signal.from_generator(grid, env.modulated([float(n)])), mult_up)
         wf = fourier_transform(w)
-        r_direct = _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window, 4)
-        r_conj = _mod_ratio(apply_fio2(bphase, bsym, wf), wf, 1.0, window, 4)
+        r_direct = _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window)
+        r_conj = _mod_ratio(apply_fio2(bphase, bsym, wf), wf, 1.0, window)
         devs.append(abs(r_conj - r_direct) / r_direct)
     # a difference of two ratios near 1, each matching at 1e-12 relative
     assert dev == pytest.approx(max(devs), abs=1e-12)
@@ -380,7 +379,7 @@ def test_boundedness_one_application_per_operator(kernel_calls):
             for n in sweep:
                 fn = make_fn(n, default_chi(), SMALL)
                 best.append(max(
-                    _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window, 4)
+                    _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window)
                     for w in (fn, _freq_multiply(fn, mult_up))))
             fit = fit_loglog(sweep, best)
             row = next(it)

@@ -318,11 +318,12 @@ class TestFrameBounds:
         _, good = self._lower_bound_decay(0.5, 0.5, grids)
         assert abs(good) < 0.2
 
-    def test_critical_density_ill_conditioned(self):
+    def test_critical_density_ill_conditioned(self, monkeypatch):
         g = GridSpec(1, 8.0, 256)
         w = Window.gaussian(g)
         lat = GaborLattice.for_grid(g, 1.0, 1.0, window=w)
-        fb = frame_bounds(w, lat, ratio_cap=100.0)
+        monkeypatch.setattr(gabor, "RATIO_CAP", 100.0)
+        fb = frame_bounds(w, lat)
         assert not fb.is_frame
 
 
@@ -354,14 +355,15 @@ class TestDualTight:
         diff = gamma.signal.samples - w256.signal.samples / c
         assert np.max(np.abs(diff)) < 1e-8
 
-    def test_divergence_declared(self, g256, w256):
-        # the critical lattice's block spectrum has B/A = 168, past the cap
+    def test_divergence_declared(self, g256, w256, monkeypatch):
+        # the critical lattice's block spectrum has B/A = 168, past a cap
         # of 100, and reads as "not a frame"; the honest frame passes it
+        monkeypatch.setattr(gabor, "RATIO_CAP", 100.0)
         lat1 = GaborLattice.for_grid(g256, 1.0, 1.0, window=w256)
         with pytest.raises(NotAFrameError):
-            dual_window(w256, lat1, ratio_cap=100.0)
+            dual_window(w256, lat1)
         lat2 = GaborLattice.for_grid(g256, 0.5, 0.5, window=w256)
-        dual_window(w256, lat2, ratio_cap=100.0)
+        dual_window(w256, lat2)
 
     def test_dual_residual(self, w256, lat256, dense256, grid2d):
         for w, lat, S in ((w256, lat256, dense256), grid2d):
@@ -513,7 +515,8 @@ class TestMergedPathsByteReference:
         f = random_schwartz_signal(g, np.random.default_rng(22))
         c = gabor_analysis(f, w, lat)
         ref = _gabor_analysis_reference(f, w, lat)
-        assert c.values.shape == ref.values.shape == c.expected_shape
+        shape = (len(lat.k_index),) * g.dim + (len(lat.n_index),) * g.dim
+        assert c.values.shape == ref.values.shape == shape
         assert np.array_equal(c.values, ref.values)
         assert np.array_equal(gabor_synthesis(c, w, lat).samples,
                               _gabor_synthesis_reference(ref, w, lat).samples)

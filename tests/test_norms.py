@@ -112,7 +112,8 @@ class TestModNorm:
 def _mod_norm_reference(data, p, q, weight):
     """mod_norm as it was computed from the whole dense STFT data."""
     gr = data.grid
-    w_arr = _weight_array(gr.space_axis()[data.x_axis_indices], gr.freq_axis(), weight, gr.dim)
+    xs = gr.space_axis()[np.arange(0, gr.samples_per_axis, data.x_stride)]
+    w_arr = _weight_array(xs, gr.freq_axis(), weight, gr.dim)
     return _mixed_norm(data.values, w_arr, p, q, gr.dim,
                        gr.space_step * data.x_stride, gr.freq_step)
 
@@ -240,13 +241,15 @@ class TestSeqNorm:
 
 class TestEquivalence:
     def test_parseval_tight(self, g256, w256):
+        """The coefficients of hn = h / ||h||_2 are those of the canonical
+        tight window h over ||h||_2, and h's p = 2 sequence norm is ||f||_2
+        (Parseval), so every ratio is 1 / ||h||_2."""
         lat = GaborLattice.for_grid(g256, 0.5, 0.5, window=w256)
         h = tight_window(w256, lat)
-        hn = Window.from_signal(h.signal, normalize=True)
+        hn = Window.from_signal(h.signal)
         rep = gabor_norm_equivalence_check(
-            make_corpus(g256, 5, seed=28), 2, 2, WeightSpec(), hn, lat,
-            analysis_window=h)
-        assert rep.lo > 0.99 and rep.hi < 1.01
+            make_corpus(g256, 5, seed=28), 2, 2, WeightSpec(), hn, lat)
+        assert rep.lo * h.l2_norm > 0.99 and rep.hi * h.l2_norm < 1.01
 
     @pytest.mark.parametrize("p,w", [(1.0, WeightSpec()), (1.0, WeightSpec(1, 1)),
                                      (np.inf, WeightSpec())])
@@ -279,12 +282,12 @@ class TestDilationExponents:
     def test_p2_exact_scaling(self):
         g = GridSpec(1, 20.0, 1024)
         f = Signal.from_generator(g, gaussian_generator())
-        fit = dilation_exponent_check(f, 2, [1, 2, 4], window=Window.gaussian(g), x_stride=2)
+        fit = dilation_exponent_check(f, 2, [1, 2, 4], x_stride=2)
         assert abs(fit.slope + 0.5) < 0.02
 
     def test_p1_upper_regime(self):
         g = GridSpec(1, 20.0, 1024)
         f = Signal.from_generator(g, gaussian_generator())
-        fit = dilation_exponent_check(f, 1, [1, 2, 4], window=Window.gaussian(g), x_stride=2)
+        fit = dilation_exponent_check(f, 1, [1, 2, 4], x_stride=2)
         mu1, _ = dilation_indices(1.0)
         assert fit.slope <= g.dim * mu1 + 0.1

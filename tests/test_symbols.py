@@ -61,7 +61,7 @@ class TestCutoffs:
 class TestSgValidate:
     def test_model_symbol_passes(self):
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
-        rep = sg_validate(sym, Box.cube(1, 8.0, 8.0), R=2)
+        rep = sg_validate(sym, Box.cube(1, 8.0, 8.0))
         assert rep.passed
         assert rep.constant < 10.0
 
@@ -70,7 +70,7 @@ class TestSgValidate:
             name="expsq", order=(0.0, 0.0),
             fn=lambda x, eta: np.exp(np.sum(np.asarray(x) ** 2, axis=-1)),
         )
-        rep = sg_validate(sym, Box.cube(1, 8.0, 8.0), R=1)
+        rep = sg_validate(sym, Box.cube(1, 8.0, 8.0))
         assert not rep.passed
 
     def test_dyadic_family_uniform(self):
@@ -80,7 +80,7 @@ class TestSgValidate:
         for j in range(0, 7, 2):
             for k in range(0, 7, 2):
                 piece = dyadic_piece(sym, j, k, fam)
-                rep = sg_validate(piece, R=1, samples=9)
+                rep = sg_validate(piece)
                 consts.append(rep.constant)
         assert max(consts) / min(consts) < 4.0
 
@@ -268,23 +268,6 @@ class TestDiffeo:
         dif = make_diffeo(0.0)
         t = np.linspace(-2, 2, 101)
         assert np.max(np.abs(dif.phi(t) - t)) == 0.0
-        assert np.max(np.abs(dif.phi_inv(t) - t)) == 0.0
-
-    def test_inverse_round_trip(self):
-        dif = make_diffeo(0.3)
-        t = np.linspace(-2, 2, 4001)
-        assert np.max(np.abs(dif.phi(dif.phi_inv(t)) - t)) < 1e-12
-        assert np.max(np.abs(dif.phi_inv(dif.phi(t)) - t)) < 1e-12
-
-    def test_second_derivative_nonzero_at_inflection(self):
-        dif = make_diffeo(0.3)
-        t = np.linspace(0.05, 0.95, 2001)
-        d2 = dif.d2phi(t)
-        t0 = t[np.argmax(np.abs(d2))]
-        h = 1e-4
-        fd = (dif.dphi(t0 + h) - dif.dphi(t0 - h)) / (2 * h)
-        assert abs(fd - dif.d2phi(t0)) < 1e-4 * abs(dif.d2phi(t0))
-        assert abs(dif.d2phi(t0)) > 1.0
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-0.5, 0.5))
@@ -292,6 +275,19 @@ class TestDiffeo:
         dif = make_diffeo(c)
         t = np.linspace(-1, 2, 5001)
         assert np.min(dif.dphi(t)) > 0.0
+
+    @pytest.mark.parametrize("c", [-0.5, 0.3, 0.5])
+    def test_dphi_matches_finite_difference(self, c):
+        """dphi, which the phases' gradients and mixed Hessians read, is the
+        derivative of phi: central differences agree inside the bump and
+        it is 1 outside."""
+        dif = make_diffeo(c)
+        t = np.linspace(-0.5, 1.5, 2001)
+        h = 1e-5
+        fd = (dif.phi(t + h) - dif.phi(t - h)) / (2 * h)
+        assert np.max(np.abs(fd - dif.dphi(t))) < 1e-6
+        outside = (t <= 0.0) | (t >= 1.0)
+        assert np.all(dif.dphi(t[outside]) == 1.0)
 
     def test_rejects_folding(self):
         with pytest.raises(MonotonicityError):
