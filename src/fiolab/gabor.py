@@ -13,9 +13,13 @@ periodic modulo 2*Nyquist on the grid, so the default frequency index range
 is one full period; the space range covers the box plus a margin chosen by
 an atom-mass rule.  On that range the frame operator is block diagonal
 (Walnut), and the frame solvers factor its blocks exactly.  Since the tones
-of any lattice repeat after N / gcd(N, n_step) samples, the same fibers
-fold the lattice coefficients of many signals at once (_folded_analysis,
-which gives the Gabor-matrix rows).
+of any lattice repeat after P = N / gcd(N, n_step) samples, the same fibers
+fold the lattice coefficients of many signals at once (_folded_analysis):
+it is the only analysis path, for gabor_analysis (one column) and the
+Gabor-matrix rows, and gabor_synthesis is its adjoint.  Both take each
+residue's tone at its sample nearest x = 0, and the window translates come
+from one strided gather of the zero-padded window (_shift_views), which
+_stft_blocks also reads.
 """
 from __future__ import annotations
 
@@ -95,13 +99,15 @@ class StftData:
     x_stride: int = 1
 
 
-def _spectrum(rows: Array, gr: GridSpec) -> Array:
-    """Centred DFT times dx^d over the last d axes of a stack of grid arrays:
-    the frequency samples of each row's integral against exp(-2 pi i eta.x)."""
-    axes = tuple(range(rows.ndim - gr.dim, rows.ndim))
-    ph = _alternating_phase(gr.samples_per_axis, gr.dim)
-    return np.fft.fftshift(np.fft.fftn(rows, axes=axes), axes=axes) * ph \
-        * gr.space_step ** gr.dim
+def _shift_views(samples: Array) -> Array:
+    """Sliding windows of samples zero-padded to 3N per axis: the window
+    starting at N - s on every axis is samples moved by s there,
+    out[t] = samples[t - s] with zero fill, for every shift |s| <= N."""
+    n = samples.shape[0]
+    d = samples.ndim
+    pad = np.zeros((3 * n,) * d, dtype=samples.dtype)
+    pad[(slice(n, 2 * n),) * d] = samples
+    return np.lib.stride_tricks.sliding_window_view(pad, samples.shape)
 
 
 # Bytes of complex STFT rows per block of _stft_blocks: small enough that
@@ -115,18 +121,14 @@ def _stft_blocks(f: Signal, g: Window, x_stride: int):
     nodes i0, i0 + 1, ... of product(x offsets, repeat=d).  Neither the
     centring (fftshift and the +-1 phase) nor dx^d is applied.
 
-    T_x g of a whole block is one fancy index into the sliding windows of
-    conj(g) zero-padded to 3N per axis: the window starting at N - s is
-    conj(T_s g) for every shift |s| <= N/2."""
+    T_x g of a whole block is one fancy index into _shift_views of conj(g):
+    the window starting at N - s is conj(T_s g) for every shift |s| <= N/2."""
     if f.grid != g.grid:
         raise ValueError("signal and window must share a grid")
     gr = f.grid
     n = gr.samples_per_axis
     d = gr.dim
-    gs = g.signal.samples
-    pad = np.zeros((3 * n,) * d, dtype=gs.dtype)
-    pad[(slice(n, 2 * n),) * d] = np.conj(gs)
-    shifted = np.lib.stride_tricks.sliding_window_view(pad, gr.shape)
+    shifted = _shift_views(np.conj(g.signal.samples))
     starts = n - (np.arange(0, n, x_stride) - n // 2)
     total = len(starts) ** d
     step = max(1, _STFT_BLOCK_BYTES // (16 * n ** d))
@@ -307,35 +309,43 @@ def gabor_atom(g: Window, lat: GaborLattice, k, n) -> Signal:
     return modulate(translate(g.signal, lat.alpha * k), lat.beta * n)
 
 
-def _freq_pick(lat: GaborLattice) -> Array:
+def _check_band(lat: GaborLattice) -> None:
+    """GridAlignmentError unless every frequency beta n of the lattice's n
+    range is a node of the resolved band [-N/2, N/2) deta."""
     n = lat.grid.samples_per_axis
     idx = lat.n_values * lat.n_step + n // 2
     if idx.min() < 0 or idx.max() >= n:
         raise GridAlignmentError("frequency lattice exceeds the resolved band")
-    return idx
 
 
 def _window_table(g: Window, lat: GaborLattice) -> Array:
     """All space-translates T_{alpha k} g, one per k tuple in lat.k_tuples()
-    order, stacked along a leading axis."""
-    return np.stack([
-        _zero_fill_shift(g.signal.samples, tuple(k * lat.k_step for k in kt))
-        for kt in lat.k_tuples()
-    ])
+    order, stacked along a leading axis: one strided gather from
+    _shift_views, each shift clamped to +-N per axis (beyond that the
+    translate is all zero fill)."""
+    n = lat.grid.samples_per_axis
+    starts = n - np.clip(lat.k_values * lat.k_step, -n, n)
+    views = _shift_views(g.signal.samples)
+    return views[np.ix_(*[starts] * lat.grid.dim)].reshape((-1,) + lat.grid.shape)
 
 
-def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
-    """C_g f: one batched FFT over the space lattice nodes, frequency axes
-    subsampled."""
-    gr = f.grid
-    d = gr.dim
-    H = _spectrum(f.samples * _window_table(g, lat).conj(), gr)
-    sub = H[(slice(None),) + np.ix_(*[_freq_pick(lat)] * d)]
-    return GaborCoeffs(lat, sub.reshape((len(lat.k_index),) * d + (len(lat.n_index),) * d))
+def _tone_period(lat: GaborLattice) -> int:
+    """P = N / gcd(N, n_step): every tone exp(2 pi i beta n x) of the
+    lattice repeats after P samples per axis."""
+    n = lat.grid.samples_per_axis
+    return n // math.gcd(n, lat.n_step)
 
 
-def _tone_table(lat: GaborLattice) -> Array:
-    x = lat.grid.space_axis()
+def _tone_table(lat: GaborLattice, p: int) -> Array:
+    """tones[n, r] = exp(2 pi i beta n x_j) for n in lat.n_index at one
+    sample j of each residue r = 0 .. p-1 modulo p: the j = r (mod p) in the
+    centred window [N/2 - p/2, N/2 + p/2), where |x_j| <= p dx / 2 keeps the
+    phase arguments, and their rounding, small.  With p the tone period
+    (_tone_period) the tone of every sample is that of its residue; p = N
+    gives the whole space axis in order."""
+    n = lat.grid.samples_per_axis
+    j0 = n // 2 - p // 2
+    x = lat.grid.space_axis()[j0 + (np.arange(p) - j0) % p]
     return np.exp(2j * np.pi * lat.beta * np.multiply.outer(
         lat.n_values.astype(float), x))
 
@@ -352,20 +362,36 @@ def _tone_rows(tones: Array, d: int) -> Array:
 def _atom_rows(g: Window, lat: GaborLattice) -> Array:
     """All atoms M_{beta n} T_{alpha k} g as flattened rows, k-major, in
     lat.k_tuples() x lat.n_tuples() order."""
-    tones = _tone_rows(_tone_table(lat), lat.grid.dim)
+    tones = _tone_rows(_tone_table(lat, lat.grid.samples_per_axis), lat.grid.dim)
     TG = _window_table(g, lat).reshape(-1, 1, tones.shape[1])
     return (TG * tones).reshape(-1, tones.shape[1])
 
 
+def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
+    """C_g f: the Walnut-fiber fold (_folded_analysis) of the one column f,
+    in the coefficient shape.  GridAlignmentError when the n range leaves
+    the resolved band."""
+    _check_band(lat)
+    d = f.grid.dim
+    vals = _folded_analysis(f.samples.reshape(-1, 1), g, lat)
+    return GaborCoeffs(lat, vals.reshape((len(lat.k_index),) * d + (len(lat.n_index),) * d))
+
+
 def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
-    """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g: each n axis contracted
-    with the tone table, then the window translates summed."""
+    """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g, the adjoint of the fold:
+    each n axis contracted with the tones of one period P (_tone_table), the
+    result tiled N / P times per axis (sample qP + r takes residue r) and
+    summed against the window translates."""
     gr = g.grid
-    tones = _tone_table(lat)
-    W = c.values.reshape((-1,) + (len(lat.n_index),) * gr.dim)
-    for _ in range(gr.dim):
+    d = gr.dim
+    p = _tone_period(lat)
+    tones = _tone_table(lat, p)
+    W = c.values.reshape((-1,) + (len(lat.n_index),) * d)
+    for _ in range(d):
         W = np.tensordot(W, tones, axes=([1], [0]))
-    return Signal(gr, np.sum(W * _window_table(g, lat), axis=0))
+    TG = _window_table(g, lat).reshape((-1,) + (gr.samples_per_axis // p, p) * d)
+    W = W.reshape((-1,) + (1, p) * d)
+    return Signal(gr, np.sum(W * TG, axis=0).reshape(gr.shape))
 
 
 def gabor_analysis_direct(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
@@ -451,15 +477,15 @@ def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
     axis.  The inner product therefore folds onto the Walnut fibers of
     _fibers: the Q^d = (N / P)^d samples of each residue tuple r are summed
     against conj(T_{k'} g) first, one batched matmul giving (P^d, K, m), and
-    the P^d residue sums then against the conjugated tones of the first P
-    samples, one gemm.  Columns go in blocks of _FOLD_BLOCK_BYTES.
+    the P^d residue sums then against the conjugated tones of one period,
+    each residue's taken at its sample nearest x = 0 (_tone_table), one
+    gemm.  Columns go in blocks of _FOLD_BLOCK_BYTES.
     """
     gr = g.grid
     d = gr.dim
-    n = gr.samples_per_axis
-    p = n // math.gcd(n, lat.n_step)
+    p = _tone_period(lat)
     W = _fibers(_window_table(g, lat).conj(), p, d).transpose(1, 0, 2)
-    T = _tone_rows(_tone_table(lat)[:, :p], d).conj()
+    T = _tone_rows(_tone_table(lat, p), d).conj()
     nk, nn = W.shape[1], T.shape[0]
     m = cols.shape[1]
     out = np.empty((nk, nn, m), dtype=complex)

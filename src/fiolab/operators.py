@@ -92,6 +92,11 @@ from .symbols import LPFamily, PhaseSpec, SymbolSpec, dot
 
 DEFAULT_CHUNK = 256
 ACTIVE_TOL = 1e-15
+# Gabor-matrix entries below ZERO_FLOOR times the peak modulus are set to 0.
+# On the `fiolab matrix` grid (N = 1024, L = 16) the fold's error against
+# the dense Gram product is 1.1e-15 of the peak at the default radius 8 and
+# 5.4e-15 at radius 24, below the floor: the floor, not rounding, decides
+# which entries are kept.
 ZERO_FLOOR = 1e-14
 # frequency columns per warped-row kernel block that _exact_l2_norm sums
 NORM_COLUMNS = 1024

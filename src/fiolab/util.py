@@ -50,10 +50,6 @@ class GrowthFit:
         vals = [v for _, v in self.sweep]
         return max(vals) / min(vals)
 
-    @property
-    def values(self) -> list[float]:
-        return [v for _, v in self.sweep]
-
 
 def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> GrowthFit:
     xs = np.asarray(xs, dtype=float)

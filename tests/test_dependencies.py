@@ -7,7 +7,8 @@ every call the benchmark's workloads make into it binding to its signature.
 Every name fiolab defines is read somewhere; every module-level function and
 every method or property of a module-level class is read by program code
 rather than by tests alone; every defaulted parameter of those functions and
-methods is passed by some program call; and every config key an experiment
+methods is passed by some program call (a member's reads and calls are
+resolved to the classes their receiver can be, see _Types); and every config key an experiment
 accepts, a keyword-only parameter of its runner, is read by that runner.
 No numpy.fft call passes out=, which numpy 1.24 lacks."""
 import ast
@@ -269,43 +270,255 @@ def _is_def(node):
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _decorated(fn, name):
+    return any(getattr(d, "id", None) == name for d in fn.decorator_list)
+
+
 def _owned_nodes(tree):
-    """(owner, node) over the statements of a module: a module-level
+    """(owner, class, node) over the statements of a module: a module-level
     function or a method of a module-level class owns itself, as "f" or
-    "C.m"; every other statement, the rest of a class included, has owner
-    None."""
+    "C.m", and a method also names its class C; every other statement, the
+    rest of a class included, has owner and class None."""
     for node in tree.body:
         if _is_def(node):
-            yield node.name, node
+            yield node.name, None, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                yield (f"{node.name}.{item.name}" if _is_def(item) else None), item
+                if _is_def(item):
+                    yield f"{node.name}.{item.name}", node.name, item
+                else:
+                    yield None, None, item
             for extra in node.decorator_list + node.bases + node.keywords:
-                yield None, extra
+                yield None, None, extra
         else:
-            yield None, node
+            yield None, None, node
 
 
-def _test_only_functions(modules, program_reads):
+class _Types:
+    """Which classes of the program modules an expression can evaluate to,
+    read off annotations, constructor calls and return annotations: enough
+    to tell the class whose member an `obj.attr` read or call reaches.  A
+    class is named by its bare name (fiolab's are unique).  A receiver
+    whose class cannot be named this way is unknown (None)."""
+
+    MODULE = "module"
+
+    def __init__(self, modules):
+        self.stems = set(modules)
+        self.members, self.fields, self.returns = {}, {}, {}
+        for tree in modules.values():
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    self.members[node.name] = {i.name: i for i in node.body if _is_def(i)}
+                    self.fields[node.name] = {
+                        i.target.id: i.annotation for i in node.body
+                        if isinstance(i, ast.AnnAssign) and isinstance(i.target, ast.Name)}
+                elif _is_def(node):
+                    self.returns[node.name] = node.returns
+
+    def ann(self, node):
+        """The classes an annotation allows: C, "C", Optional[C], or a union
+        of classes and None; None when it allows anything else."""
+        if node is None:
+            return None
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.Name) and node.id in self.members:
+            return {node.id}
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "Optional":
+            return self.ann(node.slice)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            parts = [self.ann(x) for x in (node.left, node.right)
+                     if not (isinstance(x, ast.Constant) and x.value is None)]
+            if all(parts):
+                return set().union(*parts)
+        return None
+
+    def _each(self, recv, env, per_class):
+        owners = self.of(recv, env)
+        if not owners:
+            return None
+        out = set()
+        for c in owners:
+            t = per_class(c)
+            if t is None:
+                return None
+            out |= t
+        return out
+
+    def _attr(self, c, name):
+        if name in self.fields[c]:
+            return self.ann(self.fields[c][name])
+        fn = self.members[c].get(name)
+        return self.ann(fn.returns) if fn is not None and _decorated(fn, "property") else None
+
+    def _called(self, c, name):
+        fn = self.members[c].get(name)
+        return self.ann(fn.returns) if fn is not None else None
+
+    def _is_module(self, node, env):
+        return isinstance(node, ast.Name) and env.get(node.id) == self.MODULE
+
+    def of(self, node, env):
+        """The classes node evaluates to an instance of (or, for a class
+        name, the class itself), or None when unknown."""
+        if isinstance(node, ast.Name):
+            t = env.get(node.id, {node.id} if node.id in self.members else None)
+            return t if isinstance(t, set) else None
+        if isinstance(node, ast.Attribute):
+            if self._is_module(node.value, env):
+                return {node.attr} if node.attr in self.members else None
+            return self._each(node.value, env, lambda c: self._attr(c, node.attr))
+        if not isinstance(node, ast.Call):
+            return None
+        f = node.func
+        if isinstance(f, ast.Attribute) and not self._is_module(f.value, env):
+            return self._each(f.value, env, lambda c: self._called(c, f.attr))
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        if isinstance(f, ast.Name) and name in env:
+            # a class object (cls) makes an instance; an instance is __call__ed
+            return self._each(f, env, lambda c: self._called(c, "__call__")
+                              if "__call__" in self.members[c] else {c})
+        if name in self.members:
+            return {name}
+        return self.ann(self.returns.get(name))
+
+    def module_env(self, tree):
+        """Module aliases (`from . import gabor`, `from fiolab import
+        experiments as xp`) and the module-level names of plain
+        assignments."""
+        env = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.level and node.module is None) or node.module == "fiolab"):
+                env.update({a.asname or a.name: self.MODULE
+                            for a in node.names if a.name in self.stems})
+        top = [n for n in tree.body if not (_is_def(n) or isinstance(n, ast.ClassDef))]
+        return self._bind(top, env, [])
+
+    def env(self, fn, cls, base):
+        """base plus the names of fn bound to classes: annotated parameters,
+        self or cls of a method of cls, and locals; a local is known only
+        when every one of its assignments is a single-name `x = value` or
+        `x: T = value` of known classes."""
+        pos = fn.args.posonlyargs + fn.args.args
+        first = pos[0] if cls and pos and not _decorated(fn, "staticmethod") else None
+        mine = {cls} if cls in self.members else None
+        params = []
+        for node in ast.walk(fn):
+            if _is_def(node) or isinstance(node, ast.Lambda):
+                a = node.args
+                params += [(p.arg, mine if p is first else self.ann(p.annotation))
+                           for p in a.posonlyargs + a.args + a.kwonlyargs]
+                params += [(p.arg, None) for p in (a.vararg, a.kwarg) if p]
+        return self._bind(fn.body, dict(base), params)
+
+    def _bind(self, body, env, params):
+        sources, plain = {}, set()
+        for name, t in params:
+            sources.setdefault(name, []).append(t)
+        stmts = [n for stmt in body for n in ast.walk(stmt)]
+        for node in stmts:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                sources.setdefault(node.targets[0].id, []).append(node.value)
+                plain.add(id(node.targets[0]))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                sources.setdefault(node.target.id, []).append(self.ann(node.annotation))
+                plain.add(id(node.target))
+        unknown = {n.id for n in stmts if isinstance(n, ast.Name)
+                   and isinstance(n.ctx, ast.Store) and id(n) not in plain}
+        for name, srcs in sources.items():
+            # start from the parameter and annotation types, so that
+            # cfg = cfg.resolve(...) resolves against cfg's annotation
+            known = [x for x in srcs if not isinstance(x, ast.AST)]
+            if known and all(known):
+                env[name] = set().union(*known)
+        for _ in range(2):  # a second pass resolves x = ...; y = x.attr chains
+            for name, srcs in sources.items():
+                ts = [self.of(x, env) if isinstance(x, ast.AST) else x for x in srcs]
+                env[name] = set().union(*ts) if all(ts) else None
+        env.update(dict.fromkeys(unknown))
+        return env
+
+    def owned(self, tree):
+        """_owned_nodes of tree, each with the env its names resolve in."""
+        base = self.module_env(tree)
+        for owner, cls, node in _owned_nodes(tree):
+            yield owner, cls, node, (self.env(node, cls, base) if owner else base)
+
+    def member_reads(self, node, env):
+        """(class, name) for each attribute read in node, and for each
+        getattr(obj, "name"), once per class its receiver can be.  When the
+        receiver is unknown the key is ("call", name) for a call obj.name(...)
+        and ("read", name) otherwise.  Module attributes are not member
+        reads."""
+        called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+        out = set()
+        for n in ast.walk(node):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                recv, name = n.value, n.attr
+            elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr" \
+                    and len(n.args) > 1 and isinstance(n.args[1], ast.Constant):
+                recv, name = n.args[0], n.args[1].value
+            else:
+                continue
+            if self._is_module(recv, env):
+                continue
+            owners = self.of(recv, env)
+            if owners:
+                out |= {(c, name) for c in owners}
+            else:
+                out.add(("call" if id(n) in called else "read", name))
+        return out
+
+
+def _test_only_functions(modules, others):
     """Module-level functions, and non-dunder methods and properties of
     module-level classes, of `modules` ({stem: tree}) that no statement of
-    another function, method or module reads, and that are not in
-    `program_reads` (names read by code outside those modules)."""
-    readers, defs = {}, []
-    for stem, tree in modules.items():
-        for owner, node in _owned_nodes(tree):
-            if owner and not (node.name.startswith("__") and node.name.endswith("__")):
-                defs.append((stem, owner, node.name))
+    another function, method or module reads, nor any statement of the
+    trees `others` (code outside those modules).  A function is read by
+    name; a member C.m only by an attribute read `obj.m` whose receiver can
+    be a C, or whose class is unknown (see _Types) unless C.m is a property
+    and the read is a call.  Neither a local name m nor a read of another
+    class's m counts."""
+    types = _Types(modules)
+    fn_readers, member_readers, defs = {}, {}, []
+    trees = [(stem, tree) for stem, tree in modules.items()] + [(None, t) for t in others]
+    for stem, tree in trees:
+        for owner, cls, node, env in types.owned(tree):
+            if stem and owner and not _is_dunder(node.name):
+                defs.append((stem, owner, cls, node.name))
             for name in _reads(node):
-                readers.setdefault(name, set()).add((stem, owner))
-    return sorted(f"{stem}.{owner}" for stem, owner, name in defs
-                  if name not in program_reads
-                  and not readers.get(name, set()) - {(stem, owner)})
+                fn_readers.setdefault(name, set()).add((stem, owner))
+            for key in types.member_reads(node, env):
+                member_readers.setdefault(key, set()).add((stem, owner))
+    out = []
+    for stem, owner, cls, name in defs:
+        if cls:
+            # an unknown receiver's call obj.name(...) cannot reach a property
+            prop = _decorated(types.members[cls][name], "property")
+            readers = set().union(*(member_readers.get(k, set()) for k in
+                                    [(cls, name), ("read", name)] + [("call", name)] * (not prop)))
+        else:
+            readers = fn_readers.get(name, set())
+        if not readers - {(stem, owner)}:
+            out.append(f"{stem}.{owner}")
+    return sorted(out)
 
 
 def _program_modules():
     return {p.stem: ast.parse(p.read_text(), str(p))
             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+
+
+def _other_trees():
+    return [ast.parse(p.read_text(), str(p)) for d in ("perfbench", "scripts")
+            for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def test_no_test_only_functions():
@@ -314,7 +527,7 @@ def test_no_test_only_functions():
     definition and outside __init__.py, perfbench/ or scripts/.  One that
     only tests call is dead weight unless it is listed in
     TEST_ONLY_FUNCTIONS."""
-    found = _test_only_functions(_program_modules(), _tree_reads("perfbench", "scripts"))
+    found = _test_only_functions(_program_modules(), _other_trees())
     assert TEST_ONLY_FUNCTIONS <= set(found), "listed functions now have a caller: " \
         + ", ".join(sorted(TEST_ONLY_FUNCTIONS - set(found)))
     bad = sorted(set(found) - TEST_ONLY_FUNCTIONS)
@@ -328,11 +541,22 @@ def test_test_only_check_sees_callers():
                   "class C:\n    def __init__(self):\n        self.v = self.used\n"
                   "    @property\n    def used(self):\n        return 1\n"
                   "    def own(self):\n        return self.own()\n"
-                  "    def called(self):\n        pass\n")
+                  "    def called(self):\n        pass\n"
+                  "    def width(self):\n        pass\n"
+                  "    def fetched(self):\n        pass\n")
     b = ast.parse("from .a import w\ndef u():\n    return w()\n"
-                  "def t(c):\n    return c.called()\n")
-    assert _test_only_functions({"a": a, "b": b}, {"s", "t"}) == \
-        ["a.C.own", "a.f", "a.g", "b.u"]
+                  "def t(c):\n    return c.called()\n"
+                  "class D:\n    def own(self):\n        pass\n"
+                  "    def make(self) -> 'C':\n        return C()\n"
+                  "    def width(self, width):\n        return width\n"
+                  "def v(d: D):\n    x = d.make()\n"
+                  "    return d.own(), getattr(x, 'fetched')\n")
+    ext = ast.parse("s()\nt(None)\n")
+    assert _test_only_functions({"a": a, "b": b}, [ext]) == \
+        ["a.C.own", "a.C.width", "a.f", "a.g", "b.D.width", "b.u"]
+    # an unknown receiver reaches every class's member of that name
+    ext = ast.parse("s()\nt(None)\ndef z(obj):\n    return obj.width()\n")
+    assert _test_only_functions({"a": a, "b": b}, [ext]) == ["a.C.own", "a.f", "a.g", "b.u"]
 
 
 # Defaulted parameters that no program call passes, kept on purpose, as
@@ -393,28 +617,36 @@ def _callee(call):
 def _unpassed_defaults(modules, others):
     """"module.function(parameter)" for each defaulted parameter of a
     module-level function or a method of a module-level class in `modules`
-    ({stem: tree}) that no call passes: calls by the function's name (its
-    class's name for __init__) anywhere in `modules` outside the function's
-    own body, or in the trees of `others`.  Calls are matched by name, so a
-    same-named function elsewhere can only make the check more lenient."""
-    calls = [n for tree in [*modules.values(), *others] for n in ast.walk(tree)
-             if isinstance(n, ast.Call)]
+    ({stem: tree}) that no call passes, anywhere in `modules` outside the
+    function's own body or in the trees of `others`.  A function is called
+    by its name (its class's name for __init__); a method C.m only by a call
+    obj.m(...) whose receiver can be a C or is unknown (see _Types), so a
+    call of another class's m does not count.  Same-named functions can
+    only make the check more lenient."""
+    types = _Types(modules)
+    calls = []
+    for tree in [*modules.values(), *others]:
+        for _, _, node, env in types.owned(tree):
+            for c in ast.walk(node):
+                if isinstance(c, ast.Call):
+                    f = c.func
+                    method = isinstance(f, ast.Attribute) and not types._is_module(f.value, env)
+                    calls.append((c, types.of(f.value, env) if method else None, method))
     out = []
     for stem, tree in modules.items():
-        for node in tree.body:
-            if _is_def(node):
-                defs = [(None, node)]
-            elif isinstance(node, ast.ClassDef):
-                defs = [(node.name, item) for item in node.body if _is_def(item)]
-            else:
+        for _, cls, fn in _owned_nodes(tree):
+            if not _is_def(fn):
                 continue
-            for cls, fn in defs:
-                own = {id(n) for n in ast.walk(fn)}
-                target = cls if fn.name == "__init__" else fn.name
-                mine = [c for c in calls if _callee(c) == target and id(c) not in own]
-                qual = f"{cls}.{fn.name}" if cls else fn.name
-                out += [f"{stem}.{qual}({name})" for name, index in _defaulted(cls, fn)
-                        if not any(_passes(c, name, index) for c in mine)]
+            own = {id(n) for n in ast.walk(fn)}
+            if cls and fn.name != "__init__":
+                mine = [c for c, owners, method in calls if method and c.func.attr == fn.name
+                        and (owners is None or cls in owners) and id(c) not in own]
+            else:
+                target = cls or fn.name
+                mine = [c for c, _, _ in calls if _callee(c) == target and id(c) not in own]
+            qual = f"{cls}.{fn.name}" if cls else fn.name
+            out += [f"{stem}.{qual}({name})" for name, index in _defaulted(cls, fn)
+                    if not any(_passes(c, name, index) for c in mine)]
     return out
 
 
@@ -424,10 +656,7 @@ def test_every_default_is_passed():
     own body, in perfbench/ or in scripts/: a default that only tests
     override is an option no program sets.  The exceptions are the patterns
     of DEFAULT_EXCEPTIONS, and each of them still matches a parameter."""
-    modules = _program_modules()
-    others = [ast.parse(p.read_text(), str(p)) for d in ("perfbench", "scripts")
-              for p in sorted((ROOT / d).rglob("*.py"))]
-    found = _unpassed_defaults(modules, others)
+    found = _unpassed_defaults(_program_modules(), _other_trees())
     stale = [pat for pat in DEFAULT_EXCEPTIONS if not fnmatch.filter(found, pat)]
     assert not stale, "exceptions that match no unpassed parameter: " + ", ".join(stale)
     bad = [f for f in found
@@ -441,10 +670,16 @@ def test_default_check_sees_calls():
                   "class C:\n    def __init__(self, v=0):\n        pass\n"
                   "    def m(self, u=1, t=2):\n        pass\n"
                   "    @staticmethod\n    def s(q=1):\n        pass\n"
-                  "def h(k=1):\n    pass\n")
-    b = ast.parse("g(1, 2)\nC(v=3).m(4)\nC.s(5)\nh(*args)\n")
+                  "def h(k=1):\n    pass\n"
+                  "class D:\n    def m(self, u=1, t=2):\n        pass\n")
+    b = ast.parse("g(1, 2)\nC(v=3).m(4)\nC.s(5)\nh(*args)\n"
+                  "def z(d: D):\n    d.m(0, 0)\n")
     assert _unpassed_defaults({"a": a}, [b]) == \
         ["a.f(y)", "a.f(z)", "a.g(w)", "a.C.m(t)"]
+    # a receiver of unknown class reaches every class's m
+    b = ast.parse("g(1, 2)\nC(v=3).m(4)\nC.s(5)\nh(*args)\n"
+                  "def z(obj):\n    obj.m(0, 0)\n")
+    assert _unpassed_defaults({"a": a}, [b]) == ["a.f(y)", "a.f(z)", "a.g(w)"]
 
 
 def _unread_runner_params(tree):
