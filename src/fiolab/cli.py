@@ -20,7 +20,6 @@ from .gabor import (
     frame_bounds,
     gabor_analysis,
     gabor_synthesis,
-    stft,
     tight_window,
 )
 from .grid import (
@@ -42,8 +41,8 @@ from .persist import (
     stft_to_csv,
 )
 from .runner import EXPERIMENTS, rerun_from_manifest, run_experiment
-from .symbols import Box, growth_validate, nondeg_validate, phase_from_name, \
-    sg_validate, symbol_from_name
+from .symbols import Box, _parse_call, growth_validate, nondeg_validate, \
+    phase_from_name, sg_validate, symbol_from_name
 from .util import default_jobs
 
 
@@ -59,11 +58,7 @@ def _load_signal(spec: str, grid: GridSpec) -> Signal:
     """Named generator ('gaussian', 'gaussian(w)', 'bump', ...) or a CSV path."""
     if spec.endswith(".csv"):
         return signal_from_csv(spec, grid)
-    name = spec.split("(")[0]
-    args = []
-    if "(" in spec:
-        inner = spec[spec.index("(") + 1:spec.rindex(")")]
-        args = [float(a) for a in inner.split(",") if a.strip()]
+    name, args = _parse_call(spec)
     if name == "gaussian":
         return Signal.from_generator(grid, gaussian_generator(*(args or [1.0]), dim=grid.dim))
     if name == "bump":
@@ -98,10 +93,9 @@ def cmd_stft(args) -> int:
     grid = _parse_grid(args.grid)
     f = _load_signal(args.input, grid)
     w = _window_from(args.window, grid)
-    data = stft(f, w, x_stride=args.stride)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    stft_to_csv(out / "stft.csv", data)
+    stft_to_csv(out / "stft.csv", f, w, args.stride)
     print(f"wrote {out / 'stft.csv'}")
     return 0
 

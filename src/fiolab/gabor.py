@@ -139,20 +139,29 @@ def _stft_blocks(f: Signal, g: Window, x_stride: int):
         yield i0, np.fft.fftn(rows, axes=axes)
 
 
-def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
-    """Dense STFT: each block of _stft_blocks centred, scaled by dx^d and
-    written into one preallocated array."""
+def _centred_stft_blocks(f: Signal, g: Window, x_stride: int):
+    """The blocks (i0, rows) of _stft_blocks, centred (fftshift and the +-1
+    phase) and scaled by dx^d: rows i0, i0 + 1, ... of the STFT."""
     gr = f.grid
-    d = gr.dim
-    m = len(range(0, gr.samples_per_axis, x_stride))
-    axes = tuple(range(1, d + 1))
-    ph = _alternating_phase(gr.samples_per_axis, d)
-    scale = gr.space_step ** d
-    vals = np.empty((m ** d,) + gr.shape, dtype=complex)
+    axes = tuple(range(1, gr.dim + 1))
+    ph = _alternating_phase(gr.samples_per_axis, gr.dim)
+    scale = gr.space_step ** gr.dim
     for i0, rows in _stft_blocks(f, g, x_stride):
-        np.multiply(np.fft.fftshift(rows, axes=axes) * ph, scale,
-                    out=vals[i0:i0 + len(rows)])
-    return StftData(gr, vals.reshape((m,) * d + gr.shape), x_stride)
+        rows = np.fft.fftshift(rows, axes=axes)
+        rows *= ph
+        rows *= scale
+        yield i0, rows
+
+
+def stft(f: Signal, g: Window, x_stride: int = 1) -> StftData:
+    """Dense STFT: the blocks of _centred_stft_blocks written into one
+    preallocated array."""
+    gr = f.grid
+    m = len(range(0, gr.samples_per_axis, x_stride))
+    vals = np.empty((m ** gr.dim,) + gr.shape, dtype=complex)
+    for i0, rows in _centred_stft_blocks(f, g, x_stride):
+        vals[i0:i0 + len(rows)] = rows
+    return StftData(gr, vals.reshape((m,) * gr.dim + gr.shape), x_stride)
 
 
 def stft_direct(f: Signal, g: Window, x_stride: int = 1) -> StftData:

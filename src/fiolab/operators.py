@@ -14,9 +14,9 @@ rather than to quadrature accuracy.
 
 _kernel_apply is the single place that applies an operator; every consumer
 (apply_pseudo_kn, apply_fio1, apply_fio2, OperatorHandle, gabor_matrix and
-so op_norm_estimate's power iteration on A*A) goes through it.  kernel_path
-names the path it takes, and _block_builder builds its kernel blocks and the
-warped-row blocks of op_norm_estimate's exact L^2 norm (_exact_l2_norm).
+op_norm_estimate's dense sample matrix) goes through it.  kernel_path names
+the path it takes, and _block_builder builds its kernel blocks and the
+warped-row blocks of op_norm_estimate's rank-update route (_exact_l2_norm).
 The paths:
 
 * "fft": two FFTs, a F^{-1} b F, when sigma declares separable = (a(x), b(eta))
@@ -49,17 +49,18 @@ tables too.  The "dense" path and phases that declare neither warp
 (hand-built ones, dilation conjugates) evaluate exp(2 pi i Phi) entry by
 entry: the reference the table build is tested against.
 
-op_norm_estimate gives the L^2 norm exactly, from one 2w x 2w eigenvalue
-problem over the w warped rows, for a constant separable symbol on the
-"fft" and "warped_rows" paths (_exact_l2_norm), and otherwise by power
-iteration on A*A, each step one application of A and one of A*, which
-rebuild their kernel blocks.
+op_norm_estimate gives the L^2 norm exactly to rounding on every route:
+from one 2w x 2w eigenvalue problem over the w warped rows for a constant
+separable symbol on the "fft" and "warped_rows" paths (_exact_l2_norm), and
+otherwise as the square root of the top eigenvalue of A*A, A the dense
+sample matrix (_dense_l2_norm).
 
 gabor_matrix sends every lattice atom through one application as a column
 and folds the outputs onto the Walnut fibers of the tone period
-(gabor._folded_analysis) instead of a dense atoms x outputs Gram product;
-it refuses, before allocating, a lattice whose tables and entries would
-exceed GABOR_MATRIX_BYTES.  Every later pass over the entries (the zero
+(gabor._folded_analysis) instead of a dense atoms x outputs Gram product.
+Both dense allocations, the Gabor matrix and the sample matrix of the norm,
+raise DenseSizeError before anything is allocated when they would exceed
+one byte budget, DENSE_BYTES.  Every later pass over the entries (the zero
 floor, diag_decay_certify, schur_certify and the persist exports) walks
 them in row blocks of whole k' rows (_row_blocks), so it holds one block's
 temporaries instead of num_atoms^2 ones; diag_decay_certify builds each
@@ -100,10 +101,13 @@ ACTIVE_TOL = 1e-15
 ZERO_FLOOR = 1e-14
 # frequency columns per warped-row kernel block that _exact_l2_norm sums
 NORM_COLUMNS = 1024
-# largest atom table, operator outputs and entries (num_atoms x size x 16 B
-# twice, plus num_atoms^2 x 16 B) that gabor_matrix allocates: a quarter of
-# an 8 GB machine, 8192 atoms at N = 4096
-GABOR_MATRIX_BYTES = 2 * 2 ** 30
+# largest dense allocation: a quarter of an 8 GB machine.  gabor_matrix's
+# atom table, operator outputs and entries (num_atoms x size x 16 B twice,
+# plus num_atoms^2 x 16 B) fit 8192 atoms at N = 4096.  _dense_l2_norm's
+# sample matrix, A*A and their temporaries, counted as 5 x size^2 x 16 B
+# (traced peaks were 4.0-4.3 times size^2 x 16 B), fit size = 4096 and not
+# d = 2, N = 128
+DENSE_BYTES = 2 * 2 ** 30
 # complex entry bytes per row block of a finished Gabor matrix (_row_blocks);
 # a block is never less than one whole k' row (one k', every n', all columns)
 ROW_BLOCK_BYTES = 2 ** 20
@@ -395,30 +399,27 @@ class OperatorHandle:
 
     kind is one of pseudo_kn, pseudo_weyl, fio_type1, fio_type2.  FIO kinds
     require a phase passing the non-degeneracy and growth validators on the
-    grid's box (coarsely sampled at construction; pass validate_phase=False
-    for phases already certified elsewhere).
+    grid's box (coarsely sampled at construction).
     """
 
     kind: str
     symbol: SymbolSpec
     phase: Optional[PhaseSpec]
     grid: GridSpec
-    validate_phase: bool = True
 
     def __post_init__(self):
         if self.kind in ("fio_type1", "fio_type2"):
             if self.phase is None:
                 raise ValueError("FIO kinds require a phase")
-            if self.validate_phase:
-                from .symbols import Box, growth_validate, nondeg_validate
-                box = Box.for_grid(self.grid)
-                nd = nondeg_validate(self.phase, box, samples=17)
-                gw = growth_validate(self.phase, box, samples=17)
-                if not (nd.passed and gw.passed):
-                    raise ValueError(
-                        f"phase fails validation: delta_min={nd.delta_min:.3g}, "
-                        f"growth ratios=({gw.min_ratio_x:.3g}, {gw.min_ratio_eta:.3g})"
-                    )
+            from .symbols import Box, growth_validate, nondeg_validate
+            box = Box.for_grid(self.grid)
+            nd = nondeg_validate(self.phase, box, samples=17)
+            gw = growth_validate(self.phase, box, samples=17)
+            if not (nd.passed and gw.passed):
+                raise ValueError(
+                    f"phase fails validation: delta_min={nd.delta_min:.3g}, "
+                    f"growth ratios=({gw.min_ratio_x:.3g}, {gw.min_ratio_eta:.3g})"
+                )
 
     def _apply_flat(self, grid: GridSpec, vals: Array, adjoint: bool = False) -> Array:
         """The operator, or its adjoint, on flat sample columns (size,) or (size, m).
@@ -437,13 +438,11 @@ class OperatorHandle:
         return _kernel_apply(phase, self.symbol, grid, vals,
                              adjoint=adjoint != (self.kind == "fio_type2"))
 
-    def apply(self, f: Signal, guard: bool = True) -> Signal:
-        if guard and self.kind == "fio_type1":
+    def apply(self, f: Signal) -> Signal:
+        """The operator on f; a type I FIO first runs _aliasing_guard."""
+        if self.kind == "fio_type1":
             _aliasing_guard(self.phase, self.symbol, f)
         return Signal(f.grid, self._apply_flat(f.grid, f.samples.ravel()))
-
-    def adjoint_apply(self, f: Signal) -> Signal:
-        return Signal(f.grid, self._apply_flat(f.grid, f.samples.ravel(), adjoint=True))
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +668,17 @@ def _atom_table(g: Window, lat: GaborLattice) -> tuple[Array, Array, Array]:
     return _atom_rows(g, lat), kp, npos
 
 
-class GaborMatrixSizeError(ValueError):
-    """A Gabor matrix whose tables and entries exceed GABOR_MATRIX_BYTES."""
+class DenseSizeError(ValueError):
+    """A Gabor matrix, or the sample matrix of a dense L^2 norm, whose
+    arrays would exceed DENSE_BYTES."""
+
+
+def _check_dense_bytes(n_bytes: int, what: str, parts: str) -> None:
+    """Raise DenseSizeError when n_bytes exceeds DENSE_BYTES."""
+    if n_bytes > DENSE_BYTES:
+        raise DenseSizeError(
+            f"{what} needs {n_bytes / 2 ** 30:.1f} GiB for {parts}, over the "
+            f"{DENSE_BYTES / 2 ** 30:.0f} GiB limit (DENSE_BYTES)")
 
 
 def _row_blocks(M: GaborMatrix):
@@ -690,16 +698,12 @@ def gabor_matrix(op: OperatorHandle, g: Window, lat: GaborLattice) -> GaborMatri
     fold of the output columns (gabor._folded_analysis), for any lattice.
     Entries below ZERO_FLOOR times the peak modulus are set to 0.
 
-    Raises GaborMatrixSizeError, before allocating anything, when the atom
-    table, the operator outputs and the entries together exceed
-    GABOR_MATRIX_BYTES."""
+    Raises DenseSizeError, before allocating anything, when the atom table,
+    the operator outputs and the entries together exceed DENSE_BYTES."""
     gr = g.grid
-    n_bytes = 16 * lat.num_atoms * (2 * gr.size + lat.num_atoms)
-    if n_bytes > GABOR_MATRIX_BYTES:
-        raise GaborMatrixSizeError(
-            f"a Gabor matrix of {lat.num_atoms} atoms on {gr.size} grid points needs "
-            f"{n_bytes / 2 ** 30:.1f} GiB for its atoms, outputs and entries, over "
-            f"the {GABOR_MATRIX_BYTES / 2 ** 30:.0f} GiB limit (GABOR_MATRIX_BYTES)")
+    _check_dense_bytes(16 * lat.num_atoms * (2 * gr.size + lat.num_atoms),
+                       f"a Gabor matrix of {lat.num_atoms} atoms on {gr.size} grid points",
+                       "its atoms, outputs and entries")
     atoms, kp, npos = _atom_table(g, lat)
     outs = op._apply_flat(gr, atoms.T)
     atoms = None  # only the outputs enter the fold
@@ -827,28 +831,13 @@ def schur_certify(M: GaborMatrix) -> SchurReport:
 
 @dataclass
 class OpNormReport:
+    """value is the L^2 norm.  Every route is exact and runs no iteration, so
+    iterations is 0 and converged True; only the benchmark's convergence
+    checks read them."""
+
     value: float
     iterations: int
     converged: bool
-
-
-def _power_iteration(apply_op, v0: Array, tol: float, maxiter: int):
-    """Top eigenvalue of a Hermitian positive semi-definite operator, as
-    (value, iterations, converged); converged once the Rayleigh quotient
-    moves by at most tol relative, after at least five steps."""
-    v = v0 / np.linalg.norm(v0.ravel())
-    lam = 0.0
-    for it in range(1, maxiter + 1):
-        w = apply_op(v)
-        new = float(np.real(np.vdot(v.ravel(), w.ravel())))
-        nrm = np.linalg.norm(w.ravel())
-        if nrm == 0:
-            return 0.0, it, True
-        v = w / nrm
-        if it > 4 and abs(new - lam) <= tol * max(abs(new), 1e-300):
-            return new, it, True
-        lam = new
-    return lam, maxiter, False
 
 
 def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
@@ -857,8 +846,8 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     It applies to pseudo_kn, fio_type1 and fio_type2 (whose norm is its
     type I operator's) on the "fft" and "warped_rows" paths when a(x) and
     b(eta) are constant on the grid, and when the warped rows are at most a
-    quarter of the grid, which keeps the 2w x 2w eigenvalue problem below
-    to at most size / 2 rows (2048 at N = 4096, d = 1).
+    quarter of the grid, so that the 2w x 2w eigenvalue problem has at most
+    size / 2 rows (2048 at N = 4096, d = 1).
 
     The sample matrix is then gamma K U / sqrt(size) up to a unit factor,
     with gamma = |a b|, K = exp(2 pi i Phi) on the grid and U unitary.  The
@@ -902,39 +891,36 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     return float(np.sqrt(np.linalg.eigvalsh(H)[-1]))
 
 
-def op_norm_estimate(
-    op: OperatorHandle,
-    p: float = 2.0,
-    method: str = "power_iter_l2",
-    tol: float = 1e-4,
-    maxiter: int = 1000,
-    seed: int = 3,
-) -> OpNormReport:
-    """The L^2 norm of op.
+def _dense_l2_norm(op: OperatorHandle) -> float:
+    """||A|| on L^2 as the square root of the top eigenvalue of A*A, A the
+    size x size sample matrix op._apply_flat(grid, I).  Raises
+    DenseSizeError before allocating anything when A, A*A and their
+    temporaries, counted as 5 x size^2 x 16 B, exceed DENSE_BYTES."""
+    gr = op.grid
+    _check_dense_bytes(5 * 16 * gr.size ** 2,
+                       f"the dense L^2 norm on {gr.size} grid points",
+                       "its sample matrix and A*A")
+    A = op._apply_flat(gr, np.eye(gr.size, dtype=complex))
+    top = np.linalg.eigvalsh(A.conj().T @ A)[-1]
+    return float(np.sqrt(max(top, 0.0)))
+
+
+def op_norm_estimate(op: OperatorHandle, p: float = 2.0, method: str = "power_iter_l2",
+                     seed: int = 3) -> OpNormReport:
+    """The L^2 norm of op, exact to rounding.
 
     Where _exact_l2_norm applies (constant separable symbol, no warp or a
     declared warp_x moving at most a quarter of the rows, as for criterion
-    c15's fio_type1 with phase_xphi and symbol one) the value is exact to
-    rounding, with iterations 0 and no dependence on seed.  Every other
-    operator runs _power_iteration on A*A, op.adjoint_apply after op.apply
-    with each step rebuilding the kernel blocks, from a start vector drawn
-    with seed, stopped when the norm moves by about tol.  "power_iter_l2"
-    is the only method, and p must be 2.
+    c15's fio_type1 with phase_xphi and symbol one) it comes from the warped
+    rows alone; every other operator takes _dense_l2_norm, which refuses a
+    grid past DENSE_BYTES.  p must be 2 and method "power_iter_l2", the
+    benchmark's name for this norm; seed is accepted and not read, since no
+    route draws a start vector.
     """
     if method != "power_iter_l2":
         raise ValueError(f"unknown method {method}")
     if p != 2.0:
         raise ValueError("op_norm_estimate certifies the L^2 norm only")
     exact = _exact_l2_norm(op)
-    if exact is not None:
-        return OpNormReport(value=exact, iterations=0, converged=True)
-    gr = op.grid
-    rng = np.random.default_rng(seed)
-    v0 = rng.normal(size=gr.shape) + 1j * rng.normal(size=gr.shape)
-    # the norm is the square root of the top eigenvalue of A*A, so a
-    # relative change tol in the norm is about 2 tol in the eigenvalue
-    lam, its, converged = _power_iteration(
-        lambda v: op.adjoint_apply(op.apply(Signal(gr, v), guard=False)).samples,
-        v0, 2.0 * tol, maxiter)
-    return OpNormReport(value=float(np.sqrt(max(lam, 0.0))), iterations=its,
-                        converged=converged)
+    value = exact if exact is not None else _dense_l2_norm(op)
+    return OpNormReport(value=value, iterations=0, converged=True)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gabor import GaborCoeffs, StftData
+from .gabor import GaborCoeffs, Window, _centred_stft_blocks
 from .grid import GridSpec, Signal
 from .operators import GaborMatrix, _row_blocks
 
@@ -63,20 +63,20 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[2:] if ln]
 
 
-def _indexed_csv(path, header: Sequence[str], values, axes: Sequence[Sequence[int]]) -> Path:
-    """One row per entry of values, row-major: its label on each axis, re, im.
-    Rows are formatted _LINES_PER_WRITE at a time, as they are written."""
+def _entry_lines(values, axes: Sequence[Sequence[int]]):
+    """One line per entry of values, row-major: its label on each axis, re,
+    im.  Lines are formatted _LINES_PER_WRITE at a time, as they are read."""
     v = np.ravel(values)
     axes = [np.asarray(a) for a in axes]
+    for lo in range(0, len(v), _LINES_PER_WRITE):
+        block = v[lo:lo + _LINES_PER_WRITE]
+        at = np.unravel_index(np.arange(lo, lo + len(block)), [len(a) for a in axes])
+        fields = [a[i] for a, i in zip(axes, at)] + [block.real, block.imag]
+        yield from map(",".join, zip(*(map(repr, f.tolist()) for f in fields)))
 
-    def lines():
-        for lo in range(0, len(v), _LINES_PER_WRITE):
-            block = v[lo:lo + _LINES_PER_WRITE]
-            at = np.unravel_index(np.arange(lo, lo + len(block)), [len(a) for a in axes])
-            fields = [a[i] for a, i in zip(axes, at)] + [block.real, block.imag]
-            yield from map(",".join, zip(*(map(repr, f.tolist()) for f in fields)))
 
-    return _write_lines(path, header, lines())
+def _indexed_csv(path, header: Sequence[str], values, axes: Sequence[Sequence[int]]) -> Path:
+    return _write_lines(path, header, _entry_lines(values, axes))
 
 
 def signal_to_csv(path, f: Signal) -> Path:
@@ -93,11 +93,17 @@ def signal_from_csv(path, grid: GridSpec) -> Signal:
     return Signal(grid, vals)
 
 
-def stft_to_csv(path, data: StftData) -> Path:
-    if data.grid.dim != 1:
+def stft_to_csv(path, f: Signal, g: Window, x_stride: int) -> Path:
+    """Rows (k, n, re, im) of the STFT of f with window g at every
+    x_stride-th x node, d = 1: the rows of stft(f, g, x_stride).values,
+    written block by block from gabor._centred_stft_blocks, so the whole
+    STFT is never held."""
+    if f.grid.dim != 1:
         raise NotImplementedError("STFT CSV export covers d=1")
-    return _indexed_csv(path, ["k", "n", "re", "im"], data.values,
-                        [range(n) for n in data.values.shape])
+    n = f.grid.samples_per_axis
+    lines = (line for i0, rows in _centred_stft_blocks(f, g, x_stride)
+             for line in _entry_lines(rows, [range(i0, i0 + len(rows)), range(n)]))
+    return _write_lines(path, ["k", "n", "re", "im"], lines)
 
 
 def coeffs_to_csv(path, c: GaborCoeffs) -> Path:

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .grid import Array, GridSpec, bracket, bump, plateau
-from .grid import smooth_step  # noqa: F401  (the cutoffs stay importable from symbols)
 
 # ---------------------------------------------------------------------------
 # Derivatives of the bump cutoff (the cutoffs themselves live in grid)
@@ -102,7 +101,6 @@ class PhaseSpec:
     grad_eta: Callable[[Array, Array], Array]
     mixed_hessian: Callable[[Array, Array], Array]
     params: dict = field(default_factory=dict)
-    order: tuple[float, float] = (1.0, 1.0)
     warp_x: Optional[Callable[[Array], Array]] = None
     warp_eta: Optional[Callable[[Array], Array]] = None
 

@@ -8,13 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiolab import operators, persist
+from fiolab import gabor, operators, persist
 from fiolab.cli import main
 from fiolab.config import ConfigError, ExperimentConfig, load_config, parse_config
-from fiolab.gabor import GaborLattice, StftData, Window, gabor_analysis, stft
+from fiolab.gabor import GaborLattice, Window, gabor_analysis, stft
 from fiolab.grid import GridSpec, Signal, gaussian_generator, lp_norm
 from fiolab.manifest import load_manifest
-from fiolab.operators import GaborMatrixSizeError, OperatorHandle, gabor_matrix
+from fiolab.operators import DenseSizeError, OperatorHandle, gabor_matrix
 from fiolab.persist import (
     MATRIX_RECORD,
     SCHEMA_LINE,
@@ -310,14 +310,20 @@ def test_signal_csv_matches_record_writer(tmp_path, dim):
         assert text in got
 
 
-def test_stft_and_coeffs_csv_match_record_writers(tmp_path):
+@pytest.mark.parametrize("x_stride", [1, 4])
+def test_stft_and_coeffs_csv_match_record_writers(tmp_path, monkeypatch, x_stride):
+    """The streamed STFT export writes the bytes of the dense stft's values
+    through the record-by-record writer, strided and not, from one block of
+    _stft_blocks and from blocks of 5 x nodes."""
     g = GridSpec(1, 8.0, 128)
     w = Window.gaussian(g)
     f = Signal.from_generator(g, gaussian_generator())
-    data = stft(f, w, x_stride=4)
-    got = stft_to_csv(tmp_path / "s.csv", data).read_bytes()
-    assert got == _stft_csv_reference(tmp_path / "sref.csv", data).read_bytes()
-    assert len(got.splitlines()) == 2 + data.values.size
+    data = stft(f, w, x_stride=x_stride)
+    ref = _stft_csv_reference(tmp_path / "sref.csv", data).read_bytes()
+    assert len(ref.splitlines()) == 2 + data.values.size
+    assert stft_to_csv(tmp_path / "s.csv", f, w, x_stride).read_bytes() == ref
+    monkeypatch.setattr(gabor, "_STFT_BLOCK_BYTES", 5 * 16 * g.size)
+    assert stft_to_csv(tmp_path / "s.csv", f, w, x_stride).read_bytes() == ref
     c = gabor_analysis(f, w, GaborLattice.for_grid(g, 0.5, 0.5, k_radius=3, n_radius=5))
     got = coeffs_to_csv(tmp_path / "c.csv", c).read_bytes()
     assert got == _coeffs_csv_reference(tmp_path / "cref.csv", c).read_bytes()
@@ -325,16 +331,16 @@ def test_stft_and_coeffs_csv_match_record_writers(tmp_path):
 
 
 def test_indexed_csv_traced_peak(tmp_path, monkeypatch):
-    """stft_to_csv formats its rows one write block at a time: with 1024
-    lines a block, a 64 x 1024 STFT traces under its own 1 MiB of values,
+    """_indexed_csv formats its rows one write block at a time: with 1024
+    lines a block, a 64 x 1024 array traces under its own 1 MiB of values,
     where formatting every field up front traced about 19 MB."""
     monkeypatch.setattr(persist, "_LINES_PER_WRITE", 2 ** 10)
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((64, 1024)) + 1j * rng.standard_normal((64, 1024))
-    data = StftData(GridSpec(1, 8.0, 1024), vals, x_stride=16)
     tracemalloc.start()
     try:
-        path = stft_to_csv(tmp_path / "s.csv", data)
+        path = persist._indexed_csv(tmp_path / "s.csv", ["k", "n", "re", "im"], vals,
+                                    [range(64), range(1024)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -408,7 +414,7 @@ def test_signal_and_stft_csv_match_joined_text(tmp_path, monkeypatch, lines_per_
     got = signal_to_csv(tmp_path / "s.csv", f).read_bytes()
     assert got == joined("i0,re,im", ((i, v.real, v.imag)
                                       for i, v in enumerate(f.samples.tolist())))
-    got = stft_to_csv(tmp_path / "t.csv", data).read_bytes()
+    got = stft_to_csv(tmp_path / "t.csv", f, Window.gaussian(g), 4).read_bytes()
     assert got == joined("k,n,re,im", ((i, k, v.real, v.imag)
                                        for i, row in enumerate(data.values.tolist())
                                        for k, v in enumerate(row)))
@@ -416,7 +422,7 @@ def test_signal_and_stft_csv_match_joined_text(tmp_path, monkeypatch, lines_per_
 
 class TestDenseSizeGuard:
     """gabor_matrix refuses a lattice whose atom table, operator outputs and
-    entries exceed GABOR_MATRIX_BYTES, before it allocates any of them."""
+    entries exceed DENSE_BYTES, before it allocates any of them."""
 
     def test_cli_refuses_40401_atoms(self, tmp_path, capsys):
         out = tmp_path / "m"
@@ -429,7 +435,7 @@ class TestDenseSizeGuard:
             tracemalloc.stop()
         assert code == 1
         err = capsys.readouterr().err
-        assert "40401 atoms" in err and "GABOR_MATRIX_BYTES" in err
+        assert "40401 atoms" in err and "DENSE_BYTES" in err
         assert not out.exists()
         # the window and the lattice only: one 4096-sample grid is 64 KiB
         assert peak < 2 ** 20
@@ -439,13 +445,13 @@ class TestDenseSizeGuard:
         lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=2, n_radius=2)
         op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g)
         n_bytes = 16 * lat.num_atoms * (2 * g.size + lat.num_atoms)
-        monkeypatch.setattr(operators, "GABOR_MATRIX_BYTES", n_bytes)
+        monkeypatch.setattr(operators, "DENSE_BYTES", n_bytes)
         assert gabor_matrix(op, Window.gaussian(g), lat).num_atoms == 25
-        monkeypatch.setattr(operators, "GABOR_MATRIX_BYTES", n_bytes - 1)
+        monkeypatch.setattr(operators, "DENSE_BYTES", n_bytes - 1)
         monkeypatch.setattr(operators, "_atom_table", None)  # never reached
-        with pytest.raises(GaborMatrixSizeError, match="25 atoms on 128 grid points"):
+        with pytest.raises(DenseSizeError, match="25 atoms on 128 grid points"):
             gabor_matrix(op, Window.gaussian(g), lat)
-        assert issubclass(GaborMatrixSizeError, ValueError)
+        assert issubclass(DenseSizeError, ValueError)
 
 
 def test_matrix_exports_agree(tmp_path):
@@ -588,8 +594,8 @@ class TestRunner:
         assert csvs[0] == csvs[1]
 
     def test_l2_stability_csv_independent_of_seed(self, tmp_path):
-        """Criterion c15's operator takes the exact L^2 norm, so the seed,
-        which only drew the power iteration's start vector, moves nothing."""
+        """Criterion c15's L^2 norm draws no start vector, so the seed moves
+        nothing."""
         csvs = []
         for seed in (0, 7):
             res = run_experiment("l2_stability", None, tmp_path / str(seed), seed=seed)
@@ -668,6 +674,33 @@ class TestCli:
 
     def test_bad_input_exit_code(self, capsys):
         assert main(["norm", "quaternion", "--grid", "256,8"]) == 1
+
+    def test_signal_spec_parse(self, capsys):
+        """Signal names parse as registry names do: a trailing comma or a
+        missing parenthesis is a validation failure."""
+        assert main(["norm", "gaussian( 1.0 )", "--grid", "256,8"]) == 0
+        capsys.readouterr()
+        for spec in ("gaussian(1,)", "gaussian(1", "bump(0.5,,0.4)"):
+            assert main(["norm", spec, "--grid", "256,8"]) == 1
+            assert "error:" in capsys.readouterr().err
+
+    def test_stft_traced_peak(self, tmp_path, monkeypatch):
+        """fiolab stft streams the STFT to its CSV: at N = 1024 the whole
+        STFT is 16 MiB, and the command traces about 4.5 MB: a few 1 MiB
+        blocks (the windowed rows of _stft_blocks, their DFT and its
+        centred copy).  The lines are written one per block here, since
+        formatting 2^20 of them under tracemalloc takes 25 s (and adds
+        about 0.5 MB); test_indexed_csv_traced_peak bounds the formatting."""
+        monkeypatch.setattr(persist, "_entry_lines", lambda values, axes: [str(len(values))])
+        tracemalloc.start()
+        try:
+            assert main(["stft", "gaussian", "--grid", "1024,16",
+                         "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2 ** 20
+        assert (tmp_path / "stft.csv").read_text().splitlines()[2:] == ["64"] * 16
 
     def test_stft_and_apply(self, tmp_path, capsys):
         out = str(tmp_path / "o1")

@@ -7,9 +7,10 @@ every call the benchmark's workloads make into it binding to its signature.
 Every name fiolab defines is read somewhere; every module-level function and
 every method or property of a module-level class is read by program code
 rather than by tests alone; every defaulted parameter of those functions and
-methods is passed by some program call (a member's reads and calls are
-resolved to the classes their receiver can be, see _Types); and every config key an experiment
-accepts, a keyword-only parameter of its runner, is read by that runner.
+methods, and every defaulted dataclass field, is passed by some program
+call (a member's reads and calls are resolved to the classes their receiver
+can be, see _Types); and every config key an experiment accepts, a
+keyword-only parameter of its runner, is read by that runner.
 No numpy.fft call passes out=, which numpy 1.24 lacks."""
 import ast
 import fnmatch
@@ -189,9 +190,16 @@ def _module_names(tree):
     return out
 
 
+def _strings(nodes):
+    return {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
 def _reads(tree):
     """Every name a file can reach a definition by: Name loads, attribute
-    names, imported names and string constants (getattr-style tables)."""
+    names, imported names, and the string constants of getattr-style tables
+    (tuple, list, set and dict literals, and the name getattr or hasattr
+    takes).  Any other string, such as a subcommand name passed to
+    add_parser, reads nothing."""
     out = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
@@ -200,8 +208,12 @@ def _reads(tree):
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.split(".")[-1])
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value)
+        elif isinstance(n, (ast.Tuple, ast.List, ast.Set)):
+            out |= _strings(n.elts)
+        elif isinstance(n, ast.Dict):
+            out |= _strings(n.keys + n.values)
+        elif isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("getattr", "hasattr"):
+            out |= _strings(n.args[1:2])
     return out
 
 
@@ -243,24 +255,25 @@ def test_no_unreferenced_module_names():
 def test_unreferenced_name_check_sees_reads():
     src = ("import numpy as np\nfrom .grid import a\nX, Y = 1, 2\nZ: int = 3\n"
            "def f():\n    return X\nclass C:\n    pass\nW = np.pi + C.attr\n"
-           "T = ('mod', 'f')\n"
+           "T = ('mod', 'f')\nhelp('Y', getattr(C, 'gone'))\n"
            "class D:\n    def __init__(self):\n        self.v = self.prop\n"
            "    @property\n    def prop(self):\n        return 1\n"
            "    def dead(self):\n        return self.v\n")
     tree = ast.parse(src)
     assert _module_names(tree) == {"X", "Y", "Z", "f", "C", "W", "T", "D"}
     assert _class_members(tree) == {("D", "prop"), ("D", "dead")}
-    assert {"X", "np", "a", "C", "attr", "f", "mod", "prop"} <= _reads(tree)
+    assert {"X", "np", "a", "C", "attr", "f", "mod", "prop", "gone"} <= _reads(tree)
     assert not {"Y", "Z", "W", "T", "dead"} & _reads(tree)
 
 
 # Module-level functions that only tests call, kept on purpose: the dense
-# references that fast paths are compared against, the STFT inverse that
-# the gate's inversion criterion (c01) runs, and the four structural
-# identity checks of criterion c07.  No method or property is kept.
+# references that fast paths are compared against, the dense STFT and its
+# inverse that the gate's criteria c01 and c02 run (the benchmark's tracer
+# also wraps stft), and the four structural identity checks of criterion
+# c07.  No method or property is kept.
 TEST_ONLY_FUNCTIONS = {
     "gabor.stft_direct", "gabor.gabor_analysis_direct", "gabor.frame_matrix_dense",
-    "gabor.istft",
+    "gabor.stft", "gabor.istft",
     "operators.adjoint_identity_check", "operators.transpose_identity_check",
     "operators.fourier_conjugation_check", "operators.dilation_conjugation_check",
 }
@@ -517,16 +530,22 @@ def _program_modules():
 
 
 def _other_trees():
-    return [ast.parse(p.read_text(), str(p)) for d in ("perfbench", "scripts")
-            for p in sorted((ROOT / d).rglob("*.py"))]
+    """perfbench/ and scripts/, less the benchmark's ENTRY_POINTS table: it
+    names the functions the tracer wraps, and naming one does not call it."""
+    trees = [ast.parse(p.read_text(), str(p)) for d in ("perfbench", "scripts")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    for tree in trees:
+        tree.body = [n for n in tree.body if not (isinstance(n, ast.Assign) and any(
+            getattr(t, "id", None) == "ENTRY_POINTS" for t in n.targets))]
+    return trees
 
 
 def test_no_test_only_functions():
     """Every module-level def in fiolab, and every method or property of a
     module-level class, is read by program code: src/ outside its own
-    definition and outside __init__.py, perfbench/ or scripts/.  One that
-    only tests call is dead weight unless it is listed in
-    TEST_ONLY_FUNCTIONS."""
+    definition and outside __init__.py, perfbench/ or scripts/ (less the
+    tracer's ENTRY_POINTS, see _other_trees).  One that only tests call is
+    dead weight unless it is listed in TEST_ONLY_FUNCTIONS."""
     found = _test_only_functions(_program_modules(), _other_trees())
     assert TEST_ONLY_FUNCTIONS <= set(found), "listed functions now have a caller: " \
         + ", ".join(sorted(TEST_ONLY_FUNCTIONS - set(found)))
@@ -574,15 +593,12 @@ DEFAULT_EXCEPTIONS = {
                                                  "small grid",
     "experiments.main_theorem_boundedness_suite(grid)":
         "test_boundedness_one_application_per_operator runs it on a small grid",
-    "gabor.stft_direct(x_stride)": "the dense reference of stft's strided x nodes "
-                                   "(test_stft_strided_matches_direct)",
+    "operators.OperatorHandle._apply_flat(adjoint)":
+        "the adjoint of every kind, which the path tests compare with the dense "
+        "reference (test_paths_match_dense_reference); programs take A* as fio_type2",
     "experiments.m2_conjugation_consistency(n_sweep)":
         "the gate's c13 pins its deviation line at n = 4, 6, 8 "
         "(test_c13_m2_by_conjugation)",
-    "operators.op_norm_estimate(tol)": "TestOpNorm::test_power_iteration_matches_reference "
-                                       "pins the power loop's stop",
-    "operators.op_norm_estimate(maxiter)": "TestOpNorm::test_power_iteration_matches_"
-                                           "reference pins the power loop's step cap",
 }
 
 
@@ -598,6 +614,16 @@ def _defaulted(cls, fn):
     first = len(pos) - len(a.defaults)
     return [(arg.arg, i - skip) for i, arg in enumerate(pos) if i >= first] \
         + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _dataclass_defaults(node):
+    """(name, index) of each defaulted field of a @dataclass class node:
+    index is its position among the constructor's arguments."""
+    if not any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+        return []
+    fields = [i for i in node.body
+              if isinstance(i, ast.AnnAssign) and isinstance(i.target, ast.Name)]
+    return [(f.target.id, k) for k, f in enumerate(fields) if f.value is not None]
 
 
 def _passes(call, name, index):
@@ -621,8 +647,10 @@ def _unpassed_defaults(modules, others):
     function's own body or in the trees of `others`.  A function is called
     by its name (its class's name for __init__); a method C.m only by a call
     obj.m(...) whose receiver can be a C or is unknown (see _Types), so a
-    call of another class's m does not count.  Same-named functions can
-    only make the check more lenient."""
+    call of another class's m does not count.  A defaulted field of a
+    dataclass C is reported as "module.C(field)" and is passed only by a
+    call of C by name.  Same-named functions can only make the check more
+    lenient."""
     types = _Types(modules)
     calls = []
     for tree in [*modules.values(), *others]:
@@ -647,6 +675,11 @@ def _unpassed_defaults(modules, others):
             qual = f"{cls}.{fn.name}" if cls else fn.name
             out += [f"{stem}.{qual}({name})" for name, index in _defaulted(cls, fn)
                     if not any(_passes(c, name, index) for c in mine)]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                mine = [c for c, _, _ in calls if _callee(c) == node.name]
+                out += [f"{stem}.{node.name}({name})" for name, index in _dataclass_defaults(node)
+                        if not any(_passes(c, name, index) for c in mine)]
     return out
 
 
@@ -654,9 +687,11 @@ def test_every_default_is_passed():
     """Every defaulted parameter of a fiolab function or method is passed,
     by keyword or by position, by some call in src/ outside the function's
     own body, in perfbench/ or in scripts/: a default that only tests
-    override is an option no program sets.  The exceptions are the patterns
-    of DEFAULT_EXCEPTIONS, and each of them still matches a parameter."""
-    found = _unpassed_defaults(_program_modules(), _other_trees())
+    override is an option no program sets.  The exceptions are the
+    parameters of TEST_ONLY_FUNCTIONS, which no program calls, and the
+    patterns of DEFAULT_EXCEPTIONS, each of which still matches a parameter."""
+    found = [f for f in _unpassed_defaults(_program_modules(), _other_trees())
+             if f.split("(")[0] not in TEST_ONLY_FUNCTIONS]
     stale = [pat for pat in DEFAULT_EXCEPTIONS if not fnmatch.filter(found, pat)]
     assert not stale, "exceptions that match no unpassed parameter: " + ", ".join(stale)
     bad = [f for f in found
@@ -680,6 +715,16 @@ def test_default_check_sees_calls():
     b = ast.parse("g(1, 2)\nC(v=3).m(4)\nC.s(5)\nh(*args)\n"
                   "def z(obj):\n    obj.m(0, 0)\n")
     assert _unpassed_defaults({"a": a}, [b]) == ["a.f(y)", "a.f(z)", "a.g(w)"]
+    # a defaulted dataclass field is passed only by a call of its class,
+    # by position or keyword; a plain class attribute is no field
+    a = ast.parse("@dataclass\nclass E:\n    x: int\n    y: int = 0\n"
+                  "    z: int = 1\n    w: int = field(default=2)\n"
+                  "@dataclass(frozen=True)\nclass F:\n    u: int = 0\n"
+                  "class G:\n    v: int = 0\n")
+    b = ast.parse("E(1, 2)\nE(1, w=3)\nz = 4\n")
+    assert _unpassed_defaults({"a": a}, [b]) == ["a.E(z)", "a.F(u)"]
+    b = ast.parse("E(1, 2, 3)\nm.F(u=1)\n")
+    assert _unpassed_defaults({"a": a}, [b]) == ["a.E(w)"]
 
 
 def _unread_runner_params(tree):

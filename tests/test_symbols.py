@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fiolab.experiments import _freq_multiply
 from fiolab.grid import (
     GridSpec, Signal, bracket, gaussian_generator, fourier_transform, lp_norm,
+    smooth_step,
 )
 from fiolab.operators import _negated_phase, _transposed_phase
 from fiolab.symbols import (
@@ -24,7 +25,6 @@ from fiolab.symbols import (
     phase_from_name,
     plateau,
     sg_validate,
-    smooth_step,
     symbol_from_name,
     _sample_points,
 )
