@@ -839,6 +839,21 @@ class TestOpNorm:
         ref = _dense_norm(op)
         assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("kind,pname,gname", [
+        ("pseudo_weyl", None, "d1"),
+        ("fio_type2", "phase_phix(0.3)", "d1"),
+        ("fio_type1", "phase_phix(0.3)", "d2"),
+    ])
+    def test_dense_route_on_other_kinds(self, kind, pname, gname):
+        """The Weyl midpoint sum, the type II operator (the adjoint kernel)
+        and a d = 2 grid take the dense route too, exact to rounding."""
+        g = PATH_GRIDS[gname]
+        op = OperatorHandle(kind, symbol_from_name("model_sg(-0.5,-0.5)"),
+                            phase_from_name(pname) if pname else None, g)
+        assert operators._exact_l2_norm(op) is None
+        ref = _dense_norm(op)
+        assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
+
     def test_unknown_method_and_p(self, g512):
         op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g512)
         with pytest.raises(ValueError, match="unknown method"):
