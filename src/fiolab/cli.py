@@ -93,10 +93,8 @@ def cmd_stft(args) -> int:
     grid = _parse_grid(args.grid)
     f = _load_signal(args.input, grid)
     w = _window_from(args.window, grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stft_to_csv(out / "stft.csv", f, w, args.stride)
-    print(f"wrote {out / 'stft.csv'}")
+    path = stft_to_csv(Path(args.out) / "stft.csv", f, w, args.stride)
+    print(f"wrote {path}")
     return 0
 
 
@@ -226,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="time-frequency operator laboratory")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("stft", help="dense STFT of a signal")
+    sp = sub.add_parser("stft", help="STFT of a signal, streamed to CSV")
     sp.add_argument("input")
     sp.add_argument("--window", default="gauss:1.0")
     sp.add_argument("--stride", type=int, default=1)

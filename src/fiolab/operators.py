@@ -421,22 +421,16 @@ class OperatorHandle:
                     f"growth ratios=({gw.min_ratio_x:.3g}, {gw.min_ratio_eta:.3g})"
                 )
 
-    def _apply_flat(self, grid: GridSpec, vals: Array, adjoint: bool = False) -> Array:
-        """The operator, or its adjoint, on flat sample columns (size,) or (size, m).
-
-        Weyl keeps its midpoint sum; the adjoint of a Weyl operator is the
-        Weyl operator of the conjugate symbol.
-        """
+    def _apply_flat(self, grid: GridSpec, vals: Array) -> Array:
+        """The operator on flat sample columns (size,) or (size, m); Weyl
+        keeps its midpoint sum."""
         if self.kind == "pseudo_weyl":
-            sym = self.symbol if not adjoint else SymbolSpec(
-                name=f"conj({self.symbol.name})", order=self.symbol.order,
-                fn=lambda x, eta: np.conj(self.symbol(x, eta)))
-            return _weyl_sum(sym, grid, vals)
+            return _weyl_sum(self.symbol, grid, vals)
         if self.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
             raise ValueError(f"unknown kind {self.kind}")
         phase = None if self.kind == "pseudo_kn" else self.phase
         return _kernel_apply(phase, self.symbol, grid, vals,
-                             adjoint=adjoint != (self.kind == "fio_type2"))
+                             adjoint=self.kind == "fio_type2")
 
     def apply(self, f: Signal) -> Signal:
         """The operator on f; a type I FIO first runs _aliasing_guard."""

@@ -97,9 +97,12 @@ def stft_to_csv(path, f: Signal, g: Window, x_stride: int) -> Path:
     """Rows (k, n, re, im) of the STFT of f with window g at every
     x_stride-th x node, d = 1: the rows of stft(f, g, x_stride).values,
     written block by block from gabor._centred_stft_blocks, so the whole
-    STFT is never held."""
+    STFT is never held.  A stride below 1 is refused before the file is
+    opened."""
     if f.grid.dim != 1:
         raise NotImplementedError("STFT CSV export covers d=1")
+    if x_stride < 1:
+        raise ValueError(f"STFT stride must be at least 1, got {x_stride}")
     n = f.grid.samples_per_axis
     lines = (line for i0, rows in _centred_stft_blocks(f, g, x_stride)
              for line in _entry_lines(rows, [range(i0, i0 + len(rows)), range(n)]))

@@ -702,6 +702,15 @@ class TestCli:
         assert peak < 6 * 2 ** 20
         assert (tmp_path / "stft.csv").read_text().splitlines()[2:] == ["64"] * 16
 
+    @pytest.mark.parametrize("stride", ["0", "-2"])
+    def test_stft_bad_stride(self, tmp_path, capsys, stride):
+        """A stride below 1 is a validation failure that writes nothing."""
+        out = tmp_path / "o"
+        assert main(["stft", "gaussian", "--grid", "128,4", "--out", str(out),
+                     "--stride", stride]) == 1
+        assert "stride" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stft_and_apply(self, tmp_path, capsys):
         out = str(tmp_path / "o1")
         assert main(["stft", "gaussian", "--grid", "128,4", "--out", out,

@@ -593,9 +593,12 @@ DEFAULT_EXCEPTIONS = {
                                                  "small grid",
     "experiments.main_theorem_boundedness_suite(grid)":
         "test_boundedness_one_application_per_operator runs it on a small grid",
-    "operators.OperatorHandle._apply_flat(adjoint)":
-        "the adjoint of every kind, which the path tests compare with the dense "
-        "reference (test_paths_match_dense_reference); programs take A* as fio_type2",
+    "gabor.stft_direct(x_stride)": "the dense reference of stft's strided x nodes "
+                                   "(test_stft_strided_matches_direct)",
+    "gabor.stft(x_stride)": "the strided inversion and norm references "
+                            "(TestMergedPathsByteReference::test_stft_istft, "
+                            "TestStreamedModNorm); fiolab stft streams its rows "
+                            "through persist.stft_to_csv",
     "experiments.m2_conjugation_consistency(n_sweep)":
         "the gate's c13 pins its deviation line at n = 4, 6, 8 "
         "(test_c13_m2_by_conjugation)",
@@ -688,10 +691,8 @@ def test_every_default_is_passed():
     by keyword or by position, by some call in src/ outside the function's
     own body, in perfbench/ or in scripts/: a default that only tests
     override is an option no program sets.  The exceptions are the
-    parameters of TEST_ONLY_FUNCTIONS, which no program calls, and the
     patterns of DEFAULT_EXCEPTIONS, each of which still matches a parameter."""
-    found = [f for f in _unpassed_defaults(_program_modules(), _other_trees())
-             if f.split("(")[0] not in TEST_ONLY_FUNCTIONS]
+    found = _unpassed_defaults(_program_modules(), _other_trees())
     stale = [pat for pat in DEFAULT_EXCEPTIONS if not fnmatch.filter(found, pat)]
     assert not stale, "exceptions that match no unpassed parameter: " + ", ".join(stale)
     bad = [f for f in found
