@@ -41,7 +41,7 @@ from .persist import (
     stft_to_csv,
 )
 from .runner import EXPERIMENTS, rerun_from_manifest, run_experiment
-from .symbols import Box, _parse_call, growth_validate, nondeg_validate, \
+from .symbols import Box, _from_name, growth_validate, nondeg_validate, \
     phase_from_name, sg_validate, symbol_from_name
 from .util import default_jobs
 
@@ -55,15 +55,13 @@ def _parse_grid(spec: str | None) -> GridSpec:
 
 
 def _load_signal(spec: str, grid: GridSpec) -> Signal:
-    """Named generator ('gaussian', 'gaussian(w)', 'bump', ...) or a CSV path."""
+    """Named generator ('gaussian', 'gaussian(w)', 'bump', 'bump(c,hw)') or a
+    CSV path."""
     if spec.endswith(".csv"):
         return signal_from_csv(spec, grid)
-    name, args = _parse_call(spec)
-    if name == "gaussian":
-        return Signal.from_generator(grid, gaussian_generator(*(args or [1.0]), dim=grid.dim))
-    if name == "bump":
-        return Signal.from_generator(grid, bump_generator(*(args or [0.5, 0.42]), dim=grid.dim))
-    raise ConfigError(f"unknown input signal {spec!r}")
+    gen = _from_name(spec, {"gaussian": gaussian_generator, "bump": bump_generator},
+                     "input signal")
+    return Signal.from_generator(grid, gen)
 
 
 def _window_from(spec: str, grid: GridSpec) -> Window:

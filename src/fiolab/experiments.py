@@ -45,6 +45,9 @@ from . import operators
 from .norms import mod_norm
 from .symbols import (
     Diffeo,
+    _negated_phase,
+    _starred_symbol,
+    _transposed_phase,
     make_diffeo,
     symbol_from_name,
     phase_from_name,
@@ -99,7 +102,6 @@ class ThresholdVerdict:
     expected: str
     measured_slope: float
     verdict: str
-    fit: GrowthFit
     threshold: float
     rows: tuple[tuple, ...] = ()  # (n, witness, norm_in, norm_out, ratio)
 
@@ -124,10 +126,7 @@ def _tensor_power(chi: Generator, dim: int) -> Generator:
     """chi(t_1) ... chi(t_dim); chi itself for dim = 1."""
     if dim == 1:
         return chi
-    return Generator(
-        name="bump_tensor", params=dict(chi.params),
-        fn=lambda *cs: np.prod([np.asarray(chi(c)) for c in cs], axis=0),
-    )
+    return Generator(lambda *cs: np.prod([np.asarray(chi(c)) for c in cs], axis=0))
 
 
 def _freq_multiply(f: Signal, mult: Array) -> Signal:
@@ -193,8 +192,7 @@ def fl_growth_experiment(
     base = _tensor_power(default_chi(), dim)
 
     def one(n: int) -> float:
-        comp = base.modulated([float(n)] * dim).composed(
-            tuple(dif.phi for _ in range(dim)), tag="warp")
+        comp = base.modulated([float(n)] * dim).composed(tuple(dif.phi for _ in range(dim)))
         h = Signal.from_generator(grid, comp)
         return lp_norm(fourier_transform(h), p)
 
@@ -305,20 +303,13 @@ def lp_threshold_experiment(
     expected = "bounded" if m <= thr + 1e-12 else "unbounded"
     return ThresholdVerdict(
         p=p, order=(0.0, m), expected=expected, measured_slope=fit.slope,
-        verdict=classify_slope(fit.slope), fit=fit, threshold=thr,
-        rows=tuple(rows),
+        verdict=classify_slope(fit.slope), threshold=thr, rows=tuple(rows),
     )
 
 
 # ---------------------------------------------------------------------------
 # M^p sharpness in the frequency order m1 and space order m2
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SharpnessResult:
-    verdict: ThresholdVerdict
-    ratios: tuple[float, ...]
-
 
 def _m1_operator_parts(m1: float, c: float):
     phase = phase_from_name(f"phase_xphi({c})")
@@ -333,7 +324,7 @@ def sharpness_m1_experiment(
     c: float = 0.3,
     grid: Optional[GridSpec] = None,
     jobs: int | None = None,
-) -> SharpnessResult:
+) -> ThresholdVerdict:
     """Growth of ||A <D>^{-m1} f_n||_{M^p} / ||<D>^{-m1} f_n||_{M^p}, with
     the sharpness window of the grid (sharpness_grid() by default).
 
@@ -356,13 +347,12 @@ def sharpness_m1_experiment(
     fit = _fit_sweep(n_sweep, ratios)
     thr = threshold(p, grid.dim)
     expected = "bounded" if m1 <= thr + 1e-12 else "unbounded"
-    verdict = ThresholdVerdict(
+    return ThresholdVerdict(
         p=p, order=(m1, 0.0), expected=expected, measured_slope=fit.slope,
-        verdict=classify_slope(fit.slope), fit=fit, threshold=thr,
+        verdict=classify_slope(fit.slope), threshold=thr,
         rows=tuple((int(n), "precompensated", 1.0, r, r)
                    for n, r in zip(n_sweep, ratios)),
     )
-    return SharpnessResult(verdict=verdict, ratios=tuple(ratios))
 
 
 def self_dual_grid() -> GridSpec:
@@ -389,7 +379,6 @@ def m2_conjugation_consistency(
     bump (their spectra fit the narrower self-dual band).
     """
     from .grid import gaussian_generator
-    from .operators import _negated_phase, _starred_symbol, _transposed_phase
 
     grid = self_dual_grid()
     window = Window.gaussian(grid, width=1.0)
@@ -413,7 +402,7 @@ def sharpness_m2_experiment(
     n_sweep: Sequence[int] = DEFAULT_N_SWEEP,
     c: float = 0.3,
     jobs: int | None = None,
-) -> tuple[SharpnessResult, float]:
+) -> tuple[ThresholdVerdict, float]:
     """Space-order sharpness through Fourier conjugation of the m1 operator.
 
     The conjugated operator B (phase -tPhi, symbol sigma* of order m2 in x,
@@ -425,16 +414,14 @@ def sharpness_m2_experiment(
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError("sharpness_m2_experiment covers 1 <= p <= 2")
-    base = sharpness_m1_experiment(m2, p, n_sweep=n_sweep, c=c, jobs=jobs)
+    v = sharpness_m1_experiment(m2, p, n_sweep=n_sweep, c=c, jobs=jobs)
     dev = m2_conjugation_consistency(m2, p, c=c, jobs=jobs)
-    v = base.verdict
     verdict = ThresholdVerdict(
         p=v.p, order=(0.0, m2), expected=v.expected,
-        measured_slope=v.measured_slope, verdict=v.verdict, fit=v.fit,
-        threshold=v.threshold,
+        measured_slope=v.measured_slope, verdict=v.verdict, threshold=v.threshold,
         rows=tuple((n, "conjugated", a, b, r) for n, _, a, b, r in v.rows),
     )
-    return SharpnessResult(verdict=verdict, ratios=base.ratios), dev
+    return verdict, dev
 
 
 # ---------------------------------------------------------------------------

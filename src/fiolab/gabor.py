@@ -73,7 +73,7 @@ class Window:
 
     @classmethod
     def gaussian(cls, grid: GridSpec, width: float = 1.0) -> "Window":
-        return cls.from_signal(Signal.from_generator(grid, gaussian_generator(width, grid.dim)))
+        return cls.from_signal(Signal.from_generator(grid, gaussian_generator(width)))
 
     @property
     def grid(self) -> GridSpec:

@@ -160,8 +160,6 @@ class Generator:
     interpolating samples.
     """
 
-    name: str
-    params: dict
     fn: Callable[..., Array]
 
     def __call__(self, *coords: Array) -> Array:
@@ -170,61 +168,38 @@ class Generator:
     def translated(self, x0) -> "Generator":
         x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         base = self
-        return Generator(
-            name=f"translate({base.name})",
-            params={**base.params, "x0": tuple(map(float, x0))},
-            fn=lambda *cs: base(*[c - s for c, s in zip(cs, x0)]),
-        )
+        return Generator(lambda *cs: base(*[c - s for c, s in zip(cs, x0)]))
 
     def modulated(self, eta0) -> "Generator":
         eta0 = np.atleast_1d(np.asarray(eta0, dtype=float))
         base = self
-        return Generator(
-            name=f"modulate({base.name})",
-            params={**base.params, "eta0": tuple(map(float, eta0))},
-            fn=lambda *cs: np.exp(2j * np.pi * sum(e * c for e, c in zip(eta0, cs))) * base(*cs),
-        )
+        return Generator(lambda *cs: np.exp(
+            2j * np.pi * sum(e * c for e, c in zip(eta0, cs))) * base(*cs))
 
     def dilated(self, lam: float) -> "Generator":
         lam = float(lam)
         base = self
-        return Generator(
-            name=f"dilate({base.name})",
-            params={**base.params, "lam": lam},
-            fn=lambda *cs: base(*[lam * c for c in cs]),
-        )
+        return Generator(lambda *cs: base(*[lam * c for c in cs]))
 
-    def composed(self, maps: tuple[Callable[[Array], Array], ...], tag: str) -> "Generator":
+    def composed(self, maps: tuple[Callable[[Array], Array], ...]) -> "Generator":
         """Coordinate-wise substitution t_i -> maps[i](t_i)."""
         base = self
-        return Generator(
-            name=f"{tag}({base.name})",
-            params=dict(base.params),
-            fn=lambda *cs: base(*[m(c) for m, c in zip(maps, cs)]),
-        )
+        return Generator(lambda *cs: base(*[m(c) for m, c in zip(maps, cs)]))
 
 
-def gaussian_generator(width: float = 1.0, dim: int = 1) -> Generator:
-    """exp(-pi |t|^2 / width^2); Fourier-invariant when width = 1."""
+def gaussian_generator(width: float = 1.0) -> Generator:
+    """exp(-pi |t|^2 / width^2) in any number of coordinates; Fourier-invariant
+    when width = 1."""
     w2 = float(width) ** 2
-    return Generator(
-        name="gaussian",
-        params={"width": float(width), "dim": dim},
-        fn=lambda *cs: np.exp(-np.pi * sum(np.asarray(c) ** 2 for c in cs) / w2) + 0j,
-    )
+    return Generator(lambda *cs: np.exp(-np.pi * sum(np.asarray(c) ** 2 for c in cs) / w2) + 0j)
 
 
-def bump_generator(center: float = 0.5, half_width: float = 0.42, dim: int = 1) -> Generator:
+def bump_generator(center: float = 0.5, half_width: float = 0.42) -> Generator:
     """Smooth compactly supported bump, exactly zero outside the box of
     half-width half_width about center in every coordinate."""
     c, hw = float(center), float(half_width)
-    return Generator(
-        name="bump",
-        params={"center": c, "half_width": hw, "dim": dim},
-        fn=lambda *cs: np.prod(
-            [bump((np.asarray(t) - c) / hw) for t in cs], axis=0
-        ) + 0j,
-    )
+    return Generator(lambda *cs: np.prod(
+        [bump((np.asarray(t) - c) / hw) for t in cs], axis=0) + 0j)
 
 
 @dataclass
@@ -260,15 +235,6 @@ class WeightSpec:
 
     s1: float = 0.0  # frequency exponent
     s2: float = 0.0  # space exponent
-
-    def __call__(self, x: Array, eta: Array) -> Array:
-        return self.space_factor(x) * self.freq_factor(eta)
-
-    def space_factor(self, x: Array) -> Array:
-        return bracket(x) ** self.s2
-
-    def freq_factor(self, eta: Array) -> Array:
-        return bracket(eta) ** self.s1
 
 
 def bracket(z: Array) -> Array:

@@ -42,7 +42,6 @@ class NormReport:
     value: float
     p: float
     q: float
-    weight: WeightSpec
 
 
 def _inner_root(sums: Array, p: float, d: int, dx_eff: float) -> Array:
@@ -110,7 +109,10 @@ def mod_norm(
     eta factor permuted to FFT order.  The inner result is shifted to centred
     order once, before the outer L^q sum.  The +-1 centring phase of the
     STFT is skipped, since it leaves |V_g f| unchanged.  The value equals
-    the norm of the dense stft(f, window, x_stride) to the last bit."""
+    the norm of the dense stft(f, window, x_stride) to the last bit.  A
+    stride below 1 is refused before any work."""
+    if x_stride < 1:
+        raise ValueError(f"STFT stride must be at least 1, got {x_stride}")
     if q is None:
         q = p
     g = window if window is not None else default_window(f.grid)
@@ -140,7 +142,7 @@ def mod_norm(
         acc = np.sum(a, axis=0)
     inner = acc if np.isinf(p) else _inner_root(acc, p, d, gr.space_step * x_stride)
     value = _outer_norm(np.fft.fftshift(inner), q, d, gr.freq_step)
-    return NormReport(value=value, p=p, q=q, weight=weight)
+    return NormReport(value=value, p=p, q=q)
 
 
 def fl_norm(f: Signal, p: float) -> float:

@@ -31,8 +31,9 @@ The paths:
   applied as vectors, for any other phase with a separable symbol;
 * "dense": the kernel times sigma(x, eta) on every row, the reference.
 
-A symbol rebuilt without `separable` (SymbolSpec(name, order, fn)) always
-takes the dense reference path; the tests compare the fast paths with it.
+A symbol rebuilt without `separable` (dataclasses.replace(sym,
+separable=None), which keeps its fn) always takes the dense reference path;
+the tests compare the fast paths with it.
 
 How a block is built (_block_builder) is separate from the path.  On
 "warped_rows" and "phase_kernel", a phase that declares warp_x
@@ -41,13 +42,14 @@ whose nodes lie on a uniform grid.  Writing a node index there as
 k = Q a + b, Q the power of two nearest sqrt(N),
 exp(2 pi i s (v0 + (Q a + b) h)) = exp(2 pi i s (v0 + Q a h)) exp(2 pi i s b h),
 so each entry is a product of entries of two short tables per axis
-(_table_block) instead of one complex exp.  _transposed_phase swaps a
-declared warp to the other side and _negated_phase negates it, and the
-derived symbols (_transposed_symbol, _starred_symbol) keep `separable`, so
-the operators of the transpose and Fourier-conjugation identities take the
-tables too.  The "dense" path and phases that declare neither warp
-(hand-built ones, dilation conjugates) evaluate exp(2 pi i Phi) entry by
-entry: the reference the table build is tested against.
+(_table_block) instead of one complex exp.  The derived phases of
+symbols.py swap a declared warp to the other side (_transposed_phase) or
+negate it (_negated_phase), and the derived symbols (_transposed_symbol,
+_starred_symbol) keep `separable`, so the operators of the transpose and
+Fourier-conjugation identities take the tables too.  The "dense" path and
+phases that declare neither warp (hand-built ones, dilation conjugates)
+evaluate exp(2 pi i Phi) entry by entry: the reference the table build is
+tested against.
 
 op_norm_estimate gives the L^2 norm exactly to rounding on every route:
 from one 2w x 2w eigenvalue problem over the w warped rows for a constant
@@ -89,7 +91,8 @@ from .grid import (
     inverse_fourier,
     lp_norm,
 )
-from .symbols import LPFamily, PhaseSpec, SymbolSpec, dot
+from .symbols import PhaseSpec, SymbolSpec, _negated_phase, _starred_symbol, \
+    _transposed_phase, _transposed_symbol, dot, psi_j
 
 DEFAULT_CHUNK = 256
 ACTIVE_TOL = 1e-15
@@ -443,59 +446,6 @@ class OperatorHandle:
 # Structural identities
 # ---------------------------------------------------------------------------
 
-def _transposed_phase(phase: PhaseSpec) -> PhaseSpec:
-    """Phi(eta, x); psi(x).eta becomes x.psi(eta), so the warps swap sides."""
-    return PhaseSpec(
-        name=f"t({phase.name})",
-        fn=lambda x, eta: phase.fn(eta, x),
-        grad_x=lambda x, eta: np.asarray(phase.grad_eta(eta, x)),
-        grad_eta=lambda x, eta: np.asarray(phase.grad_x(eta, x)),
-        mixed_hessian=lambda x, eta: np.swapaxes(
-            np.asarray(phase.mixed_hessian(eta, x)), -1, -2),
-        params=dict(phase.params),
-        warp_x=phase.warp_eta,
-        warp_eta=phase.warp_x,
-    )
-
-
-def _transposed_symbol(sym: SymbolSpec) -> SymbolSpec:
-    """sigma(eta, x); a(x) b(eta) becomes b(x) a(eta)."""
-    sep = sym.separable
-    return SymbolSpec(
-        name=f"t({sym.name})", order=(sym.order[1], sym.order[0]),
-        fn=lambda x, eta: sym(eta, x), params=dict(sym.params),
-        separable=None if sep is None else (sep[1], sep[0]),
-    )
-
-
-def _negated_phase(phase: PhaseSpec) -> PhaseSpec:
-    """-Phi; a declared warp is negated with it."""
-    def neg(warp):
-        return None if warp is None else (lambda v: -np.asarray(warp(v)))
-
-    return PhaseSpec(
-        name=f"neg({phase.name})",
-        fn=lambda x, eta: -np.asarray(phase.fn(x, eta)),
-        grad_x=lambda x, eta: -np.asarray(phase.grad_x(x, eta)),
-        grad_eta=lambda x, eta: -np.asarray(phase.grad_eta(x, eta)),
-        mixed_hessian=lambda x, eta: -np.asarray(phase.mixed_hessian(x, eta)),
-        params=dict(phase.params),
-        warp_x=neg(phase.warp_x),
-        warp_eta=neg(phase.warp_eta),
-    )
-
-
-def _starred_symbol(sym: SymbolSpec) -> SymbolSpec:
-    """conj(sigma(eta, x)); a(x) b(eta) becomes conj(b(x)) conj(a(eta))."""
-    sep = sym.separable
-    return SymbolSpec(
-        name=f"star({sym.name})", order=(sym.order[1], sym.order[0]),
-        fn=lambda x, eta: np.conj(sym(eta, x)), params=dict(sym.params),
-        separable=None if sep is None else (lambda x: np.conj(sep[1](x)),
-                                            lambda eta: np.conj(sep[0](eta))),
-    )
-
-
 def adjoint_identity_check(phase: PhaseSpec, sym: SymbolSpec,
                            corpus: Sequence[tuple[Signal, Signal]]) -> float:
     """max |<Af, g> - <f, Bg>| / (||f|| ||g||) over (f, g) pairs."""
@@ -551,7 +501,6 @@ def fourier_conjugation_check(phase: PhaseSpec, sym: SymbolSpec,
 def dilation_conjugation_check(
     full_sym: SymbolSpec,
     phase: PhaseSpec,
-    fam: LPFamily,
     j: int,
     k: int,
     corpus: Sequence[Signal],
@@ -567,7 +516,7 @@ def dilation_conjugation_check(
     if (j - k) % 2 != 0:
         raise ValueError("j - k must be even for grid-exact outer dilation")
     lam = 2.0 ** ((j - k) // 2)
-    piece = dyadic_piece(full_sym, j, k, fam)
+    piece = dyadic_piece(full_sym, j, k)
     s_t, p_t = conjugated_piece(piece, phase, j, k)
     worst = 0.0
     for f in corpus:
@@ -590,11 +539,8 @@ def leading_symbol(p: SymbolSpec, phase: PhaseSpec, sigma: SymbolSpec) -> Symbol
         gx = np.asarray(phase.grad_x(x, eta), dtype=float)
         return p(x, gx) * sigma(x, eta)
 
-    return SymbolSpec(
-        name=f"lead({p.name},{sigma.name})",
-        order=(p.order[0] + sigma.order[0], p.order[1] + sigma.order[1]),
-        fn=fn,
-    )
+    return SymbolSpec(order=(p.order[0] + sigma.order[0], p.order[1] + sigma.order[1]),
+                      fn=fn)
 
 
 def compose_leading(
@@ -609,12 +555,11 @@ def compose_leading(
     f_j carries the unit band profile psi_j centred at x = 0.45, so every
     dyadic band is probed with full strength.
     """
-    fam = LPFamily(j_max=max(js))
     s0 = leading_symbol(p, phase, sigma)
     eta = grid.freq_points()
     out = []
     for j in js:
-        prof = fam.psi_j(j, eta).reshape(grid.shape)
+        prof = psi_j(j, eta).reshape(grid.shape)
         mod = np.exp(-2j * np.pi * 0.45 * np.sum(eta, axis=-1)).reshape(grid.shape)
         fj = inverse_fourier(Signal(dual_grid(grid), prof * mod))
         Af = apply_fio1(phase, sigma, fj, guard=False)

@@ -155,8 +155,7 @@ def run_lp_threshold(out, plot, jobs, seed, *, p: float = 4.0, m: float = 0.0,
 def run_m1_sharpness(out, plot, jobs, seed, *, p: float = 1.0, m1: float = -0.25,
                      n_sweep: tuple = xp.DEFAULT_N_SWEEP,
                      diffeo_c: float = 0.3) -> RunResult:
-    res = xp.sharpness_m1_experiment(m1, p, n_sweep, c=diffeo_c, jobs=jobs)
-    v = res.verdict
+    v = xp.sharpness_m1_experiment(m1, p, n_sweep, c=diffeo_c, jobs=jobs)
     files = [write_csv(out / "m1_sharpness.csv",
                        ["n", "witness", "norm_in", "norm_out", "ratio"], v.rows)]
     payload = {"p": p, "m1": m1, "threshold": v.threshold, "expected": v.expected,
@@ -169,8 +168,7 @@ def run_m1_sharpness(out, plot, jobs, seed, *, p: float = 1.0, m1: float = -0.25
 def run_m2_sharpness(out, plot, jobs, seed, *, p: float = 1.0, m2: float = -0.25,
                      n_sweep: tuple = xp.DEFAULT_N_SWEEP,
                      diffeo_c: float = 0.3) -> RunResult:
-    res, dev = xp.sharpness_m2_experiment(m2, p, n_sweep, c=diffeo_c, jobs=jobs)
-    v = res.verdict
+    v, dev = xp.sharpness_m2_experiment(m2, p, n_sweep, c=diffeo_c, jobs=jobs)
     files = [write_csv(out / "m2_sharpness.csv",
                        ["n", "witness", "norm_in", "norm_out", "ratio"], v.rows)]
     payload = {"p": p, "m2": m2, "threshold": v.threshold, "expected": v.expected,

@@ -1,4 +1,5 @@
-"""Evaluable symbols and phases with order metadata, and their validators.
+"""Evaluable symbols and phases with order metadata, their validators, and
+the symbols and phases derived from them.
 
 Symbols sigma(x, eta) and phases Phi(x, eta) take point arrays whose last
 axis is the dimension d and broadcast freely.  Validators test the product
@@ -9,10 +10,18 @@ estimates
 with centred 4th-order finite-difference stencils, the mixed-Hessian
 non-degeneracy floor, and the gradient growth conditions
 <grad_x Phi> >~ <eta>, <grad_eta Phi> >~ <x>.
+
+Each registry symbol and phase is declared once: a separable symbol by its
+factors alone, the model symbols <eta>^m1 <x>^m2 (one, eta_power and
+x_power among them) by _sym_model_sg, and phase_phix as the transpose of
+phase_xphi.  The derived phases and symbols of the structural identities
+(transpose, negation, sigma*) and of the dyadic decomposition (pieces and
+their dilation conjugates) live here too.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable, Optional
 
@@ -65,15 +74,26 @@ class Box:
 
 @dataclass
 class SymbolSpec:
-    """sigma(x, eta) with declared order (m1, m2) and optional fast paths."""
+    """sigma(x, eta) with declared order (m1, m2).
 
-    name: str
+    A product symbol declares only separable = (a, b), sigma = a(x) b(eta),
+    and fn is then set to that product; operators take their fast paths
+    from the factors.  Any other symbol gives fn.  One of the two is
+    required.  fn is stored, so dataclasses.replace(sym, separable=None)
+    keeps sigma and drops only the fast paths: the dense reference.
+    """
+
     order: tuple[float, float]
-    fn: Callable[[Array, Array], Array]
-    params: dict = field(default_factory=dict)
+    fn: Optional[Callable[[Array, Array], Array]] = None
     support_hint: Optional[Box] = None
-    derivative_budget: int = 3
     separable: Optional[tuple[Callable[[Array], Array], Callable[[Array], Array]]] = None
+
+    def __post_init__(self):
+        if self.fn is None:
+            if self.separable is None:
+                raise ValueError("SymbolSpec needs fn or separable")
+            a, b = self.separable
+            self.fn = lambda x, eta: a(x) * b(eta)
 
     def __call__(self, x: Array, eta: Array) -> Array:
         return np.asarray(self.fn(x, eta))
@@ -92,33 +112,28 @@ class PhaseSpec:
     blocks from two short exponential tables per axis on that side's uniform
     grid instead of one exp per entry.  Phases that declare neither
     (hand-built ones, dilation conjugates) are evaluated through fn on every
-    entry.
+    entry.  _transposed_phase swaps the two declarations, so a phase and its
+    transpose are one declaration (phase_phix is phase_xphi transposed).
     """
 
-    name: str
     fn: Callable[[Array, Array], Array]
     grad_x: Callable[[Array, Array], Array]
     grad_eta: Callable[[Array, Array], Array]
     mixed_hessian: Callable[[Array, Array], Array]
-    params: dict = field(default_factory=dict)
     warp_x: Optional[Callable[[Array], Array]] = None
     warp_eta: Optional[Callable[[Array], Array]] = None
-
-    def __call__(self, x: Array, eta: Array) -> Array:
-        return np.asarray(self.fn(x, eta), dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference validators
 # ---------------------------------------------------------------------------
 
-# centred stencils, 4th-order accurate, orders 0..4
+# centred stencils, 4th-order accurate, orders 0..3
 _STENCILS = {
     0: (np.array([1.0]), np.array([0])),
     1: (np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0, np.arange(-2, 3)),
     2: (np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0, np.arange(-2, 3)),
     3: (np.array([-1.0, 8.0, -13.0, 0.0, 13.0, -8.0, 1.0]) / 8.0, np.arange(-3, 4)),
-    4: (np.array([-1.0, 12.0, -39.0, 56.0, -39.0, 12.0, -1.0]) / 6.0, np.arange(-3, 4)),
 }
 
 
@@ -174,33 +189,25 @@ def fd_mixed_derivative(
 
 
 def _multi_indices(dim: int, total_max: int):
-    """All multi-indices with every component <= 4 and |.| <= total_max."""
-    out = []
-    for combo in iproduct(range(0, min(total_max, 4) + 1), repeat=dim):
-        if 0 < sum(combo) <= total_max or sum(combo) == 0:
-            out.append(combo)
-    return out
+    """All multi-indices with |.| <= total_max."""
+    return [combo for combo in iproduct(range(total_max + 1), repeat=dim)
+            if sum(combo) <= total_max]
 
 
 @dataclass
 class SGReport:
     constant: float
-    worst_point: tuple
     worst_orders: tuple
-    per_order: dict
     passed: bool
 
 
 def sg_validate(sym: SymbolSpec, box: Optional[Box] = None) -> SGReport:
     """Smallest C making all stencil estimates hold, for every derivative
-    order up to sym.derivative_budget, on 13 points per axis of the sample
-    box, with stencil steps of 1/64 of its widest x and eta sides; passed
-    when C <= 1e4."""
+    order |alpha|, |beta| up to 3, on 13 points per axis of the sample box,
+    with stencil steps of 1/64 of its widest x and eta sides; passed when
+    C <= 1e4."""
     if box is None:
         box = sym.support_hint or Box.cube(1, 8.0, 8.0)
-    R = sym.derivative_budget
-    if R > 4:
-        raise ValueError("derivative budget limited to 4")
     d = box.dim
     h_x = max((hi - lo) for lo, hi in zip(box.x_lo, box.x_hi)) / 64.0
     h_eta = max((hi - lo) for lo, hi in zip(box.eta_lo, box.eta_hi)) / 64.0
@@ -209,31 +216,23 @@ def sg_validate(sym: SymbolSpec, box: Optional[Box] = None) -> SGReport:
     bx = bracket(X)
     be = bracket(E)
     best = 0.0
-    worst_pt = None
     worst_ord = None
-    per_order = {}
-    for alpha in _multi_indices(d, R):
-        for beta in _multi_indices(d, R):
+    for alpha in _multi_indices(d, 3):
+        for beta in _multi_indices(d, 3):
             der = fd_mixed_derivative(sym.fn, X, E, alpha, beta, h_eta, h_x)
             if not np.all(np.isfinite(der)):
                 raise ValueError(f"non-finite evaluation for orders {(alpha, beta)}")
             envelope = be ** (m1 - sum(alpha)) * bx ** (m2 - sum(beta))
-            ratios = np.abs(der) / envelope
-            i = int(np.argmax(ratios))
-            c = float(ratios[i])
-            per_order[(alpha, beta)] = c
+            c = float(np.max(np.abs(der) / envelope))
             if c > best:
                 best = c
-                worst_pt = (tuple(X[i]), tuple(E[i]))
                 worst_ord = (alpha, beta)
-    return SGReport(constant=best, worst_point=worst_pt, worst_orders=worst_ord,
-                    per_order=per_order, passed=bool(best <= 1e4))
+    return SGReport(constant=best, worst_orders=worst_ord, passed=bool(best <= 1e4))
 
 
 @dataclass
 class NondegReport:
     delta_min: float
-    worst_point: tuple
     passed: bool
 
 
@@ -243,11 +242,8 @@ def nondeg_validate(phase: PhaseSpec, box: Box, samples: int = 33) -> NondegRepo
     H = np.asarray(phase.mixed_hessian(X, E), dtype=float)
     d = box.dim
     H = H.reshape(-1, d, d)
-    dets = np.abs(np.linalg.det(H))
-    i = int(np.argmin(dets))
-    return NondegReport(delta_min=float(dets[i]),
-                        worst_point=(tuple(X[i]), tuple(E[i])),
-                        passed=bool(dets[i] > 1e-3))
+    delta = float(np.min(np.abs(np.linalg.det(H))))
+    return NondegReport(delta_min=delta, passed=bool(delta > 1e-3))
 
 
 @dataclass
@@ -270,48 +266,42 @@ def growth_validate(phase: PhaseSpec, box: Box, samples: int = 33) -> GrowthRepo
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Paley family
+# Littlewood-Paley partition of unity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LPFamily:
-    """Dyadic partition of unity psi_0 + sum_j psi(2^{-j} .) on |eta| <= 2^jmax."""
+def psi0(r: Array) -> Array:
+    """The low-frequency cutoff: 1 on |r| <= 1, 0 from |r| = 2."""
+    return plateau(r, 1.0, 2.0)
 
-    j_max: int
 
-    @staticmethod
-    def psi0(r: Array) -> Array:
-        return plateau(r, 1.0, 2.0)
+def psi(r: Array) -> Array:
+    """The dyadic annulus psi0(r) - psi0(2r), supported in 1/2 <= |r| <= 2."""
+    return psi0(r) - psi0(2.0 * np.asarray(r, dtype=float))
 
-    @staticmethod
-    def psi(r: Array) -> Array:
-        return LPFamily.psi0(r) - LPFamily.psi0(2.0 * np.asarray(r, dtype=float))
 
-    def psi_j(self, j: int, v: Array) -> Array:
-        """psi_j evaluated on vectors v of shape (..., d), radially."""
-        r = np.sqrt(np.sum(np.asarray(v, dtype=float) ** 2, axis=-1))
-        if j == 0:
-            return self.psi0(r)
-        return self.psi(2.0 ** (-j) * r)
+def psi_j(j: int, v: Array) -> Array:
+    """psi_j on vectors v of shape (..., d), radially: psi0 for j = 0 and
+    psi(2^{-j} .) after, so psi_0 + sum_{j >= 1} psi_j = 1."""
+    r = np.sqrt(np.sum(np.asarray(v, dtype=float) ** 2, axis=-1))
+    if j == 0:
+        return psi0(r)
+    return psi(2.0 ** (-j) * r)
+
 
 # ---------------------------------------------------------------------------
-# Dyadic symbol pieces and dilation conjugates
+# Derived symbols and phases: dyadic pieces, dilation conjugates, and the
+# transpose, negation and sigma* of the structural identities
 # ---------------------------------------------------------------------------
 
-def dyadic_piece(sym: SymbolSpec, j: int, k: int, fam: LPFamily) -> SymbolSpec:
+def dyadic_piece(sym: SymbolSpec, j: int, k: int) -> SymbolSpec:
     """sigma_{j,k}(x, eta) = psi_k(x) sigma(x, eta) psi_j(eta)."""
     def fn(x, eta):
-        return fam.psi_j(k, x) * sym(x, eta) * fam.psi_j(j, eta)
+        return psi_j(k, x) * sym(x, eta) * psi_j(j, eta)
 
     d = 1 if sym.support_hint is None else sym.support_hint.dim
     xr = 2.0 ** (k + 1) if k > 0 else 2.0
     er = 2.0 ** (j + 1) if j > 0 else 2.0
-    return SymbolSpec(
-        name=f"{sym.name}_piece", order=sym.order, fn=fn,
-        params={**sym.params, "j": j, "k": k},
-        support_hint=Box.cube(d, xr, er),
-        derivative_budget=sym.derivative_budget,
-    )
+    return SymbolSpec(order=sym.order, fn=fn, support_hint=Box.cube(d, xr, er))
 
 
 def conjugated_piece(
@@ -337,20 +327,61 @@ def conjugated_piece(
             eta_lo=tuple(v / lam for v in hint.eta_lo),
             eta_hi=tuple(v / lam for v in hint.eta_hi),
         )
-    s_new = SymbolSpec(
-        name=f"{sym_jk.name}_conj", order=sym_jk.order, fn=sfn,
-        params={**sym_jk.params, "lam": lam}, support_hint=new_hint,
-        derivative_budget=sym_jk.derivative_budget,
-    )
+    s_new = SymbolSpec(order=sym_jk.order, fn=sfn, support_hint=new_hint)
     p_new = PhaseSpec(
-        name=f"{phase.name}_conj",
         fn=lambda x, eta: phase.fn(x / lam, lam * np.asarray(eta)),
         grad_x=lambda x, eta: np.asarray(phase.grad_x(x / lam, lam * np.asarray(eta))) / lam,
         grad_eta=lambda x, eta: np.asarray(phase.grad_eta(x / lam, lam * np.asarray(eta))) * lam,
         mixed_hessian=lambda x, eta: phase.mixed_hessian(x / lam, lam * np.asarray(eta)),
-        params={**phase.params, "j": j, "k": k, "lam": lam},
     )
     return s_new, p_new
+
+
+def _transposed_phase(phase: PhaseSpec) -> PhaseSpec:
+    """Phi(eta, x); psi(x).eta becomes x.psi(eta), so the warps swap sides."""
+    return PhaseSpec(
+        fn=lambda x, eta: phase.fn(eta, x),
+        grad_x=lambda x, eta: np.asarray(phase.grad_eta(eta, x)),
+        grad_eta=lambda x, eta: np.asarray(phase.grad_x(eta, x)),
+        mixed_hessian=lambda x, eta: np.swapaxes(
+            np.asarray(phase.mixed_hessian(eta, x)), -1, -2),
+        warp_x=phase.warp_eta,
+        warp_eta=phase.warp_x,
+    )
+
+
+def _transposed_symbol(sym: SymbolSpec) -> SymbolSpec:
+    """sigma(eta, x); a(x) b(eta) becomes b(x) a(eta)."""
+    sep = sym.separable
+    return SymbolSpec(
+        order=(sym.order[1], sym.order[0]), fn=lambda x, eta: sym(eta, x),
+        separable=None if sep is None else (sep[1], sep[0]),
+    )
+
+
+def _negated_phase(phase: PhaseSpec) -> PhaseSpec:
+    """-Phi; a declared warp is negated with it."""
+    def neg(warp):
+        return None if warp is None else (lambda v: -np.asarray(warp(v)))
+
+    return PhaseSpec(
+        fn=lambda x, eta: -np.asarray(phase.fn(x, eta)),
+        grad_x=lambda x, eta: -np.asarray(phase.grad_x(x, eta)),
+        grad_eta=lambda x, eta: -np.asarray(phase.grad_eta(x, eta)),
+        mixed_hessian=lambda x, eta: -np.asarray(phase.mixed_hessian(x, eta)),
+        warp_x=neg(phase.warp_x),
+        warp_eta=neg(phase.warp_eta),
+    )
+
+
+def _starred_symbol(sym: SymbolSpec) -> SymbolSpec:
+    """conj(sigma(eta, x)); a(x) b(eta) becomes conj(b(x)) conj(a(eta))."""
+    sep = sym.separable
+    return SymbolSpec(
+        order=(sym.order[1], sym.order[0]), fn=lambda x, eta: np.conj(sym(eta, x)),
+        separable=None if sep is None else (lambda x: np.conj(sep[1](x)),
+                                            lambda eta: np.conj(sep[0](eta))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,43 +430,10 @@ def make_diffeo(c: float = 0.3) -> Diffeo:
 # Registry addressable by name(args) strings
 # ---------------------------------------------------------------------------
 
-def _sym_one() -> SymbolSpec:
-    return SymbolSpec(
-        name="one", order=(0.0, 0.0),
-        fn=lambda x, eta: np.ones(np.broadcast(
-            np.asarray(x)[..., 0], np.asarray(eta)[..., 0]).shape, dtype=float),
-        separable=(lambda x: np.ones(np.asarray(x).shape[:-1]),
-                   lambda eta: np.ones(np.asarray(eta).shape[:-1])),
-    )
-
-
 def _sym_model_sg(m1: float, m2: float) -> SymbolSpec:
-    return SymbolSpec(
-        name="model_sg", order=(m1, m2),
-        fn=lambda x, eta: bracket(eta) ** m1 * bracket(x) ** m2,
-        params={"m1": m1, "m2": m2},
-        separable=(lambda x: bracket(x) ** m2, lambda eta: bracket(eta) ** m1),
-    )
-
-
-def _sym_eta_power(m: float) -> SymbolSpec:
-    return SymbolSpec(
-        name="eta_power", order=(m, 0.0),
-        fn=lambda x, eta: bracket(eta) ** m * np.ones(np.asarray(x).shape[:-1]),
-        params={"m": m},
-        separable=(lambda x: np.ones(np.asarray(x).shape[:-1]),
-                   lambda eta: bracket(eta) ** m),
-    )
-
-
-def _sym_x_power(m: float) -> SymbolSpec:
-    return SymbolSpec(
-        name="x_power", order=(0.0, m),
-        fn=lambda x, eta: bracket(x) ** m * np.ones(np.asarray(eta).shape[:-1]),
-        params={"m": m},
-        separable=(lambda x: bracket(x) ** m,
-                   lambda eta: np.ones(np.asarray(eta).shape[:-1])),
-    )
+    """The model symbol <eta>^m1 <x>^m2."""
+    return SymbolSpec(order=(m1, m2),
+                      separable=(lambda x: bracket(x) ** m2, lambda eta: bracket(eta) ** m1))
 
 
 def _sym_x_power_freq_cutoff(m: float, inner: float = 1.0, outer: float = 2.0) -> SymbolSpec:
@@ -446,12 +444,7 @@ def _sym_x_power_freq_cutoff(m: float, inner: float = 1.0, outer: float = 2.0) -
 
     # compact eta support makes this SG^{m1, m} for every m1; order records
     # the weakest useful claim and the cutoff carries the rest
-    return SymbolSpec(
-        name="x_power_freq_cutoff", order=(0.0, m),
-        fn=lambda x, eta: bracket(x) ** m * gpart(eta),
-        params={"m": m, "inner": inner, "outer": outer},
-        separable=(lambda x: bracket(x) ** m, gpart),
-    )
+    return SymbolSpec(order=(0.0, m), separable=(lambda x: bracket(x) ** m, gpart))
 
 
 def _sym_x_cutoff_eta_power(m: float, center: float = 0.5,
@@ -461,12 +454,7 @@ def _sym_x_cutoff_eta_power(m: float, center: float = 0.5,
         r = np.max(np.abs(np.asarray(x, dtype=float) - center), axis=-1)
         return plateau(r, inner, outer)
 
-    return SymbolSpec(
-        name="x_cutoff_eta_power", order=(m, 0.0),
-        fn=lambda x, eta: gpart(x) * bracket(eta) ** m,
-        params={"m": m, "center": center, "inner": inner, "outer": outer},
-        separable=(gpart, lambda eta: bracket(eta) ** m),
-    )
+    return SymbolSpec(order=(m, 0.0), separable=(gpart, lambda eta: bracket(eta) ** m))
 
 
 def dot(u: Array, v: Array) -> Array:
@@ -490,39 +478,18 @@ def _phase_xphi(c: float = 0.3) -> PhaseSpec:
         return out
 
     return PhaseSpec(
-        name="phase_xphi",
         fn=lambda x, eta: dot(dif.phi(x), eta),
         grad_x=lambda x, eta: dif.dphi(x) * np.asarray(eta, dtype=float),
         grad_eta=lambda x, eta: dif.phi(x) * np.ones_like(np.asarray(eta, dtype=float)),
         mixed_hessian=hess,
-        params={"c": c},
         warp_x=dif.phi,
     )
 
 
 def _phase_phix(c: float = 0.3) -> PhaseSpec:
-    """Phi(x, eta) = sum_i phi(eta_i) x_i (linear in x, warped in eta)."""
-    dif = make_diffeo(c)
-    def hess(x, eta):
-        x = np.asarray(x, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        d = eta.shape[-1]
-        shp = np.broadcast(x[..., 0], eta[..., 0]).shape
-        out = np.zeros(shp + (d, d))
-        dp = dif.dphi(eta)
-        for i in range(d):
-            out[..., i, i] = np.broadcast_to(dp[..., i], shp)
-        return out
-
-    return PhaseSpec(
-        name="phase_phix",
-        fn=lambda x, eta: dot(x, dif.phi(eta)),
-        grad_x=lambda x, eta: dif.phi(eta) * np.ones_like(np.asarray(x, dtype=float)),
-        grad_eta=lambda x, eta: dif.dphi(eta) * np.asarray(x, dtype=float),
-        mixed_hessian=hess,
-        params={"c": c},
-        warp_eta=dif.phi,
-    )
+    """Phi(x, eta) = sum_i x_i phi(eta_i) (linear in x, warped in eta): the
+    transpose of phase_xphi(c)."""
+    return _transposed_phase(_phase_xphi(c))
 
 
 def _phase_linear() -> PhaseSpec:
@@ -530,10 +497,10 @@ def _phase_linear() -> PhaseSpec:
 
 
 SYMBOL_BUILDERS = {
-    "one": _sym_one,
+    "one": lambda: _sym_model_sg(0.0, 0.0),
     "model_sg": _sym_model_sg,
-    "eta_power": _sym_eta_power,
-    "x_power": _sym_x_power,
+    "eta_power": lambda m: _sym_model_sg(m, 0.0),
+    "x_power": lambda m: _sym_model_sg(0.0, m),
     "x_power_freq_cutoff": _sym_x_power_freq_cutoff,
     "x_cutoff_eta_power": _sym_x_cutoff_eta_power,
 }
@@ -557,15 +524,22 @@ def _parse_call(spec: str) -> tuple[str, list[float]]:
     return name.strip(), vals
 
 
-def symbol_from_name(spec: str) -> SymbolSpec:
+def _from_name(spec: str, builders: dict, what: str):
+    """builders[name](*args) for spec "name" or "name(a, ...)": KeyError for
+    an unknown name, ValueError for arguments the builder does not take."""
     name, args = _parse_call(spec)
-    if name not in SYMBOL_BUILDERS:
-        raise KeyError(f"unknown symbol {name!r}; have {sorted(SYMBOL_BUILDERS)}")
-    return SYMBOL_BUILDERS[name](*args)
+    if name not in builders:
+        raise KeyError(f"unknown {what} {name!r}; have {sorted(builders)}")
+    try:
+        inspect.signature(builders[name]).bind(*args)
+    except TypeError as e:
+        raise ValueError(f"{what} {spec.strip()!r}: {e}") from None
+    return builders[name](*args)
+
+
+def symbol_from_name(spec: str) -> SymbolSpec:
+    return _from_name(spec, SYMBOL_BUILDERS, "symbol")
 
 
 def phase_from_name(spec: str) -> PhaseSpec:
-    name, args = _parse_call(spec)
-    if name not in PHASE_BUILDERS:
-        raise KeyError(f"unknown phase {name!r}; have {sorted(PHASE_BUILDERS)}")
-    return PHASE_BUILDERS[name](*args)
+    return _from_name(spec, PHASE_BUILDERS, "phase")

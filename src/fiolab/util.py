@@ -41,7 +41,6 @@ class GrowthFit:
     """
 
     slope: float
-    intercept: float
     r_squared: float
     sweep: tuple[tuple[float, float], ...]
 
@@ -65,7 +64,6 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> GrowthFit:
     r2 = float("nan") if ss_tot < 1e-20 else 1.0 - ss_res / ss_tot
     return GrowthFit(
         slope=float(coef[0]),
-        intercept=float(coef[1]),
         r_squared=r2,
         sweep=tuple(zip(map(float, xs), map(float, ys))),
     )

@@ -37,5 +37,5 @@ def make_corpus(grid, count, seed=0):
     out.append(Signal.from_generator(grid, gaussian_generator(1.0)))
     scale = min(1.0, grid.half_width / 8.0)
     out.append(Signal.from_generator(
-        grid, bump_generator(center=0.0, half_width=2.0 * scale, dim=grid.dim)))
+        grid, bump_generator(center=0.0, half_width=2.0 * scale)))
     return out

@@ -53,7 +53,7 @@ from fiolab.operators import (
     schur_certify,
     transpose_identity_check,
 )
-from fiolab.symbols import LPFamily, phase_from_name, symbol_from_name
+from fiolab.symbols import phase_from_name, symbol_from_name
 
 from conftest import make_corpus
 
@@ -200,11 +200,10 @@ def test_c07_structural_identities(grid, warped_phase, corpus):
     fc = fourier_conjugation_check(warped_phase, sym, corpus[:4])
     gens = [Signal.from_generator(grid, gaussian_generator(0.9)),
             Signal.from_generator(grid, gaussian_generator(1.3))]
-    fam = LPFamily(j_max=3)
     # the outer dilate(lam=2) leaves Nyquist-edge mass above its 1e-8
     # warning threshold; any other warning is re-emitted
     with pytest.warns(TruncationAliasingWarning, match=r"^dilate\(lam=2\.0\)"):
-        dil = max(dilation_conjugation_check(sym, warped_phase, fam, j, k, gens)
+        dil = max(dilation_conjugation_check(sym, warped_phase, j, k, gens)
                   for (j, k) in ((2, 0), (3, 1)))
     ok = max(adj, tra, fc, dil) < 1e-8
     report(7, ok, "FIO structural identities",
@@ -266,8 +265,8 @@ def m1_results():
 
 
 def test_c12_m1_sharpness(m1_results):
-    above = m1_results[-0.25].verdict
-    at = m1_results[-0.5].verdict
+    above = m1_results[-0.25]
+    at = m1_results[-0.5]
     ok = above.measured_slope >= 0.15 and abs(at.measured_slope) <= 0.05
     report(12, ok, "frequency-order sharpness",
            f"m1=-1/4 slope {above.measured_slope:.3f} >= 0.15; "
@@ -281,8 +280,8 @@ def test_c13_m2_by_conjugation(m1_results):
     dev = max(devs)
     # the conjugated operator reproduces the direct data, so the space-order
     # verdicts inherit the frequency-order fits
-    v_above = classify_slope(m1_results[-0.25].verdict.measured_slope)
-    v_at = classify_slope(m1_results[-0.5].verdict.measured_slope)
+    v_above = classify_slope(m1_results[-0.25].measured_slope)
+    v_at = classify_slope(m1_results[-0.5].measured_slope)
     ok = dev < 1e-6 and v_above == "unbounded" and v_at == "bounded"
     report(13, ok, "space-order sharpness via Fourier conjugation",
            f"conjugated/direct deviation {dev:.2e} < 1e-6; verdicts "

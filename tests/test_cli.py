@@ -675,14 +675,22 @@ class TestCli:
     def test_bad_input_exit_code(self, capsys):
         assert main(["norm", "quaternion", "--grid", "256,8"]) == 1
 
-    def test_signal_spec_parse(self, capsys):
-        """Signal names parse as registry names do: a trailing comma or a
-        missing parenthesis is a validation failure."""
+    def test_signal_spec_parse(self, tmp_path, capsys):
+        """Signal names parse as registry names do: a trailing comma, a
+        missing parenthesis or a wrong number of arguments, for a signal, a
+        symbol or a phase, is a validation failure (an uncaught TypeError
+        would end main instead)."""
         assert main(["norm", "gaussian( 1.0 )", "--grid", "256,8"]) == 0
         capsys.readouterr()
-        for spec in ("gaussian(1,)", "gaussian(1", "bump(0.5,,0.4)"):
-            assert main(["norm", spec, "--grid", "256,8"]) == 1
+        for spec in ("gaussian(1,)", "gaussian(1", "bump(0.5,,0.4)", "gaussian(1,2)",
+                     "bump(0.5,0.4,2)"):
+            assert main(["norm", spec, "--grid", "256,8"]) == 1, spec
             assert "error:" in capsys.readouterr().err
+        for argv, what in ((["apply", "gaussian", "--symbol", "model_sg(1)", "--grid", "128,4",
+                             "--out", str(tmp_path)], "symbol 'model_sg(1)'"),
+                           (["validate", "phase:phase_xphi(0.3,1)"], "phase 'phase_xphi(0.3,1)'")):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.startswith(f"error: {what}: ")
 
     def test_stft_traced_peak(self, tmp_path, monkeypatch):
         """fiolab stft streams the STFT to its CSV: at N = 1024 the whole
@@ -704,12 +712,15 @@ class TestCli:
 
     @pytest.mark.parametrize("stride", ["0", "-2"])
     def test_stft_bad_stride(self, tmp_path, capsys, stride):
-        """A stride below 1 is a validation failure that writes nothing."""
+        """A stride below 1 is a validation failure, for fiolab stft, which
+        writes nothing, and for fiolab norm."""
         out = tmp_path / "o"
         assert main(["stft", "gaussian", "--grid", "128,4", "--out", str(out),
                      "--stride", stride]) == 1
         assert "stride" in capsys.readouterr().err
         assert not out.exists()
+        assert main(["norm", "gaussian", "--grid", "128,4", "--stride", stride]) == 1
+        assert capsys.readouterr().err.startswith("error: STFT stride")
 
     def test_stft_and_apply(self, tmp_path, capsys):
         out = str(tmp_path / "o1")

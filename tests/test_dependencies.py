@@ -9,7 +9,8 @@ every method or property of a module-level class is read by program code
 rather than by tests alone; every defaulted parameter of those functions and
 methods, and every defaulted dataclass field, is passed by some program
 call (a member's reads and calls are resolved to the classes their receiver
-can be, see _Types); and every config key an experiment accepts, a
+can be, see _Types); every dataclass field is read, not only set or
+copied, by program code; and every config key an experiment accepts, a
 keyword-only parameter of its runner, is read by that runner.
 No numpy.fft call passes out=, which numpy 1.24 lacks."""
 import ast
@@ -464,15 +465,17 @@ class _Types:
         for owner, cls, node in _owned_nodes(tree):
             yield owner, cls, node, (self.env(node, cls, base) if owner else base)
 
-    def member_reads(self, node, env):
+    def member_reads(self, node, env, skip=frozenset()):
         """(class, name) for each attribute read in node, and for each
         getattr(obj, "name"), once per class its receiver can be.  When the
         receiver is unknown the key is ("call", name) for a call obj.name(...)
         and ("read", name) otherwise.  Module attributes are not member
-        reads."""
+        reads, nor are the attribute nodes whose ids are in skip."""
         called = {id(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
         out = set()
         for n in ast.walk(node):
+            if id(n) in skip:
+                continue
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 recv, name = n.value, n.attr
             elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr" \
@@ -619,14 +622,19 @@ def _defaulted(cls, fn):
         + [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
 
 
+def _dataclass_fields(node):
+    """The field declarations of a @dataclass class node, in order."""
+    if not any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+        return []
+    return [i for i in node.body
+            if isinstance(i, ast.AnnAssign) and isinstance(i.target, ast.Name)]
+
+
 def _dataclass_defaults(node):
     """(name, index) of each defaulted field of a @dataclass class node:
     index is its position among the constructor's arguments."""
-    if not any(ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
-        return []
-    fields = [i for i in node.body
-              if isinstance(i, ast.AnnAssign) and isinstance(i.target, ast.Name)]
-    return [(f.target.id, k) for k, f in enumerate(fields) if f.value is not None]
+    return [(f.target.id, k) for k, f in enumerate(_dataclass_fields(node))
+            if f.value is not None]
 
 
 def _passes(call, name, index):
@@ -726,6 +734,65 @@ def test_default_check_sees_calls():
     assert _unpassed_defaults({"a": a}, [b]) == ["a.E(z)", "a.F(u)"]
     b = ast.parse("E(1, 2, 3)\nm.F(u=1)\n")
     assert _unpassed_defaults({"a": a}, [b]) == ["a.E(w)"]
+
+
+def _copies(node):
+    """ids of the attribute reads x.f inside the value of a keyword argument
+    f=... in node: params={**sym.params} or ratios=base.ratios copies the
+    field into a new record and reads nothing."""
+    return {id(a) for c in ast.walk(node) if isinstance(c, ast.Call)
+            for k in c.keywords if k.arg
+            for a in ast.walk(k.value) if isinstance(a, ast.Attribute) and a.attr == k.arg}
+
+
+def _write_only_fields(modules, others):
+    """"module.C.field" for each field of a @dataclass class C in `modules`
+    ({stem: tree}) that no code in `modules` or `others` reads: a read is an
+    attribute read or getattr whose receiver can be a C or is unknown (see
+    _Types.member_reads), and not a copy (_copies).  A class that serialises
+    itself with asdict(self) reads every field there, so it is skipped."""
+    types = _Types(modules)
+    reads = set()
+    for tree in [*modules.values(), *others]:
+        for _, _, node, env in types.owned(tree):
+            reads |= types.member_reads(node, env, skip=_copies(node))
+    out = []
+    for stem, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or any(
+                    isinstance(c, ast.Call) and _callee(c) == "asdict"
+                    and [ast.unparse(a) for a in c.args] == ["self"] for c in ast.walk(node)):
+                continue
+            out += [f"{stem}.{node.name}.{f.target.id}" for f in _dataclass_fields(node)
+                    if not {(node.name, f.target.id), ("read", f.target.id),
+                            ("call", f.target.id)} & reads]
+    return sorted(out)
+
+
+def test_no_write_only_fields():
+    """Every field of a fiolab dataclass is read by program code (src/,
+    perfbench/ or scripts/, less the tracer's ENTRY_POINTS): a field that is
+    only set, or only copied into another record, is state no program
+    uses."""
+    bad = _write_only_fields(_program_modules(), _other_trees())
+    assert not bad, "dataclass fields no program reads: " + ", ".join(bad)
+
+
+def test_write_only_check_sees_reads():
+    a = ast.parse("@dataclass\nclass R:\n    value: float\n    fit: int\n"
+                  "    params: dict\n    sweep: tuple\n    tag: str\n    cb: object\n"
+                  "    @property\n    def flat(self):\n        return self.sweep\n"
+                  "def make(r: R) -> R:\n    return R(value=0.0, fit=r.fit,\n"
+                  "             params={**r.params}, sweep=(r.value,), tag='', cb=None)\n"
+                  "@dataclass\nclass M:\n    kept: list\n"
+                  "    def write(self):\n        return asdict(self)\n"
+                  "class Plain:\n    unread: int = 0\n")
+    b = ast.parse("def use(r: R, obj):\n    return getattr(r, 'tag'), obj.cb(), obj.fit.x\n")
+    # fit and params are only copied into their own fields, value is read
+    # into another one, sweep by a property and tag by getattr; a receiver
+    # of unknown class reads, or calls, that field of every class
+    assert _write_only_fields({"a": a}, []) == ["a.R.cb", "a.R.fit", "a.R.params", "a.R.tag"]
+    assert _write_only_fields({"a": a}, [b]) == ["a.R.params"]
 
 
 def _unread_runner_params(tree):

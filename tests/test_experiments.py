@@ -4,7 +4,6 @@ import pytest
 from fiolab import operators
 from fiolab.experiments import (
     DEFAULT_N_SWEEP,
-    SharpnessResult,
     _freq_multiply,
     _lp_sweep,
     _lp_witnesses,
@@ -36,14 +35,9 @@ from fiolab.grid import (
     gaussian_generator,
     lp_norm,
 )
-from fiolab.operators import (
-    _negated_phase,
-    _starred_symbol,
-    _transposed_phase,
-    apply_fio1,
-    apply_fio2,
-)
-from fiolab.symbols import make_diffeo, phase_from_name, plateau, symbol_from_name
+from fiolab.operators import apply_fio1, apply_fio2
+from fiolab.symbols import _negated_phase, _starred_symbol, _transposed_phase, make_diffeo, \
+    phase_from_name, plateau, symbol_from_name
 from fiolab.util import fit_loglog
 
 
@@ -178,17 +172,17 @@ def _all_witnesses(n, chi, dif, g):
 class TestSharpness:
     def test_m1_above_threshold_grows(self):
         res = sharpness_m1_experiment(-0.25, 1.0, (32, 64, 128))
-        assert res.verdict.expected == "unbounded"
-        assert res.verdict.measured_slope >= 0.15
+        assert res.expected == "unbounded"
+        assert res.measured_slope >= 0.15
 
     def test_m1_at_threshold_flat(self):
         res = sharpness_m1_experiment(-0.5, 1.0, (32, 64, 128))
-        assert res.verdict.expected == "bounded"
-        assert abs(res.verdict.measured_slope) <= 0.05
+        assert res.expected == "bounded"
+        assert abs(res.measured_slope) <= 0.05
 
     def test_m1_p2_flat(self):
         res = sharpness_m1_experiment(0.0, 2.0, (32, 64, 128))
-        assert abs(res.verdict.measured_slope) <= 0.05
+        assert abs(res.measured_slope) <= 0.05
 
     def test_m2_consistency(self):
         dev = m2_conjugation_consistency(-0.25, 1.0, n_sweep=(4, 6))
@@ -198,8 +192,8 @@ class TestSharpness:
         r2, dev = sharpness_m2_experiment(-0.25, 1.0, (32, 64, 128))
         r1 = sharpness_m1_experiment(-0.25, 1.0, (32, 64, 128))
         assert dev < 1e-6
-        assert r2.verdict.order == (0.0, -0.25)
-        assert abs(r2.verdict.measured_slope - r1.verdict.measured_slope) < 1e-12
+        assert r2.order == (0.0, -0.25)
+        assert abs(r2.measured_slope - r1.measured_slope) < 1e-12
 
 
 class TestBoundednessSuite:
@@ -329,7 +323,7 @@ def test_m1_one_application(kernel_calls):
     for n in sweep:
         w = _freq_multiply(make_fn(n, default_chi(), SMALL), mult_up)
         ref.append(_mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window))
-    np.testing.assert_allclose(res.ratios, ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose([r for *_, r in res.rows], ref, rtol=1e-12, atol=0)
 
 
 def test_m2_conjugation_one_application_each(kernel_calls):

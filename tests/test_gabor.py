@@ -148,7 +148,7 @@ class TestStft:
         from fiolab.norms import mod_norm
         g = GridSpec(2, 4.0, 32)
         w = Window.gaussian(g)
-        f = Signal.from_generator(g, gaussian_generator(0.8, dim=2))
+        f = Signal.from_generator(g, gaussian_generator(0.8))
         v1 = mod_norm(f, 2, window=w).value
         assert abs(v1 - lp_norm(f, 2)) / lp_norm(f, 2) < 1e-6
         v2 = mod_norm(f, 2, window=w, x_stride=2).value

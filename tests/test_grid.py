@@ -22,6 +22,7 @@ from fiolab.grid import (
     _edge_mass_ratio,
     _zero_fill_shift,
 )
+from fiolab.norms import _weight_array
 
 from conftest import make_corpus
 
@@ -216,8 +217,8 @@ class TestNorms:
 
     def test_weight_spec(self):
         w = WeightSpec(s1=2.0, s2=1.0)
-        val = w(np.array([[3.0]]), np.array([[4.0]]))
-        assert abs(val[0] - np.sqrt(10) * 17.0) < 1e-12
+        val = _weight_array(np.array([3.0]), np.array([4.0]), w, 1)
+        assert val.shape == (1, 1) and abs(val[0, 0] - np.sqrt(10) * 17.0) < 1e-12
 
 
 def test_corpus_is_concentrated(grid1024):

@@ -26,6 +26,7 @@ from fiolab.grid import (
     inverse_fourier,
     lp_norm,
     modulate,
+    plateau,
     random_schwartz_signal,
 )
 from fiolab.operators import (
@@ -47,22 +48,22 @@ from fiolab.operators import (
     transpose_identity_check,
     kernel_path,
     _atom_table,
-    _negated_phase,
-    _starred_symbol,
-    _transposed_phase,
-    _transposed_symbol,
 )
 from fiolab.symbols import (
     PHASE_BUILDERS,
     SYMBOL_BUILDERS,
     Box,
-    LPFamily,
     SymbolSpec,
     conjugated_piece,
     dyadic_piece,
     make_diffeo,
     phase_from_name,
+    psi_j,
     symbol_from_name,
+    _negated_phase,
+    _starred_symbol,
+    _transposed_phase,
+    _transposed_symbol,
 )
 
 from conftest import make_corpus
@@ -101,7 +102,7 @@ class TestPseudoKN:
         f = random_schwartz_signal(g512, np.random.default_rng(42))
         sym = symbol_from_name("eta_power(0.7)")
         fast = apply_pseudo_kn(sym, f)  # separable path
-        dense_sym = SymbolSpec(name="dense", order=sym.order, fn=sym.fn)
+        dense_sym = SymbolSpec(order=sym.order, fn=sym.fn)
         dense = apply_pseudo_kn(dense_sym, f)
         assert np.max(np.abs(fast.samples - dense.samples)) < 1e-10
         F = fourier_transform(f)
@@ -139,7 +140,7 @@ class TestWeyl:
 
     def test_x_independent_matches_kn(self, g128):
         f = random_schwartz_signal(g128, np.random.default_rng(46))
-        sym = SymbolSpec(name="eta1", order=(1, 0),
+        sym = SymbolSpec(order=(1, 0),
                          fn=lambda x, eta: np.asarray(eta)[..., 0]
                          * np.ones(np.asarray(x).shape[:-1]))
         a = OperatorHandle("pseudo_weyl", sym, None, g128).apply(f)
@@ -183,14 +184,14 @@ class TestFio:
         gen = gaussian_generator(0.8).translated([0.4])
         f = Signal.from_generator(g, gen)
         out = apply_fio1(phase, symbol_from_name("one"), f, guard=False)
-        oracle = Signal.from_generator(g, gen.composed((dif.phi,), tag="warp"))
+        oracle = Signal.from_generator(g, gen.composed((dif.phi,)))
         err = lp_norm(Signal(g, out.samples - oracle.samples), 2) / lp_norm(f, 2)
         assert err < 1e-8
 
     def test_type2_multiplier(self, g512):
         f = random_schwartz_signal(g512, np.random.default_rng(50))
         phase = phase_from_name("phase_linear")
-        sym = SymbolSpec(name="cplx", order=(0, 0),
+        sym = SymbolSpec(order=(0, 0),
                          fn=lambda x, eta: np.exp(1j * np.asarray(eta)[..., 0])
                          * np.ones(np.asarray(x).shape[:-1]))
         out = apply_fio2(phase, sym, f)
@@ -221,14 +222,13 @@ class TestFio:
         g = GridSpec(1, 16.0, 1024)
         corpus = [Signal.from_generator(g, gaussian_generator(0.9)),
                   Signal.from_generator(g, gaussian_generator(1.4))]
-        fam = LPFamily(j_max=3)
         phase = phase_from_name("phase_xphi(0.3)")
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
         # the outer dilate(lam=2) of j - k = 2 leaves Nyquist-edge mass above
         # its 1e-8 warning threshold; any other warning is re-emitted
         with pytest.warns(TruncationAliasingWarning, match=r"^dilate\(lam=2\.0\)"):
             for (j, k) in [(2, 0), (3, 1), (2, 2)]:
-                res = dilation_conjugation_check(sym, phase, fam, j, k, corpus)
+                res = dilation_conjugation_check(sym, phase, j, k, corpus)
                 assert res < 1e-8
 
     def test_aliasing_guard_warns(self):
@@ -236,12 +236,11 @@ class TestFio:
         g = GridSpec(1, 2.0, 128)  # nyquist 16
         f = modulate(Signal.from_generator(g, gaussian_generator(0.3)), [10.0])
         phase = phase_from_name("phase_phix(0.0)")
-        big = SymbolSpec(name="amp", order=(0, 0),
+        big = SymbolSpec(order=(0, 0),
                          fn=lambda x, eta: np.ones(np.broadcast(
                              np.asarray(x)[..., 0], np.asarray(eta)[..., 0]).shape))
         stretch =phase_from_name("phase_linear")
         steep = type(stretch)(
-            name="steep",
             fn=lambda x, eta: 2.0 * np.sum(np.asarray(x) * np.asarray(eta), axis=-1),
             grad_x=lambda x, eta: 2.0 * np.asarray(eta, dtype=float),
             grad_eta=lambda x, eta: 2.0 * np.asarray(x, dtype=float),
@@ -271,25 +270,23 @@ class TestComposition:
         # composing A_{j,k} with the psi_l space cutoff: the leading symbol
         # sigma_{j,k}(x,eta) psi_l(grad_eta Phi) vanishes identically once
         # |k - l| exceeds the overlap width (grad_eta Phi is comparable to x)
-        fam = LPFamily(j_max=6)
         phase = phase_from_name("phase_xphi(0.3)")
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
         x = np.linspace(-80, 80, 2001)[:, None, None]
         eta = np.linspace(-8, 8, 41)[None, :, None]
         l = 3
         for k in range(0, 7):
-            piece = dyadic_piece(sym, 2, k, fam)
+            piece = dyadic_piece(sym, 2, k)
             ge = np.asarray(phase.grad_eta(x, eta))
-            composed = piece(x, eta) * fam.psi_j(l, ge)
+            composed = piece(x, eta) * psi_j(l, ge)
             if abs(k - l) >= 2:
                 assert np.max(np.abs(composed)) == 0.0
         # operator-level echo: applying the pieces to a psi_l-localized
         # input leaves only cutoff-tail leakage far from the diagonal
         g = GridSpec(1, 128.0, 4096)
-        fam3 = LPFamily(j_max=3)
         u = modulate(Signal.from_generator(g, gaussian_generator(20.0)), [4.0])
-        ul = Signal(g, u.samples * fam3.psi_j(l, g.space_axis()[:, None]))
-        norms = {k: lp_norm(apply_fio1(phase, dyadic_piece(sym, 2, k, fam3),
+        ul = Signal(g, u.samples * psi_j(l, g.space_axis()[:, None]))
+        norms = {k: lp_norm(apply_fio1(phase, dyadic_piece(sym, 2, k),
                                        ul, guard=False), 2)
                  for k in range(0, 6)}
         peak = max(norms.values())
@@ -659,10 +656,9 @@ class TestGaborMatrix:
     def test_piece_sum_additivity(self, small_matrix_setup):
         g, w, lat = small_matrix_setup
         lat_small = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=4, n_radius=4)
-        fam = LPFamily(j_max=2)
         base = symbol_from_name("model_sg(-0.5,-0.5)")
-        pieces = [dyadic_piece(base, j, k, fam) for j in range(3) for k in range(3)]
-        total = SymbolSpec(name="sum", order=base.order,
+        pieces = [dyadic_piece(base, j, k) for j in range(3) for k in range(3)]
+        total = SymbolSpec(order=base.order,
                            fn=lambda x, eta: sum(piece(x, eta) for piece in pieces))
         Msum = gabor_matrix(OperatorHandle("pseudo_kn", total, None, g), w, lat_small)
         acc = np.zeros_like(Msum.entries)
@@ -808,8 +804,7 @@ class TestOpNorm:
         rows of 1024."""
         a = lambda x: np.full(np.asarray(x).shape[:-1], 3j)
         b = lambda eta: np.full(np.asarray(eta).shape[:-1], -0.5)
-        sym = SymbolSpec("const", (0.0, 0.0), fn=lambda x, eta: a(x) * b(eta),
-                         separable=(a, b))
+        sym = SymbolSpec((0.0, 0.0), separable=(a, b))
         op = OperatorHandle("fio_type1", sym, phase_from_name("phase_xphi(0.3)"), g)
         assert kernel_path(op.phase, sym, g)[0] == "warped_rows"
         ref = _dense_norm(op)
@@ -942,9 +937,22 @@ def _path_symbol(sname):
         return symbol_from_name(sname)
     a = lambda x: np.exp(1j * np.sum(np.asarray(x), axis=-1))
     b = lambda eta: np.exp(-0.5j * np.sum(np.asarray(eta), axis=-1)) * bracket(eta) ** -0.5
-    return SymbolSpec(name="complex", order=(-0.5, 0.0),
+    return SymbolSpec(order=(-0.5, 0.0),
                       fn=lambda x, eta: a(x) * b(eta), separable=(a, b))
 
+
+# the explicit sigma(x, eta) that each registry symbol declared next to its
+# factors before fn was derived from them; the derived fn equals it bit for bit
+EXPLICIT_SYMBOLS = {
+    "one": lambda x, eta: np.ones(np.broadcast(x[..., 0], eta[..., 0]).shape),
+    "model_sg(-0.5,-0.5)": lambda x, eta: bracket(eta) ** -0.5 * bracket(x) ** -0.5,
+    "eta_power(-1.0)": lambda x, eta: bracket(eta) ** -1.0 * np.ones(x.shape[:-1]),
+    "x_power(0.5)": lambda x, eta: bracket(x) ** 0.5 * np.ones(eta.shape[:-1]),
+    "x_power_freq_cutoff(-0.25)": lambda x, eta: bracket(x) ** -0.25
+    * plateau(np.sqrt(np.sum(eta ** 2, axis=-1)), 1.0, 2.0),
+    "x_cutoff_eta_power(-0.5)": lambda x, eta:
+    plateau(np.max(np.abs(x - 0.5), axis=-1), 0.9, 1.4) * bracket(eta) ** -0.5,
+}
 
 PATH_LABELS = {"phase_linear": "fft", "phase_xphi(0.3)": "warped_rows",
                "phase_phix(0.3)": "phase_kernel"}
@@ -953,10 +961,14 @@ PATH_LABELS = {"phase_linear": "fft", "phase_xphi(0.3)": "warped_rows",
 def test_path_cases_cover_registries():
     assert {s.split("(")[0] for s in PATH_SYMBOLS} - {"complex"} == set(SYMBOL_BUILDERS)
     assert {p.split("(")[0] for p in PATH_PHASES} == set(PHASE_BUILDERS)
+    assert set(EXPLICIT_SYMBOLS) == set(PATH_SYMBOLS) - {"complex"}
     for g in PATH_GRIDS.values():
+        X, E = g.space_points()[:, None], g.freq_points()[None]
         for sname in PATH_SYMBOLS:
             sym = _path_symbol(sname)
             dense = replace(sym, separable=None)
+            if sname in EXPLICIT_SYMBOLS:
+                assert np.array_equal(dense.fn(X, E), EXPLICIT_SYMBOLS[sname](X, E))
             assert (kernel_path(None, sym, g)[0], kernel_path(None, dense, g)[0]) == ("fft", "dense")
             for pname in PATH_PHASES:
                 phase = phase_from_name(pname)
@@ -967,9 +979,8 @@ def test_path_cases_cover_registries():
     # a dilation conjugate declares no warp
     g, sym = PATH_GRIDS["d1"], symbol_from_name("one")
     xphi = phase_from_name("phase_xphi(0.3)")
-    fam = LPFamily(j_max=3)
     derived = [_transposed_phase(xphi), _negated_phase(xphi),
-               conjugated_piece(dyadic_piece(sym, 2, 0, fam), xphi, 2, 0)[1]]
+               conjugated_piece(dyadic_piece(sym, 2, 0), xphi, 2, 0)[1]]
     assert [kernel_path(p, sym, g)[0] for p in derived] == \
         ["phase_kernel", "warped_rows", "phase_kernel"]
     assert kernel_path(derived[1], sym, g)[1].size == g.size - 1
@@ -1193,6 +1204,6 @@ def test_weyl_columns_match_per_atom():
     f, h = random_schwartz_signal(g, rng), random_schwartz_signal(g, rng)
     lhs = inner_product(op.apply(f), h)
     conj = OperatorHandle("pseudo_weyl", SymbolSpec(
-        "conj", sym.order, lambda x, eta: np.conj(sym(x, eta))), None, g)
+        sym.order, lambda x, eta: np.conj(sym(x, eta))), None, g)
     rhs = inner_product(f, conj.apply(h))
     assert abs(lhs - rhs) <= 1e-12 * lp_norm(f, 2) * lp_norm(h, 2)

@@ -7,11 +7,9 @@ from fiolab.grid import (
     GridSpec, Signal, bracket, gaussian_generator, fourier_transform, lp_norm,
     smooth_step,
 )
-from fiolab.operators import _negated_phase, _transposed_phase
 from fiolab.symbols import (
     PHASE_BUILDERS,
     Box,
-    LPFamily,
     MonotonicityError,
     PhaseSpec,
     SymbolSpec,
@@ -25,8 +23,12 @@ from fiolab.symbols import (
     phase_from_name,
     plateau,
     sg_validate,
+    psi,
+    psi_j,
     symbol_from_name,
+    _negated_phase,
     _sample_points,
+    _transposed_phase,
 )
 
 
@@ -46,16 +48,14 @@ class TestCutoffs:
         assert 0 < p[3] < 1
 
     def test_partition_of_unity(self):
-        fam = LPFamily(j_max=5)
         eta = np.linspace(-32, 32, 20001)[:, None]
-        total = sum(fam.psi_j(j, eta) for j in range(6))
+        total = sum(psi_j(j, eta) for j in range(6))
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
     def test_psi_support(self):
-        fam = LPFamily(j_max=3)
         r = np.linspace(0, 8, 10001)
-        psi = fam.psi(r)
-        assert np.all(psi[(r < 0.5) | (r > 2.0)] == 0.0)
+        vals = psi(r)
+        assert np.all(vals[(r < 0.5) | (r > 2.0)] == 0.0)
 
 
 class TestSgValidate:
@@ -67,7 +67,7 @@ class TestSgValidate:
 
     def test_superpolynomial_fails(self):
         sym = SymbolSpec(
-            name="expsq", order=(0.0, 0.0),
+            order=(0.0, 0.0),
             fn=lambda x, eta: np.exp(np.sum(np.asarray(x) ** 2, axis=-1)),
         )
         rep = sg_validate(sym, Box.cube(1, 8.0, 8.0))
@@ -75,11 +75,10 @@ class TestSgValidate:
 
     def test_dyadic_family_uniform(self):
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
-        fam = LPFamily(j_max=6)
         consts = []
         for j in range(0, 7, 2):
             for k in range(0, 7, 2):
-                piece = dyadic_piece(sym, j, k, fam)
+                piece = dyadic_piece(sym, j, k)
                 rep = sg_validate(piece)
                 consts.append(rep.constant)
         assert max(consts) / min(consts) < 4.0
@@ -107,7 +106,6 @@ class TestPhaseValidators:
 
     def test_degenerate_phase_fails(self):
         phase = PhaseSpec(
-            name="sq",
             fn=lambda x, eta: 0.5 * np.sum(np.asarray(x) * np.asarray(eta), axis=-1) ** 2,
             grad_x=lambda x, eta: np.sum(np.asarray(x) * np.asarray(eta), axis=-1)[..., None]
             * np.asarray(eta),
@@ -120,7 +118,6 @@ class TestPhaseValidators:
 
     def test_growth_fails_for_flat_phase(self):
         phase = PhaseSpec(
-            name="zero",
             fn=lambda x, eta: np.zeros(np.broadcast(
                 np.asarray(x)[..., 0], np.asarray(eta)[..., 0]).shape),
             grad_x=lambda x, eta: np.zeros_like(np.asarray(eta, dtype=float)),
@@ -150,18 +147,16 @@ class TestPhaseValidators:
 class TestLpOperators:
     def test_telescoping(self):
         g = GridSpec(1, 8.0, 512)
-        fam = LPFamily(j_max=3)
         f = Signal.from_generator(g, gaussian_generator(0.7))
         total = np.zeros(g.shape, dtype=complex)
         for j in range(4):
-            total += _freq_multiply(f, fam.psi_j(j, g.freq_axis()[:, None])).samples
+            total += _freq_multiply(f, psi_j(j, g.freq_axis()[:, None])).samples
         assert np.max(np.abs(total - f.samples)) < 1e-10
 
     def test_band_mass(self):
         g = GridSpec(1, 8.0, 512)
-        fam = LPFamily(j_max=3)
         f = Signal.from_generator(g, gaussian_generator(0.5))
-        piece = _freq_multiply(f, fam.psi_j(2, g.freq_axis()[:, None]))
+        piece = _freq_multiply(f, psi_j(2, g.freq_axis()[:, None]))
         F = fourier_transform(piece)
         eta = g.freq_axis()
         outside = (np.abs(eta) < 2.0) | (np.abs(eta) > 8.0)
@@ -169,35 +164,31 @@ class TestLpOperators:
 
     def test_low_pass_kills_chirp(self):
         g = GridSpec(1, 8.0, 512)
-        fam = LPFamily(j_max=3)
         from fiolab.grid import modulate
         f = modulate(Signal.from_generator(g, gaussian_generator(1.0)), [12.0])
-        low = _freq_multiply(f, fam.psi_j(0, g.freq_axis()[:, None]))
+        low = _freq_multiply(f, psi_j(0, g.freq_axis()[:, None]))
         assert lp_norm(low, 2) / lp_norm(f, 2) < 1e-8
 
     def test_space_cutoff(self):
         g = GridSpec(1, 8.0, 512)
-        fam = LPFamily(j_max=2)
         f = Signal.from_generator(g, gaussian_generator())
         x = g.space_axis()
-        piece = f.samples * fam.psi_j(1, x[:, None])
+        piece = f.samples * psi_j(1, x[:, None])
         assert np.all(piece[np.abs(x) < 0.5] == 0.0)
 
 
 class TestDyadic:
     def test_partition_reconstructs_symbol(self):
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
-        fam = LPFamily(j_max=4)
         x = np.linspace(-10, 10, 41)[:, None]
         eta = np.linspace(-10, 10, 41)[:, None]
-        total = sum(dyadic_piece(sym, j, k, fam)(x, eta)
+        total = sum(dyadic_piece(sym, j, k)(x, eta)
                     for j in range(5) for k in range(5))
         assert np.max(np.abs(total - sym(x, eta))) < 1e-10
 
     def test_identity_at_equal_scales(self):
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
-        fam = LPFamily(j_max=4)
-        piece = dyadic_piece(sym, 3, 3, fam)
+        piece = dyadic_piece(sym, 3, 3)
         tilde, _ = conjugated_piece(piece, phase_from_name("phase_xphi(0.3)"), 3, 3)
         x = np.linspace(-20, 20, 31)[:, None]
         eta = np.linspace(-20, 20, 31)[:, None]
@@ -206,12 +197,11 @@ class TestDyadic:
     def test_rescaled_derivative_exponent(self):
         # max |d_x d_eta sigma~_{j,k}| should scale like 2^{(j+k)(-d/2-1)}
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
-        fam = LPFamily(j_max=7)
         phase = phase_from_name("phase_xphi(0.3)")
         logs, scales = [], []
         from fiolab.symbols import fd_mixed_derivative, _sample_points
         for (j, k) in [(2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (5, 5)]:
-            piece = dyadic_piece(sym, j, k, fam)
+            piece = dyadic_piece(sym, j, k)
             tilde, _ = conjugated_piece(piece, phase, j, k)
             X, E = _sample_points(tilde.support_hint, 41)
             box = tilde.support_hint
@@ -227,10 +217,9 @@ class TestDyadic:
         # where the conjugated piece lives, <lam eta> ~ 2^j and <x / lam> ~ 2^k
         # with lam = 2^{(j-k)/2}, both up to a constant below 8
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
-        fam = LPFamily(j_max=5)
         phase = phase_from_name("phase_xphi(0.3)")
         for (j, k) in [(2, 0), (4, 2), (3, 3)]:
-            tilde, _ = conjugated_piece(dyadic_piece(sym, j, k, fam), phase, j, k)
+            tilde, _ = conjugated_piece(dyadic_piece(sym, j, k), phase, j, k)
             X, E = _sample_points(tilde.support_hint, 41)
             vals = np.abs(tilde(X, E))
             on = vals > 1e-12 * np.max(vals)
@@ -246,10 +235,9 @@ class TestDyadic:
         # sup of the mixed entries stays within a factor 2
         phase = phase_from_name("phase_xphi(0.3)")
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
-        fam = LPFamily(j_max=6)
         sups, floors = [], []
         for (j, k) in [(1, 1), (3, 1), (5, 2), (2, 5), (6, 6)]:
-            piece = dyadic_piece(sym, j, k, fam)
+            piece = dyadic_piece(sym, j, k)
             tilde, ptilde = conjugated_piece(piece, phase, j, k)
             box = tilde.support_hint
             nd = nondeg_validate(ptilde, box, samples=21)
@@ -312,6 +300,10 @@ class TestRegistry:
         with pytest.raises(KeyError):
             phase_from_name("nope")
 
+    def test_symbol_needs_fn_or_separable(self):
+        with pytest.raises(ValueError, match="fn or separable"):
+            SymbolSpec((0.0, 0.0))
+
     def test_cutoff_symbols(self):
         s1 = symbol_from_name("x_power_freq_cutoff(-0.25)")
         assert s1(np.array([[3.0]]), np.array([[0.5]]))[0] == pytest.approx(10 ** -0.125, rel=1e-12)
@@ -319,6 +311,28 @@ class TestRegistry:
         s2 = symbol_from_name("x_cutoff_eta_power(1.0)")
         assert s2(np.array([[0.5]]), np.array([[1.0]]))[0] == pytest.approx(np.sqrt(2), rel=1e-12)
         assert s2(np.array([[2.5]]), np.array([[1.0]]))[0] == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_phase_phix_is_transposed_xphi(dim):
+    """phase_phix(c), declared as the transpose of phase_xphi(c), is
+    Phi = sum_i x_i phi(eta_i) bit for bit: fn, both gradients and the
+    diagonal mixed Hessian equal the explicit formulas, and the declared
+    eta warp is phi."""
+    dif = make_diffeo(0.3)
+    phase = phase_from_name("phase_phix(0.3)")
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(-1.0, 2.0, (16, 1, dim))
+    eta = rng.uniform(-1.0, 2.0, (1, 12, dim))
+    hess = np.zeros((16, 12, dim, dim))
+    for i in range(dim):
+        hess[..., i, i] = np.broadcast_to(dif.dphi(eta)[..., i], (16, 12))
+    assert np.array_equal(phase.fn(x, eta), dot(x, dif.phi(eta)))
+    assert np.array_equal(phase.grad_x(x, eta), dif.phi(eta) * np.ones_like(x))
+    assert np.array_equal(phase.grad_eta(x, eta), dif.dphi(eta) * x)
+    assert np.array_equal(phase.mixed_hessian(x, eta), hess)
+    assert phase.warp_x is None
+    assert phase.warp_eta.__func__ is type(dif).phi and phase.warp_eta.__self__ == dif
 
 
 DERIVED_PHASES = {"t": _transposed_phase, "neg": _negated_phase}
@@ -351,4 +365,4 @@ def test_declared_warps_match_phase(name, dim):
     assert refs
     for ref in refs:
         assert ref.shape == (64, 48)
-        np.testing.assert_allclose(phase(x, eta), ref, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(phase.fn(x, eta), ref, rtol=1e-14, atol=1e-14)
