@@ -135,8 +135,8 @@ def _stft_blocks(f: Signal, g: Window, x_stride: int):
     axes = tuple(range(1, d + 1))
     for i0 in range(0, total, step):
         idx = np.unravel_index(np.arange(i0, min(i0 + step, total)), (len(starts),) * d)
-        rows = f.samples * shifted[tuple(starts[i] for i in idx)]
-        yield i0, np.fft.fftn(rows, axes=axes)
+        yield i0, np.fft.fftn(f.samples * shifted[tuple(starts[i] for i in idx)],
+                              axes=axes)
 
 
 def _centred_stft_blocks(f: Signal, g: Window, x_stride: int):

@@ -35,7 +35,6 @@ class RunManifest:
     finished_at: str = ""
     tool_version: str = _version
     platform: str = field(default_factory=platform.platform)
-    registry_entries: list[str] = field(default_factory=list)
     outputs: list[dict] = field(default_factory=list)
     error: str = ""
     # FFT rounding, and so the CSV bytes, depend on the numpy build
@@ -75,5 +74,9 @@ class RunManifest:
 
 
 def load_manifest(path) -> RunManifest:
+    """The manifest at path.  Manifests written before registry_entries was
+    dropped carry it, always as []; it is ignored, and any other key that
+    is not a field raises TypeError."""
     data = json.loads(Path(path).read_text())
+    data.pop("registry_entries", None)
     return RunManifest(**data)

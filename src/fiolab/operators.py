@@ -15,9 +15,7 @@ rather than to quadrature accuracy.
 _kernel_apply is the single place that applies an operator; every consumer
 (apply_pseudo_kn, apply_fio1, apply_fio2, OperatorHandle, gabor_matrix and
 op_norm_estimate's dense sample matrix) goes through it.  kernel_path names
-the path it takes, and _block_builder builds its kernel blocks and the
-warped-row blocks of op_norm_estimate's rank-update route (_exact_l2_norm).
-The paths:
+the path it takes, and _block_builder builds its kernel blocks.  The paths:
 
 * "fft": two FFTs, a F^{-1} b F, when sigma declares separable = (a(x), b(eta))
   and every grid row is plain, i.e. the phase is x.eta there (phase None, or
@@ -51,11 +49,13 @@ phases that declare neither warp (hand-built ones, dilation conjugates)
 evaluate exp(2 pi i Phi) entry by entry: the reference the table build is
 tested against.
 
-op_norm_estimate gives the L^2 norm exactly to rounding on every route:
-from one 2w x 2w eigenvalue problem over the w warped rows for a constant
-separable symbol on the "fft" and "warped_rows" paths (_exact_l2_norm), and
-otherwise as the square root of the top eigenvalue of A*A, A the dense
-sample matrix (_dense_l2_norm).
+op_norm_estimate gives the L^2 norm exactly to rounding on every route,
+but for the case of norm gamma that _exact_l2_norm names.  For a constant
+separable symbol on the "fft" and "warped_rows" paths it comes from one
+real 2w x 2w eigenvalue problem over the w warped rows, whose Gram entries
+are closed-form Dirichlet sums over the frequency grid, so no kernel block
+is built (_exact_l2_norm); otherwise it is the square root of the top
+eigenvalue of A*A, A the dense sample matrix (_dense_l2_norm).
 
 gabor_matrix sends every lattice atom through one application as a column
 and folds the outputs onto the Walnut fibers of the tone period
@@ -102,8 +102,6 @@ ACTIVE_TOL = 1e-15
 # 5.4e-15 at radius 24, below the floor: the floor, not rounding, decides
 # which entries are kept.
 ZERO_FLOOR = 1e-14
-# frequency columns per warped-row kernel block that _exact_l2_norm sums
-NORM_COLUMNS = 1024
 # largest dense allocation: a quarter of an 8 GB machine.  gabor_matrix's
 # atom table, operator outputs and entries (num_atoms x size x 16 B twice,
 # plus num_atoms^2 x 16 B) fit 8192 atoms at N = 4096.  _dense_l2_norm's
@@ -221,22 +219,21 @@ def _block_builder(phase: Optional[PhaseSpec], sym: SymbolSpec, grid: GridSpec,
     """The kernel blocks of _kernel_apply: for a slice r of the grid rows R,
     K[R[r], C] over the frequency columns C (indices into freq_points).
 
-    With a separable symbol, phase None (x.eta) and a phase declaring
-    warp_x are linear in eta and one declaring warp_eta is linear in x, and
-    their blocks come from _table_block on the linear side's axis: for
-    warp_x with s = psi(x) (x itself for phase None) of the block's rows
-    and the columns' eta indices, transposed; for warp_eta with s = chi(eta)
-    of the columns, whose lo tables are built once on first use, and the
-    block's x indices.  Every other case, the "dense"
+    With a separable symbol, a phase declaring warp_x is linear in eta and
+    one declaring warp_eta is linear in x, and their blocks come from
+    _table_block on the linear side's axis: for warp_x with s = psi(x) of
+    the block's rows and the columns' eta indices, transposed; for warp_eta
+    with s = chi(eta) of the columns, whose lo tables are built once on
+    first use, and the block's x indices.  Every other case, the "dense"
     path included, evaluates exp(2 pi i Phi) entry by entry, times
     sigma(x, eta) when the symbol is not separable: the reference."""
     xs, n = grid.space_points(), grid.samples_per_axis
     sep = sym.separable is not None
-    if sep and (phase is None or phase.warp_x is not None):
+    if sep and phase is not None and phase.warp_x is not None:
         cols = np.unravel_index(C, grid.shape)
 
         def build(r):
-            s = xs[R[r]] if phase is None else phase.warp_x(xs[R[r]])
+            s = phase.warp_x(xs[R[r]])
             return _table_block(s, cols, grid.freq_axis(),
                                 _lo_tables(s, grid.freq_step, n)).T
 
@@ -779,14 +776,34 @@ class OpNormReport:
     converged: bool
 
 
+def _dirichlet(t: Array, gr: GridSpec) -> Array:
+    """sum_eta exp(2 pi i t.eta) over the frequency grid, without its unit
+    factor exp(-pi i deta sum_a t_a), for offsets t of shape (..., d): the
+    product over the axes of sin(pi t / dx) / sin(pi t deta).
+
+    Each axis's sum over eta = k deta, k = -N/2 .. N/2 - 1, is
+    exp(-pi i t deta) sin(pi t / dx) / sin(pi t deta).  It has the period
+    2L = 1 / deta, so t is first reduced by m = round(t deta) periods to r,
+    which with N even gives the real factor (-1)^m; where sin(pi r deta) is
+    0 (r = 0) the factor is its limit N."""
+    n = gr.samples_per_axis
+    m = np.round(t * gr.freq_step)
+    r = t - m * (2.0 * gr.half_width)
+    den = np.sin(np.pi * gr.freq_step * r)
+    out = np.divide(np.sin(np.pi / gr.space_step * r), den,
+                    out=np.full(r.shape, float(n)), where=den != 0)
+    out[m % 2 != 0] *= -1.0
+    return np.prod(out, axis=-1)
+
+
 def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     """||A|| on L^2 without iterating, or None where it does not apply.
 
     It applies to pseudo_kn, fio_type1 and fio_type2 (whose norm is its
     type I operator's) on the "fft" and "warped_rows" paths when a(x) and
     b(eta) are constant on the grid, and when the warped rows are at most a
-    quarter of the grid, so that the 2w x 2w eigenvalue problem has at most
-    size / 2 rows (2048 at N = 4096, d = 1).
+    quarter of the grid.  The 2w x 2w eigenvalue problem then has at most
+    size / 2 rows (2048 at N = 4096, d = 1), half the dense route's size.
 
     The sample matrix is then gamma K U / sqrt(size) up to a unit factor,
     with gamma = |a b|, K = exp(2 pi i Phi) on the grid and U unitary.  The
@@ -797,9 +814,24 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     D = gamma^2 K_w K_w* / size, X = K_w P_w* / size and
     G = C* C = gamma^2 (D - gamma^2 X X*), where C is the plain-by-warped
     block of A A*, ||A||^2 is the top eigenvalue of
-    [[gamma^2 I, G^1/2], [G^1/2, D]].  D and X are summed over blocks of
-    NORM_COLUMNS frequency columns, so no size x w array is formed.  With
-    no warped row the norm is gamma.
+    [[gamma^2 I, G^1/2], [G^1/2, D]].  With no warped row the norm is gamma.
+
+    Phi = psi(x).eta is linear in eta, so each entry of D and X is a sum of
+    exp(2 pi i t.eta) over the frequency grid, which has a closed form
+    (_dirichlet): D_ij = gamma^2 / size times it at t = s_i - s_j, and
+    X_ij = 1 / size times it at t = s_i - x_j, with s = psi(x) on the warped
+    rows.  No kernel block is built.  The unit factor of an entry,
+    exp(-pi i deta sum_a t_a), is l_i conj(l'_j), with l = exp(-pi i deta
+    sum_a s_a) and l' the same of s for D and of x for X.  So D = L D_r L*
+    and X X* = L X_r X_r^T L* with L = diag(l) and D_r, X_r real.  This
+    diagonal unitary similarity carries over to G, G^1/2 and the block
+    matrix, and it leaves their eigenvalues alone, so both eigenvalue
+    problems run on real symmetric matrices.
+
+    Where ||A|| is gamma itself and G = 0, as when the warp moves rows by
+    whole periods 2L, G is a difference of two matrices near gamma^4 I, and
+    G^1/2 turns its rounding into about sqrt(eps): the norm then keeps only
+    half its digits (1.8e-8 relative on such a band of 32 rows at N = 256).
     """
     if op.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
         return None
@@ -815,17 +847,12 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     w, n = len(rows), gr.size
     if w == 0:
         return float(np.sqrt(g2))
-    D = np.zeros((w, w), dtype=complex)
-    X = np.zeros((w, w), dtype=complex)
-    for lo in range(0, n, NORM_COLUMNS):
-        C = np.arange(lo, min(lo + NORM_COLUMNS, n))
-        K = _block_builder(phase, sym, gr, rows, C)(slice(None))
-        D += K @ K.conj().T
-        X += K @ _block_builder(None, sym, gr, rows, C)(slice(None)).conj().T
-    D *= g2 / n
-    X /= n
-    mu, V = np.linalg.eigh(g2 * (D - g2 * (X @ X.conj().T)))
-    half = (V * np.sqrt(np.clip(mu, 0.0, None))) @ V.conj().T
+    x = gr.space_points()[rows]
+    s = phase.warp_x(x)
+    D = _dirichlet(s[:, None] - s[None, :], gr) * (g2 / n)
+    X = _dirichlet(s[:, None] - x[None, :], gr) / n
+    mu, V = np.linalg.eigh(g2 * (D - g2 * (X @ X.T)))
+    half = (V * np.sqrt(np.clip(mu, 0.0, None))) @ V.T
     H = np.block([[g2 * np.eye(w), half], [half, D]])
     return float(np.sqrt(np.linalg.eigvalsh(H)[-1]))
 

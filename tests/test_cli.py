@@ -499,6 +499,31 @@ class TestRunner:
         path.write_text(json.dumps(data))
         assert load_manifest(path).error == ""
 
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_manifest_registry_entries_dropped(self, tmp_path, legacy):
+        """A manifest no longer writes registry_entries; one written while it
+        was a field (always []) still loads, and reruns."""
+        run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
+        path = tmp_path / "a" / "fl_growth.manifest.json"
+        data = json.loads(path.read_text())
+        assert "registry_entries" not in data
+        if legacy:
+            data["registry_entries"] = []
+            path.write_text(json.dumps(data))
+        man = load_manifest(path)
+        assert not hasattr(man, "registry_entries")
+        assert (man.status, man.outputs) == ("done", data["outputs"])
+        assert rerun_from_manifest(path, tmp_path / "b").exit_code == 0
+
+    def test_manifest_foreign_key_refused(self, tmp_path):
+        run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
+        path = tmp_path / "a" / "fl_growth.manifest.json"
+        data = json.loads(path.read_text())
+        data["registry_entry"] = []
+        path.write_text(json.dumps(data))
+        with pytest.raises(TypeError, match="registry_entry"):
+            load_manifest(path)
+
     def test_determinism_and_rerun(self, tmp_path):
         cfg = parse_config(TINY_FL)
         run_experiment("fl_growth", cfg, tmp_path / "a", seed=1)
@@ -694,11 +719,12 @@ class TestCli:
 
     def test_stft_traced_peak(self, tmp_path, monkeypatch):
         """fiolab stft streams the STFT to its CSV: at N = 1024 the whole
-        STFT is 16 MiB, and the command traces about 4.5 MB: a few 1 MiB
-        blocks (the windowed rows of _stft_blocks, their DFT and its
-        centred copy).  The lines are written one per block here, since
-        formatting 2^20 of them under tracemalloc takes 25 s (and adds
-        about 0.5 MB); test_indexed_csv_traced_peak bounds the formatting."""
+        STFT is 16 MiB, and the command traces about 3.6 MiB: a few 1 MiB
+        blocks (a block's windowed rows while _stft_blocks transforms them,
+        then its DFT and the centred copy).  The lines are written one per
+        block here, since formatting 2^20 of them under tracemalloc takes
+        25 s (and adds about 0.5 MB); test_indexed_csv_traced_peak bounds
+        the formatting."""
         monkeypatch.setattr(persist, "_entry_lines", lambda values, axes: [str(len(values))])
         tracemalloc.start()
         try:
@@ -707,7 +733,7 @@ class TestCli:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2 ** 20
+        assert peak < 4 * 2 ** 20
         assert (tmp_path / "stft.csv").read_text().splitlines()[2:] == ["64"] * 16
 
     @pytest.mark.parametrize("stride", ["0", "-2"])

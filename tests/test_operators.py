@@ -811,6 +811,57 @@ class TestOpNorm:
         monkeypatch.setattr(operators, "_dense_l2_norm", None)  # never reached
         assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("periods", [1.5, 0.37])
+    def test_exact_norm_of_shifted_band(self, periods, monkeypatch):
+        """A hand-built warp_x moves the 32 rows of 0 <= x < 4 by phase_xphi's
+        diffeomorphism plus a shift of 1.5 or 0.37 times the period 2L of the
+        frequency sum.  At 1.5 periods the closed form reduces each t of X by
+        one or two periods, a factor -1 for one.  The rank-update route
+        matches the spectral norm of the dense sample matrix, whose
+        table-built rows follow the warp."""
+        g = GridSpec(1, 16.0, 256)
+        shift = periods * 2 * g.half_width
+        base = phase_from_name("phase_xphi(0.3)")
+
+        def warp(x):
+            return base.warp_x(x) + shift * ((x >= 0.0) & (x < 4.0))
+
+        phase = replace(base, warp_x=warp,
+                        fn=lambda x, eta: np.sum(warp(x) * eta, axis=-1))
+        op = OperatorHandle("fio_type1", symbol_from_name("one"), phase, g)
+        assert kernel_path(phase, op.symbol, g)[1].size == 32
+        ref = _dense_norm(op)
+        monkeypatch.setattr(operators, "_dense_l2_norm", None)  # never reached
+        assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
+
+    def test_exact_norm_builds_no_kernel_block(self, monkeypatch):
+        """c15's operators at N = 2048 and 4096 give c15's norms with no
+        kernel block and no exponential table: their Gram entries are
+        closed-form sums."""
+        def refuse(*args):
+            raise AssertionError("kernel block built")
+
+        for name in ("_block_builder", "_table_block", "_exp_table", "_dense_l2_norm"):
+            monkeypatch.setattr(operators, name, refuse)
+        phase = phase_from_name("phase_xphi(0.3)")
+        for n, norm in ((2048, 1.4471326352477485), (4096, 1.4575457569357682)):
+            op = OperatorHandle("fio_type1", symbol_from_name("one"), phase,
+                                GridSpec(1, 16.0, n))
+            assert abs(op_norm_estimate(op).value - norm) <= 1e-13
+
+    def test_exact_norm_traced_peak(self):
+        """At N = 4096 (w = 113 warped rows) the closed form traces about
+        1.3 MiB, under a bound of 2 MiB."""
+        op = OperatorHandle("fio_type1", symbol_from_name("one"),
+                            phase_from_name("phase_xphi(0.3)"), GridSpec(1, 16.0, 4096))
+        tracemalloc.start()
+        try:
+            operators._exact_l2_norm(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     @pytest.mark.parametrize("sym,phase", [
         ("model_sg(-0.5,-0.5)", "phase_xphi(0.3)"),
         ("x_power(0.5)", "phase_linear"),
