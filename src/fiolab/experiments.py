@@ -139,15 +139,11 @@ def _apply_columns(phase, sym, grid: GridSpec, signals: Iterable[Signal],
                    adjoint: bool = False) -> list[Signal]:
     """The type I operator (phase, sym), or its adjoint, applied to signals on
     grid as the columns of a single operators._kernel_apply call, so the
-    kernel blocks are built once for all of them; outputs in input order.
-
-    Kernel blocks are half the default height, so that the call, which also
-    holds the stacked input and output columns, peaks no higher in memory
-    than a one-column call with full-height blocks.
+    exponential tables are built once for all of them; outputs in input
+    order.
     """
     cols = np.stack([s.samples.ravel() for s in signals], axis=1)
-    out = operators._kernel_apply(phase, sym, grid, cols, adjoint=adjoint,
-                                  chunk=operators.DEFAULT_CHUNK // 2)
+    out = operators._kernel_apply(phase, sym, grid, cols, adjoint=adjoint)
     return [Signal(grid, row) for row in np.ascontiguousarray(out.T)]
 
 

@@ -15,16 +15,16 @@ rather than to quadrature accuracy.
 _kernel_apply is the single place that applies an operator; every consumer
 (apply_pseudo_kn, apply_fio1, apply_fio2, OperatorHandle, gabor_matrix and
 op_norm_estimate's dense sample matrix) goes through it.  kernel_path names
-the path it takes, and _block_builder builds its kernel blocks.  The paths:
+the path it takes.  The paths:
 
 * "fft": two FFTs, a F^{-1} b F, when sigma declares separable = (a(x), b(eta))
   and every grid row is plain, i.e. the phase is x.eta there (phase None, or
   a phase declaring warp_x that leaves every grid point fixed);
 * "warped_rows": separable sigma and a phase Phi = sum_i psi(x_i) eta_i that
   declares warp_x = psi; the plain rows (psi(x) == x exactly) come from the
-  FFT, and kernel rows are built only for the warped ones.  For the type II
-  sum the plain x nodes go through the forward DFT and the warped ones
-  through the conjugate kernel;
+  FFT, and the oscillatory sum runs only over the warped ones.  For the
+  type II sum the plain x nodes go through the forward DFT and the warped
+  ones through the conjugate kernel;
 * "phase_kernel": the phase-only kernel on every row with a(x) and b(eta)
   applied as vectors, for any other phase with a separable symbol;
 * "dense": the kernel times sigma(x, eta) on every row, the reference.
@@ -33,24 +33,25 @@ A symbol rebuilt without `separable` (dataclasses.replace(sym,
 separable=None), which keeps its fn) always takes the dense reference path;
 the tests compare the fast paths with it.
 
-How a block is built (_block_builder) is separate from the path.  On
-"warped_rows" and "phase_kernel", a phase that declares warp_x
-(Phi = psi(x).eta) or warp_eta (Phi = x.chi(eta)) is linear on one side,
-whose nodes lie on a uniform grid.  Writing a node index there as
-k = Q a + b, Q the power of two nearest sqrt(N),
+How the sum is formed is separate from the path.  On "warped_rows" and
+"phase_kernel", a phase that declares warp_x (Phi = psi(x).eta) or
+warp_eta (Phi = x.chi(eta)) is linear on one side, whose nodes lie on a
+uniform grid.  Writing a node index there as k = Q a + b, Q the power of
+two nearest sqrt(N),
 exp(2 pi i s (v0 + (Q a + b) h)) = exp(2 pi i s (v0 + Q a h)) exp(2 pi i s b h),
-so each entry is a product of entries of two short tables per axis
-(_table_block) instead of one complex exp.  The derived phases of
-symbols.py swap a declared warp to the other side (_transposed_phase) or
-negate it (_negated_phase), and the derived symbols (_transposed_symbol,
+so for each a the sum over b is one thin matrix product against a short
+table of the second factor, scaled by a row of the first (_table_sum): no
+kernel block and no exp per entry.  The derived phases of symbols.py swap a
+declared warp to the other side (_transposed_phase) or negate it
+(_negated_phase), and the derived symbols (_transposed_symbol,
 _starred_symbol) keep `separable`, so the operators of the transpose and
 Fourier-conjugation identities take the tables too.  The "dense" path and
 phases that declare neither warp (hand-built ones, dilation conjugates)
-evaluate exp(2 pi i Phi) entry by entry: the reference the table build is
-tested against.
+multiply kernel blocks of exp(2 pi i Phi), evaluated entry by entry
+(_block_builder): the reference the tables are tested against.
 
 op_norm_estimate gives the L^2 norm exactly to rounding on every route,
-but for the case of norm gamma that _exact_l2_norm names.  For a constant
+but just above norm gamma, as _exact_l2_norm says.  For a constant
 separable symbol on the "fft" and "warped_rows" paths it comes from one
 real 2w x 2w eigenvalue problem over the w warped rows, whose Gram entries
 are closed-form Dirichlet sums over the frequency grid, so no kernel block
@@ -147,9 +148,10 @@ def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec,
       kernel on every row, a(x) and b(eta) applied as vectors;
     * "dense": the kernel times sigma(x, eta) on every row, the reference.
 
-    The label does not say how blocks are built: on "warped_rows" and
-    "phase_kernel" a phase declaring warp_x or warp_eta gets them from
-    exponential tables (_block_builder), any other from exp(2 pi i Phi).
+    The label does not say how the sum is formed: on "warped_rows" and
+    "phase_kernel" a phase declaring warp_x or warp_eta is contracted
+    against exponential tables (_table_sum) with no kernel block, and any
+    other multiplies kernel blocks of exp(2 pi i Phi) (_block_builder).
     """
     if sym.separable is None:
         return "dense", np.arange(grid.size)
@@ -172,78 +174,69 @@ def _exp_table(nodes: Array, s: Array) -> Array:
     return np.exp(T, out=T)
 
 
-def _lo_tables(s: Array, step: float, n: int) -> list[Array]:
-    """Per coordinate t of s (rows j), lo[b, j] = exp(2 pi i s[j, t] b step)
-    for b < Q = _split(n)."""
-    nodes = step * np.arange(_split(n))
-    return [_exp_table(nodes, st) for st in s.T]
+def _table_sum(s: Array, axis: Array, step: float, coef: Array,
+               lin: Optional[Array] = None) -> Array:
+    """Sums of exp(2 pi i s_j.v_l) between nonuniform points s (w, d) and the
+    nodes v_l of the uniform grid axis^d (spacing step), from two short
+    tables per axis and no kernel block.
 
+    With lin, coef (k, m) holds coefficients at the flat node indices lin,
+    and the result (w, m) is out[j] = sum_l exp(2 pi i s_j.v_l) coef[l], the
+    nonuniform output.  Without lin, coef (w, m) sits at s, and the result
+    (n^d, m) is out[l] = sum_j exp(2 pi i s_j.v_l) coef[j] on every node,
+    the linear output.
 
-def _scale_runs(K: Array, k: Array, rows: Callable[[Array], Array]) -> None:
-    """K[i] *= T[k[i]] in place, one slice per run of equal k[i], where
-    rows(u) gives the rows T[u] for the distinct run values u, sorted."""
-    if not len(k):  # no active column, as for a zero input
-        return
-    cut = np.flatnonzero(np.diff(k)) + 1
-    starts = np.concatenate(([0], cut))
-    u, inv = np.unique(k[starts], return_inverse=True)
-    T = rows(u)
-    for j, i0, i1 in zip(inv, starts, np.append(cut, len(k))):
-        K[i0:i1] *= T[j]
-
-
-def _table_block(s: Array, idx: tuple[Array, ...], axis: Array, lo: list[Array]) -> Array:
-    """B[i, j] = exp(2 pi i sum_t s[j, t] axis[idx[t][i]]) for linear-side
-    nodes with per-axis indices idx[t] and warped values s, from two tables
-    per axis instead of one exp per entry: with idx[t] = Q a + b,
-    exp(2 pi i s axis[Q a + b]) = exp(2 pi i s axis[Q a]) exp(2 pi i s b h).
-    lo[t] (_lo_tables) holds the second factor; the rows of the first, the hi
-    table, are evaluated for the distinct a present.  The last axis, which
-    varies fastest along a sorted flat index, is gathered; every other factor
-    multiplies runs of equal index in place, so no gathered temporary of B's
-    size is made."""
-    q = len(lo[0])
-    B = None
-    for t in reversed(range(len(lo))):
-        a, b = np.divmod(idx[t], q)
-        if B is None:
-            B = lo[t][b]
-        else:
-            _scale_runs(B, b, lambda u: lo[t][u])
-        _scale_runs(B, a, lambda u: _exp_table(axis[q * u], s[:, t]))
-    return B
+    Each axis index is split as l_t = Q a_t + b_t with b_t < Q = _split(n),
+    the axis padded to A Q nodes with A = ceil(n / Q), so
+    exp(2 pi i s_t v_{Q a + b}) = hi_t[a, j] lo_t[b, j] with
+    hi_t[a, j] = exp(2 pi i s_jt v_{Q a}) and lo_t[b, j] = exp(2 pi i s_jt b step).
+    The products of the lo tables over b = (b_1, ..., b_d) form one
+    Q^d x w table L, and for each a the sum over b is one GEMM of output
+    width m against L.  The product h of the hi rows scales the m-wide side
+    when m <= Q^d, and L otherwise, whichever is smaller.  With lin, blocks
+    a holding no coefficient are skipped."""
+    w, d = s.shape
+    n = len(axis)
+    q = _split(n)
+    na = -(-n // q)
+    m = coef.shape[1]
+    lo = [_exp_table(step * np.arange(q), st) for st in s.T]
+    hi = [_exp_table(axis[q * np.arange(na)], st) for st in s.T]
+    L = functools.reduce(lambda P, T: (P[:, None] * T).reshape(len(P) * q, w), lo)
+    narrow = m <= len(L)
+    # (A, Q) per axis, interleaved, with every a axis moved in front of the b axes
+    split = tuple(k for _ in range(d) for k in (na, q)) + (m,)
+    order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2)) + (2 * d,)
+    if lin is not None:
+        P = np.zeros((na * q,) * d + (m,), dtype=complex)
+        P[np.unravel_index(lin, (n,) * d)] = coef
+        P = P.reshape(split).transpose(order)
+        out = np.zeros((w, m), dtype=complex)
+        for a in np.ndindex(*(na,) * d):
+            if P[a].any():
+                h = functools.reduce(np.multiply, [hi[t][a[t]] for t in range(d)])
+                B = P[a].reshape(-1, m)
+                out += h[:, None] * (L.T @ B) if narrow else (L * h).T @ B
+        return out
+    out = np.empty((na,) * d + (q,) * d + (m,), dtype=complex)
+    for a in np.ndindex(*(na,) * d):
+        h = functools.reduce(np.multiply, [hi[t][a[t]] for t in range(d)])
+        S = L @ (h[:, None] * coef) if narrow else (L * h) @ coef
+        out[a] = S.reshape((q,) * d + (m,))
+    out = out.transpose(np.argsort(order)).reshape((na * q,) * d + (m,))
+    return out[(slice(0, n),) * d].reshape(-1, m)
 
 
 def _block_builder(phase: Optional[PhaseSpec], sym: SymbolSpec, grid: GridSpec,
                    R: Array, C: Array) -> Callable[[slice], Array]:
-    """The kernel blocks of _kernel_apply: for a slice r of the grid rows R,
-    K[R[r], C] over the frequency columns C (indices into freq_points).
-
-    With a separable symbol, a phase declaring warp_x is linear in eta and
-    one declaring warp_eta is linear in x, and their blocks come from
-    _table_block on the linear side's axis: for warp_x with s = psi(x) of
-    the block's rows and the columns' eta indices, transposed; for warp_eta
-    with s = chi(eta) of the columns, whose lo tables are built once on
-    first use, and the block's x indices.  Every other case, the "dense"
-    path included, evaluates exp(2 pi i Phi) entry by entry, times
-    sigma(x, eta) when the symbol is not separable: the reference."""
-    xs, n = grid.space_points(), grid.samples_per_axis
+    """The kernel blocks of _kernel_apply's reference loop: for a slice r of
+    the grid rows R, K[R[r], C] over the frequency columns C (indices into
+    freq_points), exp(2 pi i Phi) entry by entry, times sigma(x, eta) when
+    the symbol is not separable.  Only the "dense" path and phases that
+    declare neither warp_x nor warp_eta reach it; _table_sum, which the
+    declared warps take, is tested against it."""
+    xs, E = grid.space_points(), grid.freq_points()[None, C]
     sep = sym.separable is not None
-    if sep and phase is not None and phase.warp_x is not None:
-        cols = np.unravel_index(C, grid.shape)
-
-        def build(r):
-            s = phase.warp_x(xs[R[r]])
-            return _table_block(s, cols, grid.freq_axis(),
-                                _lo_tables(s, grid.freq_step, n)).T
-
-        return build
-    if sep and phase is not None and phase.warp_eta is not None:
-        s = phase.warp_eta(grid.freq_points()[C])
-        lo = functools.cache(lambda: _lo_tables(s, grid.space_step, n))
-        return lambda r: _table_block(s, np.unravel_index(R[r], grid.shape),
-                                      grid.space_axis(), lo())
-    E = grid.freq_points()[None, C]
 
     def build(r):
         X = xs[R[r], None]
@@ -262,7 +255,6 @@ def _kernel_apply(
     grid: GridSpec,
     vals: Array,
     adjoint: bool = False,
-    chunk: int = DEFAULT_CHUNK,
 ) -> Array:
     """A f, or A* f with adjoint=True, where A f(x) = sum_eta K[x, eta] fhat(eta)
     deta^d and K = exp(2 pi i Phi) sigma; phase None stands for x.eta.
@@ -272,11 +264,15 @@ def _kernel_apply(
     F^{-1}(sum_x conj(K[x, eta]) f(x) dx^d).  On the "fft" and "warped_rows"
     paths (kernel_path) the plain rows x go through the transform pair, the
     inverse DFT for A and the forward DFT for A*, and only the warped rows
-    get kernel rows.  Kernel rows are built in blocks of `chunk` over the
-    active input coefficients: fhat(eta) b(eta) for A, conj(a(x)) f(x) for
-    A*, each above ACTIVE_TOL of its column's peak.  _block_builder builds
-    them, from two exponential tables per axis for a phase declaring
-    warp_x or warp_eta and by exp(2 pi i Phi) otherwise.
+    enter the oscillatory sum.  That sum runs over the active input
+    coefficients: fhat(eta) b(eta) for A, conj(a(x)) f(x) for A*, each
+    above ACTIVE_TOL of its column's peak.  With a separable symbol and a
+    phase declaring warp_x (psi(x).eta) or warp_eta (x.chi(eta)), the
+    coefficients are contracted against two exponential tables per axis
+    of the linear side (_table_sum): the output is nonuniform for warp_x's
+    A and warp_eta's A*, and on the linear grid for the other two.  The
+    dense path and phases declaring no warp multiply kernel blocks of
+    DEFAULT_CHUNK rows from _block_builder, the reference.
     """
     n = grid.size
     cols = vals.reshape(n, -1)
@@ -309,18 +305,27 @@ def _kernel_apply(
         else:
             act = _active_columns(c)
             R, C, coef = rows, act, c[act] * grid.freq_step ** grid.dim
-        c = cw = None  # free the full columns: only coef enters the kernel loop
-        build = _block_builder(phase, sym, grid, R, C)
-        for lo in range(0, len(R), chunk):
-            # K still holds the previous block while this one is built.
-            # Releasing it first raised m1_sweep peak RSS: glibc then keeps
-            # the freed blocks under its dynamic trim threshold instead of
-            # unmapping them.
-            K = build(slice(lo, lo + chunk))
-            if adjoint:
-                out += np.conj(K.T @ np.conj(coef[lo:lo + chunk]))
+        c = cw = None  # free the full columns: only coef enters the sum
+        if sep is not None and (phase.warp_x is not None or phase.warp_eta is not None):
+            sign = -1.0 if adjoint else 1.0
+            if phase.warp_x is not None:
+                s, axis, step, lin = phase.warp_x(xs[R]), grid.freq_axis(), grid.freq_step, C
             else:
-                out[R[lo:lo + chunk]] = K @ coef
+                s, axis, step, lin = phase.warp_eta(es[C]), grid.space_axis(), grid.space_step, R
+            nonuniform_out = (phase.warp_x is not None) != adjoint
+            res = _table_sum(sign * s, axis, step, coef, lin if nonuniform_out else None)
+            if adjoint:
+                out += res
+            else:
+                out[R] = res
+        else:
+            build = _block_builder(phase, sym, grid, R, C)
+            for lo in range(0, len(R), DEFAULT_CHUNK):
+                K = build(slice(lo, lo + DEFAULT_CHUNK))
+                if adjoint:
+                    out += np.conj(K.T @ np.conj(coef[lo:lo + DEFAULT_CHUNK]))
+                else:
+                    out[R[lo:lo + DEFAULT_CHUNK]] = K @ coef
     out = dft(np.conj(b) * out, gd, inverse=True) if adjoint else a * out
     return out.reshape(vals.shape)
 
@@ -830,8 +835,16 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
 
     Where ||A|| is gamma itself and G = 0, as when the warp moves rows by
     whole periods 2L, G is a difference of two matrices near gamma^4 I, and
-    G^1/2 turns its rounding into about sqrt(eps): the norm then keeps only
-    half its digits (1.8e-8 relative on such a band of 32 rows at N = 256).
+    G^1/2 turns its rounding, about w eps gamma^4, into about sqrt(w eps)
+    gamma^2: the norm would keep only half its digits (1.8e-8 relative on
+    such a band of 32 rows at N = 256).  So when the top eigenvalue lies
+    within sqrt(w eps) gamma^2 of gamma^2, G is summed as C^T C over the
+    plain rows instead, from the same closed form (C_pj = gamma^2 / size
+    times it at t = x_p - s_j), which costs size x w entries.  c15's
+    operators never take that sum.  Just past that band the rounding stays
+    in the second order: a shift of 1e-9 periods instead gives
+    ||A|| = 1 + 3.4e-7 with an error of 3.1e-10, and 1e-7 periods
+    1 + 3.4e-5 with 3.9e-12.
     """
     if op.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
         return None
@@ -847,14 +860,28 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     w, n = len(rows), gr.size
     if w == 0:
         return float(np.sqrt(g2))
-    x = gr.space_points()[rows]
+    xs = gr.space_points()
+    x = xs[rows]
     s = phase.warp_x(x)
     D = _dirichlet(s[:, None] - s[None, :], gr) * (g2 / n)
+
+    def top(G):
+        mu, V = np.linalg.eigh(G)
+        half = (V * np.sqrt(np.clip(mu, 0.0, None))) @ V.T
+        return np.linalg.eigvalsh(np.block([[g2 * np.eye(w), half], [half, D]]))[-1]
+
     X = _dirichlet(s[:, None] - x[None, :], gr) / n
-    mu, V = np.linalg.eigh(g2 * (D - g2 * (X @ X.T)))
-    half = (V * np.sqrt(np.clip(mu, 0.0, None))) @ V.T
-    H = np.block([[g2 * np.eye(w), half], [half, D]])
-    return float(np.sqrt(np.linalg.eigvalsh(H)[-1]))
+    lam = top(g2 * (D - g2 * (X @ X.T)))
+    if lam - g2 <= np.sqrt(w * np.finfo(float).eps) * g2:
+        # G's rounding, about w eps gamma^4, may be all of it: sum C^T C
+        # over the plain rows instead, w of them at a time
+        plain = np.delete(xs, rows, axis=0)
+        G = np.zeros((w, w))
+        for i in range(0, len(plain), w):
+            C = _dirichlet(plain[i:i + w, None] - s[None, :], gr) * (g2 / n)
+            G += C.T @ C
+        lam = top(G)
+    return float(np.sqrt(lam))
 
 
 def _dense_l2_norm(op: OperatorHandle) -> float:

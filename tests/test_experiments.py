@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fiolab import operators
 from fiolab.experiments import (
     DEFAULT_N_SWEEP,
+    _apply_columns,
     _freq_multiply,
     _lp_sweep,
     _lp_witnesses,
@@ -324,6 +327,23 @@ def test_m1_one_application(kernel_calls):
         w = _freq_multiply(make_fn(n, default_chi(), SMALL), mult_up)
         ref.append(_mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window))
     np.testing.assert_allclose([r for *_, r in res.rows], ref, rtol=1e-12, atol=0)
+
+
+def test_m1_application_traced_peak():
+    """c12's application (N = 4096, the five witnesses of the default sweep
+    as columns, 909 warped rows) is contracted against exponential tables,
+    with no kernel block: it traces about 3.5 MiB, under a bound of 6 MiB."""
+    g = sharpness_grid()
+    phase, sym = _m1_operator_parts(-0.5, 0.3)
+    mult_up = bracket(g.freq_points()).reshape(g.shape) ** 0.5
+    ws = [_freq_multiply(make_fn(n, default_chi(), g), mult_up) for n in DEFAULT_N_SWEEP]
+    tracemalloc.start()
+    try:
+        _apply_columns(phase, sym, g, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def test_m2_conjugation_one_application_each(kernel_calls):

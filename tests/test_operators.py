@@ -762,6 +762,19 @@ def _dense_norm(op):
     return np.linalg.norm(op._apply_flat(op.grid, np.eye(op.grid.size, dtype=complex)), 2)
 
 
+def _count_dirichlet(monkeypatch):
+    """A one-item list counting the calls of operators._dirichlet."""
+    calls = [0]
+    dirichlet = operators._dirichlet
+
+    def spy(t, gr):
+        calls[0] += 1
+        return dirichlet(t, gr)
+
+    monkeypatch.setattr(operators, "_dirichlet", spy)
+    return calls
+
+
 class TestOpNorm:
     def test_identity_norm(self, g512):
         op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g512)
@@ -818,7 +831,7 @@ class TestOpNorm:
         frequency sum.  At 1.5 periods the closed form reduces each t of X by
         one or two periods, a factor -1 for one.  The rank-update route
         matches the spectral norm of the dense sample matrix, whose
-        table-built rows follow the warp."""
+        table-summed rows follow the warp."""
         g = GridSpec(1, 16.0, 256)
         shift = periods * 2 * g.half_width
         base = phase_from_name("phase_xphi(0.3)")
@@ -834,20 +847,49 @@ class TestOpNorm:
         monkeypatch.setattr(operators, "_dense_l2_norm", None)  # never reached
         assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("periods", [1, 2])
+    def test_exact_norm_at_gamma(self, periods, monkeypatch):
+        """A hand-built warp_x moves the 32 rows of 0 <= x < 4 by exactly one
+        or two periods 2L, so every row is a plain Fourier row and ||A|| = 1,
+        gamma itself.  G = gamma^2 (D - gamma^2 X X^T) would then be all
+        rounding (1 + 1.8e-8); the route sums G = C^T C over the plain rows
+        instead and matches the spectral norm of the dense sample matrix to
+        1e-12."""
+        g = GridSpec(1, 16.0, 256)
+        shift = periods * 2 * g.half_width
+
+        def warp(x):
+            return x + shift * ((x >= 0.0) & (x < 4.0))
+
+        phase = replace(phase_from_name("phase_xphi(0.3)"), warp_x=warp,
+                        fn=lambda x, eta: np.sum(warp(x) * eta, axis=-1))
+        op = OperatorHandle("fio_type1", symbol_from_name("one"), phase, g)
+        assert kernel_path(phase, op.symbol, g)[1].size == 32
+        ref = _dense_norm(op)
+        calls = _count_dirichlet(monkeypatch)
+        monkeypatch.setattr(operators, "_dense_l2_norm", None)  # never reached
+        assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
+        assert abs(ref - 1.0) <= 1e-12
+        assert calls[0] > 2
+
     def test_exact_norm_builds_no_kernel_block(self, monkeypatch):
         """c15's operators at N = 2048 and 4096 give c15's norms with no
         kernel block and no exponential table: their Gram entries are
-        closed-form sums."""
+        closed-form sums, two of them (D and X) per norm, so neither takes
+        the C^T C sum of a norm at gamma."""
         def refuse(*args):
             raise AssertionError("kernel block built")
 
-        for name in ("_block_builder", "_table_block", "_exp_table", "_dense_l2_norm"):
+        for name in ("_block_builder", "_exp_table", "_dense_l2_norm"):
             monkeypatch.setattr(operators, name, refuse)
+        calls = _count_dirichlet(monkeypatch)
         phase = phase_from_name("phase_xphi(0.3)")
         for n, norm in ((2048, 1.4471326352477485), (4096, 1.4575457569357682)):
             op = OperatorHandle("fio_type1", symbol_from_name("one"), phase,
                                 GridSpec(1, 16.0, n))
+            calls[0] = 0
             assert abs(op_norm_estimate(op).value - norm) <= 1e-13
+            assert calls[0] == 2
 
     def test_exact_norm_traced_peak(self):
         """At N = 4096 (w = 113 warped rows) the closed form traces about
@@ -1072,8 +1114,9 @@ def test_paths_match_dense_reference(gname, sname, kind, pname):
 
 
 def test_paths_across_kernel_blocks():
-    """909 warped rows fill four row blocks of the default chunk: both
-    directions and the normal operator A*A against the dense reference."""
+    """909 warped rows, contracted against the tables, in both directions
+    and the normal operator A*A, against the dense reference, whose 2048
+    rows fill eight kernel blocks of DEFAULT_CHUNK rows."""
     g = GridSpec(1, 1.0, 2048)
     sym = _path_symbol("complex")
     phase = phase_from_name("phase_xphi(0.3)")
@@ -1089,56 +1132,84 @@ def test_paths_across_kernel_blocks():
     assert kernel_path(phase, sym, g)[1].size == 909
 
 
+def _dense_pair(sym, phase, g, f):
+    """A f and A* f on the dense reference path, with A = (phase, sym)."""
+    dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
+    return [_applied(dense, f, adjoint).samples for adjoint in (False, True)]
+
+
+def _spy_tables(monkeypatch):
+    """The (rows, points) of every _exp_table call from here on, with
+    _block_builder refused."""
+    tables = []
+    exp_table = operators._exp_table
+
+    def spy_table(nodes, s):
+        tables.append((len(nodes), len(s)))
+        return exp_table(nodes, s)
+
+    def no_block(*args):
+        raise AssertionError("kernel block built")
+
+    monkeypatch.setattr(operators, "_exp_table", spy_table)
+    monkeypatch.setattr(operators, "_block_builder", no_block)
+    return tables
+
+
+def _no_fn(x, eta):
+    raise AssertionError("exp(2 pi i Phi) evaluated through fn")
+
+
 @pytest.mark.parametrize("gname", sorted(PATH_GRIDS))
 @pytest.mark.parametrize("pname", PATH_PHASES)
 def test_declared_warps_take_table_build(gname, pname, monkeypatch):
-    """Every registry phase declares a warp, and its kernel blocks come from
-    the exponential tables of _table_block, never from fn: lo tables of Q
-    rows and hi tables of at most ceil(n / Q), Q the power of two nearest
-    sqrt(n), and fewer table entries than block entries, in both directions
-    and in d = 1 and 2.  phase_linear builds no block at all.  A zero input,
-    which leaves no active column, gives zero."""
+    """Every registry phase declares a warp, and its sums are contracted
+    against the exponential tables of _table_sum, never a kernel block of
+    _block_builder and never fn: lo tables of Q rows and hi tables of at
+    most ceil(n / Q), Q the power of two nearest sqrt(n), in both
+    directions and in d = 1 and 2.  phase_linear builds no table at all.
+    A zero input, which leaves no active column, gives zero."""
     g = PATH_GRIDS[gname]
     n = g.samples_per_axis
     q = operators._split(n)
     assert q in (16, 4) and q * q == n
     phase = phase_from_name(pname)
     assert phase.warp_x is not None or phase.warp_eta is not None
-    tables, blocks = [], []
-    exp_table, table_block = operators._exp_table, operators._table_block
-
-    def spy_table(nodes, s):
-        tables.append((len(nodes), len(s)))
-        return exp_table(nodes, s)
-
-    def spy_block(*args):
-        B = table_block(*args)
-        blocks.append(B.shape)
-        return B
-
-    def no_fn(x, eta):
-        raise AssertionError("exp(2 pi i Phi) evaluated through fn")
-
-    monkeypatch.setattr(operators, "_exp_table", spy_table)
-    monkeypatch.setattr(operators, "_table_block", spy_block)
     sym = _path_symbol("complex")
-    op = OperatorHandle("fio_type1", sym, replace(phase, fn=no_fn), g)
-    dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
     f = random_schwartz_signal(g, np.random.default_rng(75))
-    for adjoint in (False, True):
+    refs = _dense_pair(sym, phase, g, f)
+    tables = _spy_tables(monkeypatch)
+    op = OperatorHandle("fio_type1", sym, replace(phase, fn=_no_fn), g)
+    for adjoint, ref in zip((False, True), refs):
         tables.clear()
-        blocks.clear()
-        got = _applied(op, f, adjoint).samples
-        assert _rel(got, _applied(dense, f, adjoint).samples) <= 1e-12
+        assert _rel(_applied(op, f, adjoint).samples, ref) <= 1e-12
         if pname == "phase_linear":
-            assert tables == blocks == []
+            assert tables == []
             continue
-        assert blocks and {r for r, _ in tables} >= {q}
+        assert {r for r, _ in tables} == {q, n // q}
         assert all(r <= max(q, -(-n // q)) for r, _ in tables)
-        assert sum(r * c for r, c in tables) < sum(r * c for r, c in blocks)
     zero = Signal(g, np.zeros(g.shape, dtype=complex))
     assert not np.any(_applied(op, zero).samples)
     assert not np.any(_applied(op, zero, adjoint=True).samples)
+
+
+@pytest.mark.parametrize("pname", ["phase_xphi(0.3)", "phase_phix(0.3)"])
+def test_table_sum_when_split_leaves_remainder(pname, monkeypatch):
+    """At N = 100, Q = 8 does not divide N: the linear side is padded to
+    13 blocks of 8 nodes, and both warps in both directions still match the
+    dense reference to 1e-12 with no kernel block built."""
+    g = GridSpec(1, 8.0, 100)
+    assert operators._split(100) == 8
+    phase = phase_from_name(pname)
+    sym = _path_symbol("complex")
+    f = random_schwartz_signal(g, np.random.default_rng(77))
+    refs = _dense_pair(sym, phase, g, f)
+    tables = _spy_tables(monkeypatch)
+    op = OperatorHandle("fio_type1", sym, replace(phase, fn=_no_fn), g)
+    for adjoint, ref in zip((False, True), refs):
+        tables.clear()
+        assert _rel(_applied(op, f, adjoint).samples, ref) <= 1e-12
+        assert {r for r, _ in tables} == {8, 13}
 
 
 DERIVED_OPERATORS = {
@@ -1153,9 +1224,10 @@ DERIVED_OPERATORS = {
 @pytest.mark.parametrize("pname", ["phase_xphi(0.3)", "phase_phix(0.3)"])
 def test_derived_operators_take_table_build(gname, pname, derive):
     """The operators of the transpose and Fourier-conjugation identities
-    (c07, c13) keep a separable symbol and a declared warp, so their kernel
-    blocks come from the exponential tables, never from fn, and agree with
-    the direct exp(2 pi i Phi) times sigma of the dense path, for A and A*.
+    (c07, c13) keep a separable symbol and a declared warp, so their sums
+    are contracted against the exponential tables, never through fn, and
+    agree with the direct exp(2 pi i Phi) times sigma of the dense path,
+    for A and A*.
     The derived symbol's factors multiply to its fn."""
     g = PATH_GRIDS[gname]
     phase, sym = DERIVED_OPERATORS[derive](phase_from_name(pname), _path_symbol("complex"))
@@ -1163,11 +1235,7 @@ def test_derived_operators_take_table_build(gname, pname, derive):
     eta = g.freq_points()[None, ::7]
     a, b = sym.separable
     assert _rel(a(x) * b(eta), sym(x, eta)) <= 1e-15
-
-    def no_fn(x, eta):
-        raise AssertionError("exp(2 pi i Phi) evaluated through fn")
-
-    op = OperatorHandle("fio_type1", sym, replace(phase, fn=no_fn), g)
+    op = OperatorHandle("fio_type1", sym, replace(phase, fn=_no_fn), g)
     dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
     f = random_schwartz_signal(g, np.random.default_rng(76))
     assert _rel(_applied(op, f).samples, _applied(dense, f).samples) <= 1e-12
@@ -1191,9 +1259,8 @@ def _large_argument_inputs(gname):
 def test_table_build_at_large_arguments(gname, pname):
     """On the c12 and c14 grids the kernel arguments reach |2 pi Phi| of
     about 2000 rad (c14 witnesses) and 3000 rad (n = 256), against about
-    400 rad in the path tests above.  The table-built blocks still agree
-    with the direct exp(2 pi i Phi) of the dense path to 1e-12, for A and
-    for A*."""
+    400 rad in the path tests above.  The table sums still agree with the
+    direct exp(2 pi i Phi) of the dense path to 1e-12, for A and for A*."""
     g, cols = _large_argument_inputs(gname)
     one = symbol_from_name("one")
     phase = phase_from_name(pname)
