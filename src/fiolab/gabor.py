@@ -14,12 +14,14 @@ is one full period; the space range covers the box plus a margin chosen by
 an atom-mass rule.  On that range the frame operator is block diagonal
 (Walnut), and the frame solvers factor its blocks exactly.  Since the tones
 of any lattice repeat after P = N / gcd(N, n_step) samples, the same fibers
-fold the lattice coefficients of many signals at once (_folded_analysis):
-it is the only analysis path, for gabor_analysis (one column) and the
-Gabor-matrix rows, and gabor_synthesis is its adjoint.  Both take each
-residue's tone at its sample nearest x = 0, and the window translates come
-from one strided gather of the zero-padded window (_shift_views), which
-_stft_blocks also reads.
+fold the lattice coefficients (_folded_analysis): one signal, for
+gabor_analysis, takes its residue sums in one einsum over the window
+translates; many columns, the Gabor-matrix rows, go through one batched
+matmul.  gabor_synthesis is the adjoint.  All take each residue's tone at
+its sample nearest x = 0.  The window translates are one view, sliced with
+step -k_step, of the sliding windows of the zero-padded window
+(_window_table over _shift_views, which _stft_blocks also reads); no table
+of them is gathered.
 """
 from __future__ import annotations
 
@@ -99,14 +101,15 @@ class StftData:
     x_stride: int = 1
 
 
-def _shift_views(samples: Array) -> Array:
-    """Sliding windows of samples zero-padded to 3N per axis: the window
-    starting at N - s on every axis is samples moved by s there,
-    out[t] = samples[t - s] with zero fill, for every shift |s| <= N."""
+def _shift_views(samples: Array, reach: int) -> Array:
+    """Sliding windows of samples zero-padded by reach on both sides of
+    every axis: the window starting at reach - s on every axis is samples
+    moved by s there, out[t] = samples[t - s] with zero fill, for every
+    shift |s| <= reach."""
     n = samples.shape[0]
     d = samples.ndim
-    pad = np.zeros((3 * n,) * d, dtype=samples.dtype)
-    pad[(slice(n, 2 * n),) * d] = samples
+    pad = np.zeros((n + 2 * reach,) * d, dtype=samples.dtype)
+    pad[(slice(reach, reach + n),) * d] = samples
     return np.lib.stride_tricks.sliding_window_view(pad, samples.shape)
 
 
@@ -137,7 +140,7 @@ def _stft_blocks(f: Signal, g: Window, x_stride: int):
     gr = f.grid
     n = gr.samples_per_axis
     d = gr.dim
-    shifted = _shift_views(np.conj(g.signal.samples))
+    shifted = _shift_views(np.conj(g.signal.samples), n)
     starts = n - (np.arange(0, n, x_stride) - n // 2)
     total = len(starts) ** d
     step = max(1, _STFT_BLOCK_BYTES // (16 * n ** d))
@@ -274,6 +277,9 @@ class GaborLattice:
             raise GridAlignmentError("alpha must be a multiple of the space step")
         if abs(self.beta / deta - round(self.beta / deta)) > 1e-9:
             raise GridAlignmentError("beta must be a multiple of the frequency step")
+        k0 = self.k_index[0]
+        if self.k_index != tuple(range(k0, k0 + len(self.k_index))):
+            raise ValueError("k_index must be consecutive integers")
 
     @property
     def k_step(self) -> int:
@@ -357,15 +363,34 @@ def _check_band(lat: GaborLattice) -> None:
         raise GridAlignmentError("frequency lattice exceeds the resolved band")
 
 
-def _window_table(g: Window, lat: GaborLattice) -> Array:
-    """All space-translates T_{alpha k} g, one per k tuple in lat.k_tuples()
-    order, stacked along a leading axis: one strided gather from
-    _shift_views, each shift clamped to +-N per axis (beyond that the
-    translate is all zero fill)."""
-    n = lat.grid.samples_per_axis
-    starts = n - np.clip(lat.k_values * lat.k_step, -n, n)
-    views = _shift_views(g.signal.samples)
-    return views[np.ix_(*[starts] * lat.grid.dim)].reshape((-1,) + lat.grid.shape)
+def _window_table(samples: Array, lat: GaborLattice) -> Array:
+    """All space-translates T_{alpha k} of the window samples, axes
+    (k_1 .. k_d, x_1 .. x_d) with each k axis in lat.k_index order: a
+    read-only view of _shift_views, padded to reach the largest lattice
+    shift, and sliced with step -k_step (the translate by s starts at
+    reach - s).  A translate by N or more per axis is all zero fill.
+    Nothing is copied; a caller that needs contiguous memory takes one
+    copy (_fiber_translates)."""
+    ks = lat.k_step
+    k0, k1 = lat.k_index[0], lat.k_index[-1]
+    reach = ks * max(abs(k0), abs(k1))
+    views = _shift_views(samples, reach)
+    lo = reach - k1 * ks
+    d = lat.grid.dim
+    return views[(slice(lo, lo + (k1 - k0) * ks + 1, ks),) * d][(slice(None, None, -1),) * d]
+
+
+def _fiber_translates(samples: Array, lat: GaborLattice, p: int) -> Array:
+    """The translates of _window_table on the Walnut fibers of period p
+    (see _fibers), in one contiguous copy of shape (p^d, Q^d, K^d), with
+    Q = N / p and the K^d k tuples in lat.k_tuples() order."""
+    d = lat.grid.dim
+    q = lat.grid.samples_per_axis // p
+    t = _window_table(samples, lat)
+    t = t.reshape(t.shape[:d] + (q, p) * d)
+    r_ax, q_ax = list(range(d + 1, 3 * d, 2)), list(range(d, 3 * d, 2))
+    t = np.ascontiguousarray(t.transpose(r_ax + q_ax + list(range(d))))
+    return t.reshape(p ** d, q ** d, -1)
 
 
 def _tone_period(lat: GaborLattice) -> int:
@@ -402,7 +427,7 @@ def _atom_rows(g: Window, lat: GaborLattice) -> Array:
     """All atoms M_{beta n} T_{alpha k} g as flattened rows, k-major, in
     lat.k_tuples() x lat.n_tuples() order."""
     tones = _tone_rows(_tone_table(lat, lat.grid.samples_per_axis), lat.grid.dim)
-    TG = _window_table(g, lat).reshape(-1, 1, tones.shape[1])
+    TG = _window_table(g.signal.samples, lat).reshape(-1, 1, tones.shape[1])
     return (TG * tones).reshape(-1, tones.shape[1])
 
 
@@ -418,9 +443,9 @@ def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
 
 def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g, the adjoint of the fold:
-    each n axis contracted with the tones of one period P (_tone_table), the
-    result tiled N / P times per axis (sample qP + r takes residue r) and
-    summed against the window translates."""
+    each n axis contracted with the tones of one period P (_tone_table),
+    then one einsum over the view of the window translates (_window_table):
+    sample qP + r of an axis takes residue r, summed over k."""
     gr = g.grid
     d = gr.dim
     p = _tone_period(lat)
@@ -428,9 +453,12 @@ def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     W = c.values.reshape((-1,) + (len(lat.n_index),) * d)
     for _ in range(d):
         W = np.tensordot(W, tones, axes=([1], [0]))
-    TG = _window_table(g, lat).reshape((-1,) + (gr.samples_per_axis // p, p) * d)
-    W = W.reshape((-1,) + (1, p) * d)
-    return Signal(gr, np.sum(W * TG, axis=0).reshape(gr.shape))
+    TG = _window_table(g.signal.samples, lat)
+    TG = TG.reshape(TG.shape[:d] + (gr.samples_per_axis // p, p) * d)
+    k_ax, qr_ax = list(range(d)), list(range(d, 3 * d))
+    out = np.einsum(W.reshape(TG.shape[:d] + (p,) * d), k_ax + qr_ax[1::2],
+                    TG, k_ax + qr_ax, qr_ax)
+    return Signal(gr, out.reshape(gr.shape))
 
 
 def gabor_analysis_direct(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
@@ -515,21 +543,34 @@ def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
     exp(2 pi i beta n' x) repeats after P = N / gcd(N, n_step) samples per
     axis.  The inner product therefore folds onto the Walnut fibers of
     _fibers: the Q^d = (N / P)^d samples of each residue tuple r are summed
-    against conj(T_{k'} g) first, one batched matmul giving (P^d, K, m), and
-    the P^d residue sums then against the conjugated tones of one period,
-    each residue's taken at its sample nearest x = 0 (_tone_table), one
-    gemm.  Columns go in blocks of _FOLD_BLOCK_BYTES.
+    against conj(T_{k'} g) first, and the P^d residue sums then against the
+    conjugated tones of one period, each residue's taken at its sample
+    nearest x = 0 (_tone_table), one gemm.  One column (gabor_analysis)
+    takes its residue sums in one einsum over the view of the conj(g)
+    translates (_window_table), with no table built.  More columns (the
+    Gabor-matrix rows) take one batched matmul giving (P^d, K, m) against
+    one contiguous copy of the translates (_fiber_translates, read
+    transposed), in column blocks of _FOLD_BLOCK_BYTES.
     """
     gr = g.grid
     d = gr.dim
     p = _tone_period(lat)
-    W = _fibers(_window_table(g, lat).conj(), p, d).transpose(1, 0, 2)
+    conj_g = np.conj(g.signal.samples)
     T = _tone_rows(_tone_table(lat, p), d).conj()
-    nk, nn = W.shape[1], T.shape[0]
+    nk, nn = len(lat.k_index) ** d, T.shape[0]
     m = cols.shape[1]
+    scale = gr.space_step ** d
+    if m == 1:
+        q = gr.samples_per_axis // p
+        V = _window_table(conj_g, lat)
+        k_ax, qr_ax = list(range(d)), list(range(d, 3 * d))
+        Y = np.einsum(V.reshape(V.shape[:d] + (q, p) * d), k_ax + qr_ax,
+                      cols.reshape((q, p) * d), qr_ax, k_ax + qr_ax[1::2])
+        Z = T @ Y.reshape(nk, -1).T
+        return (Z.T * scale).reshape(-1, 1)
+    W = _fiber_translates(conj_g, lat, p).transpose(0, 2, 1)
     out = np.empty((nk, nn, m), dtype=complex)
     step = max(1, _FOLD_BLOCK_BYTES // (16 * nk * max(p ** d, nn)))
-    scale = gr.space_step ** d
     for c0 in range(0, m, step):
         h = _fibers(cols[:, c0:c0 + step].T.reshape((-1,) + gr.shape), p, d)
         Y = W @ h.transpose(1, 2, 0)
@@ -546,11 +587,13 @@ def _frame_blocks(g: Window, lat: GaborLattice) -> Array:
     over n of exp(2 pi i beta n (x - y)) is P where x = y modulo P samples
     on every axis and 0 elsewhere, so S_g only couples samples of one
     residue tuple r: S[qP+r, q'P+r] = (P dx)^d sum_k T_k g(qP+r) conj(T_k g(q'P+r))
-    (D. Walnut, J. Math. Anal. Appl. 165, 1992).
+    (D. Walnut, J. Math. Anal. Appl. 165, 1992).  The translates are read
+    once from their view into a contiguous (P^d, Q^d, K^d) table
+    (_fiber_translates), so the batched product runs in BLAS.
     """
     gr = g.grid
     p = _period(lat)
-    T = _fibers(_window_table(g, lat), p, gr.dim).transpose(1, 2, 0)
+    T = _fiber_translates(g.signal.samples, lat, p)
     return (T @ T.conj().transpose(0, 2, 1)) * (p * gr.space_step) ** gr.dim
 
 

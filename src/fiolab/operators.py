@@ -51,7 +51,7 @@ multiply kernel blocks of exp(2 pi i Phi), evaluated entry by entry
 (_block_builder): the reference the tables are tested against.
 
 op_norm_estimate gives the L^2 norm exactly to rounding on every route,
-but just above norm gamma, as _exact_l2_norm says.  For a constant
+also at and just above norm gamma (_exact_l2_norm).  For a constant
 separable symbol on the "fft" and "warped_rows" paths it comes from one
 real 2w x 2w eigenvalue problem over the w warped rows, whose Gram entries
 are closed-form Dirichlet sums over the frequency grid, so no kernel block
@@ -837,14 +837,15 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     whole periods 2L, G is a difference of two matrices near gamma^4 I, and
     G^1/2 turns its rounding, about w eps gamma^4, into about sqrt(w eps)
     gamma^2: the norm would keep only half its digits (1.8e-8 relative on
-    such a band of 32 rows at N = 256).  So when the top eigenvalue lies
-    within sqrt(w eps) gamma^2 of gamma^2, G is summed as C^T C over the
-    plain rows instead, from the same closed form (C_pj = gamma^2 / size
-    times it at t = x_p - s_j), which costs size x w entries.  c15's
-    operators never take that sum.  Just past that band the rounding stays
-    in the second order: a shift of 1e-9 periods instead gives
-    ||A|| = 1 + 3.4e-7 with an error of 3.1e-10, and 1e-7 periods
-    1 + 3.4e-5 with 3.9e-12.
+    such a band of 32 rows at N = 256).  Just above gamma the relative
+    error is still about eps gamma^2 / (||A||^2 - gamma^2): moving that
+    band by 1e-9 periods gives ||A|| = 1 + 3.4e-7 with an error of 3.5e-10.
+    So when the top eigenvalue lies within eps^(1/5) gamma^2 (7.4e-4) of
+    gamma^2, which bounds that error by about eps^(4/5) (3e-13), G is summed
+    as C^T C over the plain rows instead, from the same closed form
+    (C_pj = gamma^2 / size times it at t = x_p - s_j), which costs
+    size x w entries.  c15's operators, with ||A||^2 / gamma^2 - 1 near
+    1.09, never take that sum.
     """
     if op.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
         return None
@@ -872,9 +873,9 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
 
     X = _dirichlet(s[:, None] - x[None, :], gr) / n
     lam = top(g2 * (D - g2 * (X @ X.T)))
-    if lam - g2 <= np.sqrt(w * np.finfo(float).eps) * g2:
-        # G's rounding, about w eps gamma^4, may be all of it: sum C^T C
-        # over the plain rows instead, w of them at a time
+    if lam - g2 <= np.finfo(float).eps ** 0.2 * g2:
+        # G's rounding, about w eps gamma^4, is a large part of it: sum
+        # C^T C over the plain rows instead, w of them at a time
         plain = np.delete(xs, rows, axis=0)
         G = np.zeros((w, w))
         for i in range(0, len(plain), w):

@@ -867,3 +867,40 @@ def test_fft_out_check_sees_calls():
            "a = np.fft.fftn(x, axes=(1,), out=x)\nb = inv(x, out=x)\n"
            "c = np.fft.fft(x)\nd = np.multiply(x, 2, out=x)\n")
     assert _fft_out_calls(ast.parse(src)) == ["line 3: np.fft.fftn", "line 4: inv"]
+
+
+def _as_strided_calls(tree):
+    """Calls of numpy's as_strided: any attribute call .as_strided
+    (np.lib.stride_tricks.as_strided, stride_tricks.as_strided, ...) or a
+    name imported as as_strided from any module."""
+    names = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+             for a in n.names if a.name == "as_strided"}
+    bad = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        if (isinstance(func, ast.Attribute) and func.attr == "as_strided") \
+                or (isinstance(func, ast.Name) and func.id in names):
+            bad.append(f"line {call.lineno}: {ast.unparse(func)}")
+    return bad
+
+
+def test_no_as_strided():
+    """Window translates are basic slices of sliding_window_view, which
+    checks its bounds; as_strided checks none, so no src/ module calls it."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        bad += [f"{path.name}: {b}" for b in _as_strided_calls(ast.parse(path.read_text()))]
+    assert not bad, "as_strided calls: " + ", ".join(bad)
+
+
+def test_as_strided_check_sees_calls():
+    src = ("import numpy as np\nfrom numpy.lib.stride_tricks import as_strided as ast_\n"
+           "from numpy.lib import stride_tricks\n"
+           "a = np.lib.stride_tricks.as_strided(x, (2,), (8,))\nb = ast_(x, (2,), (8,))\n"
+           "c = stride_tricks.as_strided(x)\n"
+           "d = np.lib.stride_tricks.sliding_window_view(x, 2)\n")
+    assert _as_strided_calls(ast.parse(src)) == [
+        "line 4: np.lib.stride_tricks.as_strided", "line 5: ast_",
+        "line 6: stride_tricks.as_strided"]

@@ -44,6 +44,7 @@ from fiolab.grid import (
 )
 
 from conftest import make_corpus
+from test_operators import FOLD_LATTICES
 
 
 @pytest.fixture(scope="module")
@@ -453,7 +454,7 @@ class TestMergedPathsByteReference:
 
     def test_atom_rows_d1(self, g256, w256, lat256):
         tones = _tone_table(lat256, g256.samples_per_axis)
-        old = _window_table(w256, lat256)[:, None, :] * tones[None, :, :]
+        old = _window_table(w256.signal.samples, lat256)[:, None, :] * tones[None, :, :]
         assert np.array_equal(_atom_rows(w256, lat256), old.reshape(-1, old.shape[-1]))
 
 
@@ -541,23 +542,96 @@ class TestFoldedAnalysisSynthesis:
                 gabor_analysis(f, w256, lat)
 
 
-class TestWindowTable:
-    """_window_table gathers every translate from one zero-padded view; it
-    equals a stack of per-shift _zero_fill_shift calls bit for bit, also
-    for shifts past +-N, which leave nothing of the window."""
+def _gathered_translates(w, lat):
+    """The translates as the old _window_table gathered them: fancy
+    indexing of the windows of w zero-padded to 3N per axis, each shift
+    clamped to +-N, one row per k tuple."""
+    g = lat.grid
+    n = g.samples_per_axis
+    pad = np.zeros((3 * n,) * g.dim, dtype=complex)
+    pad[(slice(n, 2 * n),) * g.dim] = w.signal.samples
+    views = np.lib.stride_tricks.sliding_window_view(pad, g.shape)
+    starts = n - np.clip(lat.k_values * lat.k_step, -n, n)
+    return views[np.ix_(*[starts] * g.dim)].reshape((-1,) + g.shape)
 
-    @pytest.mark.parametrize("g,k_radius", [(GridSpec(1, 8.0, 256), 40),
-                                            (GridSpec(2, 4.0, 16), 20)], ids=["d1", "d2"])
-    def test_matches_shift_stack(self, g, k_radius):
+
+def _owner(a):
+    """The array that owns the memory a views."""
+    while not (isinstance(a, np.ndarray) and a.flags.owndata):
+        a = a.base
+    return a
+
+
+# ANALYSIS_LATTICES and FOLD_LATTICES, plus two k ranges whose shifts pass
+# +-N per axis (their first and last translates are all zero fill)
+TABLE_LATTICES = {**{f"analysis_{k}": v for k, v in ANALYSIS_LATTICES.items()},
+                  **{f"fold_{k}": v for k, v in FOLD_LATTICES.items()},
+                  "past_n_d1": (GridSpec(1, 8.0, 256), 0.5, 0.5, 40, 1),
+                  "past_n_d2": (GridSpec(2, 4.0, 16), 0.5, 0.5, 20, 1)}
+
+
+class TestWindowTable:
+    """_window_table is a view of the window zero-padded to reach the
+    largest lattice shift; it equals the old gathered translates, and a
+    stack of per-shift _zero_fill_shift calls, bit for bit."""
+
+    @pytest.mark.parametrize("lname", sorted(TABLE_LATTICES))
+    def test_view_matches_gathered_translates(self, lname):
+        g, alpha, beta, kr, nr = TABLE_LATTICES[lname]
         w = Window.gaussian(g)
-        lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=k_radius, n_radius=1)
-        assert k_radius * lat.k_step > g.samples_per_axis
+        lat = GaborLattice.for_grid(g, alpha, beta, window=w, k_radius=kr, n_radius=nr)
+        table = _window_table(w.signal.samples, lat)
+        nk = len(lat.k_index)
+        assert table.shape == (nk,) * g.dim + g.shape
+        src = _owner(table)
+        reach = lat.k_step * max(abs(k) for k in lat.k_index)
+        assert src.shape == (g.samples_per_axis + 2 * reach,) * g.dim
+        assert np.shares_memory(table, src) and not table.flags.writeable
+        flat = table.reshape((-1,) + g.shape)
+        assert np.array_equal(flat, _gathered_translates(w, lat))
         ref = np.stack([_zero_fill_shift(w.signal.samples, tuple(k * lat.k_step for k in kt))
                         for kt in lat.k_tuples()])
-        table = _window_table(w, lat)
-        assert table.shape == (len(lat.k_index) ** g.dim,) + g.shape
-        assert np.array_equal(table, ref)
-        assert not np.any(table[0]) and not np.any(table[-1])
+        assert np.array_equal(flat, ref)
+        if lname.startswith("past_n"):
+            assert reach > g.samples_per_axis
+            assert not np.any(flat[0]) and not np.any(flat[-1])
+
+    def test_k_index_must_be_consecutive(self, g256):
+        with pytest.raises(ValueError, match="consecutive"):
+            GaborLattice(g256, 0.5, 0.5, (0, 2, 4), (0, 1))
+
+
+class TestOneSignalPeaks:
+    """On the benchmark's solvers lattice (N = 1024, L = 16, alpha = beta =
+    0.5, 71 x 64 atoms) one analysis and one synthesis build no table of
+    translates: traced peaks 0.39 and 0.18 MiB, against 2.22 and 2.48 MiB
+    for the gathered, conjugated and fiber-ordered copies they replaced."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        g = GridSpec(1, 16.0, 1024)
+        w = Window.gaussian(g)
+        lat = GaborLattice.for_grid(g, 0.5, 0.5, window=w)
+        assert lat.num_atoms == 71 * 64
+        f = random_schwartz_signal(g, np.random.default_rng(35))
+        return w, lat, f, gabor_analysis(f, w, lat)
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_analysis_peak(self, case):
+        w, lat, f, _ = case
+        assert self._peak(lambda: gabor_analysis(f, w, lat)) <= 1.5 * 2 ** 20
+
+    def test_synthesis_peak(self, case):
+        w, lat, _, c = case
+        assert self._peak(lambda: gabor_synthesis(c, w, lat)) <= 0.5 * 2 ** 20
 
 
 class TestStftBlocks:

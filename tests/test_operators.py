@@ -872,6 +872,30 @@ class TestOpNorm:
         assert abs(ref - 1.0) <= 1e-12
         assert calls[0] > 2
 
+    @pytest.mark.parametrize("delta,summed", [(1e-9, True), (1e-7, True), (1e-5, False)])
+    def test_exact_norm_just_above_gamma(self, delta, summed, monkeypatch):
+        """The 32 rows of 0 <= x < 4 moved by 1 + delta periods 2L give
+        ||A|| - 1 of 3.4e-7, 3.4e-5 and 3.4e-3.  Below eps^(1/5) of
+        ||A||^2 - gamma^2 the route sums G = C^T C: relative errors 1.4e-14
+        and 1.6e-14, against 3.5e-10 and 3.9e-12 without that sum.  Above
+        it G's rounding is small (3.5e-14).  All three match the dense
+        spectral norm to 1e-12."""
+        g = GridSpec(1, 16.0, 256)
+        shift = (1 + delta) * 2 * g.half_width
+
+        def warp(x):
+            return x + shift * ((x >= 0.0) & (x < 4.0))
+
+        phase = replace(phase_from_name("phase_xphi(0.3)"), warp_x=warp,
+                        fn=lambda x, eta: np.sum(warp(x) * eta, axis=-1))
+        op = OperatorHandle("fio_type1", symbol_from_name("one"), phase, g)
+        ref = np.linalg.norm(op._apply_flat(g, np.eye(g.size, dtype=complex)), 2)
+        calls = _count_dirichlet(monkeypatch)
+        monkeypatch.setattr(operators, "_dense_l2_norm", None)  # never reached
+        assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
+        assert 0 < ref - 1.0 < 1e-2
+        assert (calls[0] > 2) == summed
+
     def test_exact_norm_builds_no_kernel_block(self, monkeypatch):
         """c15's operators at N = 2048 and 4096 give c15's norms with no
         kernel block and no exponential table: their Gram entries are
@@ -890,6 +914,8 @@ class TestOpNorm:
             calls[0] = 0
             assert abs(op_norm_estimate(op).value - norm) <= 1e-13
             assert calls[0] == 2
+            # ||A||^2 / gamma^2 - 1 is about 1.09, far past the C^T C band
+            assert norm ** 2 - 1.0 > 1e3 * np.finfo(float).eps ** 0.2
 
     def test_exact_norm_traced_peak(self):
         """At N = 4096 (w = 113 warped rows) the closed form traces about
