@@ -41,7 +41,7 @@ from .grid import (
     inverse_fourier,
     lp_norm,
 )
-from . import operators
+from .operators import OperatorHandle
 from .norms import mod_norm
 from .symbols import (
     Diffeo,
@@ -135,16 +135,13 @@ def _freq_multiply(f: Signal, mult: Array) -> Signal:
     return inverse_fourier(Signal(fh.grid, fh.samples * mult))
 
 
-def _apply_columns(phase, sym, grid: GridSpec, signals: Iterable[Signal],
-                   adjoint: bool = False) -> list[Signal]:
-    """The type I operator (phase, sym), or its adjoint, applied to signals on
-    grid as the columns of a single operators._kernel_apply call, so the
-    exponential tables are built once for all of them; outputs in input
-    order.
+def _apply_columns(op: OperatorHandle, signals: Iterable[Signal]) -> list[Signal]:
+    """op applied to signals on op.grid as the columns of a single
+    op.apply_columns call, so the exponential tables are built once for all
+    of them; outputs in input order.
     """
     cols = np.stack([s.samples.ravel() for s in signals], axis=1)
-    out = operators._kernel_apply(phase, sym, grid, cols, adjoint=adjoint)
-    return [Signal(grid, row) for row in np.ascontiguousarray(out.T)]
+    return [Signal(op.grid, row) for row in np.ascontiguousarray(op.apply_columns(cols).T)]
 
 
 def _mod_ratio(out: Signal, inp: Signal, p: float, window: Window) -> float:
@@ -246,16 +243,17 @@ def _lp_sweep(c: float, n_sweep: tuple[int, ...], grid: GridSpec):
     exp(2 pi i x phi(eta)) G f^, where phi = make_diffeo(c): (names, ins,
     outs), the plain and warped witnesses of every n in sweep order and the
     origin bump last.  A_0 is applied once, to all of them as the columns of
-    one kernel application; its symbol <x>^0 G has a = 1.0, so A_m f is
-    <x>^m times A_0 f bit for bit, the last step of _kernel_apply.  Every
-    (p, m) cell of one (c, n_sweep, grid) shares the entry; two entries hold
-    the c = 0.3 sweep and its c = 0 control.  Arrays are read-only."""
+    one application; its symbol <x>^0 G has a = 1.0, and a type I
+    application multiplies by a(x) last, so A_m f is <x>^m times A_0 f bit
+    for bit.  Every (p, m) cell of one (c, n_sweep, grid) shares the entry;
+    two entries hold the c = 0.3 sweep and its c = 0 control.  Arrays are
+    read-only."""
     chi, dif = default_chi(), make_diffeo(c)
     pairs = [pair for n in n_sweep for pair in _lp_witnesses(n, chi, dif, grid)]
     pairs.append(("origin-bump", _origin_bump(chi, grid)))
     names, ins = zip(*pairs)
-    outs = _apply_columns(phase_from_name(f"phase_phix({c})"),
-                          symbol_from_name("x_power_freq_cutoff(0)"), grid, ins)
+    outs = _apply_columns(OperatorHandle("fio_type1", symbol_from_name("x_power_freq_cutoff(0)"),
+                                         phase_from_name(f"phase_phix({c})"), grid), ins)
     for s in (*ins, *outs):
         s.samples.flags.writeable = False
     return names, ins, tuple(outs)
@@ -339,7 +337,8 @@ def sharpness_m1_experiment(
     phase, sym = _m1_operator_parts(m1, c)
     mult_up = bracket(grid.freq_points()).reshape(grid.shape) ** (-m1)
     ws = [_freq_multiply(make_fn(n, chi, grid), mult_up) for n in n_sweep]
-    ratios = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, jobs)
+    op = OperatorHandle("fio_type1", sym, phase, grid)
+    ratios = _mod_ratios(_apply_columns(op, ws), ws, p, window, jobs)
     fit = _fit_sweep(n_sweep, ratios)
     thr = threshold(p, grid.dim)
     expected = "bounded" if m1 <= thr + 1e-12 else "unbounded"
@@ -386,9 +385,10 @@ def m2_conjugation_consistency(
     ws = [_freq_multiply(Signal.from_generator(grid, env.modulated([float(n)])), mult_up)
           for n in n_sweep]
     wfs = [fourier_transform(w) for w in ws]
-    direct = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, jobs)
-    conj = _mod_ratios(_apply_columns(bphase, bsym, dual_grid(grid), wfs, adjoint=True), wfs,
-                       p, window, jobs)
+    direct = _mod_ratios(_apply_columns(OperatorHandle("fio_type1", sym, phase, grid), ws),
+                         ws, p, window, jobs)
+    B = OperatorHandle("fio_type2", bsym, bphase, dual_grid(grid))
+    conj = _mod_ratios(_apply_columns(B, wfs), wfs, p, window, jobs)
     return float(max(abs(rc - rd) / rd for rc, rd in zip(conj, direct)))
 
 
@@ -461,7 +461,8 @@ def main_theorem_boundedness_suite(
             cc = c if pname == "warped" else 0.0
             phase = phase_from_name(f"phase_xphi({cc})")
             sym = symbol_from_name(f"model_sg({m1},{m2})")
-            r = _mod_ratios(_apply_columns(phase, sym, grid, ws), ws, p, window, jobs)
+            op = OperatorHandle("fio_type1", sym, phase, grid)
+            r = _mod_ratios(_apply_columns(op, ws), ws, p, window, jobs)
             vals = [max(0.0, r[i], r[i + 1]) for i in range(0, len(r), 2)]
             fit = _fit_sweep(n_sweep, vals)
             rows.append(BoundednessRow(

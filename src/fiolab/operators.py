@@ -8,14 +8,15 @@ K[x, eta] = exp(2 pi i Phi(x, eta)) sigma(x, eta):
 * type II FIO     (Bf)^(eta) = sum_x exp(-2 pi i Phi(x,eta)) conj(sigma) f dx^d
 
 The type II sum is the conjugate transpose of the type I kernel, so with the
-grid's unitary transform pair apply_fio2(Phi, sigma) is the exact discrete
-adjoint of apply_fio1(Phi, sigma), and adjoint identities hold to rounding
-rather than to quadrature accuracy.
+grid's unitary transform pair the fio_type2 operator of (Phi, sigma) is the
+exact discrete adjoint of its fio_type1 operator, and adjoint identities
+hold to rounding rather than to quadrature accuracy.
 
-_kernel_apply is the single place that applies an operator; every consumer
-(apply_pseudo_kn, apply_fio1, apply_fio2, OperatorHandle, gabor_matrix and
-op_norm_estimate's dense sample matrix) goes through it.  kernel_path names
-the path it takes.  The paths:
+OperatorHandle.apply_columns is the one surface that applies an operator, A
+or A*, to flat sample columns; apply, the structural checks, compose_leading,
+gabor_matrix, the dense norm and the experiments' sweeps all go through it.
+pseudo_weyl takes the midpoint sum (_weyl_sum), every other kind
+_kernel_apply, whose path kernel_path names.  The paths:
 
 * "fft": two FFTs, a F^{-1} b F, when sigma declares separable = (a(x), b(eta))
   and every grid row is plain, i.e. the phase is x.eta there (phase None, or
@@ -86,14 +87,16 @@ from .grid import (
     TruncationAliasingWarning,
     _dft,
     bracket,
+    dilate,
     dual_grid,
     fourier_transform,
     inner_product,
     inverse_fourier,
     lp_norm,
 )
-from .symbols import PhaseSpec, SymbolSpec, _negated_phase, _starred_symbol, \
-    _transposed_phase, _transposed_symbol, dot, psi_j
+from .symbols import Box, PhaseSpec, SymbolSpec, _negated_phase, _starred_symbol, \
+    _transposed_phase, _transposed_symbol, conjugated_piece, dot, dyadic_piece, \
+    growth_validate, nondeg_validate, psi_j
 
 DEFAULT_CHUNK = 256
 ACTIVE_TOL = 1e-15
@@ -137,16 +140,10 @@ def _warped_rows(phase: Optional[PhaseSpec], grid: GridSpec) -> Optional[Array]:
 
 def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec,
                 grid: GridSpec) -> tuple[str, Array]:
-    """The path _kernel_apply takes for (phase, sym) on grid, and the grid
-    rows it builds kernel rows for (the warped rows on "fft" and
-    "warped_rows", every row otherwise).  The paths:
-
-    * "fft": separable symbol and no warped row, a(x) F^{-1} b(eta) F;
-    * "warped_rows": separable symbol; plain rows from the FFT, kernel rows
-      only where the declared warp moves x;
-    * "phase_kernel": separable symbol, phase without warp_x; the phase-only
-      kernel on every row, a(x) and b(eta) applied as vectors;
-    * "dense": the kernel times sigma(x, eta) on every row, the reference.
+    """The path _kernel_apply takes for (phase, sym) on grid, "fft",
+    "warped_rows", "phase_kernel" or "dense" as the module docstring lists
+    them, and the grid rows it builds kernel rows for (the warped rows on
+    "fft" and "warped_rows", every row otherwise).
 
     The label does not say how the sum is formed: on "warped_rows" and
     "phase_kernel" a phase declaring warp_x or warp_eta is contracted
@@ -330,14 +327,9 @@ def _kernel_apply(
     return out.reshape(vals.shape)
 
 
-def apply_pseudo_kn(p: SymbolSpec, f: Signal) -> Signal:
-    """Kohn-Nirenberg quantization; separable symbols take the two-FFT path."""
-    return Signal(f.grid, _kernel_apply(None, p, f.grid, f.samples.ravel()))
-
-
-def _weyl_sum(p: SymbolSpec, grid: GridSpec, vals: Array) -> Array:
-    """Weyl quantization by the dense midpoint double sum (small grids only),
-    on flat sample columns (size,) or (size, m): one kernel row per x."""
+def _weyl_sum(p: Callable[[Array, Array], Array], grid: GridSpec, vals: Array) -> Array:
+    """Weyl quantization of the symbol p(x, eta) by the dense midpoint double
+    sum (small grids only), on flat columns (size,) or (size, m): one row per x."""
     if grid.size > 512:
         raise ValueError("dense Weyl quantization is limited to N^d <= 512")
     xs = grid.space_points()
@@ -380,31 +372,14 @@ def _aliasing_guard(phase: PhaseSpec, sym: SymbolSpec, f: Signal) -> None:
         )
 
 
-def apply_fio1(
-    phase: PhaseSpec,
-    sym: SymbolSpec,
-    f: Signal,
-    guard: bool = True,
-) -> Signal:
-    """Type I FIO: the oscillatory sum over the active frequency columns."""
-    if guard:
-        _aliasing_guard(phase, sym, f)
-    return Signal(f.grid, _kernel_apply(phase, sym, f.grid, f.samples.ravel()))
-
-
-def apply_fio2(phase: PhaseSpec, sym: SymbolSpec, f: Signal) -> Signal:
-    """Type II FIO, the exact discrete adjoint of apply_fio1(phase, sym)."""
-    return Signal(f.grid, _kernel_apply(phase, sym, f.grid, f.samples.ravel(),
-                                        adjoint=True))
-
-
 @dataclass
 class OperatorHandle:
-    """A quantized operator applicable to signals.
+    """A quantized operator on grid, and the one surface that applies it:
+    apply_columns (A or A*), and apply, its guarded Signal entry point.
 
-    kind is one of pseudo_kn, pseudo_weyl, fio_type1, fio_type2.  FIO kinds
-    require a phase passing the non-degeneracy and growth validators on the
-    grid's box (coarsely sampled at construction).
+    kind is one of pseudo_kn, pseudo_weyl, fio_type1, fio_type2, checked at
+    construction.  FIO kinds require a phase passing the non-degeneracy and
+    growth validators on the grid's box (coarsely sampled at construction).
     """
 
     kind: str
@@ -413,10 +388,11 @@ class OperatorHandle:
     grid: GridSpec
 
     def __post_init__(self):
+        if self.kind not in ("pseudo_kn", "pseudo_weyl", "fio_type1", "fio_type2"):
+            raise ValueError(f"unknown kind {self.kind}")
         if self.kind in ("fio_type1", "fio_type2"):
             if self.phase is None:
                 raise ValueError("FIO kinds require a phase")
-            from .symbols import Box, growth_validate, nondeg_validate
             box = Box.for_grid(self.grid)
             nd = nondeg_validate(self.phase, box, samples=17)
             gw = growth_validate(self.phase, box, samples=17)
@@ -426,22 +402,36 @@ class OperatorHandle:
                     f"growth ratios=({gw.min_ratio_x:.3g}, {gw.min_ratio_eta:.3g})"
                 )
 
-    def _apply_flat(self, grid: GridSpec, vals: Array) -> Array:
-        """The operator on flat sample columns (size,) or (size, m); Weyl
-        keeps its midpoint sum."""
+    def apply_columns(self, vals: Array, adjoint: bool = False) -> Array:
+        """A, or A* with adjoint=True, on flat sample columns (size,) or
+        (size, m) on grid, exact on the grid: fio_type1 and fio_type2 are each
+        other's adjoint, and pseudo_weyl's is the Weyl sum of conj(symbol)."""
         if self.kind == "pseudo_weyl":
-            return _weyl_sum(self.symbol, grid, vals)
-        if self.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
-            raise ValueError(f"unknown kind {self.kind}")
+            p = self.symbol
+            return _weyl_sum((lambda x, eta: np.conj(p(x, eta))) if adjoint else p,
+                             self.grid, vals)
         phase = None if self.kind == "pseudo_kn" else self.phase
-        return _kernel_apply(phase, self.symbol, grid, vals,
-                             adjoint=self.kind == "fio_type2")
+        return _kernel_apply(phase, self.symbol, self.grid, vals,
+                             adjoint=adjoint != (self.kind == "fio_type2"))
+
+    def _on_grid(self, what: str, grid: GridSpec) -> None:
+        """Raise ValueError unless grid, the grid of `what`, is the operator's."""
+        if grid != self.grid:
+            raise ValueError(f"{what} is on {grid}, not on the operator's grid {self.grid}")
 
     def apply(self, f: Signal) -> Signal:
-        """The operator on f; a type I FIO first runs _aliasing_guard."""
+        """The operator on f, a signal on grid; a type I FIO first runs
+        _aliasing_guard."""
+        self._on_grid("the signal", f.grid)
         if self.kind == "fio_type1":
             _aliasing_guard(self.phase, self.symbol, f)
-        return Signal(f.grid, self._apply_flat(f.grid, f.samples.ravel()))
+        return Signal(f.grid, self.apply_columns(f.samples.ravel()))
+
+
+def apply_fio1(phase: PhaseSpec, sym: SymbolSpec, f: Signal) -> Signal:
+    """The guarded type I FIO on f.  Kept only because the benchmark
+    tracer's ENTRY_POINTS wraps it by name; use OperatorHandle."""
+    return OperatorHandle("fio_type1", sym, phase, f.grid).apply(f)
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +440,13 @@ class OperatorHandle:
 
 def adjoint_identity_check(phase: PhaseSpec, sym: SymbolSpec,
                            corpus: Sequence[tuple[Signal, Signal]]) -> float:
-    """max |<Af, g> - <f, Bg>| / (||f|| ||g||) over (f, g) pairs."""
+    """max |<Af, g> - <f, A*g>| / (||f|| ||g||) over (f, g) pairs, A the
+    type I operator of (phase, sym) and A* its adjoint, the type II one."""
     worst = 0.0
     for f, g in corpus:
-        lhs = inner_product(apply_fio1(phase, sym, f, guard=False), g)
-        rhs = inner_product(f, apply_fio2(phase, sym, g))
+        op = OperatorHandle("fio_type1", sym, phase, f.grid)
+        lhs = inner_product(Signal(f.grid, op.apply_columns(f.samples.ravel())), g)
+        rhs = inner_product(f, Signal(g.grid, op.apply_columns(g.samples.ravel(), adjoint=True)))
         den = lp_norm(f, 2) * lp_norm(g, 2)
         worst = max(worst, abs(lhs - rhs) / den)
     return worst
@@ -471,9 +463,11 @@ def transpose_identity_check(phase: PhaseSpec, sym: SymbolSpec,
     worst = 0.0
     for f, g in corpus:
         dx = f.grid.space_step ** f.grid.dim
-        Af = apply_fio1(phase, sym, f, guard=False)
-        lhs = np.sum(Af.samples * g.samples) * dx
-        tAg = fourier_transform(apply_fio1(tp, ts, inverse_fourier(g), guard=False))
+        Af = OperatorHandle("fio_type1", sym, phase, f.grid).apply_columns(f.samples.ravel())
+        lhs = np.sum(Af.reshape(f.grid.shape) * g.samples) * dx
+        gi = inverse_fourier(g)
+        tA = OperatorHandle("fio_type1", ts, tp, gi.grid)
+        tAg = fourier_transform(Signal(gi.grid, tA.apply_columns(gi.samples.ravel())))
         rhs = np.sum(f.samples * tAg.samples) * dx
         den = lp_norm(f, 2) * lp_norm(g, 2)
         worst = max(worst, abs(lhs - rhs) / den)
@@ -493,9 +487,11 @@ def fourier_conjugation_check(phase: PhaseSpec, sym: SymbolSpec,
     bs = _starred_symbol(sym)
     worst = 0.0
     for f in corpus:
-        lhs = apply_fio2(bp, bs, f)
-        rhs = inverse_fourier(apply_fio1(phase, sym, inverse_fourier(f), guard=False))
-        worst = max(worst, lp_norm(Signal(f.grid, lhs.samples - rhs.samples), 2)
+        lhs = OperatorHandle("fio_type2", bs, bp, f.grid).apply_columns(f.samples.ravel())
+        fi = inverse_fourier(f)
+        A = OperatorHandle("fio_type1", sym, phase, fi.grid)
+        rhs = inverse_fourier(Signal(fi.grid, A.apply_columns(fi.samples.ravel())))
+        worst = max(worst, lp_norm(Signal(f.grid, lhs - rhs.samples.ravel()), 2)
                     / lp_norm(f, 2))
     return worst
 
@@ -512,9 +508,6 @@ def dilation_conjugation_check(
     Needs generator-backed signals so the inner dilation is analytic; j - k
     must be even so the outer dilation re-indexes the grid exactly.
     """
-    from .grid import dilate
-    from .symbols import conjugated_piece, dyadic_piece
-
     if (j - k) % 2 != 0:
         raise ValueError("j - k must be even for grid-exact outer dilation")
     lam = 2.0 ** ((j - k) // 2)
@@ -522,11 +515,13 @@ def dilation_conjugation_check(
     s_t, p_t = conjugated_piece(piece, phase, j, k)
     worst = 0.0
     for f in corpus:
-        direct = apply_fio1(phase, piece, f, guard=False)
+        direct = OperatorHandle("fio_type1", piece, phase, f.grid).apply_columns(
+            f.samples.ravel())
         inner = dilate(f, 1.0 / lam)
-        mid = apply_fio1(p_t, s_t, inner, guard=False)
-        conj = dilate(mid, lam)
-        num = lp_norm(Signal(f.grid, direct.samples - conj.samples), 2)
+        mid = OperatorHandle("fio_type1", s_t, p_t, inner.grid).apply_columns(
+            inner.samples.ravel())
+        conj = dilate(Signal(inner.grid, mid), lam)
+        num = lp_norm(Signal(f.grid, direct - conj.samples.ravel()), 2)
         worst = max(worst, num / lp_norm(f, 2))
     return worst
 
@@ -557,17 +552,17 @@ def compose_leading(
     f_j carries the unit band profile psi_j centred at x = 0.45, so every
     dyadic band is probed with full strength.
     """
-    s0 = leading_symbol(p, phase, sigma)
+    A = OperatorHandle("fio_type1", sigma, phase, grid)
+    P = OperatorHandle("pseudo_kn", p, None, grid)
+    S0 = OperatorHandle("fio_type1", leading_symbol(p, phase, sigma), phase, grid)
     eta = grid.freq_points()
     out = []
     for j in js:
         prof = psi_j(j, eta).reshape(grid.shape)
         mod = np.exp(-2j * np.pi * 0.45 * np.sum(eta, axis=-1)).reshape(grid.shape)
-        fj = inverse_fourier(Signal(dual_grid(grid), prof * mod))
-        Af = apply_fio1(phase, sigma, fj, guard=False)
-        pAf = apply_pseudo_kn(p, Af)
-        s0f = apply_fio1(phase, s0, fj, guard=False)
-        r = lp_norm(Signal(grid, pAf.samples - s0f.samples), 2) / lp_norm(fj, 2)
+        fj = inverse_fourier(Signal(dual_grid(grid), prof * mod)).samples.ravel()
+        res = P.apply_columns(A.apply_columns(fj)) - S0.apply_columns(fj)
+        r = lp_norm(Signal(grid, res), 2) / lp_norm(Signal(grid, fj), 2)
         out.append((int(j), float(r)))
     return out
 
@@ -639,14 +634,17 @@ def gabor_matrix(op: OperatorHandle, g: Window, lat: GaborLattice) -> GaborMatri
     fold of the output columns (gabor._folded_analysis), for any lattice.
     Entries below ZERO_FLOOR times the peak modulus are set to 0.
 
-    Raises DenseSizeError, before allocating anything, when the atom table,
-    the operator outputs and the entries together exceed DENSE_BYTES."""
+    Raises ValueError when the window or the lattice is not on op.grid, and
+    DenseSizeError, before allocating anything, when the atom table, the
+    operator outputs and the entries together exceed DENSE_BYTES."""
+    op._on_grid("the window", g.grid)
+    op._on_grid("the lattice", lat.grid)
     gr = g.grid
     _check_dense_bytes(16 * lat.num_atoms * (2 * gr.size + lat.num_atoms),
                        f"a Gabor matrix of {lat.num_atoms} atoms on {gr.size} grid points",
                        "its atoms, outputs and entries")
     atoms, kp, npos = _atom_table(g, lat)
-    outs = op._apply_flat(gr, atoms.T)
+    outs = op.apply_columns(atoms.T)
     atoms = None  # only the outputs enter the fold
     M = GaborMatrix(entries=_folded_analysis(outs, g, lat), k_phys=kp, n_phys=npos,
                     lattice=lat)
@@ -887,14 +885,14 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
 
 def _dense_l2_norm(op: OperatorHandle) -> float:
     """||A|| on L^2 as the square root of the top eigenvalue of A*A, A the
-    size x size sample matrix op._apply_flat(grid, I).  Raises
+    size x size sample matrix op.apply_columns(I).  Raises
     DenseSizeError before allocating anything when A, A*A and their
     temporaries, counted as 5 x size^2 x 16 B, exceed DENSE_BYTES."""
     gr = op.grid
     _check_dense_bytes(5 * 16 * gr.size ** 2,
                        f"the dense L^2 norm on {gr.size} grid points",
                        "its sample matrix and A*A")
-    A = op._apply_flat(gr, np.eye(gr.size, dtype=complex))
+    A = op.apply_columns(np.eye(gr.size, dtype=complex))
     top = np.linalg.eigvalsh(A.conj().T @ A)[-1]
     return float(np.sqrt(max(top, 0.0)))
 

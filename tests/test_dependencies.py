@@ -271,12 +271,15 @@ def test_unreferenced_name_check_sees_reads():
 # references that fast paths are compared against, the dense STFT and its
 # inverse that the gate's criteria c01 and c02 run (the benchmark's tracer
 # also wraps stft), and the four structural identity checks of criterion
-# c07.  No method or property is kept.
+# c07.  apply_fio1 is a one-line shim over OperatorHandle.apply, kept only
+# because the tracer's ENTRY_POINTS wraps it by name; the benchmark refresh
+# (ROADMAP item 1) deletes both.  No method or property is kept.
 TEST_ONLY_FUNCTIONS = {
     "gabor.stft_direct", "gabor.gabor_analysis_direct", "gabor.frame_matrix_dense",
     "gabor.stft", "gabor.istft",
     "operators.adjoint_identity_check", "operators.transpose_identity_check",
     "operators.fourier_conjugation_check", "operators.dilation_conjugation_check",
+    "operators.apply_fio1",
 }
 
 
@@ -904,3 +907,42 @@ def test_as_strided_check_sees_calls():
     assert _as_strided_calls(ast.parse(src)) == [
         "line 4: np.lib.stride_tricks.as_strided", "line 5: ast_",
         "line 6: stride_tricks.as_strided"]
+
+
+# The kernel sums that only OperatorHandle.apply_columns may call
+OPERATOR_SUMS = {"_kernel_apply", "_weyl_sum"}
+
+
+def _operator_sum_names(tree):
+    """Where a module names a kernel sum of OPERATOR_SUMS: as a name, an
+    attribute (operators._kernel_apply) or an imported name."""
+    hits = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names = [n.id]
+        elif isinstance(n, ast.Attribute):
+            names = [n.attr]
+        elif isinstance(n, ast.ImportFrom):
+            names = [a.name for a in n.names]
+        else:
+            continue
+        hits += [(n.lineno, name) for name in names if name in OPERATOR_SUMS]
+    return [f"line {line}: {name}" for line, name in sorted(hits)]
+
+
+def test_operator_sums_stay_in_operators():
+    """Every consumer applies an operator through OperatorHandle, so no src/
+    module but operators.py names _kernel_apply or _weyl_sum."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "operators.py":
+            bad += [f"{path.name}: {b}" for b in _operator_sum_names(ast.parse(path.read_text()))]
+    assert not bad, "kernel sums named outside operators.py: " + ", ".join(bad)
+
+
+def test_operator_sum_check_sees_names():
+    src = ("from .operators import _weyl_sum as w\nfrom . import operators\n"
+           "a = operators._kernel_apply(None, s, g, v)\nb = _kernel_apply\n"
+           "c = operators.kernel_path(None, s, g)\n")
+    assert _operator_sum_names(ast.parse(src)) == [
+        "line 1: _weyl_sum", "line 3: _kernel_apply", "line 4: _kernel_apply"]

@@ -38,7 +38,7 @@ from fiolab.grid import (
     gaussian_generator,
     lp_norm,
 )
-from fiolab.operators import apply_fio1, apply_fio2
+from fiolab.operators import OperatorHandle
 from fiolab.symbols import _negated_phase, _starred_symbol, _transposed_phase, make_diffeo, \
     phase_from_name, plateau, symbol_from_name
 from fiolab.util import fit_loglog
@@ -246,16 +246,21 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def _fio1(phase, sym, f):
+    """The type I operator of (phase, sym) on f, one column, unguarded."""
+    return Signal(f.grid, OperatorHandle("fio_type1", sym, phase, f.grid).apply_columns(
+        f.samples.ravel()))
+
+
 def _assert_columns_match_loop(calls):
-    """Each column of each batched call against apply_fio1 (apply_fio2 for
-    the adjoint) on that column alone, at 1e-12 relative."""
+    """Each column of each batched call against the type I handle of its
+    (phase, sym), or that handle's adjoint, on that column alone, at 1e-12
+    relative."""
     for phase, sym, grid, vals, adjoint, out in calls:
         assert vals.ndim == 2 and out.shape == vals.shape
+        op = OperatorHandle("fio_type1", sym, phase, grid)
         for j in range(vals.shape[1]):
-            f = Signal(grid, vals[:, j])
-            ref = apply_fio2(phase, sym, f) if adjoint else \
-                apply_fio1(phase, sym, f, guard=False)
-            assert _rel(out[:, j], ref.samples.ravel()) <= 1e-12
+            assert _rel(out[:, j], op.apply_columns(vals[:, j], adjoint)) <= 1e-12
 
 
 def test_lp_threshold_one_application(kernel_calls):
@@ -273,7 +278,7 @@ def test_lp_threshold_one_application(kernel_calls):
     phase = phase_from_name("phase_phix(0.3)")
     sym = symbol_from_name("x_power_freq_cutoff(-0.25)")
     ref = [(n, name, lp_norm(w, 4.0),
-            lp_norm(apply_fio1(phase, sym, w, guard=False), 4.0))
+            lp_norm(_fio1(phase, sym, w), 4.0))
            for n in sweep for name, w in _all_witnesses(n, chi, dif, g)]
     assert [r[:3] for r in v.rows] == [r[:3] for r in ref]
     for (_, _, _, nout, ratio), (_, _, nin, nout_ref) in zip(v.rows, ref):
@@ -325,7 +330,7 @@ def test_m1_one_application(kernel_calls):
     ref = []
     for n in sweep:
         w = _freq_multiply(make_fn(n, default_chi(), SMALL), mult_up)
-        ref.append(_mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window))
+        ref.append(_mod_ratio(_fio1(phase, sym, w), w, 1.0, window))
     np.testing.assert_allclose([r for *_, r in res.rows], ref, rtol=1e-12, atol=0)
 
 
@@ -339,7 +344,7 @@ def test_m1_application_traced_peak():
     ws = [_freq_multiply(make_fn(n, default_chi(), g), mult_up) for n in DEFAULT_N_SWEEP]
     tracemalloc.start()
     try:
-        _apply_columns(phase, sym, g, ws)
+        _apply_columns(OperatorHandle("fio_type1", sym, phase, g), ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -365,8 +370,9 @@ def test_m2_conjugation_one_application_each(kernel_calls):
     for n in sweep:
         w = _freq_multiply(Signal.from_generator(grid, env.modulated([float(n)])), mult_up)
         wf = fourier_transform(w)
-        r_direct = _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window)
-        r_conj = _mod_ratio(apply_fio2(bphase, bsym, wf), wf, 1.0, window)
+        r_direct = _mod_ratio(_fio1(phase, sym, w), w, 1.0, window)
+        r_conj = _mod_ratio(OperatorHandle("fio_type2", bsym, bphase, wf.grid).apply(wf), wf,
+                            1.0, window)
         devs.append(abs(r_conj - r_direct) / r_direct)
     # a difference of two ratios near 1, each matching at 1e-12 relative
     assert dev == pytest.approx(max(devs), abs=1e-12)
@@ -393,7 +399,7 @@ def test_boundedness_one_application_per_operator(kernel_calls):
             for n in sweep:
                 fn = make_fn(n, default_chi(), SMALL)
                 best.append(max(
-                    _mod_ratio(apply_fio1(phase, sym, w, guard=False), w, 1.0, window)
+                    _mod_ratio(_fio1(phase, sym, w), w, 1.0, window)
                     for w in (fn, _freq_multiply(fn, mult_up))))
             fit = fit_loglog(sweep, best)
             row = next(it)

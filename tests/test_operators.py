@@ -34,8 +34,6 @@ from fiolab.operators import (
     OperatorHandle,
     adjoint_identity_check,
     apply_fio1,
-    apply_fio2,
-    apply_pseudo_kn,
     compose_leading,
     diag_decay_certify,
     dilation_conjugation_check,
@@ -69,18 +67,6 @@ from fiolab.symbols import (
 from conftest import make_corpus
 
 
-def _applied(op, f, adjoint=False):
-    """op, or its adjoint, on f, without the aliasing guard of op.apply: a
-    Kohn-Nirenberg or FIO handle's kernel in the other direction (a Weyl
-    handle has no adjoint here)."""
-    if not adjoint:
-        return Signal(f.grid, op._apply_flat(f.grid, f.samples.ravel()))
-    assert op.kind in ("pseudo_kn", "fio_type1", "fio_type2")
-    phase = None if op.kind == "pseudo_kn" else op.phase
-    return Signal(f.grid, operators._kernel_apply(phase, op.symbol, f.grid, f.samples.ravel(),
-                                                  adjoint=op.kind != "fio_type2"))
-
-
 @pytest.fixture(scope="module")
 def g512():
     return GridSpec(1, 8.0, 512)
@@ -95,15 +81,15 @@ def pair_corpus(g512):
 class TestPseudoKN:
     def test_identity(self, g512):
         f = random_schwartz_signal(g512, np.random.default_rng(41))
-        out = apply_pseudo_kn(symbol_from_name("one"), f)
+        out = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g512).apply(f)
         assert lp_norm(Signal(g512, out.samples - f.samples), 2) / lp_norm(f, 2) < 1e-12
 
     def test_multiplier_vs_fft_path(self, g512):
         f = random_schwartz_signal(g512, np.random.default_rng(42))
         sym = symbol_from_name("eta_power(0.7)")
-        fast = apply_pseudo_kn(sym, f)  # separable path
+        fast = OperatorHandle("pseudo_kn", sym, None, g512).apply(f)  # separable path
         dense_sym = SymbolSpec(order=sym.order, fn=sym.fn)
-        dense = apply_pseudo_kn(dense_sym, f)
+        dense = OperatorHandle("pseudo_kn", dense_sym, None, g512).apply(f)
         assert np.max(np.abs(fast.samples - dense.samples)) < 1e-10
         F = fourier_transform(f)
         oracle = inverse_fourier(
@@ -113,7 +99,7 @@ class TestPseudoKN:
     def test_x_symbol_is_pointwise(self, g512):
         f = random_schwartz_signal(g512, np.random.default_rng(43))
         sym = symbol_from_name("x_power(1.5)")
-        out = apply_pseudo_kn(sym, f)
+        out = OperatorHandle("pseudo_kn", sym, None, g512).apply(f)
         oracle = bracket(g512.space_axis()[:, None]) ** 1.5 * f.samples
         assert np.max(np.abs(out.samples - oracle)) < 1e-9 * np.max(np.abs(oracle))
 
@@ -123,8 +109,9 @@ class TestPseudoKN:
         a, b = 0.7 - 0.1j, -1.2 + 0.4j
         sym = symbol_from_name("model_sg(-0.5,-0.5)")
         comb = Signal(g512, a * f.samples + b * h.samples)
-        lhs = apply_pseudo_kn(sym, comb).samples
-        rhs = a * apply_pseudo_kn(sym, f).samples + b * apply_pseudo_kn(sym, h).samples
+        op = OperatorHandle("pseudo_kn", sym, None, g512)
+        lhs = op.apply(comb).samples
+        rhs = a * op.apply(f).samples + b * op.apply(h).samples
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
@@ -144,7 +131,7 @@ class TestWeyl:
                          fn=lambda x, eta: np.asarray(eta)[..., 0]
                          * np.ones(np.asarray(x).shape[:-1]))
         a = OperatorHandle("pseudo_weyl", sym, None, g128).apply(f)
-        b = apply_pseudo_kn(sym, f)
+        b = OperatorHandle("pseudo_kn", sym, None, g128).apply(f)
         assert np.max(np.abs(a.samples - b.samples)) < 1e-10
 
     def test_real_symbol_self_adjoint(self, g128):
@@ -163,17 +150,17 @@ class TestFio:
     def test_linear_phase_identity(self, g512):
         f = random_schwartz_signal(g512, np.random.default_rng(48))
         phase = phase_from_name("phase_linear")
-        out = apply_fio1(phase, symbol_from_name("one"), f)
+        out = OperatorHandle("fio_type1", symbol_from_name("one"), phase, g512).apply(f)
         assert lp_norm(Signal(g512, out.samples - f.samples), 2) / lp_norm(f, 2) < 1e-10
-        out2 = apply_fio2(phase, symbol_from_name("one"), f)
+        out2 = OperatorHandle("fio_type2", symbol_from_name("one"), phase, g512).apply(f)
         assert lp_norm(Signal(g512, out2.samples - f.samples), 2) / lp_norm(f, 2) < 1e-10
 
     def test_linear_phase_multiplier(self, g512):
         f = random_schwartz_signal(g512, np.random.default_rng(49))
         phase = phase_from_name("phase_linear")
         sym = symbol_from_name("eta_power(-1.0)")
-        out = apply_fio1(phase, sym, f)
-        oracle = apply_pseudo_kn(sym, f)
+        out = OperatorHandle("fio_type1", sym, phase, g512).apply(f)
+        oracle = OperatorHandle("pseudo_kn", sym, None, g512).apply(f)
         assert np.max(np.abs(out.samples - oracle.samples)) < 1e-10
 
     def test_composition_operator(self):
@@ -183,9 +170,10 @@ class TestFio:
         phase = phase_from_name("phase_xphi(0.3)")
         gen = gaussian_generator(0.8).translated([0.4])
         f = Signal.from_generator(g, gen)
-        out = apply_fio1(phase, symbol_from_name("one"), f, guard=False)
+        op = OperatorHandle("fio_type1", symbol_from_name("one"), phase, g)
+        out = op.apply_columns(f.samples.ravel())
         oracle = Signal.from_generator(g, gen.composed((dif.phi,)))
-        err = lp_norm(Signal(g, out.samples - oracle.samples), 2) / lp_norm(f, 2)
+        err = lp_norm(Signal(g, out - oracle.samples), 2) / lp_norm(f, 2)
         assert err < 1e-8
 
     def test_type2_multiplier(self, g512):
@@ -194,7 +182,7 @@ class TestFio:
         sym = SymbolSpec(order=(0, 0),
                          fn=lambda x, eta: np.exp(1j * np.asarray(eta)[..., 0])
                          * np.ones(np.asarray(x).shape[:-1]))
-        out = apply_fio2(phase, sym, f)
+        out = OperatorHandle("fio_type2", sym, phase, g512).apply(f)
         F = fourier_transform(f)
         oracle = inverse_fourier(Signal(
             F.grid, np.conj(np.exp(1j * g512.freq_axis())) * F.samples))
@@ -247,7 +235,13 @@ class TestFio:
             mixed_hessian=stretch.mixed_hessian,
         )
         with pytest.warns(TruncationAliasingWarning):
-            apply_fio1(steep, big, f)
+            OperatorHandle("fio_type1", big, steep, g).apply(f)
+
+    def test_apply_fio1_is_the_guarded_handle(self, g512):
+        f = random_schwartz_signal(g512, np.random.default_rng(53))
+        phase, sym = phase_from_name("phase_xphi(0.3)"), symbol_from_name("model_sg(-0.5,-0.5)")
+        ref = OperatorHandle("fio_type1", sym, phase, g512).apply(f)
+        assert np.array_equal(apply_fio1(phase, sym, f).samples, ref.samples)
 
 
 class TestComposition:
@@ -286,8 +280,8 @@ class TestComposition:
         g = GridSpec(1, 128.0, 4096)
         u = modulate(Signal.from_generator(g, gaussian_generator(20.0)), [4.0])
         ul = Signal(g, u.samples * psi_j(l, g.space_axis()[:, None]))
-        norms = {k: lp_norm(apply_fio1(phase, dyadic_piece(sym, 2, k),
-                                       ul, guard=False), 2)
+        norms = {k: lp_norm(Signal(g, OperatorHandle(
+            "fio_type1", dyadic_piece(sym, 2, k), phase, g).apply_columns(ul.samples.ravel())), 2)
                  for k in range(0, 6)}
         peak = max(norms.values())
         assert max(norms, key=norms.get) == l
@@ -301,7 +295,7 @@ def _dense_gram(op, w, lat):
     without the zero floor: (atoms.conj() @ outs) dx^d."""
     g = w.grid
     atoms, _, _ = _atom_table(w, lat)
-    outs = op._apply_flat(g, atoms.T)
+    outs = op.apply_columns(atoms.T)
     return (atoms.conj() @ outs) * g.space_step ** g.dim
 
 
@@ -615,7 +609,7 @@ class TestGaborMatrix:
             ki, ni = int(M.k_phys[i, 0] / 0.5), int(M.n_phys[i, 0] / 0.5)
             kj, nj = int(M.k_phys[j, 0] / 0.5), int(M.n_phys[j, 0] / 0.5)
             direct = inner_product(
-                apply_pseudo_kn(sym, gabor_atom(w, lat, [kj], [nj])),
+                op.apply(gabor_atom(w, lat, [kj], [nj])),
                 gabor_atom(w, lat, [ki], [ni]))
             assert abs(M.entries[i, j] - direct) < 1e-10
 
@@ -694,6 +688,23 @@ class TestGaborMatrix:
         assert np.isfinite(consts).all()
         assert max(consts) / min(consts) < 2.0
 
+    @pytest.mark.parametrize("wgrid,lgrid", [
+        (GridSpec(1, 8.0, 256), GridSpec(1, 8.0, 256)),
+        (GridSpec(1, 8.0, 128), GridSpec(1, 8.0, 128)),
+        (GridSpec(1, 16.0, 256), GridSpec(1, 8.0, 256)),
+    ], ids=["half_width", "samples", "lattice_only"])
+    def test_window_or_lattice_off_operator_grid(self, wgrid, lgrid):
+        """An operator on GridSpec(1, 16, 256) with a window or a lattice on
+        another grid is refused; it once gave a 25 x 25 matrix on the window's
+        grid, with the phase validated on the operator's box."""
+        op = OperatorHandle("pseudo_kn", symbol_from_name("model_sg(-0.5,-0.5)"), None,
+                            GridSpec(1, 16.0, 256))
+        w = Window.gaussian(wgrid)
+        lat = GaborLattice.for_grid(lgrid, 0.5, 0.5, k_radius=2, n_radius=2)
+        what = "window" if wgrid != op.grid else "lattice"
+        with pytest.raises(ValueError, match=f"the {what} is on .* not on the operator's grid"):
+            gabor_matrix(op, w, lat)
+
     def test_schur_identity(self, small_matrix_setup):
         g, w, lat = small_matrix_setup
         op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, g)
@@ -759,7 +770,7 @@ class TestConcentration:
 
 def _dense_norm(op):
     """The spectral norm of op's sample matrix, by numpy's SVD."""
-    return np.linalg.norm(op._apply_flat(op.grid, np.eye(op.grid.size, dtype=complex)), 2)
+    return np.linalg.norm(op.apply_columns(np.eye(op.grid.size, dtype=complex)), 2)
 
 
 def _count_dirichlet(monkeypatch):
@@ -788,7 +799,7 @@ class TestOpNorm:
     def test_corpus_ratio_lower_bound(self, g512):
         op = OperatorHandle("fio_type1", symbol_from_name("one"),
                             phase_from_name("phase_xphi(0.3)"), g512)
-        lo = max(lp_norm(_applied(op, f), 2) / lp_norm(f, 2)
+        lo = max(lp_norm(Signal(g512, op.apply_columns(f.samples.ravel())), 2) / lp_norm(f, 2)
                  for f in make_corpus(g512, 4, seed=52))
         hi = op_norm_estimate(op)
         assert lo <= hi.value * (1 + 1e-12)
@@ -889,7 +900,7 @@ class TestOpNorm:
         phase = replace(phase_from_name("phase_xphi(0.3)"), warp_x=warp,
                         fn=lambda x, eta: np.sum(warp(x) * eta, axis=-1))
         op = OperatorHandle("fio_type1", symbol_from_name("one"), phase, g)
-        ref = np.linalg.norm(op._apply_flat(g, np.eye(g.size, dtype=complex)), 2)
+        ref = _dense_norm(op)
         calls = _count_dirichlet(monkeypatch)
         monkeypatch.setattr(operators, "_dense_l2_norm", None)  # never reached
         assert abs(op_norm_estimate(op).value - ref) <= 1e-12 * ref
@@ -994,7 +1005,7 @@ class TestOpNorm:
         assert kernel_path(op.phase, op.symbol, g)[0] == "phase_kernel"
         if gname == "d1_256":
             monkeypatch.setattr(operators, "DENSE_BYTES", 5 * 16 * g.size ** 2 - 1)
-        monkeypatch.setattr(OperatorHandle, "_apply_flat", None)  # never reached
+        monkeypatch.setattr(OperatorHandle, "apply_columns", None)  # never reached
         with pytest.raises(DenseSizeError, match=f"on {g.size} grid points") as err:
             op_norm_estimate(op)
         assert "DENSE_BYTES" in str(err.value)
@@ -1027,11 +1038,50 @@ def test_every_application_is_linear(kind, phase_name):
     op = OperatorHandle(kind, symbol_from_name("model_sg(-0.5,-0.5)"), phase, g)
     a, b = 0.3 + 0.9j, -1.1 - 0.2j
     comb = Signal(g, a * f.samples + b * h.samples)
-    lhs = _applied(op, comb).samples
-    fa = _applied(op, f).samples
-    hb = _applied(op, h).samples
+    lhs = op.apply_columns(comb.samples.ravel())
+    fa = op.apply_columns(f.samples.ravel())
+    hb = op.apply_columns(h.samples.ravel())
     rhs = a * fa + b * hb
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0)
+
+
+@pytest.mark.parametrize("gname", ["d1", "d2"])
+@pytest.mark.parametrize("kind,pname", [
+    ("pseudo_kn", None), ("pseudo_weyl", None),
+    ("fio_type1", "phase_xphi(0.3)"), ("fio_type1", "phase_phix(0.3)"),
+    ("fio_type2", "phase_xphi(0.3)"), ("fio_type2", "phase_phix(0.3)"),
+])
+def test_apply_columns_adjoint(kind, pname, gname):
+    """<A f, h> = <f, A* h> to 1e-12 of ||f|| ||h||, with A* from
+    apply_columns(adjoint=True), for every kind in d = 1 and 2 (the Weyl
+    sum on N^d = 256).  The symbol is complex and not real-valued, so an
+    adjoint that forgot to conjugate it would fail.  Two columns at once
+    give the two single-column results."""
+    g = PATH_GRIDS[gname]
+    op = OperatorHandle(kind, _path_symbol("complex"),
+                        phase_from_name(pname) if pname else None, g)
+    rng = np.random.default_rng(78)
+    f, h = random_schwartz_signal(g, rng), random_schwartz_signal(g, rng)
+    Af = Signal(g, op.apply_columns(f.samples.ravel()))
+    Ah = op.apply_columns(h.samples.ravel(), adjoint=True)
+    lhs = inner_product(Af, h)
+    rhs = inner_product(f, Signal(g, Ah))
+    assert abs(lhs - rhs) <= 1e-12 * lp_norm(f, 2) * lp_norm(h, 2)
+    both = op.apply_columns(np.stack([f.samples.ravel(), h.samples.ravel()], axis=1),
+                            adjoint=True)
+    assert _rel(both[:, 1], Ah) <= 1e-12
+
+
+def test_unknown_kind_refused_at_construction():
+    with pytest.raises(ValueError, match="unknown kind bogus"):
+        OperatorHandle("bogus", symbol_from_name("one"), None, GridSpec(1, 8.0, 64))
+
+
+def test_apply_refuses_signal_off_grid():
+    op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, GridSpec(1, 16.0, 256))
+    f = random_schwartz_signal(GridSpec(1, 8.0, 256), np.random.default_rng(79))
+    with pytest.raises(ValueError, match="not on the operator's grid"):
+        op.apply(f)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,23 +1170,21 @@ def test_paths_match_dense_reference(gname, sname, kind, pname):
     phase = phase_from_name(pname) if pname else None
     op = OperatorHandle(kind, sym, phase, g)
     dense = OperatorHandle(kind, replace(sym, separable=None), phase, g)
-    f = random_schwartz_signal(g, np.random.default_rng(70))
-    assert _rel(_applied(op, f).samples, _applied(dense, f).samples) <= 1e-12
-    assert _rel(_applied(op, f, adjoint=True).samples,
-                _applied(dense, f, adjoint=True).samples) <= 1e-12
+    v = random_schwartz_signal(g, np.random.default_rng(70)).samples.ravel()
+    assert _rel(op.apply_columns(v), dense.apply_columns(v)) <= 1e-12
+    assert _rel(op.apply_columns(v, adjoint=True), dense.apply_columns(v, adjoint=True)) <= 1e-12
 
     w = Window.gaussian(g)
     radius = 3 if g.dim == 1 else 1
     lat = GaborLattice.for_grid(g, 0.5, 0.5, k_radius=radius, n_radius=radius)
     M = gabor_matrix(op, w, lat)
     atoms, _, _ = _atom_table(w, lat)
-    outs = np.stack([_applied(op, Signal(g, a)).samples.ravel()
-                     for a in atoms], axis=1)
+    outs = np.stack([op.apply_columns(a) for a in atoms], axis=1)
     ref = (atoms.conj() @ outs) * g.space_step ** g.dim
     assert np.max(np.abs(M.entries - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    ref = _applied(dense, _applied(dense, f), adjoint=True).samples
-    assert _rel(_applied(op, _applied(op, f), adjoint=True).samples, ref) <= 1e-12
+    ref = dense.apply_columns(dense.apply_columns(v), adjoint=True)
+    assert _rel(op.apply_columns(op.apply_columns(v), adjoint=True), ref) <= 1e-12
 
 
 def test_paths_across_kernel_blocks():
@@ -1148,20 +1196,19 @@ def test_paths_across_kernel_blocks():
     phase = phase_from_name("phase_xphi(0.3)")
     op = OperatorHandle("fio_type1", sym, phase, g)
     dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
-    f = random_schwartz_signal(g, np.random.default_rng(71))
-    ref = _applied(dense, f)
-    assert _rel(_applied(op, f).samples, ref.samples) <= 1e-12
-    assert _rel(_applied(op, f, adjoint=True).samples,
-                _applied(dense, f, adjoint=True).samples) <= 1e-12
-    ref = _applied(dense, ref, adjoint=True).samples
-    assert _rel(_applied(op, _applied(op, f), adjoint=True).samples, ref) <= 1e-12
+    v = random_schwartz_signal(g, np.random.default_rng(71)).samples.ravel()
+    ref = dense.apply_columns(v)
+    assert _rel(op.apply_columns(v), ref) <= 1e-12
+    assert _rel(op.apply_columns(v, adjoint=True), dense.apply_columns(v, adjoint=True)) <= 1e-12
+    ref = dense.apply_columns(ref, adjoint=True)
+    assert _rel(op.apply_columns(op.apply_columns(v), adjoint=True), ref) <= 1e-12
     assert kernel_path(phase, sym, g)[1].size == 909
 
 
 def _dense_pair(sym, phase, g, f):
     """A f and A* f on the dense reference path, with A = (phase, sym)."""
     dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
-    return [_applied(dense, f, adjoint).samples for adjoint in (False, True)]
+    return [dense.apply_columns(f.samples.ravel(), adjoint) for adjoint in (False, True)]
 
 
 def _spy_tables(monkeypatch):
@@ -1208,15 +1255,15 @@ def test_declared_warps_take_table_build(gname, pname, monkeypatch):
     op = OperatorHandle("fio_type1", sym, replace(phase, fn=_no_fn), g)
     for adjoint, ref in zip((False, True), refs):
         tables.clear()
-        assert _rel(_applied(op, f, adjoint).samples, ref) <= 1e-12
+        assert _rel(op.apply_columns(f.samples.ravel(), adjoint), ref) <= 1e-12
         if pname == "phase_linear":
             assert tables == []
             continue
         assert {r for r, _ in tables} == {q, n // q}
         assert all(r <= max(q, -(-n // q)) for r, _ in tables)
-    zero = Signal(g, np.zeros(g.shape, dtype=complex))
-    assert not np.any(_applied(op, zero).samples)
-    assert not np.any(_applied(op, zero, adjoint=True).samples)
+    zero = np.zeros(g.size, dtype=complex)
+    assert not np.any(op.apply_columns(zero))
+    assert not np.any(op.apply_columns(zero, adjoint=True))
 
 
 @pytest.mark.parametrize("pname", ["phase_xphi(0.3)", "phase_phix(0.3)"])
@@ -1234,7 +1281,7 @@ def test_table_sum_when_split_leaves_remainder(pname, monkeypatch):
     op = OperatorHandle("fio_type1", sym, replace(phase, fn=_no_fn), g)
     for adjoint, ref in zip((False, True), refs):
         tables.clear()
-        assert _rel(_applied(op, f, adjoint).samples, ref) <= 1e-12
+        assert _rel(op.apply_columns(f.samples.ravel(), adjoint), ref) <= 1e-12
         assert {r for r, _ in tables} == {8, 13}
 
 
@@ -1263,10 +1310,9 @@ def test_derived_operators_take_table_build(gname, pname, derive):
     assert _rel(a(x) * b(eta), sym(x, eta)) <= 1e-15
     op = OperatorHandle("fio_type1", sym, replace(phase, fn=_no_fn), g)
     dense = OperatorHandle("fio_type1", replace(sym, separable=None), phase, g)
-    f = random_schwartz_signal(g, np.random.default_rng(76))
-    assert _rel(_applied(op, f).samples, _applied(dense, f).samples) <= 1e-12
-    assert _rel(_applied(op, f, adjoint=True).samples,
-                _applied(dense, f, adjoint=True).samples) <= 1e-12
+    v = random_schwartz_signal(g, np.random.default_rng(76)).samples.ravel()
+    assert _rel(op.apply_columns(v), dense.apply_columns(v)) <= 1e-12
+    assert _rel(op.apply_columns(v, adjoint=True), dense.apply_columns(v, adjoint=True)) <= 1e-12
 
 
 def _large_argument_inputs(gname):
@@ -1290,10 +1336,11 @@ def test_table_build_at_large_arguments(gname, pname):
     g, cols = _large_argument_inputs(gname)
     one = symbol_from_name("one")
     phase = phase_from_name(pname)
+    op = OperatorHandle("fio_type1", one, phase, g)
+    dense = OperatorHandle("fio_type1", replace(one, separable=None), phase, g)
     for adjoint in (False, True):
-        got = operators._kernel_apply(phase, one, g, cols, adjoint=adjoint)
-        ref = operators._kernel_apply(phase, replace(one, separable=None), g, cols,
-                                      adjoint=adjoint)
+        got = op.apply_columns(cols, adjoint)
+        ref = dense.apply_columns(cols, adjoint)
         assert _rel(got, ref) <= 1e-12
 
 
@@ -1325,10 +1372,9 @@ def test_linear_phase_is_kohn_nirenberg(gname, sname):
     sym = _path_symbol(sname)
     fio = OperatorHandle("fio_type1", sym, phase_from_name("phase_linear"), g)
     kn = OperatorHandle("pseudo_kn", sym, None, g)
-    f = random_schwartz_signal(g, np.random.default_rng(74))
-    assert np.array_equal(_applied(fio, f).samples, apply_pseudo_kn(sym, f).samples)
-    assert np.array_equal(_applied(fio, f, adjoint=True).samples,
-                          _applied(kn, f, adjoint=True).samples)
+    v = random_schwartz_signal(g, np.random.default_rng(74)).samples.ravel()
+    assert np.array_equal(fio.apply_columns(v), kn.apply_columns(v))
+    assert np.array_equal(fio.apply_columns(v, adjoint=True), kn.apply_columns(v, adjoint=True))
 
 
 def test_weyl_columns_match_per_atom():
