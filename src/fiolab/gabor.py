@@ -113,9 +113,10 @@ def _shift_views(samples: Array, reach: int) -> Array:
     return np.lib.stride_tricks.sliding_window_view(pad, samples.shape)
 
 
-# Bytes of complex STFT rows per block of _stft_blocks: small enough that
-# every pass over a block runs in cache (16 rows at N = 4096, d = 1).
-_STFT_BLOCK_BYTES = 1 << 20
+# Bytes of complex STFT rows per block of _stft_blocks (4 rows at N = 4096,
+# d = 1).  Each block's DFT is a new array, since the out= argument of
+# numpy.fft needs numpy >= 2.0, so this size is what bounds it.
+_STFT_BLOCK_BYTES = 1 << 18
 
 
 def _stft_blocks(f: Signal, g: Window, x_stride: int):
@@ -129,12 +130,15 @@ def _stft_blocks(f: Signal, g: Window, x_stride: int):
     conj(T_x g) is a view into _shift_views of conj(g): the window starting
     at N - s is conj(T_s g) for every shift |s| <= N/2.  The windowed rows
     of a block are multiplied one at a time into one product buffer, made
-    once per call, so a block allocates only its DFT.  With a gathered
-    window block and its product, two more 1 MiB temporaries per block,
-    glibc gave heap pages back and faulted them in again every block
-    unless a larger allocation had raised its dynamic thresholds first:
-    three mod_norm calls on the m1 grid took 47.6k minor faults, against
-    3.5k with the buffer."""
+    once per call, so a block allocates only its DFT.  More per-block
+    arrays, or the last block held while the next DFT is made, grow glibc's
+    heap top past its trim threshold (about two blocks once the first
+    block is freed), and the heap gives pages back and faults them in
+    again block after block.  Three c12 mod_norm calls in a fresh process,
+    measured with ru_minflt: 37.4k minor faults with |rows| and its power
+    made anew per block, 24.9k with mod_norm's buffer, and 0.46k when
+    mod_norm also frees each block before asking for the next (3.5k with
+    the earlier 1 MiB blocks)."""
     if f.grid != g.grid:
         raise ValueError("signal and window must share a grid")
     gr = f.grid

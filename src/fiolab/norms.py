@@ -106,11 +106,16 @@ def mod_norm(
     Each block from gabor._stft_blocks (a few x nodes, frequencies in FFT
     order) is scaled by dx^d, weighted, and added row by row into the
     running inner sum over x (a running max for p = inf), with the weight's
-    eta factor permuted to FFT order.  The inner result is shifted to centred
-    order once, before the outer L^q sum.  The +-1 centring phase of the
-    STFT is skipped, since it leaves |V_g f| unchanged.  The value equals
-    the norm of the dense stft(f, window, x_stride) to the last bit.  A
-    stride below 1 is refused before any work."""
+    eta factor permuted to FFT order.  |rows| goes into one float buffer,
+    made once per call, and is raised to the power p there (not at all for
+    p = 1), and each block is freed before the next is asked for.  So a
+    block allocates nothing of its own size beyond its DFT, which takes
+    the freed block's place (see _stft_blocks on why).  The inner result
+    is shifted to centred order once, before the outer L^q sum.  The +-1
+    centring phase of the STFT is skipped, since it leaves |V_g f|
+    unchanged.  The value equals the norm of the dense stft(f, window,
+    x_stride) to the last bit.  A stride below 1 is refused before any
+    work."""
     if x_stride < 1:
         raise ValueError(f"STFT stride must be at least 1, got {x_stride}")
     if q is None:
@@ -125,10 +130,15 @@ def mod_norm(
     weta = np.fft.ifftshift(bracket(gr.freq_axis()[:, None]) ** weight.s1)
     weighted = weight.s1 != 0 or weight.s2 != 0
     scale = gr.space_step ** d
-    acc = None
+    acc = buf = None
     for i0, rows in _stft_blocks(f, g, x_stride):
         rows *= scale
-        a = np.abs(rows)
+        if buf is None:
+            buf = np.empty(rows.shape)
+        a = np.abs(rows, out=buf[:len(rows)])
+        # free the block before the next one's DFT is allocated, which then
+        # takes its place instead of growing the heap top (see _stft_blocks)
+        del rows
         if weighted:
             idx = np.unravel_index(np.arange(i0, i0 + len(a)), (len(xs),) * d)
             a *= _weight_product([wx[i].reshape((-1,) + (1,) * d) for i in idx], weta, 1, d)
@@ -136,7 +146,8 @@ def mod_norm(
             part = a.max(axis=0)
             acc = part if acc is None else np.maximum(acc, part)
             continue
-        a = a ** p
+        if p != 1:
+            a **= p
         if acc is not None:
             a[0] += acc
         acc = np.sum(a, axis=0)

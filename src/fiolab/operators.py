@@ -41,12 +41,12 @@ uniform grid.  Writing a node index there as k = Q a + b, Q the power of
 two nearest sqrt(N),
 exp(2 pi i s (v0 + (Q a + b) h)) = exp(2 pi i s (v0 + Q a h)) exp(2 pi i s b h),
 so for each a the sum over b is one thin matrix product against a short
-table of the second factor, scaled by a row of the first (_table_sum): no
-kernel block and no exp per entry.  The derived phases of symbols.py swap a
-declared warp to the other side (_transposed_phase) or negate it
-(_negated_phase), and the derived symbols (_transposed_symbol,
-_starred_symbol) keep `separable`, so the operators of the transpose and
-Fourier-conjugation identities take the tables too.  The "dense" path and
+table of the second factor, scaled by a row of the first, built when its
+block a is reached (_table_sum): no kernel block and no exp per entry.
+The derived phases of symbols.py swap a declared warp to the other side
+(_transposed_phase) or negate it (_negated_phase), and the derived symbols
+(_transposed_symbol, _starred_symbol) keep `separable`, so the operators
+of the transpose and Fourier-conjugation identities take the tables too.  The "dense" path and
 phases that declare neither warp (hand-built ones, dilation conjugates)
 multiply kernel blocks of exp(2 pi i Phi), evaluated entry by entry
 (_block_builder): the reference the tables are tested against.
@@ -161,21 +161,23 @@ def kernel_path(phase: Optional[PhaseSpec], sym: SymbolSpec,
 def _split(n: int) -> int:
     """Q = 2^round(log2(n) / 2), the power of two nearest sqrt(n) on a log
     scale: a node index k < n of a linear-side axis is split as k = Q a + b
-    with b < Q, so its tables have ceil(n / Q) and Q rows."""
+    with b < Q, so a < ceil(n / Q)."""
     return 2 ** round(np.log2(n) / 2)
 
 
 def _exp_table(nodes: Array, s: Array) -> Array:
-    """T[i, j] = exp(2 pi i nodes[i] s[j])."""
-    T = np.multiply(np.multiply.outer(nodes, s), 2j * np.pi)
+    """T[i, j] = exp(2 pi i nodes[i] s[j]), the outer product written
+    straight into the complex table."""
+    T = np.multiply.outer(nodes, s, out=np.empty((len(nodes), len(s)), dtype=complex))
+    T *= 2j * np.pi
     return np.exp(T, out=T)
 
 
 def _table_sum(s: Array, axis: Array, step: float, coef: Array,
                lin: Optional[Array] = None) -> Array:
     """Sums of exp(2 pi i s_j.v_l) between nonuniform points s (w, d) and the
-    nodes v_l of the uniform grid axis^d (spacing step), from two short
-    tables per axis and no kernel block.
+    nodes v_l of the uniform grid axis^d (spacing step), from a lo table per
+    axis and one hi row per block, and no kernel block.
 
     With lin, coef (k, m) holds coefficients at the flat node indices lin,
     and the result (w, m) is out[j] = sum_l exp(2 pi i s_j.v_l) coef[l], the
@@ -188,19 +190,29 @@ def _table_sum(s: Array, axis: Array, step: float, coef: Array,
     exp(2 pi i s_t v_{Q a + b}) = hi_t[a, j] lo_t[b, j] with
     hi_t[a, j] = exp(2 pi i s_jt v_{Q a}) and lo_t[b, j] = exp(2 pi i s_jt b step).
     The products of the lo tables over b = (b_1, ..., b_d) form one
-    Q^d x w table L, and for each a the sum over b is one GEMM of output
-    width m against L.  The product h of the hi rows scales the m-wide side
-    when m <= Q^d, and L otherwise, whichever is smaller.  With lin, blocks
-    a holding no coefficient are skipped."""
+    Q^d x w table L, and for each block a = (a_1, ..., a_d) the sum over b
+    is one GEMM of output width m against L.  The hi rows hi_t[a_t] are
+    built when a block reaches them, not as A x w tables up front, and each
+    axis keeps its row until its index a_t changes, so in d >= 2 only the
+    last axis's row is built for every block.  Their product h scales the
+    m-wide side when m <= Q^d, and L otherwise, whichever is smaller.  With
+    lin, blocks a holding no coefficient are skipped."""
     w, d = s.shape
     n = len(axis)
     q = _split(n)
     na = -(-n // q)
     m = coef.shape[1]
-    lo = [_exp_table(step * np.arange(q), st) for st in s.T]
-    hi = [_exp_table(axis[q * np.arange(na)], st) for st in s.T]
-    L = functools.reduce(lambda P, T: (P[:, None] * T).reshape(len(P) * q, w), lo)
+    L = functools.reduce(lambda P, T: (P[:, None] * T).reshape(len(P) * q, w),
+                         [_exp_table(step * np.arange(q), st) for st in s.T])
     narrow = m <= len(L)
+    hi = [(-1, None)] * d
+
+    def h_at(a):
+        for t, at in enumerate(a):
+            if hi[t][0] != at:
+                hi[t] = (at, _exp_table(axis[q * at:q * at + 1], s[:, t])[0])
+        return functools.reduce(np.multiply, [row for _, row in hi])
+
     # (A, Q) per axis, interleaved, with every a axis moved in front of the b axes
     split = tuple(k for _ in range(d) for k in (na, q)) + (m,)
     order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2)) + (2 * d,)
@@ -211,13 +223,13 @@ def _table_sum(s: Array, axis: Array, step: float, coef: Array,
         out = np.zeros((w, m), dtype=complex)
         for a in np.ndindex(*(na,) * d):
             if P[a].any():
-                h = functools.reduce(np.multiply, [hi[t][a[t]] for t in range(d)])
+                h = h_at(a)
                 B = P[a].reshape(-1, m)
                 out += h[:, None] * (L.T @ B) if narrow else (L * h).T @ B
         return out
     out = np.empty((na,) * d + (q,) * d + (m,), dtype=complex)
     for a in np.ndindex(*(na,) * d):
-        h = functools.reduce(np.multiply, [hi[t][a[t]] for t in range(d)])
+        h = h_at(a)
         S = L @ (h[:, None] * coef) if narrow else (L * h) @ coef
         out[a] = S.reshape((q,) * d + (m,))
     out = out.transpose(np.argsort(order)).reshape((na * q,) * d + (m,))
@@ -265,11 +277,11 @@ def _kernel_apply(
     coefficients: fhat(eta) b(eta) for A, conj(a(x)) f(x) for A*, each
     above ACTIVE_TOL of its column's peak.  With a separable symbol and a
     phase declaring warp_x (psi(x).eta) or warp_eta (x.chi(eta)), the
-    coefficients are contracted against two exponential tables per axis
-    of the linear side (_table_sum): the output is nonuniform for warp_x's
-    A and warp_eta's A*, and on the linear grid for the other two.  The
-    dense path and phases declaring no warp multiply kernel blocks of
-    DEFAULT_CHUNK rows from _block_builder, the reference.
+    coefficients are contracted against a lo table per axis of the linear
+    side and one hi row per block (_table_sum): the output is nonuniform
+    for warp_x's A and warp_eta's A*, and on the linear grid for the other
+    two.  The dense path and phases declaring no warp multiply kernel
+    blocks of DEFAULT_CHUNK rows from _block_builder, the reference.
     """
     n = grid.size
     cols = vals.reshape(n, -1)
@@ -379,7 +391,8 @@ class OperatorHandle:
 
     kind is one of pseudo_kn, pseudo_weyl, fio_type1, fio_type2, checked at
     construction.  FIO kinds require a phase passing the non-degeneracy and
-    growth validators on the grid's box (coarsely sampled at construction).
+    growth validators on the grid's box (coarsely sampled at construction);
+    pseudo_kn and pseudo_weyl refuse one, since their kernels are fixed.
     """
 
     kind: str
@@ -401,6 +414,8 @@ class OperatorHandle:
                     f"phase fails validation: delta_min={nd.delta_min:.3g}, "
                     f"growth ratios=({gw.min_ratio_x:.3g}, {gw.min_ratio_eta:.3g})"
                 )
+        elif self.phase is not None:
+            raise ValueError(f"{self.kind} takes no phase")
 
     def apply_columns(self, vals: Array, adjoint: bool = False) -> Array:
         """A, or A* with adjoint=True, on flat sample columns (size,) or
@@ -410,8 +425,7 @@ class OperatorHandle:
             p = self.symbol
             return _weyl_sum((lambda x, eta: np.conj(p(x, eta))) if adjoint else p,
                              self.grid, vals)
-        phase = None if self.kind == "pseudo_kn" else self.phase
-        return _kernel_apply(phase, self.symbol, self.grid, vals,
+        return _kernel_apply(self.phase, self.symbol, self.grid, vals,
                              adjoint=adjoint != (self.kind == "fio_type2"))
 
     def _on_grid(self, what: str, grid: GridSpec) -> None:
@@ -847,8 +861,7 @@ def _exact_l2_norm(op: OperatorHandle) -> Optional[float]:
     """
     if op.kind not in ("pseudo_kn", "fio_type1", "fio_type2"):
         return None
-    gr, sym = op.grid, op.symbol
-    phase = None if op.kind == "pseudo_kn" else op.phase
+    gr, sym, phase = op.grid, op.symbol, op.phase
     path, rows = kernel_path(phase, sym, gr)
     if path not in ("fft", "warped_rows") or 4 * len(rows) > gr.size:
         return None

@@ -719,12 +719,13 @@ class TestCli:
 
     def test_stft_traced_peak(self, tmp_path, monkeypatch):
         """fiolab stft streams the STFT to its CSV: at N = 1024 the whole
-        STFT is 16 MiB, and the command traces about 3.6 MiB: a few 1 MiB
-        blocks (a block's windowed rows while _stft_blocks transforms them,
-        then its DFT and the centred copy).  The lines are written one per
-        block here, since formatting 2^20 of them under tracemalloc takes
-        25 s (and adds about 0.5 MB); test_indexed_csv_traced_peak bounds
-        the formatting."""
+        STFT is 16 MiB, and the command traces about 1.26 MiB: a few
+        256 KiB blocks (a block's windowed rows while _stft_blocks
+        transforms them, then its DFT and the centred copy).  The bound,
+        1.5 MiB, leaves a margin of about one block.  The lines are
+        written one per block here, since formatting 2^20 of them under
+        tracemalloc takes 25 s (and adds about 0.5 MB);
+        test_indexed_csv_traced_peak bounds the formatting."""
         monkeypatch.setattr(persist, "_entry_lines", lambda values, axes: [str(len(values))])
         tracemalloc.start()
         try:
@@ -733,8 +734,8 @@ class TestCli:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
-        assert (tmp_path / "stft.csv").read_text().splitlines()[2:] == ["64"] * 16
+        assert peak < 1.5 * 2 ** 20
+        assert (tmp_path / "stft.csv").read_text().splitlines()[2:] == ["16"] * 64
 
     @pytest.mark.parametrize("stride", ["0", "-2"])
     def test_stft_bad_stride(self, tmp_path, capsys, stride):
@@ -757,6 +758,19 @@ class TestCli:
         assert main(["apply", "gaussian", "--grid", "128,4", "--symbol",
                      "eta_power(-1.0)", "--out", out2]) == 0
         assert (tmp_path / "o2" / "applied.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["apply", "gaussian", "--kind", "pseudo_kn"],
+                                      ["apply", "gaussian", "--kind", "pseudo_weyl"],
+                                      ["matrix", "--kind", "pseudo_kn", "--radius", "2"]])
+    def test_pseudo_kind_refuses_phase(self, tmp_path, capsys, argv):
+        """A pseudodifferential kind has no phase: --phase with one is a
+        validation failure that writes nothing, not an option dropped."""
+        out = tmp_path / "o"
+        assert main(argv + ["--grid", "128,4", "--out", str(out),
+                            "--phase", "phase_xphi(0.3)"]) == 1
+        kind = argv[argv.index("--kind") + 1]
+        assert capsys.readouterr().err == f"error: {kind} takes no phase\n"
+        assert not out.exists()
 
     def test_gabor_bounds(self, capsys):
         assert main(["gabor", "bounds", "--grid", "256,8"]) == 0

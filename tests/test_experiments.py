@@ -337,7 +337,8 @@ def test_m1_one_application(kernel_calls):
 def test_m1_application_traced_peak():
     """c12's application (N = 4096, the five witnesses of the default sweep
     as columns, 909 warped rows) is contracted against exponential tables,
-    with no kernel block: it traces about 3.5 MiB, under a bound of 6 MiB."""
+    with no kernel block and one hi row per block: it traces about 2.6 MiB,
+    under a bound of 3 MiB."""
     g = sharpness_grid()
     phase, sym = _m1_operator_parts(-0.5, 0.3)
     mult_up = bracket(g.freq_points()).reshape(g.shape) ** 0.5
@@ -348,7 +349,7 @@ def test_m1_application_traced_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2 ** 20
+    assert peak < 3 * 2 ** 20
 
 
 def test_m2_conjugation_one_application_each(kernel_calls):

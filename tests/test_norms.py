@@ -161,7 +161,8 @@ class TestStreamedModNorm:
                 assert abs(got - ref) <= 1e-12 * ref
 
     def test_m1_call_peak_memory(self):
-        """The dense STFT of this call alone is 64 MB."""
+        """The dense STFT of this call alone is 64 MB; streamed in 256 KiB
+        blocks into one |rows| buffer, it traces about 1.1 MiB."""
         g = sharpness_grid()
         w = sharpness_window(g)
         f = make_fn(64, default_chi(), g)
@@ -171,7 +172,7 @@ class TestStreamedModNorm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2 ** 20
+        assert peak <= 2 * 2 ** 20
 
 
 class TestFlNorm:

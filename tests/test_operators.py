@@ -1077,6 +1077,13 @@ def test_unknown_kind_refused_at_construction():
         OperatorHandle("bogus", symbol_from_name("one"), None, GridSpec(1, 8.0, 64))
 
 
+@pytest.mark.parametrize("kind", ["pseudo_kn", "pseudo_weyl"])
+def test_pseudo_kinds_refuse_a_phase(kind):
+    with pytest.raises(ValueError, match=f"{kind} takes no phase"):
+        OperatorHandle(kind, symbol_from_name("one"), phase_from_name("phase_xphi(0.3)"),
+                       GridSpec(1, 8.0, 64))
+
+
 def test_apply_refuses_signal_off_grid():
     op = OperatorHandle("pseudo_kn", symbol_from_name("one"), None, GridSpec(1, 16.0, 256))
     f = random_schwartz_signal(GridSpec(1, 8.0, 256), np.random.default_rng(79))
@@ -1229,6 +1236,18 @@ def _spy_tables(monkeypatch):
     return tables
 
 
+def _assert_table_layout(tables, q, na, d, linear_out):
+    """tables, from _spy_tables over one application, hold a lo table of q
+    rows per axis and single hi rows.  Each axis keeps its hi row until its
+    block index changes, so the axis t of na blocks builds at most
+    na^(t + 1) rows, all of them for the linear output, which visits every
+    block."""
+    assert [r for r, _ in tables if r != 1] == [q] * d
+    hi = sum(r == 1 for r, _ in tables)
+    most = sum(na ** (t + 1) for t in range(d))
+    assert hi == most if linear_out else 0 < hi <= most
+
+
 def _no_fn(x, eta):
     raise AssertionError("exp(2 pi i Phi) evaluated through fn")
 
@@ -1238,8 +1257,8 @@ def _no_fn(x, eta):
 def test_declared_warps_take_table_build(gname, pname, monkeypatch):
     """Every registry phase declares a warp, and its sums are contracted
     against the exponential tables of _table_sum, never a kernel block of
-    _block_builder and never fn: lo tables of Q rows and hi tables of at
-    most ceil(n / Q), Q the power of two nearest sqrt(n), in both
+    _block_builder and never fn: one lo table of Q rows per axis, Q the
+    power of two nearest sqrt(n), and hi rows built one at a time, in both
     directions and in d = 1 and 2.  phase_linear builds no table at all.
     A zero input, which leaves no active column, gives zero."""
     g = PATH_GRIDS[gname]
@@ -1259,8 +1278,8 @@ def test_declared_warps_take_table_build(gname, pname, monkeypatch):
         if pname == "phase_linear":
             assert tables == []
             continue
-        assert {r for r, _ in tables} == {q, n // q}
-        assert all(r <= max(q, -(-n // q)) for r, _ in tables)
+        _assert_table_layout(tables, q, n // q, g.dim,
+                             linear_out=(phase.warp_x is None) != adjoint)
     zero = np.zeros(g.size, dtype=complex)
     assert not np.any(op.apply_columns(zero))
     assert not np.any(op.apply_columns(zero, adjoint=True))
@@ -1270,7 +1289,8 @@ def test_declared_warps_take_table_build(gname, pname, monkeypatch):
 def test_table_sum_when_split_leaves_remainder(pname, monkeypatch):
     """At N = 100, Q = 8 does not divide N: the linear side is padded to
     13 blocks of 8 nodes, and both warps in both directions still match the
-    dense reference to 1e-12 with no kernel block built."""
+    dense reference to 1e-12 with no kernel block built, from a lo table of
+    8 rows and hi rows built one block at a time."""
     g = GridSpec(1, 8.0, 100)
     assert operators._split(100) == 8
     phase = phase_from_name(pname)
@@ -1282,7 +1302,8 @@ def test_table_sum_when_split_leaves_remainder(pname, monkeypatch):
     for adjoint, ref in zip((False, True), refs):
         tables.clear()
         assert _rel(op.apply_columns(f.samples.ravel(), adjoint), ref) <= 1e-12
-        assert {r for r, _ in tables} == {8, 13}
+        _assert_table_layout(tables, 8, 13, 1,
+                             linear_out=(phase.warp_x is None) != adjoint)
 
 
 DERIVED_OPERATORS = {
