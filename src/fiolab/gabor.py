@@ -12,13 +12,23 @@ multiple of dx and beta a multiple of deta.  Modulations are exactly
 periodic modulo 2*Nyquist on the grid, so the default frequency index range
 is one full period; the space range covers the box plus a margin chosen by
 an atom-mass rule.  On that range the frame operator is block diagonal
-(Walnut), and the frame solvers factor its blocks exactly.  Since the tones
-of any lattice repeat after P = N / gcd(N, n_step) samples, the same fibers
-fold the lattice coefficients (_folded_analysis): one signal, for
-gabor_analysis, takes its residue sums in one einsum over the window
-translates; many columns, the Gabor-matrix rows, go through one batched
-matmul.  gabor_synthesis is the adjoint.  All take each residue's tone at
-its sample nearest x = 0.  The window translates are one view, sliced with
+(Walnut), and the frame solvers factor its blocks exactly.
+
+What a window implies on a lattice (the tones of one period, the views of
+its plain and conjugated translates and, on first request, the eigh of its
+Walnut blocks) is built once and kept in the window's own memo, keyed by
+the lattice (Window._tables): frame_bounds, dual_window and tight_window
+share one factorization, and analysis and synthesis build no tones after
+the first call.  A window's samples are read-only, so its memo cannot go
+stale.
+
+Since the tones of any lattice repeat after P = N / gcd(N, n_step)
+samples, the same fibers fold the lattice coefficients (_folded_analysis):
+one signal, for gabor_analysis, takes its residue sums in one einsum over
+the window translates; many columns, the Gabor-matrix rows, go through one
+batched matmul against a contiguous copy of the translates made per call.
+gabor_synthesis is the adjoint.  All take each residue's tone at its
+sample nearest x = 0.  The window translates are one view, sliced with
 step -k_step, of the sliding windows of the zero-padded window
 (_window_table over _shift_views, which _stft_blocks also reads); no table
 of them is gathered.
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from typing import Optional
@@ -58,12 +68,23 @@ class NotAFrameError(RuntimeError):
     """Gabor system rejected: frame spectrum not positive or past RATIO_CAP."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Window:
-    """Analysis/synthesis window with its cached L^2 norm."""
+    """Analysis/synthesis window with its cached L^2 norm.
+
+    The samples are made read-only at construction, and the fields cannot
+    be reassigned, so what the window implies on a lattice stays valid for
+    the window's life.  Each lattice's entry (_LatticeTables) is built on
+    first use (_tables) and kept in the window's private memo, which lives
+    and dies with the window: analysis, synthesis and the three frame
+    solvers on one (window, lattice) pair share one entry."""
 
     signal: Signal
     l2_norm: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.signal.samples.flags.writeable = False
 
     @classmethod
     def from_signal(cls, sig: Signal) -> "Window":
@@ -80,6 +101,21 @@ class Window:
     @property
     def grid(self) -> GridSpec:
         return self.signal.grid
+
+    def _tables(self, lat: "GaborLattice") -> "_LatticeTables":
+        """This window's memo entry for lat, built on first use.
+        Threads that race on a cold entry each build the same values, and
+        the last one is kept."""
+        t = self._memo.get(lat)
+        if t is None:
+            p = _tone_period(lat)
+            tones = _tone_table(lat, p)
+            t = self._memo[lat] = _LatticeTables(
+                lattice=lat, period=p, tones=tones,
+                conj_rows=_tone_rows(tones, lat.grid.dim).conj(),
+                translates=_window_table(self.signal.samples, lat),
+                conj_translates=_window_table(np.conj(self.signal.samples), lat))
+        return t
 
 
 def default_window(grid: GridSpec) -> Window:
@@ -384,14 +420,13 @@ def _window_table(samples: Array, lat: GaborLattice) -> Array:
     return views[(slice(lo, lo + (k1 - k0) * ks + 1, ks),) * d][(slice(None, None, -1),) * d]
 
 
-def _fiber_translates(samples: Array, lat: GaborLattice, p: int) -> Array:
-    """The translates of _window_table on the Walnut fibers of period p
-    (see _fibers), in one contiguous copy of shape (p^d, Q^d, K^d), with
-    Q = N / p and the K^d k tuples in lat.k_tuples() order."""
+def _fiber_translates(table: Array, lat: GaborLattice, p: int) -> Array:
+    """The translates of a _window_table view on the Walnut fibers of
+    period p (see _fibers), in one contiguous copy of shape (p^d, Q^d, K^d),
+    with Q = N / p and the K^d k tuples in lat.k_tuples() order."""
     d = lat.grid.dim
     q = lat.grid.samples_per_axis // p
-    t = _window_table(samples, lat)
-    t = t.reshape(t.shape[:d] + (q, p) * d)
+    t = table.reshape(table.shape[:d] + (q, p) * d)
     r_ax, q_ax = list(range(d + 1, 3 * d, 2)), list(range(d, 3 * d, 2))
     t = np.ascontiguousarray(t.transpose(r_ax + q_ax + list(range(d))))
     return t.reshape(p ** d, q ** d, -1)
@@ -427,11 +462,39 @@ def _tone_rows(tones: Array, d: int) -> Array:
     return t.reshape(tones.shape[0] ** d, -1)
 
 
+@dataclass
+class _LatticeTables:
+    """What one window implies on one lattice, kept in the window's memo
+    (Window._tables): the tone period P (_tone_period), the tones of one
+    period (_tone_table) and the conjugated rows of their n tuples, which
+    the fold reads (_folded_analysis), and the views of the plain and
+    conjugated window translates (_window_table).  The eigendecomposition
+    of the Walnut blocks is factored on first request (walnut)."""
+
+    lattice: GaborLattice
+    period: int
+    tones: Array
+    conj_rows: Array
+    translates: Array
+    conj_translates: Array
+    _walnut: Optional[tuple[Array, Array]] = field(default=None, init=False, repr=False)
+
+    def walnut(self) -> tuple[Array, Array]:
+        """eigh of the Walnut blocks (_frame_blocks): eigenvalues (P^d, Q^d)
+        ascending per block and eigenvectors (P^d, Q^d, Q^d), factored once.
+        _frame_blocks raises GridAlignmentError first, and keeps nothing,
+        when n_index is not one full modulation period."""
+        if self._walnut is None:
+            self._walnut = np.linalg.eigh(_frame_blocks(self.translates, self.lattice))
+        return self._walnut
+
+
 def _atom_rows(g: Window, lat: GaborLattice) -> Array:
     """All atoms M_{beta n} T_{alpha k} g as flattened rows, k-major, in
-    lat.k_tuples() x lat.n_tuples() order."""
+    lat.k_tuples() x lat.n_tuples() order, from the translates of the
+    window's memo and the tones of the whole space axis."""
     tones = _tone_rows(_tone_table(lat, lat.grid.samples_per_axis), lat.grid.dim)
-    TG = _window_table(g.signal.samples, lat).reshape(-1, 1, tones.shape[1])
+    TG = g._tables(lat).translates.reshape(-1, 1, tones.shape[1])
     return (TG * tones).reshape(-1, tones.shape[1])
 
 
@@ -447,17 +510,18 @@ def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
 
 def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g, the adjoint of the fold:
-    each n axis contracted with the tones of one period P (_tone_table),
-    then one einsum over the view of the window translates (_window_table):
-    sample qP + r of an axis takes residue r, summed over k."""
+    each n axis contracted with the tones of one period P, then one einsum
+    over the view of the window translates, both read from the window's
+    memo (Window._tables): sample qP + r of an axis takes residue r,
+    summed over k."""
     gr = g.grid
     d = gr.dim
-    p = _tone_period(lat)
-    tones = _tone_table(lat, p)
+    t = g._tables(lat)
+    p = t.period
     W = c.values.reshape((-1,) + (len(lat.n_index),) * d)
     for _ in range(d):
-        W = np.tensordot(W, tones, axes=([1], [0]))
-    TG = _window_table(g.signal.samples, lat)
+        W = np.tensordot(W, t.tones, axes=([1], [0]))
+    TG = t.translates
     TG = TG.reshape(TG.shape[:d] + (gr.samples_per_axis // p, p) * d)
     k_ax, qr_ax = list(range(d)), list(range(d, 3 * d))
     out = np.einsum(W.reshape(TG.shape[:d] + (p,) * d), k_ax + qr_ax[1::2],
@@ -493,9 +557,10 @@ def frame_matrix_dense(g: Window, lat: GaborLattice) -> Array:
 
 @dataclass
 class FrameBounds:
-    """Extreme eigenvalues A = lower, B = upper of S_g; is_frame holds when
-    A > 0 and B / A <= RATIO_CAP.  iterations is the number of Walnut blocks
-    factored (P^d, see _frame_blocks)."""
+    """Extreme eigenvalues A = lower, B = upper of S_g, read from the
+    window's one Walnut factorization (_LatticeTables.walnut); is_frame
+    holds when A > 0 and B / A <= RATIO_CAP.  iterations is the number of
+    Walnut blocks (P^d, see _frame_blocks)."""
 
     lower: float
     upper: float
@@ -549,30 +614,31 @@ def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
     _fibers: the Q^d = (N / P)^d samples of each residue tuple r are summed
     against conj(T_{k'} g) first, and the P^d residue sums then against the
     conjugated tones of one period, each residue's taken at its sample
-    nearest x = 0 (_tone_table), one gemm.  One column (gabor_analysis)
-    takes its residue sums in one einsum over the view of the conj(g)
-    translates (_window_table), with no table built.  More columns (the
-    Gabor-matrix rows) take one batched matmul giving (P^d, K, m) against
-    one contiguous copy of the translates (_fiber_translates, read
-    transposed), in column blocks of _FOLD_BLOCK_BYTES.
+    nearest x = 0 (_tone_table), one gemm.  The conjugated tone rows and
+    the view of the conj(g) translates come from the window's memo
+    (Window._tables), built once per lattice.  One column (gabor_analysis)
+    takes its residue sums in one einsum over that view, with no table
+    built.  More columns (the Gabor-matrix rows) take one batched matmul
+    giving (P^d, K, m) against one contiguous copy of the translates
+    (_fiber_translates, read transposed; made per call and not kept), in
+    column blocks of _FOLD_BLOCK_BYTES.
     """
     gr = g.grid
     d = gr.dim
-    p = _tone_period(lat)
-    conj_g = np.conj(g.signal.samples)
-    T = _tone_rows(_tone_table(lat, p), d).conj()
+    t = g._tables(lat)
+    p, T = t.period, t.conj_rows
     nk, nn = len(lat.k_index) ** d, T.shape[0]
     m = cols.shape[1]
     scale = gr.space_step ** d
     if m == 1:
         q = gr.samples_per_axis // p
-        V = _window_table(conj_g, lat)
+        V = t.conj_translates
         k_ax, qr_ax = list(range(d)), list(range(d, 3 * d))
         Y = np.einsum(V.reshape(V.shape[:d] + (q, p) * d), k_ax + qr_ax,
                       cols.reshape((q, p) * d), qr_ax, k_ax + qr_ax[1::2])
         Z = T @ Y.reshape(nk, -1).T
         return (Z.T * scale).reshape(-1, 1)
-    W = _fiber_translates(conj_g, lat, p).transpose(0, 2, 1)
+    W = _fiber_translates(t.conj_translates, lat, p).transpose(0, 2, 1)
     out = np.empty((nk, nn, m), dtype=complex)
     step = max(1, _FOLD_BLOCK_BYTES // (16 * nk * max(p ** d, nn)))
     for c0 in range(0, m, step):
@@ -584,7 +650,7 @@ def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
     return out.reshape(nk * nn, m)
 
 
-def _frame_blocks(g: Window, lat: GaborLattice) -> Array:
+def _frame_blocks(translates: Array, lat: GaborLattice) -> Array:
     """S_g as its P^d Hermitian Walnut blocks, shape (P^d, Q^d, Q^d).
 
     When n runs over one full period P = N / n_step (Q = n_step), the sum
@@ -592,12 +658,12 @@ def _frame_blocks(g: Window, lat: GaborLattice) -> Array:
     on every axis and 0 elsewhere, so S_g only couples samples of one
     residue tuple r: S[qP+r, q'P+r] = (P dx)^d sum_k T_k g(qP+r) conj(T_k g(q'P+r))
     (D. Walnut, J. Math. Anal. Appl. 165, 1992).  The translates are read
-    once from their view into a contiguous (P^d, Q^d, K^d) table
-    (_fiber_translates), so the batched product runs in BLAS.
+    once from their view (_window_table) into a contiguous (P^d, Q^d, K^d)
+    table (_fiber_translates), so the batched product runs in BLAS.
     """
-    gr = g.grid
+    gr = lat.grid
     p = _period(lat)
-    T = _fiber_translates(g.signal.samples, lat, p)
+    T = _fiber_translates(translates, lat, p)
     return (T @ T.conj().transpose(0, 2, 1)) * (p * gr.space_step) ** gr.dim
 
 
@@ -608,23 +674,27 @@ def _verdict(spec: Array) -> FrameBounds:
 
 
 def frame_bounds(g: Window, lat: GaborLattice, seed: int = 7) -> FrameBounds:
-    """Exact frame bounds A, B: the extreme eigenvalues of the Walnut blocks
-    (eigvalsh over the block stack).  is_frame fails when A <= 0 or
-    B / A > RATIO_CAP.  seed is accepted for old callers and not read."""
-    return _verdict(np.linalg.eigvalsh(_frame_blocks(g, lat)))
+    """Exact frame bounds A, B: the extreme eigenvalues of the Walnut blocks,
+    from the window's one factorization on lat (_LatticeTables.walnut),
+    which dual_window and tight_window then reuse.  is_frame fails when
+    A <= 0 or B / A > RATIO_CAP.  seed is accepted for old callers and not
+    read."""
+    return _verdict(g._tables(lat).walnut()[0])
 
 
 def _frame_power(g: Window, lat: GaborLattice, s: float,
                  bounds: Optional[FrameBounds] = None) -> Window:
-    """S_g^s g from one eigendecomposition of the Walnut blocks; bounds, when
-    given, replaces the block spectrum's is_frame verdict."""
+    """S_g^s g from the window's one eigendecomposition of the Walnut blocks
+    on lat (_LatticeTables.walnut); bounds, when given, replaces the block
+    spectrum's is_frame verdict."""
     gr = g.grid
-    lam, V = np.linalg.eigh(_frame_blocks(g, lat))
+    t = g._tables(lat)
+    lam, V = t.walnut()
     fb = bounds if bounds is not None else _verdict(lam)
     if not fb.is_frame:
         raise NotAFrameError(
             f"frame spectrum [{fb.lower:.3e}, {fb.upper:.3e}] fails A > 0, B/A <= RATIO_CAP")
-    p = _period(lat)
+    p = t.period
     gb = _fibers(g.signal.samples, p, gr.dim)[..., None]
     hb = V @ (lam[..., None] ** s * (V.conj().transpose(0, 2, 1) @ gb))
     sig = Signal(gr, _unfibers(hb[..., 0], p, gr.shape))

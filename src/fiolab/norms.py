@@ -67,29 +67,35 @@ def _mixed_norm(vals: Array, w: Array, p: float, q: float, d: int,
     return _outer_norm(inner, q, d, deta)
 
 
-def _weight_product(wx_axes: Sequence[Array], weta: Array, lead: int, d: int) -> Array:
-    """prod over axes a of wx_axes[a] times weta along eta axis a, multiplied
-    in the order ((wx_0 weta_0) wx_1) weta_1 ...; the eta axes are the last
-    d of lead + d axes, and each wx_axes[a] broadcasts over them."""
-    w_arr = np.ones((1,) * (lead + d))
-    for ax in range(d):
-        w_arr = w_arr * wx_axes[ax]
-        sh = [1] * (lead + d)
-        sh[lead + ax] = len(weta)
-        w_arr = w_arr * weta.reshape(sh)
-    return w_arr
+def _row_weights(wx_rows: Sequence[Array], weta_axes: Sequence[Array], rows: slice,
+                 out: Array) -> Array:
+    """The weights of the STFT rows `rows`, written into out: wx_rows[a]
+    holds the x weight of every row along axis a, and weta_axes[a] the eta
+    weight shaped to eta axis a.  They are multiplied in the order
+    ((wx_0 weta_0) wx_1) weta_1 ... of _weight_array, whose leading 1
+    changes no bit, so the values are its values."""
+    w = wx_rows[0][rows]
+    last = len(weta_axes) - 1
+    for ax, we in enumerate(weta_axes):
+        if ax:
+            w = w * wx_rows[ax][rows]
+        w = np.multiply(w, we, out=out if ax == last else None)
+    return w
 
 
 def _weight_array(xs: Array, etas: Array, weight: WeightSpec, d: int) -> Array:
-    """<x>^{s2} <eta>^{s1} over axes (x..., eta...), from the per-axis nodes."""
+    """<x>^{s2} <eta>^{s1} over axes (x..., eta...), from the per-axis nodes,
+    multiplied in the order ((wx_0 weta_0) wx_1) weta_1 ... from a leading
+    1."""
     wx = bracket(xs[:, None]) ** weight.s2
     weta = bracket(etas[:, None]) ** weight.s1
-    wx_axes = []
+    w_arr = np.ones((1,) * (2 * d))
     for ax in range(d):
-        sh = [1] * (2 * d)
-        sh[ax] = len(xs)
-        wx_axes.append(wx.reshape(sh))
-    return _weight_product(wx_axes, weta, d, d)
+        for axis, w in ((ax, wx), (d + ax, weta)):
+            sh = [1] * (2 * d)
+            sh[axis] = len(w)
+            w_arr = w_arr * w.reshape(sh)
+    return w_arr
 
 
 def mod_norm(
@@ -108,14 +114,16 @@ def mod_norm(
     running inner sum over x (a running max for p = inf), with the weight's
     eta factor permuted to FFT order.  |rows| goes into one float buffer,
     made once per call, and is raised to the power p there (not at all for
-    p = 1), and each block is freed before the next is asked for.  So a
-    block allocates nothing of its own size beyond its DFT, which takes
-    the freed block's place (see _stft_blocks on why).  The inner result
-    is shifted to centred order once, before the outer L^q sum.  The +-1
-    centring phase of the STFT is skipped, since it leaves |V_g f|
-    unchanged.  The value equals the norm of the dense stft(f, window,
-    x_stride) to the last bit.  A stride below 1 is refused before any
-    work."""
+    p = 1), and each block is freed before the next is asked for.  A
+    weighted norm takes each row's x weights from per-row tables made once
+    per call, and writes a block's weights into one more buffer of the
+    block's size (_row_weights).  So a block allocates nothing of its own
+    size beyond its DFT, which takes the freed block's place (see
+    _stft_blocks on why).  The inner result is shifted to centred order
+    once, before the outer L^q sum.  The +-1 centring phase of the STFT is
+    skipped, since it leaves |V_g f| unchanged.  The value equals the norm
+    of the dense stft(f, window, x_stride) to the last bit.  A stride below
+    1 is refused before any work."""
     if x_stride < 1:
         raise ValueError(f"STFT stride must be at least 1, got {x_stride}")
     if q is None:
@@ -129,19 +137,24 @@ def mod_norm(
     wx = bracket(xs[:, None]) ** weight.s2
     weta = np.fft.ifftshift(bracket(gr.freq_axis()[:, None]) ** weight.s1)
     weighted = weight.s1 != 0 or weight.s2 != 0
+    if weighted:
+        wx_rows = [wx[i].reshape((-1,) + (1,) * d)
+                   for i in np.unravel_index(np.arange(len(xs) ** d), (len(xs),) * d)]
+        weta_axes = [weta.reshape((1,) * (ax + 1) + (-1,) + (1,) * (d - 1 - ax))
+                     for ax in range(d)]
     scale = gr.space_step ** d
-    acc = buf = None
+    acc = buf = wbuf = None
     for i0, rows in _stft_blocks(f, g, x_stride):
         rows *= scale
         if buf is None:
             buf = np.empty(rows.shape)
+            wbuf = np.empty(rows.shape) if weighted else None
         a = np.abs(rows, out=buf[:len(rows)])
         # free the block before the next one's DFT is allocated, which then
         # takes its place instead of growing the heap top (see _stft_blocks)
         del rows
         if weighted:
-            idx = np.unravel_index(np.arange(i0, i0 + len(a)), (len(xs),) * d)
-            a *= _weight_product([wx[i].reshape((-1,) + (1,) * d) for i in idx], weta, 1, d)
+            a *= _row_weights(wx_rows, weta_axes, slice(i0, i0 + len(a)), wbuf[:len(a)])
         if np.isinf(p):
             part = a.max(axis=0)
             acc = part if acc is None else np.maximum(acc, part)

@@ -633,11 +633,21 @@ def _dataclass_fields(node):
             if isinstance(i, ast.AnnAssign) and isinstance(i.target, ast.Name)]
 
 
+def _init_false(f):
+    """Whether a dataclass field is declared field(..., init=False): no
+    constructor argument, so no call can pass it."""
+    v = f.value
+    return isinstance(v, ast.Call) and _callee(v) == "field" and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in v.keywords)
+
+
 def _dataclass_defaults(node):
-    """(name, index) of each defaulted field of a @dataclass class node:
-    index is its position among the constructor's arguments."""
-    return [(f.target.id, k) for k, f in enumerate(_dataclass_fields(node))
-            if f.value is not None]
+    """(name, index) of each defaulted field of a @dataclass class node that
+    the constructor takes: index is its position among the constructor's
+    arguments, which skip the init=False fields."""
+    init = [f for f in _dataclass_fields(node) if not _init_false(f)]
+    return [(f.target.id, k) for k, f in enumerate(init) if f.value is not None]
 
 
 def _passes(call, name, index):
@@ -728,8 +738,10 @@ def test_default_check_sees_calls():
                   "def z(obj):\n    obj.m(0, 0)\n")
     assert _unpassed_defaults({"a": a}, [b]) == ["a.f(y)", "a.f(z)", "a.g(w)"]
     # a defaulted dataclass field is passed only by a call of its class,
-    # by position or keyword; a plain class attribute is no field
+    # by position or keyword; a plain class attribute is no field, and an
+    # init=False field is no constructor argument and takes no position
     a = ast.parse("@dataclass\nclass E:\n    x: int\n    y: int = 0\n"
+                  "    m: dict = field(default_factory=dict, init=False)\n"
                   "    z: int = 1\n    w: int = field(default=2)\n"
                   "@dataclass(frozen=True)\nclass F:\n    u: int = 0\n"
                   "class G:\n    v: int = 0\n")
@@ -909,6 +921,34 @@ def test_as_strided_check_sees_calls():
         "line 6: stride_tricks.as_strided"]
 
 
+def _name_sites(tree, allowed):
+    """Where a module names a key of allowed (as a name, an attribute or an
+    imported name) outside that key's allowed defs.  A def is named by its
+    qualified name (Class.method, outer.inner); <module> is outside any."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, ast.ImportFrom):
+                names = [a.name for a in child.names]
+            else:
+                names = []
+            site = scope or "<module>"
+            hits.extend((child.lineno, n, site) for n in names
+                        if n in allowed and site not in allowed[n])
+            visit(child, inner)
+
+    visit(tree, "")
+    return [f"line {line}: {name} in {site}" for line, name, site in sorted(hits)]
+
+
 # The kernel sums that only OperatorHandle.apply_columns may call
 OPERATOR_SUMS = {"_kernel_apply", "_weyl_sum"}
 
@@ -916,18 +956,7 @@ OPERATOR_SUMS = {"_kernel_apply", "_weyl_sum"}
 def _operator_sum_names(tree):
     """Where a module names a kernel sum of OPERATOR_SUMS: as a name, an
     attribute (operators._kernel_apply) or an imported name."""
-    hits = []
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            names = [n.id]
-        elif isinstance(n, ast.Attribute):
-            names = [n.attr]
-        elif isinstance(n, ast.ImportFrom):
-            names = [a.name for a in n.names]
-        else:
-            continue
-        hits += [(n.lineno, name) for name in names if name in OPERATOR_SUMS]
-    return [f"line {line}: {name}" for line, name in sorted(hits)]
+    return _name_sites(tree, dict.fromkeys(OPERATOR_SUMS, frozenset()))
 
 
 def test_operator_sums_stay_in_operators():
@@ -945,4 +974,44 @@ def test_operator_sum_check_sees_names():
            "a = operators._kernel_apply(None, s, g, v)\nb = _kernel_apply\n"
            "c = operators.kernel_path(None, s, g)\n")
     assert _operator_sum_names(ast.parse(src)) == [
-        "line 1: _weyl_sum", "line 3: _kernel_apply", "line 4: _kernel_apply"]
+        "line 1: _weyl_sum in <module>", "line 3: _kernel_apply in <module>",
+        "line 4: _kernel_apply in <module>"]
+
+
+# What a Window's memo builds once per lattice, and the defs of gabor.py
+# that may name it: the Walnut blocks and their eigh only in the memo's
+# lazy factorization, the tones of one period only where the memo fills an
+# entry and in _atom_rows (whose tones span the whole axis).  No other src/ module
+# names _frame_blocks or _tone_table; eigh and eigvalsh are checked in
+# gabor.py alone, since operators.py factors other matrices.
+MEMO_SITES = {"_frame_blocks": {"_LatticeTables.walnut"},
+                 "eigh": {"_LatticeTables.walnut"},
+                 "eigvalsh": set(),
+                 "_tone_table": {"Window._tables", "_atom_rows"}}
+
+
+def test_lattice_tables_built_only_in_the_memo():
+    """Analysis, synthesis and the three frame solvers read the tones and
+    the Walnut factorization from the window's memo, so nothing else in
+    src/ builds them."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        allowed = (MEMO_SITES if path.name == "gabor.py"
+                   else {"_frame_blocks": set(), "_tone_table": set()})
+        bad += [f"{path.name}: {b}" for b in _name_sites(ast.parse(path.read_text()), allowed)]
+    assert not bad, "memo tables built outside the memo: " + ", ".join(bad)
+
+
+def test_memo_name_check_sees_sites():
+    src = ("from .gabor import _frame_blocks\n"
+           "class Window:\n    def _tables(self, lat):\n        return _tone_table(lat, 4)\n"
+           "class _LatticeTables:\n    def walnut(self):\n"
+           "        return np.linalg.eigh(_frame_blocks(self.translates, self.lattice))\n"
+           "def frame_bounds(g, lat):\n    return np.linalg.eigvalsh(g)\n"
+           "def _atom_rows(g, lat):\n    def inner():\n        return _tone_table(lat, 8)\n"
+           "    return _tone_table(lat, 8), inner\n"
+           "def gabor_synthesis(c, g, lat):\n    return gabor._tone_table(lat, 4)\n")
+    assert _name_sites(ast.parse(src), MEMO_SITES) == [
+        "line 1: _frame_blocks in <module>", "line 9: eigvalsh in frame_bounds",
+        "line 12: _tone_table in _atom_rows.inner",
+        "line 15: _tone_table in gabor_synthesis"]

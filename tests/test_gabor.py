@@ -1,4 +1,8 @@
+import gc
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -720,3 +724,159 @@ class TestTwoDimensional:
         w, lat, S = grid2d
         D = frame_matrix_dense(w, lat)
         assert np.max(np.abs(D - S)) <= 1e-12 * np.max(np.abs(S))
+
+
+def _fresh_copy(w):
+    """A new Window on a copy of w's samples: its memo starts empty."""
+    return Window(signal=Signal(w.grid, w.signal.samples.copy()), l2_norm=w.l2_norm)
+
+
+def _lattice_outputs(w, lat, seed):
+    """Every output one (window, lattice) pair feeds: the one-column fold of
+    gabor_analysis (called directly, since "past_period" leaves the band),
+    synthesis, the many-column fold and, on a full modulation period, the
+    frame solvers (the windows only when the system is a frame)."""
+    g = lat.grid
+    rng = np.random.default_rng(seed)
+    f = random_schwartz_signal(g, rng)
+    shape = (len(lat.k_index),) * g.dim + (len(lat.n_index),) * g.dim
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cols = rng.normal(size=(g.size, 3)) + 1j * rng.normal(size=(g.size, 3))
+    out = {"analysis": gabor._folded_analysis(f.samples.reshape(-1, 1), w, lat),
+           "synthesis": gabor_synthesis(GaborCoeffs(lat, c), w, lat).samples,
+           "fold": gabor._folded_analysis(cols, w, lat)}
+    try:
+        fb = frame_bounds(w, lat)
+    except GridAlignmentError:
+        return out
+    out["bounds"] = np.array([fb.lower, fb.upper, fb.iterations])
+    if not fb.is_frame:
+        return out
+    out["dual"] = dual_window(w, lat).signal.samples
+    out["tight"] = tight_window(w, lat).signal.samples
+    out["tight_bounds"] = tight_window(w, lat, bounds=fb).signal.samples
+    return out
+
+
+MEMO_LATTICES = {**{f"analysis_{k}": v for k, v in ANALYSIS_LATTICES.items()},
+                 **{f"fold_{k}": v for k, v in FOLD_LATTICES.items()}}
+
+
+class TestLatticeMemo:
+    """Each Window keeps what it implies on a lattice (tones, translate
+    views, the Walnut factorization) in its own memo, built on first use;
+    a warm memo gives the bits of a cold one."""
+
+    def test_samples_and_fields_are_read_only(self, g256):
+        w = Window.gaussian(g256)
+        with pytest.raises(ValueError, match="read-only"):
+            w.signal.samples[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.signal.samples *= 2.0
+        with pytest.raises(AttributeError):
+            w.signal = Signal(g256, np.ones(256))
+
+    def test_solvers_share_one_factorization(self, g256, monkeypatch):
+        w = Window.gaussian(g256)
+        lat = GaborLattice.for_grid(g256, 0.5, 0.5, window=w)
+        blocks, eighs = [], []
+        frame_blocks, eigh = gabor._frame_blocks, np.linalg.eigh
+        monkeypatch.setattr(gabor, "_frame_blocks",
+                            lambda *a: blocks.append(1) or frame_blocks(*a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: eighs.append(1) or eigh(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        fb = frame_bounds(w, lat)
+        dual_window(w, lat)
+        tight_window(w, lat, bounds=fb)
+        tight_window(w, lat)
+        assert len(blocks) == 1 and len(eighs) == 1
+
+    def test_tones_built_once_per_window(self, monkeypatch):
+        """The c03 loop: 8 reconstructions through the dual window and 8
+        tight-frame applications make 16 analyses and 16 syntheses over
+        three windows, and build the tones of one period three times."""
+        g = GridSpec(1, 8.0, 256)
+        w = Window.gaussian(g)
+        lat = GaborLattice.for_grid(g, 0.5, 0.5, window=w)
+        gamma, h = dual_window(w, lat), tight_window(w, lat)
+        calls = []
+        tone_table = gabor._tone_table
+        monkeypatch.setattr(gabor, "_tone_table",
+                            lambda *a: calls.append(a[1]) or tone_table(*a))
+        for f in make_corpus(g, 8, seed=36):
+            gabor_synthesis(gabor_analysis(f, w, lat), gamma, lat)
+            frame_operator(f, h, lat)
+        assert calls == [lat.grid.samples_per_axis // lat.n_step] * 2
+        frame_bounds(w, lat)
+        assert len(calls) == 2  # w's entry was built by dual_window
+
+    @pytest.mark.parametrize("lname", sorted(MEMO_LATTICES))
+    def test_warm_memo_keeps_bits(self, lname):
+        g, alpha, beta, kr, nr = MEMO_LATTICES[lname]
+        w = Window.gaussian(g)
+        lat = GaborLattice.for_grid(g, alpha, beta, window=w, k_radius=kr, n_radius=nr)
+        other = GaborLattice.for_grid(g, alpha, beta, window=w, k_radius=1, n_radius=1)
+        _lattice_outputs(w, lat, 37)
+        _lattice_outputs(w, other, 38)  # a second entry in the same memo
+        warm = _lattice_outputs(w, lat, 39)
+        cold = _lattice_outputs(_fresh_copy(w), lat, 39)
+        assert warm.keys() == cold.keys()
+        if lname in ("analysis_full", "analysis_d2_period"):
+            assert "bounds" in warm
+        assert ("dual" in warm) == (lname == "analysis_full")
+        for key in warm:
+            assert np.array_equal(warm[key], cold[key]), key
+
+    def test_partial_period_rejected_with_warm_memo(self, g256):
+        w = Window.gaussian(g256)
+        lat = GaborLattice.for_grid(g256, 0.5, 0.5, k_radius=4, n_radius=4)
+        f = random_schwartz_signal(g256, np.random.default_rng(40))
+        gabor_synthesis(gabor_analysis(f, w, lat), w, lat)
+        for _ in range(2):
+            for solver in (frame_bounds, dual_window, tight_window):
+                with pytest.raises(GridAlignmentError, match="full modulation period"):
+                    solver(w, lat)
+
+    def test_threads_share_a_cold_memo(self, g256):
+        """Threads racing on one cold window may each build its entry; every
+        thread still gets the single-thread bits, and one entry is kept."""
+        lat = GaborLattice.for_grid(g256, 0.5, 0.5, k_radius=20)
+        f = random_schwartz_signal(g256, np.random.default_rng(41))
+        ref_w = Window.gaussian(g256)
+        ref = (gabor_analysis(f, ref_w, lat).values, frame_bounds(ref_w, lat).lower,
+               dual_window(ref_w, lat).signal.samples)
+        w = Window.gaussian(g256)
+        results, errors = [], []
+
+        def work():
+            try:
+                results.append((gabor_analysis(f, w, lat).values, frame_bounds(w, lat).lower,
+                                dual_window(w, lat).signal.samples))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(results) == 6
+        for got in results:
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert list(w._memo) == [lat]
+
+    def test_memo_dies_with_its_window(self, g256):
+        w = Window.gaussian(g256)
+        lat = GaborLattice.for_grid(g256, 0.5, 0.5, window=w)
+        frame_bounds(w, lat)
+        entry = weakref.ref(w._tables(lat))
+        assert _fresh_copy(w)._memo == {}
+        del w
+        gc.collect()
+        assert entry() is None
