@@ -75,7 +75,9 @@ def _window_from(spec: str, grid: GridSpec) -> Window:
 _COMMON = {
     "grid": {"help": "N,L override (even N, box half width L)"},
     "out": {"default": "out", "help": "output directory"},
-    "plot": {"action": "store_true"},
+    "plot": {"action": "store_true",
+             "help": "also draw <stem>.svg for the experiments with a curve "
+                     "(fl_growth, multiplier_growth, lp_threshold); needs matplotlib"},
     "jobs": {"type": int, "default": None},
     "seed": {"type": int, "default": None},
 }
@@ -135,8 +137,7 @@ def cmd_gabor(args) -> int:
 def cmd_norm(args) -> int:
     grid = _parse_grid(args.grid)
     f = _load_signal(args.input, grid)
-    q = args.q if args.q is not None else args.p
-    rep = mod_norm(f, args.p, q, WeightSpec(args.s1, args.s2),
+    rep = mod_norm(f, args.p, args.q, WeightSpec(args.s1, args.s2),
                    x_stride=args.stride)
     print(repr(rep.value))
     return 0

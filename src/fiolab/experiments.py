@@ -24,7 +24,7 @@ threshold table reuses its images.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -412,12 +412,8 @@ def sharpness_m2_experiment(
         raise ValueError("sharpness_m2_experiment covers 1 <= p <= 2")
     v = sharpness_m1_experiment(m2, p, n_sweep=n_sweep, c=c, jobs=jobs)
     dev = m2_conjugation_consistency(m2, p, c=c, jobs=jobs)
-    verdict = ThresholdVerdict(
-        p=v.p, order=(0.0, m2), expected=v.expected,
-        measured_slope=v.measured_slope, verdict=v.verdict, threshold=v.threshold,
-        rows=tuple((n, "conjugated", a, b, r) for n, _, a, b, r in v.rows),
-    )
-    return verdict, dev
+    return replace(v, order=(0.0, m2),
+                   rows=tuple((n, "conjugated", a, b, r) for n, _, a, b, r in v.rows)), dev
 
 
 # ---------------------------------------------------------------------------

@@ -194,33 +194,16 @@ def _stft_blocks(f: Signal, g: Window, x_stride: int):
         yield i0, np.fft.fftn(prod[:k], axes=axes)
 
 
-def _centre_in_place(rows: Array, axes: tuple[int, ...]) -> None:
-    """rows = np.fft.fftshift(rows, axes), bit for bit, in place, for axes
-    past the first: per axis of length n the first n - n//2 entries and the
-    last n//2 swap places through a copy of the first part.  It runs row by
-    row of the first axis: numpy copies the source of an assignment whose
-    memory range overlaps the target's, as the two parts' ranges do along
-    the last axis, and that copy is then half a row, not half the block."""
-    for row in rows:
-        for ax in axes:
-            n = rows.shape[ax]
-            s = n // 2
-            lead = (slice(None),) * (ax - 1)
-            head = row[lead + (slice(0, n - s),)].copy()
-            row[lead + (slice(0, s),)] = row[lead + (slice(n - s, n),)]
-            row[lead + (slice(s, n),)] = head
-
-
 def _centred_stft_blocks(f: Signal, g: Window, x_stride: int):
-    """The blocks (i0, rows) of _stft_blocks, centred in place
-    (_centre_in_place and the +-1 phase) and scaled by dx^d: rows i0,
-    i0 + 1, ... of the STFT, each valid only until the next is requested."""
+    """The blocks (i0, rows) of _stft_blocks, centred (fftshift and the +-1
+    phase) and scaled by dx^d: rows i0, i0 + 1, ... of the STFT, each valid
+    only until the next is requested."""
     gr = f.grid
     axes = tuple(range(1, gr.dim + 1))
     ph = _alternating_phase(gr.samples_per_axis, gr.dim)
     scale = gr.space_step ** gr.dim
     for i0, rows in _stft_blocks(f, g, x_stride):
-        _centre_in_place(rows, axes)
+        rows = np.fft.fftshift(rows, axes=axes)
         rows *= ph
         rows *= scale
         yield i0, rows

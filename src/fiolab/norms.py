@@ -204,13 +204,13 @@ class EquivalenceReport:
 def gabor_norm_equivalence_check(
     corpus: Sequence[Signal],
     p: float,
-    q: float,
+    q: Optional[float],
     weight: WeightSpec,
     g: Window,
     lat: GaborLattice,
 ) -> EquivalenceReport:
     """Ratio interval of seq_norm(C_g f) / mod_norm(f) over a corpus, both
-    with the unit-norm window g."""
+    with the unit-norm window g; q None is p, as in both norms."""
     ratios = []
     for f in corpus:
         sn = seq_norm(gabor_analysis(f, g, lat), p, q, weight)

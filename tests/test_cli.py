@@ -13,7 +13,7 @@ from fiolab.cli import main
 from fiolab.config import ConfigError, ExperimentConfig, load_config, parse_config
 from fiolab.gabor import GaborLattice, Window, gabor_analysis, stft
 from fiolab.grid import GridSpec, Signal, gaussian_generator, lp_norm
-from fiolab.manifest import load_manifest
+from fiolab.manifest import file_sha256, load_manifest
 from fiolab.operators import DenseSizeError, OperatorHandle, gabor_matrix
 from fiolab.persist import (
     MATRIX_RECORD,
@@ -481,11 +481,11 @@ class TestRunner:
     def test_failed_run_marks_manifest(self, tmp_path, monkeypatch):
         from fiolab import runner
 
-        def boom(out, plot, jobs, seed, *, p=1.0, n_sweep=(8,), diffeo_c=0.3,
+        def boom(jobs, seed, *, p=1.0, n_sweep=(8,), diffeo_c=0.3,
                  grid=GridSpec(1, 2.0, 512)):
             raise RuntimeError("diverged at n=64")
 
-        monkeypatch.setitem(runner.EXPERIMENTS, "fl_growth", boom)
+        monkeypatch.setitem(runner.EXPERIMENTS, "fl_growth", (boom, "fl_growth"))
         with pytest.raises(RuntimeError, match="diverged"):
             run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "f", seed=1)
         path = tmp_path / "f" / "fl_growth.manifest.json"
@@ -498,6 +498,55 @@ class TestRunner:
         del data["error"], data["numpy_version"], data["hash_mismatch"]
         path.write_text(json.dumps(data))
         assert load_manifest(path).error == ""
+
+    @staticmethod
+    def _fake(monkeypatch, curve):
+        """Register experiment "fl_growth" as a fake runner whose stem,
+        "fake_stem", differs from its name; returns the RunResult it gives."""
+        from fiolab import runner
+        res = runner.RunResult(["n", "v"], [[1, 0.5], [2, 0.25]],
+                               {"slope": -1.0}, exit_code=3, curve=curve)
+
+        def fake(jobs, seed, *, p=1.0, n_sweep=(8,), diffeo_c=0.3,
+                 grid=GridSpec(1, 2.0, 512)):
+            return res
+
+        monkeypatch.setitem(runner.EXPERIMENTS, "fl_growth", (fake, "fake_stem"))
+        return res
+
+    def test_run_experiment_writes_the_result(self, tmp_path, monkeypatch):
+        """run_experiment writes the runner's result as <stem>.csv and
+        <stem>_verdict.json beside the manifest, hashes only the CSV, and
+        returns the runner's record."""
+        res = self._fake(monkeypatch, None)
+        got = run_experiment("fl_growth", parse_config(TINY_FL), tmp_path / "a", seed=1)
+        assert got is res and (got.exit_code, got.summary) == (3, {"slope": -1.0})
+        out = tmp_path / "a"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "fake_stem.csv", "fake_stem_verdict.json", "fl_growth.manifest.json"]
+        assert read_csv(out / "fake_stem.csv") == (["n", "v"], [["1", "0.5"], ["2", "0.25"]])
+        assert (out / "fake_stem_verdict.json").read_text() == \
+            json.dumps({"slope": -1.0}, indent=2, sort_keys=True) + "\n"
+        man = load_manifest(out / "fl_growth.manifest.json")
+        assert man.status == "done"
+        assert man.outputs == [{"path": "fake_stem.csv",
+                                "sha256": file_sha256(out / "fake_stem.csv")}]
+
+    @pytest.mark.parametrize("plot,curve,drawn", [
+        (True, ([1, 2], [0.5, 0.25], "n", "v"), True),
+        (False, ([1, 2], [0.5, 0.25], "n", "v"), False),
+        (True, None, False),
+    ])
+    def test_run_experiment_plots_once(self, tmp_path, monkeypatch, plot, curve, drawn):
+        """_maybe_plot draws the curve once, with (out, stem, *curve), when
+        plot is set and the runner gave a curve, and not otherwise."""
+        from fiolab import runner
+        self._fake(monkeypatch, curve)
+        seen = []
+        monkeypatch.setattr(runner, "_maybe_plot", lambda *a: seen.append(a))
+        out = tmp_path / "a"
+        run_experiment("fl_growth", parse_config(TINY_FL), out, plot=plot, seed=1)
+        assert seen == ([(out, "fake_stem", *curve)] if drawn else [])
 
     @pytest.mark.parametrize("legacy", [False, True])
     def test_manifest_registry_entries_dropped(self, tmp_path, legacy):

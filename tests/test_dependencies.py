@@ -11,7 +11,8 @@ methods, and every defaulted dataclass field, is passed by some program
 call (a member's reads and calls are resolved to the classes their receiver
 can be, see _Types); every dataclass field is read, not only set or
 copied, by program code; and every config key an experiment accepts, a
-keyword-only parameter of its runner, is read by that runner.
+keyword-only parameter of its runner, is read by that runner, while only
+run_experiment writes an experiment's files.
 No numpy.fft call passes out=, which numpy 1.24 lacks."""
 import ast
 import fnmatch
@@ -832,18 +833,18 @@ def test_every_runner_parameter_is_read():
     from fiolab.runner import EXPERIMENTS
     tree = ast.parse((SRC / "runner.py").read_text())
     defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert {fn.__name__ for fn in EXPERIMENTS.values()} <= defined
+    assert {fn.__name__ for fn, _ in EXPERIMENTS.values()} <= defined
     bad = _unread_runner_params(tree)
     assert not bad, "runner parameters the runner never reads: " + ", ".join(bad)
-    taken = {a.name for fn in EXPERIMENTS.values()
+    taken = {a.name for fn, _ in EXPERIMENTS.values()
              for a in inspect.signature(fn).parameters.values() if a.kind is a.KEYWORD_ONLY}
     keys = {"grid", *_SCHEMA["lattice"], *_SCHEMA["experiment"]} - {"name"}
     assert taken == keys
 
 
 def test_runner_parameter_check_sees_reads():
-    src = ("def run_a(out, plot, jobs, seed, *, p=1.0, grid=None):\n    return p\n"
-           "def run_b(out, plot, jobs, seed, *, q=1.0):\n"
+    src = ("def run_a(jobs, seed, *, p=1.0, grid=None):\n    return p\n"
+           "def run_b(jobs, seed, *, q=1.0):\n"
            "    def inner():\n        return q\n    return inner\n"
            "def helper(*, r=1):\n    pass\n")
     assert _unread_runner_params(ast.parse(src)) == ["run_a(grid)"]
@@ -1015,3 +1016,32 @@ def test_memo_name_check_sees_sites():
         "line 1: _frame_blocks in <module>", "line 9: eigvalsh in frame_bounds",
         "line 12: _tone_table in _atom_rows.inner",
         "line 15: _tone_table in gabor_synthesis"]
+
+
+# What writes an experiment's files, and the one def of runner.py that may
+# name it: runners return a RunResult and run_experiment writes it.  The
+# module-level import of write_csv is allowed.
+WRITER_SITES = {"write_csv": {"run_experiment", "<module>"},
+                "_maybe_plot": {"run_experiment"},
+                "dumps": {"run_experiment"}}
+
+
+def test_only_run_experiment_writes():
+    """No runner writes its CSV, verdict JSON or chart: in runner.py only
+    run_experiment names write_csv, _maybe_plot or json.dumps."""
+    bad = _name_sites(ast.parse((SRC / "runner.py").read_text()), WRITER_SITES)
+    assert not bad, "experiment files written outside run_experiment: " + ", ".join(bad)
+
+
+def test_writer_check_sees_sites():
+    src = ("import json\nfrom .persist import write_csv\n"
+           "def run_a(jobs, seed, *, p=1.0):\n"
+           "    write_csv('a.csv', ['p'], [[p]])\n"
+           "    return json.dumps({'p': p})\n"
+           "def run_b(jobs, seed):\n    _maybe_plot(None, 'b', [1], [1], 'x', 'y')\n"
+           "def run_experiment(name):\n"
+           "    write_csv('b.csv', [], [])\n    json.dumps({})\n"
+           "    _maybe_plot(None, 'b', [1], [1], 'x', 'y')\n")
+    assert _name_sites(ast.parse(src), WRITER_SITES) == [
+        "line 4: write_csv in run_a", "line 5: dumps in run_a",
+        "line 7: _maybe_plot in run_b"]

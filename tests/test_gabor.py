@@ -30,7 +30,6 @@ from fiolab.gabor import (
     stft_direct,
     tight_window,
     _atom_rows,
-    _centre_in_place,
     _tone_table,
     _window_table,
 )
@@ -656,18 +655,6 @@ class TestStftBlocks:
         starts = [(i0, len(rows)) for i0, rows in gabor._stft_blocks(f, w, x_stride)]
         assert [i0 for i0, _ in starts] == list(range(0, nodes, 7))
         assert sum(b for _, b in starts) == nodes and starts[-1][1] <= 7
-
-    @pytest.mark.parametrize("shape", [(5, 8), (5, 7), (3, 6, 6), (3, 5, 7), (2, 1, 1)])
-    def test_centring_in_place_is_fftshift(self, shape):
-        """_centred_stft_blocks centres a block in place; that equals
-        np.fft.fftshift over the axes past the first bit for bit, for even
-        and odd lengths, in d = 1 and 2."""
-        rng = np.random.default_rng(28)
-        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        axes = tuple(range(1, len(shape)))
-        ref = np.fft.fftshift(rows, axes=axes)
-        _centre_in_place(rows, axes)
-        assert np.array_equal(rows, ref)
 
     def test_grid_mismatch_rejected(self, g256, w256):
         f = random_schwartz_signal(GridSpec(1, 8.0, 128), np.random.default_rng(27))
