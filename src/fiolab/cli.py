@@ -78,7 +78,9 @@ _COMMON = {
     "plot": {"action": "store_true",
              "help": "also draw <stem>.svg for the experiments with a curve "
                      "(fl_growth, multiplier_growth, lp_threshold); needs matplotlib"},
-    "jobs": {"type": int, "default": None},
+    "jobs": {"type": int, "default": None,
+             "help": "threads that split the modulation norms over n "
+                     "(default: the CPU count)"},
     "seed": {"type": int, "default": None},
 }
 

@@ -14,6 +14,7 @@ import configparser
 import hashlib
 import io
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from typing import Any
 
 from .grid import GridSpec
@@ -192,7 +193,5 @@ def _validate_physical(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path) -> ExperimentConfig:
-    from pathlib import Path
-
     return parse_config(Path(path).read_text())
 

@@ -36,8 +36,11 @@ from .grid import (
     GridSpec,
     Signal,
     Generator,
+    bracket,
     bump_generator,
+    dual_grid,
     fourier_transform,
+    gaussian_generator,
     inverse_fourier,
     lp_norm,
 )
@@ -52,7 +55,6 @@ from .symbols import (
     symbol_from_name,
     phase_from_name,
 )
-from .grid import bracket, dual_grid
 from .util import GrowthFit, fit_loglog, pmap
 
 DEAD_BAND_LO = 0.05
@@ -373,8 +375,6 @@ def m2_conjugation_consistency(
     jobs splits the modulation norms over n.  Gaussian envelopes replace the
     bump (their spectra fit the narrower self-dual band).
     """
-    from .grid import gaussian_generator
-
     grid = self_dual_grid()
     window = Window.gaussian(grid, width=1.0)
     env = gaussian_generator(width=0.2).translated([0.5])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -46,12 +47,15 @@ class RunResult:
 
 
 def _maybe_plot(out_dir: Path, name: str, xs, ys, xlabel: str, ylabel: str) -> None:
-    """<name>.svg, a log-log chart of ys against xs; nothing without matplotlib."""
+    """<name>.svg, a log-log chart of ys against xs; without matplotlib, a
+    UserWarning that names the skipped chart, and no file."""
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
+        warnings.warn(f"{name}.svg not written: --plot needs matplotlib, "
+                      "which is not installed")
         return
     fig, ax = plt.subplots(figsize=(5, 3.5))
     ax.loglog(xs, ys, "o-")

@@ -8,13 +8,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-JOBS_ENV = "FIOLAB_JOBS"
-
 
 def default_jobs() -> int:
-    v = os.environ.get(JOBS_ENV)
-    if v:
-        return max(1, int(v))
     return os.cpu_count() or 1
 
 

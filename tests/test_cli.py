@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import struct
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -547,6 +548,19 @@ class TestRunner:
         out = tmp_path / "a"
         run_experiment("fl_growth", parse_config(TINY_FL), out, plot=plot, seed=1)
         assert seen == ([(out, "fake_stem", *curve)] if drawn else [])
+
+    def test_plot_without_matplotlib_warns(self, tmp_path, monkeypatch):
+        """Without matplotlib, --plot warns that it skipped fl_growth.svg,
+        writes no chart and changes neither the exit code nor the CSV."""
+        monkeypatch.setitem(sys.modules, "matplotlib", None)
+        cfg = parse_config(TINY_FL)
+        with pytest.warns(UserWarning, match=r"fl_growth\.svg.*matplotlib"):
+            res = run_experiment("fl_growth", cfg, tmp_path / "a", plot=True, seed=1)
+        run_experiment("fl_growth", cfg, tmp_path / "b", plot=False, seed=1)
+        assert res.exit_code == 0
+        assert not list((tmp_path / "a").glob("*.svg"))
+        csv = "fl_growth.csv"
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
     @pytest.mark.parametrize("legacy", [False, True])
     def test_manifest_registry_entries_dropped(self, tmp_path, legacy):

@@ -1,9 +1,10 @@
-"""numpy is the only runtime dependency: every import in src/fiolab is the
-standard library, numpy or fiolab itself, except matplotlib, which only
-runner._maybe_plot imports (and which degrades when it is missing).  Every
-module other than __init__ also reads each name it imports at module scope,
-and every entry point the benchmark's tracer wraps exists in fiolab, with
-every call the benchmark's workloads make into it binding to its signature.
+"""numpy is the only runtime dependency: every import in src/fiolab is of
+the standard library, numpy or fiolab itself, at module scope, except
+matplotlib, which only runner._maybe_plot imports (it warns and draws
+nothing when matplotlib is missing).  Every module other than __init__ reads
+each name it imports at module scope, and every entry point the benchmark's
+tracer wraps exists in fiolab, with every call the benchmark's workloads
+make into it binding to its signature.
 Every name fiolab defines is read somewhere; every module-level function and
 every method or property of a module-level class is read by program code
 rather than by tests alone; every defaulted parameter of those functions and
@@ -11,8 +12,11 @@ methods, and every defaulted dataclass field, is passed by some program
 call (a member's reads and calls are resolved to the classes their receiver
 can be, see _Types); every dataclass field is read, not only set or
 copied, by program code; and every config key an experiment accepts, a
-keyword-only parameter of its runner, is read by that runner, while only
-run_experiment writes an experiment's files.
+keyword-only parameter of its runner, is read by that runner.
+One table, BANS, keeps names at their sites: the kernel sums in
+OperatorHandle.apply_columns, the Walnut blocks and tones in a Window's
+memo, the experiment's writers in run_experiment; and no module calls
+as_strided or reads the environment (environ, getenv).
 No numpy.fft call passes out=, which numpy 1.24 lacks."""
 import ast
 import fnmatch
@@ -28,15 +32,17 @@ OPTIONAL = {("runner.py", "_maybe_plot", "matplotlib")}
 
 
 def _imports(tree):
-    """(top-level module, enclosing function name or None) per import."""
+    """(top-level module, enclosing function name or None) per import; a
+    relative import is of fiolab."""
     out = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
                 out.extend((a.name.split(".")[0], func) for a in child.names)
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                out.append((child.module.split(".")[0], func))
+            elif isinstance(child, ast.ImportFrom):
+                out.append((child.module.split(".")[0] if child.level == 0 else "fiolab",
+                            func))
             inner = child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
             visit(child, inner)
@@ -46,20 +52,24 @@ def _imports(tree):
 
 
 def test_runtime_imports_are_numpy_only():
+    """Every import is of the standard library, numpy or fiolab, at module
+    scope; OPTIONAL lists the one exception."""
     files = sorted(SRC.glob("*.py"))
     assert files
     bad = []
     for path in files:
         for mod, func in _imports(ast.parse(path.read_text(), str(path))):
-            if mod not in ALLOWED and (path.name, func, mod) not in OPTIONAL:
+            if (mod not in ALLOWED or func) and (path.name, func, mod) not in OPTIONAL:
                 bad.append(f"{path.name}: {mod} (in {func or 'module scope'})")
-    assert not bad, "non-numpy runtime imports: " + ", ".join(bad)
+    assert not bad, "imports of other packages, or inside a def: " + ", ".join(bad)
 
 
 def test_guard_sees_nested_imports():
     tree = ast.parse("def f():\n    def g():\n        import scipy.linalg\n"
-                     "from hypothesis import given\n")
-    assert _imports(tree) == [("scipy", "g"), ("hypothesis", None)]
+                     "    from .grid import bracket\n"
+                     "from hypothesis import given\nfrom . import gabor\n")
+    assert _imports(tree) == [("scipy", "g"), ("fiolab", "f"), ("hypothesis", None),
+                              ("fiolab", None)]
 
 
 def _unused_imports(tree, lines):
@@ -885,163 +895,111 @@ def test_fft_out_check_sees_calls():
     assert _fft_out_calls(ast.parse(src)) == ["line 3: np.fft.fftn", "line 4: inv"]
 
 
-def _as_strided_calls(tree):
-    """Calls of numpy's as_strided: any attribute call .as_strided
-    (np.lib.stride_tricks.as_strided, stride_tricks.as_strided, ...) or a
-    name imported as as_strided from any module."""
-    names = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-             for a in n.names if a.name == "as_strided"}
-    bad = []
-    for call in ast.walk(tree):
-        if not isinstance(call, ast.Call):
-            continue
-        func = call.func
-        if (isinstance(func, ast.Attribute) and func.attr == "as_strided") \
-                or (isinstance(func, ast.Name) and func.id in names):
-            bad.append(f"line {call.lineno}: {ast.unparse(func)}")
-    return bad
+def _name_sites(node, names, scope=""):
+    """(line, name, site) wherever node names one of names: as a name, an
+    attribute or an imported name.  The site is the qualified name of the
+    enclosing def (Class.method, outer.inner), or <module> outside any."""
+    for child in ast.iter_child_nodes(node):
+        found = ([child.id] if isinstance(child, ast.Name) else
+                 [child.attr] if isinstance(child, ast.Attribute) else
+                 [a.name for a in child.names] if isinstance(child, ast.ImportFrom) else [])
+        yield from ((child.lineno, n, scope or "<module>") for n in found if n in names)
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from _name_sites(child, names, inner)
 
 
-def test_no_as_strided():
-    """Window translates are basic slices of sliding_window_view, which
-    checks its bounds; as_strided checks none, so no src/ module calls it."""
-    bad = []
-    for path in sorted(SRC.glob("*.py")):
-        bad += [f"{path.name}: {b}" for b in _as_strided_calls(ast.parse(path.read_text()))]
-    assert not bad, "as_strided calls: " + ", ".join(bad)
+def test_name_site_check_sees_sites():
+    src = ("from .gabor import _frame_blocks as fb\n"
+           "def _atom_rows(g, lat):\n    def inner():\n        return _tone_table(lat)\n"
+           "    return _tone_table(lat), inner\n"
+           "class W:\n    def bounds(self, g):\n        return np.linalg.eigvalsh(g)\n")
+    assert list(_name_sites(ast.parse(src), {"_frame_blocks", "_tone_table", "eigvalsh"})) == [
+        (1, "_frame_blocks", "<module>"), (4, "_tone_table", "_atom_rows.inner"),
+        (5, "_tone_table", "_atom_rows"), (8, "eigvalsh", "W.bounds")]
 
 
-def test_as_strided_check_sees_calls():
-    src = ("import numpy as np\nfrom numpy.lib.stride_tricks import as_strided as ast_\n"
-           "from numpy.lib import stride_tricks\n"
-           "a = np.lib.stride_tricks.as_strided(x, (2,), (8,))\nb = ast_(x, (2,), (8,))\n"
-           "c = stride_tricks.as_strided(x)\n"
-           "d = np.lib.stride_tricks.sliding_window_view(x, 2)\n")
-    assert _as_strided_calls(ast.parse(src)) == [
-        "line 4: np.lib.stride_tricks.as_strided", "line 5: ast_",
-        "line 6: stride_tricks.as_strided"]
+# Names src/ may use only at a few sites, one row each: (glob of src/ module
+# file names, name, the defs of those modules that may name it).
+# - OperatorHandle.apply_columns is the one surface for A and A*, so only it
+#   calls the kernel sums.
+# - A Window's memo builds the Walnut blocks and their one eigh in its lazy
+#   factorization, and the tones where it fills an entry; _atom_rows's tones
+#   span the whole axis.  eigh and eigvalsh are banned in gabor.py alone:
+#   operators.py factors other matrices.
+# - Only run_experiment writes the CSV, the verdict JSON and the chart; the
+#   runners return a RunResult.
+# - as_strided checks no bounds; window translates slice sliding_window_view.
+# - Settings come from flags and config files, never the environment.
+BANS = [
+    ("*.py", "_kernel_apply", {"OperatorHandle.apply_columns"}),
+    ("*.py", "_weyl_sum", {"OperatorHandle.apply_columns"}),
+    ("*.py", "_frame_blocks", {"_LatticeTables.walnut"}),
+    ("*.py", "_tone_table", {"Window._tables", "_atom_rows"}),
+    ("gabor.py", "eigh", {"_LatticeTables.walnut"}),
+    ("gabor.py", "eigvalsh", set()),
+    ("runner.py", "write_csv", {"run_experiment", "<module>"}),
+    ("runner.py", "_maybe_plot", {"run_experiment"}),
+    ("runner.py", "dumps", {"run_experiment"}),
+    ("*.py", "as_strided", set()),
+    ("*.py", "environ", set()),
+    ("*.py", "getenv", set()),
+]
 
 
-def _name_sites(tree, allowed):
-    """Where a module names a key of allowed (as a name, an attribute or an
-    imported name) outside that key's allowed defs.  A def is named by its
-    qualified name (Class.method, outer.inner); <module> is outside any."""
-    hits = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            if isinstance(child, ast.Name):
-                names = [child.id]
-            elif isinstance(child, ast.Attribute):
-                names = [child.attr]
-            elif isinstance(child, ast.ImportFrom):
-                names = [a.name for a in child.names]
-            else:
-                names = []
-            site = scope or "<module>"
-            hits.extend((child.lineno, n, site) for n in names
-                        if n in allowed and site not in allowed[n])
-            visit(child, inner)
-
-    visit(tree, "")
-    return [f"line {line}: {name} in {site}" for line, name, site in sorted(hits)]
+def _ban_hits(modules, bans):
+    """For each row of bans, where the modules ({file name: tree}) its glob
+    matches name its name outside its allowed sites, and each allowed site
+    that names it in no such module or in several (a stale site, or a def
+    name another module reuses)."""
+    out = []
+    for pattern, name, allowed in bans:
+        uses = dict.fromkeys(allowed, 0)
+        for fname, tree in modules.items():
+            if not fnmatch.fnmatchcase(fname, pattern):
+                continue
+            hits = list(_name_sites(tree, {name}))
+            out += [f"{fname}: line {line}: {name} in {site}"
+                    for line, _, site in hits if site not in allowed]
+            for site in allowed & {site for _, _, site in hits}:
+                uses[site] += 1
+        out += [f"{pattern}: {name} allowed in {site}, named there in {n} modules"
+                for site, n in sorted(uses.items()) if n != 1]
+    return out
 
 
-# The kernel sums that only OperatorHandle.apply_columns may call
-OPERATOR_SUMS = {"_kernel_apply", "_weyl_sum"}
+def test_banned_names_stay_at_their_sites():
+    modules = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    bad = _ban_hits(modules, BANS)
+    assert not bad, "banned names outside their allowed sites: " + ", ".join(bad)
 
 
-def _operator_sum_names(tree):
-    """Where a module names a kernel sum of OPERATOR_SUMS: as a name, an
-    attribute (operators._kernel_apply) or an imported name."""
-    return _name_sites(tree, dict.fromkeys(OPERATOR_SUMS, frozenset()))
+def _planted(name, sites):
+    """Source that names `name` once at each of sites: <module> at module
+    scope, f in a def f and C.m in a method m of a class C."""
+    src = ""
+    for site in sorted(sites):
+        cls, _, fn = site.rpartition(".")
+        src += (f"{name}\n" if site == "<module>" else
+                f"class {cls}:\n    def {fn}():\n        return {name}\n" if cls else
+                f"def {fn}():\n    return {name}\n")
+    return src
 
 
-def test_operator_sums_stay_in_operators():
-    """Every consumer applies an operator through OperatorHandle, so no src/
-    module but operators.py names _kernel_apply or _weyl_sum."""
-    bad = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "operators.py":
-            bad += [f"{path.name}: {b}" for b in _operator_sum_names(ast.parse(path.read_text()))]
-    assert not bad, "kernel sums named outside operators.py: " + ", ".join(bad)
-
-
-def test_operator_sum_check_sees_names():
-    src = ("from .operators import _weyl_sum as w\nfrom . import operators\n"
-           "a = operators._kernel_apply(None, s, g, v)\nb = _kernel_apply\n"
-           "c = operators.kernel_path(None, s, g)\n")
-    assert _operator_sum_names(ast.parse(src)) == [
-        "line 1: _weyl_sum in <module>", "line 3: _kernel_apply in <module>",
-        "line 4: _kernel_apply in <module>"]
-
-
-# What a Window's memo builds once per lattice, and the defs of gabor.py
-# that may name it: the Walnut blocks and their eigh only in the memo's
-# lazy factorization, the tones of one period only where the memo fills an
-# entry and in _atom_rows (whose tones span the whole axis).  No other src/ module
-# names _frame_blocks or _tone_table; eigh and eigvalsh are checked in
-# gabor.py alone, since operators.py factors other matrices.
-MEMO_SITES = {"_frame_blocks": {"_LatticeTables.walnut"},
-                 "eigh": {"_LatticeTables.walnut"},
-                 "eigvalsh": set(),
-                 "_tone_table": {"Window._tables", "_atom_rows"}}
-
-
-def test_lattice_tables_built_only_in_the_memo():
-    """Analysis, synthesis and the three frame solvers read the tones and
-    the Walnut factorization from the window's memo, so nothing else in
-    src/ builds them."""
-    bad = []
-    for path in sorted(SRC.glob("*.py")):
-        allowed = (MEMO_SITES if path.name == "gabor.py"
-                   else {"_frame_blocks": set(), "_tone_table": set()})
-        bad += [f"{path.name}: {b}" for b in _name_sites(ast.parse(path.read_text()), allowed)]
-    assert not bad, "memo tables built outside the memo: " + ", ".join(bad)
-
-
-def test_memo_name_check_sees_sites():
-    src = ("from .gabor import _frame_blocks\n"
-           "class Window:\n    def _tables(self, lat):\n        return _tone_table(lat, 4)\n"
-           "class _LatticeTables:\n    def walnut(self):\n"
-           "        return np.linalg.eigh(_frame_blocks(self.translates, self.lattice))\n"
-           "def frame_bounds(g, lat):\n    return np.linalg.eigvalsh(g)\n"
-           "def _atom_rows(g, lat):\n    def inner():\n        return _tone_table(lat, 8)\n"
-           "    return _tone_table(lat, 8), inner\n"
-           "def gabor_synthesis(c, g, lat):\n    return gabor._tone_table(lat, 4)\n")
-    assert _name_sites(ast.parse(src), MEMO_SITES) == [
-        "line 1: _frame_blocks in <module>", "line 9: eigvalsh in frame_bounds",
-        "line 12: _tone_table in _atom_rows.inner",
-        "line 15: _tone_table in gabor_synthesis"]
-
-
-# What writes an experiment's files, and the one def of runner.py that may
-# name it: runners return a RunResult and run_experiment writes it.  The
-# module-level import of write_csv is allowed.
-WRITER_SITES = {"write_csv": {"run_experiment", "<module>"},
-                "_maybe_plot": {"run_experiment"},
-                "dumps": {"run_experiment"}}
-
-
-def test_only_run_experiment_writes():
-    """No runner writes its CSV, verdict JSON or chart: in runner.py only
-    run_experiment names write_csv, _maybe_plot or json.dumps."""
-    bad = _name_sites(ast.parse((SRC / "runner.py").read_text()), WRITER_SITES)
-    assert not bad, "experiment files written outside run_experiment: " + ", ".join(bad)
-
-
-def test_writer_check_sees_sites():
-    src = ("import json\nfrom .persist import write_csv\n"
-           "def run_a(jobs, seed, *, p=1.0):\n"
-           "    write_csv('a.csv', ['p'], [[p]])\n"
-           "    return json.dumps({'p': p})\n"
-           "def run_b(jobs, seed):\n    _maybe_plot(None, 'b', [1], [1], 'x', 'y')\n"
-           "def run_experiment(name):\n"
-           "    write_csv('b.csv', [], [])\n    json.dumps({})\n"
-           "    _maybe_plot(None, 'b', [1], [1], 'x', 'y')\n")
-    assert _name_sites(ast.parse(src), WRITER_SITES) == [
-        "line 4: write_csv in run_a", "line 5: dumps in run_a",
-        "line 7: _maybe_plot in run_b"]
+def test_ban_table_sees_every_row():
+    """Each row of BANS reports a stray use of its name and nothing else,
+    though each allowed site names it too; an allowed site must name it in
+    exactly one module."""
+    for pattern, name, allowed in BANS:
+        fname = pattern.replace("*", "planted")
+        src = _planted(name, allowed) + f"def stray():\n    return {name}\n"
+        last = src.count("\n")
+        assert _ban_hits({fname: ast.parse(src)}, [(pattern, name, allowed)]) == [
+            f"{fname}: line {last}: {name} in stray"]
+    row = ("*.py", "f", {"C.m"})
+    tree = ast.parse(_planted("f", {"C.m"}))
+    assert _ban_hits({"a.py": tree, "b.py": tree, "c.txt": tree}, [row]) == [
+        "*.py: f allowed in C.m, named there in 2 modules"]
+    assert _ban_hits({"a.py": ast.parse("")}, [row]) == [
+        "*.py: f allowed in C.m, named there in 0 modules"]
