@@ -25,6 +25,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fiolab"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "fiolab"}
@@ -969,9 +971,10 @@ def _ban_hits(modules, bans):
     return out
 
 
-def test_banned_names_stay_at_their_sites():
+@pytest.mark.parametrize("row", BANS, ids=[name for _, name, _ in BANS])
+def test_banned_names_stay_at_their_sites(row):
     modules = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
-    bad = _ban_hits(modules, BANS)
+    bad = _ban_hits(modules, [row])
     assert not bad, "banned names outside their allowed sites: " + ", ".join(bad)
 
 
@@ -987,16 +990,20 @@ def _planted(name, sites):
     return src
 
 
-def test_ban_table_sees_every_row():
-    """Each row of BANS reports a stray use of its name and nothing else,
-    though each allowed site names it too; an allowed site must name it in
-    exactly one module."""
-    for pattern, name, allowed in BANS:
-        fname = pattern.replace("*", "planted")
-        src = _planted(name, allowed) + f"def stray():\n    return {name}\n"
-        last = src.count("\n")
-        assert _ban_hits({fname: ast.parse(src)}, [(pattern, name, allowed)]) == [
-            f"{fname}: line {last}: {name} in stray"]
+@pytest.mark.parametrize("row", BANS, ids=[name for _, name, _ in BANS])
+def test_ban_table_sees_every_row(row):
+    """A row of BANS reports a stray use of its name and nothing else,
+    though each allowed site names it too."""
+    pattern, name, allowed = row
+    fname = pattern.replace("*", "planted")
+    src = _planted(name, allowed) + f"def stray():\n    return {name}\n"
+    last = src.count("\n")
+    assert _ban_hits({fname: ast.parse(src)}, [row]) == [
+        f"{fname}: line {last}: {name} in stray"]
+
+
+def test_ban_site_named_in_one_module():
+    """An allowed site must name its name in exactly one module."""
     row = ("*.py", "f", {"C.m"})
     tree = ast.parse(_planted("f", {"C.m"}))
     assert _ban_hits({"a.py": tree, "b.py": tree, "c.txt": tree}, [row]) == [
