@@ -69,10 +69,14 @@ def _coerce(kind: str, raw: str) -> Any:
 
 
 def _grid_spec(sec: dict[str, Any]) -> GridSpec:
+    """The GridSpec of a [grid] section; a missing key, or a value GridSpec
+    rejects, raises ConfigError."""
     try:
         return GridSpec(sec.get("dim", 1), sec["half_width"], sec["samples_per_axis"])
     except KeyError as e:
         raise ConfigError(f"[grid] needs {e.args[0]}") from None
+    except ValueError as e:
+        raise ConfigError(f"[grid] {e}") from None
 
 
 def _section_of(key: str) -> str:
@@ -170,11 +174,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def _validate_physical(cfg: ExperimentConfig) -> None:
     sec = cfg.sections.get("grid")
     if sec:
-        n = sec.get("samples_per_axis", 0)
-        if n <= 0 or n % 2 != 0:
-            raise ConfigError("samples_per_axis must be even and positive")
-        if sec.get("half_width", 1.0) <= 0:
-            raise ConfigError("half_width must be positive")
         gr = _grid_spec(sec)
         ns = cfg.get("experiment", "n_sweep")
         if ns:

@@ -24,14 +24,15 @@ stale.
 
 Since the tones of any lattice repeat after P = N / gcd(N, n_step)
 samples, the same fibers fold the lattice coefficients (_folded_analysis):
-one signal, for gabor_analysis, takes its residue sums in one einsum over
-the window translates; many columns, the Gabor-matrix rows, go through one
-batched matmul against a contiguous copy of the translates made per call.
-gabor_synthesis is the adjoint.  All take each residue's tone at its
+the one signal of gabor_analysis and the many columns of the Gabor-matrix
+rows take their residue sums in one batched matmul over the conjugated
+translates on the Walnut fibers (_translate_fibers); gabor_synthesis is
+the adjoint, one batched matmul over the plain ones, and the Walnut blocks
+(_frame_blocks) are one over both.  All take each residue's tone at its
 sample nearest x = 0.  The window translates are one view, sliced with
 step -k_step, of the sliding windows of the zero-padded window
 (_window_table over _shift_views, which _stft_blocks also reads); no table
-of them is gathered.
+of them is gathered, and in d = 1 their fiber order is a view as well.
 """
 from __future__ import annotations
 
@@ -392,8 +393,8 @@ def _window_table(samples: Array, lat: GaborLattice) -> Array:
     read-only view of _shift_views, padded to reach the largest lattice
     shift, and sliced with step -k_step (the translate by s starts at
     reach - s).  A translate by N or more per axis is all zero fill.
-    Nothing is copied; a caller that needs contiguous memory takes one
-    copy (_fiber_translates)."""
+    Nothing is copied: every contraction reads it on the Walnut fibers
+    (_translate_fibers)."""
     ks = lat.k_step
     k0, k1 = lat.k_index[0], lat.k_index[-1]
     reach = ks * max(abs(k0), abs(k1))
@@ -401,18 +402,6 @@ def _window_table(samples: Array, lat: GaborLattice) -> Array:
     lo = reach - k1 * ks
     d = lat.grid.dim
     return views[(slice(lo, lo + (k1 - k0) * ks + 1, ks),) * d][(slice(None, None, -1),) * d]
-
-
-def _fiber_translates(table: Array, lat: GaborLattice, p: int) -> Array:
-    """The translates of a _window_table view on the Walnut fibers of
-    period p (see _fibers), in one contiguous copy of shape (p^d, Q^d, K^d),
-    with Q = N / p and the K^d k tuples in lat.k_tuples() order."""
-    d = lat.grid.dim
-    q = lat.grid.samples_per_axis // p
-    t = table.reshape(table.shape[:d] + (q, p) * d)
-    r_ax, q_ax = list(range(d + 1, 3 * d, 2)), list(range(d, 3 * d, 2))
-    t = np.ascontiguousarray(t.transpose(r_ax + q_ax + list(range(d))))
-    return t.reshape(p ** d, q ** d, -1)
 
 
 def _tone_period(lat: GaborLattice) -> int:
@@ -468,7 +457,7 @@ class _LatticeTables:
         _frame_blocks raises GridAlignmentError first, and keeps nothing,
         when n_index is not one full modulation period."""
         if self._walnut is None:
-            self._walnut = np.linalg.eigh(_frame_blocks(self.translates, self.lattice))
+            self._walnut = np.linalg.eigh(_frame_blocks(self))
         return self._walnut
 
 
@@ -493,8 +482,9 @@ def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
 
 def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g, the adjoint of the fold:
-    each n axis contracted with the tones of one period P, then one einsum
-    over the view of the window translates, both read from the window's
+    each n axis contracted with the tones of one period P, then one batched
+    matmul over the window translates on the Walnut fibers
+    (_translate_fibers, read as (P^d, Q^d, K^d)), both from the window's
     memo (Window._tables): sample qP + r of an axis takes residue r,
     summed over k."""
     gr = g.grid
@@ -504,12 +494,9 @@ def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     W = c.values.reshape((-1,) + (len(lat.n_index),) * d)
     for _ in range(d):
         W = np.tensordot(W, t.tones, axes=([1], [0]))
-    TG = t.translates
-    TG = TG.reshape(TG.shape[:d] + (gr.samples_per_axis // p, p) * d)
-    k_ax, qr_ax = list(range(d)), list(range(d, 3 * d))
-    out = np.einsum(W.reshape(TG.shape[:d] + (p,) * d), k_ax + qr_ax[1::2],
-                    TG, k_ax + qr_ax, qr_ax)
-    return Signal(gr, out.reshape(gr.shape))
+    TG = _translate_fibers(t.translates, p, d).transpose(1, 2, 0)
+    out = TG @ W.reshape(len(W), -1).T[..., None]
+    return Signal(gr, _unfibers(out[..., 0], p, gr.shape))
 
 
 def gabor_analysis_direct(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
@@ -574,6 +561,14 @@ def _fibers(a: Array, p: int, d: int) -> Array:
     return a.reshape(lead + (q, p) * d).transpose(order).reshape(lead + (p ** d, q ** d))
 
 
+def _translate_fibers(table: Array, p: int, d: int) -> Array:
+    """A _window_table view on the Walnut fibers of period p (_fibers), as
+    (K^d, p^d, Q^d) with k in lat.k_tuples() order: a view in d = 1, a
+    copy in d >= 2, where the k axes merge."""
+    f = _fibers(table, p, d)
+    return f.reshape((-1,) + f.shape[-2:])
+
+
 def _unfibers(b: Array, p: int, shape: tuple[int, ...]) -> Array:
     """Inverse of _fibers for one grid array."""
     d = len(shape)
@@ -599,29 +594,20 @@ def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
     conjugated tones of one period, each residue's taken at its sample
     nearest x = 0 (_tone_table), one gemm.  The conjugated tone rows and
     the view of the conj(g) translates come from the window's memo
-    (Window._tables), built once per lattice.  One column (gabor_analysis)
-    takes its residue sums in one einsum over that view, with no table
-    built.  More columns (the Gabor-matrix rows) take one batched matmul
-    giving (P^d, K, m) against one contiguous copy of the translates
-    (_fiber_translates, read transposed; made per call and not kept), in
-    column blocks of _FOLD_BLOCK_BYTES.
+    (Window._tables), built once per lattice.  Every column count, one
+    (gabor_analysis) or many (the Gabor-matrix rows), takes the residue
+    sums in one batched matmul giving (P^d, K, m) over the translates on
+    the fibers (_translate_fibers, read as (P^d, K^d, Q^d)), in column
+    blocks of _FOLD_BLOCK_BYTES.
     """
     gr = g.grid
     d = gr.dim
     t = g._tables(lat)
     p, T = t.period, t.conj_rows
-    nk, nn = len(lat.k_index) ** d, T.shape[0]
+    W = _translate_fibers(t.conj_translates, p, d).transpose(1, 0, 2)
+    nk, nn = W.shape[1], T.shape[0]
     m = cols.shape[1]
     scale = gr.space_step ** d
-    if m == 1:
-        q = gr.samples_per_axis // p
-        V = t.conj_translates
-        k_ax, qr_ax = list(range(d)), list(range(d, 3 * d))
-        Y = np.einsum(V.reshape(V.shape[:d] + (q, p) * d), k_ax + qr_ax,
-                      cols.reshape((q, p) * d), qr_ax, k_ax + qr_ax[1::2])
-        Z = T @ Y.reshape(nk, -1).T
-        return (Z.T * scale).reshape(-1, 1)
-    W = _fiber_translates(t.conj_translates, lat, p).transpose(0, 2, 1)
     out = np.empty((nk, nn, m), dtype=complex)
     step = max(1, _FOLD_BLOCK_BYTES // (16 * nk * max(p ** d, nn)))
     for c0 in range(0, m, step):
@@ -633,21 +619,24 @@ def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
     return out.reshape(nk * nn, m)
 
 
-def _frame_blocks(translates: Array, lat: GaborLattice) -> Array:
+def _frame_blocks(t: _LatticeTables) -> Array:
     """S_g as its P^d Hermitian Walnut blocks, shape (P^d, Q^d, Q^d).
 
     When n runs over one full period P = N / n_step (Q = n_step), the sum
     over n of exp(2 pi i beta n (x - y)) is P where x = y modulo P samples
     on every axis and 0 elsewhere, so S_g only couples samples of one
     residue tuple r: S[qP+r, q'P+r] = (P dx)^d sum_k T_k g(qP+r) conj(T_k g(q'P+r))
-    (D. Walnut, J. Math. Anal. Appl. 165, 1992).  The translates are read
-    once from their view (_window_table) into a contiguous (P^d, Q^d, K^d)
-    table (_fiber_translates), so the batched product runs in BLAS.
+    (D. Walnut, J. Math. Anal. Appl. 165, 1992).  One batched matmul of the
+    plain translates, read as (P^d, Q^d, K^d), against the conjugated ones,
+    read as (P^d, K^d, Q^d), both on the fibers of the memo entry t's views
+    (_translate_fibers).
     """
+    lat = t.lattice
     gr = lat.grid
     p = _period(lat)
-    T = _fiber_translates(translates, lat, p)
-    return (T @ T.conj().transpose(0, 2, 1)) * (p * gr.space_step) ** gr.dim
+    T = _translate_fibers(t.translates, p, gr.dim).transpose(1, 2, 0)
+    C = _translate_fibers(t.conj_translates, p, gr.dim).transpose(1, 0, 2)
+    return (T @ C) * (p * gr.space_step) ** gr.dim
 
 
 def _verdict(spec: Array) -> FrameBounds:

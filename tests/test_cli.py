@@ -87,6 +87,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[grid]\ndim = 1\nhalf_width = 2\nsamples_per_axis = 511\n")
 
+    @pytest.mark.parametrize("grid, message", [
+        ("dim = 0\nhalf_width = 2\nsamples_per_axis = 512", "dim must be >= 1"),
+        ("half_width = 2\nsamples_per_axis = 511", "samples_per_axis must be even and positive"),
+        ("half_width = 0\nsamples_per_axis = 512", "half_width must be positive"),
+        ("half_width = 2", "needs samples_per_axis"),
+    ], ids=["dim_0", "odd_n", "half_width_0", "n_missing"])
+    def test_bad_grid_is_a_config_error(self, grid, message):
+        """GridSpec alone checks a [grid] section; its ValueError, or a
+        missing key, surfaces as ConfigError."""
+        with pytest.raises(ConfigError, match=re.escape(f"[grid] {message}") + "$"):
+            parse_config(f"[grid]\n{grid}\n")
+
     def test_physical_validation_uses_the_grid_that_runs(self, tmp_path):
         # with no [grid], n_sweep is checked against the runner's default
         # grid (fl_growth: Nyquist 512, safe band 256)

@@ -15,8 +15,9 @@ copied, by program code; and every config key an experiment accepts, a
 keyword-only parameter of its runner, is read by that runner.
 One table, BANS, keeps names at their sites: the kernel sums in
 OperatorHandle.apply_columns, the Walnut blocks and tones in a Window's
-memo, the experiment's writers in run_experiment; and no module calls
-as_strided or reads the environment (environ, getenv).
+memo, the experiment's writers in run_experiment; gabor.py contracts the
+Walnut fibers by batched matmul alone (no einsum, no contiguous copy); and
+no module calls as_strided or reads the environment (environ, getenv).
 No numpy.fft call passes out=, which numpy 1.24 lacks."""
 import ast
 import fnmatch
@@ -941,6 +942,8 @@ BANS = [
     ("*.py", "_tone_table", {"Window._tables", "_atom_rows"}),
     ("gabor.py", "eigh", {"_LatticeTables.walnut"}),
     ("gabor.py", "eigvalsh", set()),
+    ("gabor.py", "einsum", set()),
+    ("gabor.py", "ascontiguousarray", set()),
     ("runner.py", "write_csv", {"run_experiment", "<module>"}),
     ("runner.py", "_maybe_plot", {"run_experiment"}),
     ("runner.py", "dumps", {"run_experiment"}),
