@@ -25,18 +25,20 @@ stale.
 Since the tones of any lattice repeat after P = N / gcd(N, n_step)
 samples, the same fibers fold the lattice coefficients (_folded_analysis):
 the one signal of gabor_analysis and the many columns of the Gabor-matrix
-rows take their residue sums in one batched matmul over the conjugated
-translates on the Walnut fibers (_translate_fibers); gabor_synthesis is
-the adjoint, one batched matmul over the plain ones, and the Walnut blocks
-(_frame_blocks) are one over both.  All take each residue's tone at its
+rows take their residue sums from the conjugated translates on the Walnut
+fibers (_fibers); gabor_synthesis is the adjoint, over the plain ones, and
+the Walnut blocks (_frame_blocks) contract both.  Each contraction is a
+batched matmul over the last of its d axes, summed over the other d - 1
+(_matmul_sum): one matmul in d = 1.  All take each residue's tone at its
 sample nearest x = 0.  The window translates are one view, sliced with
 step -k_step, of the sliding windows of the zero-padded window
-(_window_table over _shift_views, which _stft_blocks also reads); no table
-of them is gathered, and in d = 1 their fiber order is a view as well.
+(_window_table over _shift_views, which _stft_blocks also reads), and so
+are their fibers: no table of them is gathered or copied in any d.
 """
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
@@ -394,7 +396,7 @@ def _window_table(samples: Array, lat: GaborLattice) -> Array:
     shift, and sliced with step -k_step (the translate by s starts at
     reach - s).  A translate by N or more per axis is all zero fill.
     Nothing is copied: every contraction reads it on the Walnut fibers
-    (_translate_fibers)."""
+    (_fibers), also a view."""
     ks = lat.k_step
     k0, k1 = lat.k_index[0], lat.k_index[-1]
     reach = ks * max(abs(k0), abs(k1))
@@ -482,11 +484,10 @@ def gabor_analysis(f: Signal, g: Window, lat: GaborLattice) -> GaborCoeffs:
 
 def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     """D_g c = sum c_{k,n} M_{beta n} T_{alpha k} g, the adjoint of the fold:
-    each n axis contracted with the tones of one period P, then one batched
-    matmul over the window translates on the Walnut fibers
-    (_translate_fibers, read as (P^d, Q^d, K^d)), both from the window's
-    memo (Window._tables): sample qP + r of an axis takes residue r,
-    summed over k."""
+    each n axis contracted with the tones of one period P, then the k axes
+    with the plain translate view on the Walnut fibers (_fibers,
+    _matmul_sum), both from the window's memo (Window._tables): sample
+    qP + r of an axis takes residue r, summed over k."""
     gr = g.grid
     d = gr.dim
     t = g._tables(lat)
@@ -494,8 +495,11 @@ def gabor_synthesis(c: GaborCoeffs, g: Window, lat: GaborLattice) -> Signal:
     W = c.values.reshape((-1,) + (len(lat.n_index),) * d)
     for _ in range(d):
         W = np.tensordot(W, t.tones, axes=([1], [0]))
-    TG = _translate_fibers(t.translates, p, d).transpose(1, 2, 0)
-    out = TG @ W.reshape(len(W), -1).T[..., None]
+    k, r, q = (list(range(i * d, i * d + d)) for i in range(3))
+    TG = _fibers(t.translates, p, d).transpose(k[:-1] + r + q + k[-1:])
+    W = W.reshape((len(lat.k_index),) * d + (p,) * d).transpose(k[:-1] + r + k[-1:])
+    # (k', r, q, k_d) @ (k', r, 1.., k_d, 1), summed over k' = k_1 .. k_{d-1}
+    out = _matmul_sum(TG, _spread(W[..., None], 2 * d - 1, d), d - 1)
     return Signal(gr, _unfibers(out[..., 0], p, gr.shape))
 
 
@@ -552,21 +556,27 @@ def _period(lat: GaborLattice) -> int:
 
 
 def _fibers(a: Array, p: int, d: int) -> Array:
-    """Regroup the last d axes (length N = Q p each) as (p^d, Q^d): sample
-    q p + r of an axis goes to residue r, position q; leading axes stay."""
+    """Split the last d axes (length N = Q p each) into residue and position
+    axes (r_1 .. r_d, q_1 .. q_d), after the leading axes: sample q p + r of
+    an axis goes to (r, q).  A view for any strides, as no axes merge."""
     lead = a.shape[:a.ndim - d]
-    q = a.shape[-1] // p
     m = len(lead)
     order = list(range(m)) + [m + 2 * i + 1 for i in range(d)] + [m + 2 * i for i in range(d)]
-    return a.reshape(lead + (q, p) * d).transpose(order).reshape(lead + (p ** d, q ** d))
+    return a.reshape(lead + (a.shape[-1] // p, p) * d).transpose(order)
 
 
-def _translate_fibers(table: Array, p: int, d: int) -> Array:
-    """A _window_table view on the Walnut fibers of period p (_fibers), as
-    (K^d, p^d, Q^d) with k in lat.k_tuples() order: a view in d = 1, a
-    copy in d >= 2, where the k axes merge."""
-    f = _fibers(table, p, d)
-    return f.reshape((-1,) + f.shape[-2:])
+def _spread(a: Array, at: int, d: int) -> Array:
+    """a with d - 1 axes of length 1 inserted before axis at, for matmul to
+    broadcast over; a view."""
+    return a.reshape(a.shape[:at] + (1,) * (d - 1) + a.shape[at:])
+
+
+def _matmul_sum(a: Array, b: Array, lead: int) -> Array:
+    """The sum of a[i] @ b[i] over the index tuples i of the first lead axes.
+    A translate view contracts over d axes that its strides do not let merge
+    without copying it: matmul takes the last, and this sums the other d - 1
+    (lead = d - 1; one matmul in d = 1)."""
+    return reduce(operator.iadd, (a[i] @ b[i] for i in np.ndindex(a.shape[:lead])))
 
 
 def _unfibers(b: Array, p: int, shape: tuple[int, ...]) -> Array:
@@ -596,23 +606,26 @@ def _folded_analysis(cols: Array, g: Window, lat: GaborLattice) -> Array:
     the view of the conj(g) translates come from the window's memo
     (Window._tables), built once per lattice.  Every column count, one
     (gabor_analysis) or many (the Gabor-matrix rows), takes the residue
-    sums in one batched matmul giving (P^d, K, m) over the translates on
-    the fibers (_translate_fibers, read as (P^d, K^d, Q^d)), in column
+    sums from that view on the fibers (_fibers, _matmul_sum), in column
     blocks of _FOLD_BLOCK_BYTES.
     """
     gr = g.grid
     d = gr.dim
     t = g._tables(lat)
     p, T = t.period, t.conj_rows
-    W = _translate_fibers(t.conj_translates, p, d).transpose(1, 0, 2)
-    nk, nn = W.shape[1], T.shape[0]
+    k, r, q = (list(range(i * d, i * d + d)) for i in range(3))
+    W = _fibers(t.conj_translates, p, d).transpose(q[:-1] + r + k + q[-1:])
+    hr, hq = list(range(1, d + 1)), list(range(d + 1, 2 * d + 1))
+    nk, nn = len(lat.k_index) ** d, T.shape[0]
     m = cols.shape[1]
     scale = gr.space_step ** d
     out = np.empty((nk, nn, m), dtype=complex)
     step = max(1, _FOLD_BLOCK_BYTES // (16 * nk * max(p ** d, nn)))
     for c0 in range(0, m, step):
         h = _fibers(cols[:, c0:c0 + step].T.reshape((-1,) + gr.shape), p, d)
-        Y = W @ h.transpose(1, 2, 0)
+        # (q', r, k, q_d) @ (q', r, 1.., q_d, col), summed over q' = q_1 .. q_{d-1}
+        Y = _matmul_sum(W, _spread(h.transpose(hq[:-1] + hr + hq[-1:] + [0]), 2 * d - 1, d),
+                        d - 1)
         Z = T @ Y.reshape(p ** d, -1)
         np.multiply(Z.reshape(nn, nk, -1).transpose(1, 0, 2), scale,
                     out=out[:, :, c0:c0 + step])
@@ -626,17 +639,21 @@ def _frame_blocks(t: _LatticeTables) -> Array:
     over n of exp(2 pi i beta n (x - y)) is P where x = y modulo P samples
     on every axis and 0 elsewhere, so S_g only couples samples of one
     residue tuple r: S[qP+r, q'P+r] = (P dx)^d sum_k T_k g(qP+r) conj(T_k g(q'P+r))
-    (D. Walnut, J. Math. Anal. Appl. 165, 1992).  One batched matmul of the
-    plain translates, read as (P^d, Q^d, K^d), against the conjugated ones,
-    read as (P^d, K^d, Q^d), both on the fibers of the memo entry t's views
-    (_translate_fibers).
+    (D. Walnut, J. Math. Anal. Appl. 165, 1992).  The plain and conjugated
+    translate views of the memo entry t, on the fibers (_fibers), contract
+    over k in batched matmuls (_matmul_sum).
     """
     lat = t.lattice
-    gr = lat.grid
+    d = lat.grid.dim
     p = _period(lat)
-    T = _translate_fibers(t.translates, p, gr.dim).transpose(1, 2, 0)
-    C = _translate_fibers(t.conj_translates, p, gr.dim).transpose(1, 0, 2)
-    return (T @ C) * (p * gr.space_step) ** gr.dim
+    k, r, q = (list(range(i * d, i * d + d)) for i in range(3))
+    T = _fibers(t.translates, p, d).transpose(k[:-1] + r + q + k[-1:])
+    C = _fibers(t.conj_translates, p, d).transpose(k[:-1] + r + q[:-1] + k[-1:] + q[-1:])
+    # (k', r, q', 1.., q_d, k_d) @ (k', r, 1.., q'', k_d, q''_d), summed over k',
+    # then (r, q', q'', q_d, q''_d) -> (r, q, q'')
+    B = _matmul_sum(_spread(T, 3 * d - 2, d), _spread(C, 2 * d - 1, d), d - 1)
+    B = np.moveaxis(B, -2, 2 * d - 1)
+    return B.reshape(p ** d, T.shape[-2] ** d, -1) * (p * lat.grid.space_step) ** d
 
 
 def _verdict(spec: Array) -> FrameBounds:
@@ -667,7 +684,7 @@ def _frame_power(g: Window, lat: GaborLattice, s: float,
         raise NotAFrameError(
             f"frame spectrum [{fb.lower:.3e}, {fb.upper:.3e}] fails A > 0, B/A <= RATIO_CAP")
     p = t.period
-    gb = _fibers(g.signal.samples, p, gr.dim)[..., None]
+    gb = _fibers(g.signal.samples, p, gr.dim).reshape(p ** gr.dim, -1)[..., None]
     hb = V @ (lam[..., None] ** s * (V.conj().transpose(0, 2, 1) @ gb))
     sig = Signal(gr, _unfibers(hb[..., 0], p, gr.shape))
     return Window(signal=sig, l2_norm=lp_norm(sig, 2))
